@@ -175,7 +175,8 @@ def parse_rm(text: str, game: Game) -> RewardMachine:
                 raise DocumentError(f"rewards.{q}.{sname}: missing")
             vec = r_table[sname]
             if (not isinstance(vec, list) or len(vec) != game.n_players
-                    or any(not isinstance(x, int) or x < 0 for x in vec)):
+                    or any(isinstance(x, bool) or not isinstance(x, int) or x < 0
+                           for x in vec)):
                 raise DocumentError(
                     f"rewards.{q}.{sname}: expected {game.n_players} naturals"
                 )

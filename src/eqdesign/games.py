@@ -134,6 +134,13 @@ class Game:
         return sorted(seen)
 
 
+def _weight(value: object, path: str) -> int:
+    # bool is an int subclass; it and non-integral numbers are refused, not cast.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GameStructureError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def make_game(
     players: Sequence[str],
     actions: Sequence[str],
@@ -148,7 +155,8 @@ def make_game(
     """Intern a name-level description into a :class:`Game`.
 
     Raises :class:`GameStructureError` naming the offending component when
-    a table is partial, a protocol is empty, or a name is unknown.
+    a table is partial, a protocol is empty, a name is unknown, or a weight
+    is not an integer (floats, numeric strings and booleans are refused).
     """
     pid = {p: i for i, p in enumerate(players)}
     aid = {a: i for i, a in enumerate(actions)}
@@ -195,13 +203,13 @@ def make_game(
         for sname in states:
             if sname not in table:
                 raise GameStructureError(f"weights.{pname}.{sname}: missing entry")
-            row.append(int(table[sname]))
+            row.append(_weight(table[sname], f"weights.{pname}.{sname}"))
         wtab.append(tuple(row))
     grow = []
     for sname in states:
         if sname not in global_weights:
             raise GameStructureError(f"global_weights.{sname}: missing entry")
-        grow.append(int(global_weights[sname]))
+        grow.append(_weight(global_weights[sname], f"global_weights.{sname}"))
 
     return Game(
         player_names=tuple(players),

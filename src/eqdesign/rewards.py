@@ -152,13 +152,6 @@ def implement(game: Game, rm: RewardMachine) -> Game:
     )
 
 
-def project_product_state(product: Game, state: int) -> tuple[str, str]:
-    """Split a product state name back into (game state, machine state)."""
-    name = product.state_names[state]
-    left, _, right = name.rpartition("|")
-    return left, right
-
-
 def zero_rm(game: Game) -> RewardMachine:
     """Single-state machine handing out nothing anywhere."""
     zero = tuple((0,) * game.n_players for _ in range(game.n_states))

@@ -8,9 +8,12 @@ Three layers live here:
   mean cycle in the committed product).
 * Punishment values: the least mean payoff a coalition can impose on one
   player.  The information order is coalition-commits-first, so the game
-  collapses to a turn-based bipartite game; three backends solve it
-  (exhaustive positional enumeration, Howard-style policy iteration, and a
-  Zwick-Paterson iteration with rational rounding kept for cross-checks).
+  collapses to a turn-based game.  One exact solver handles it in integer
+  arithmetic: values are rationals with denominator at most the state
+  count (Zwick-Paterson), each candidate is decided by an energy game
+  solved with progress measures (Brim, Chaloupka, Doyen, Gentilini,
+  Raskin), and the positional coalition witness read off the measures is
+  checked against the deviator's exact best response before it is returned.
 """
 
 from __future__ import annotations
@@ -316,205 +319,108 @@ def _eval_committed(game: Game, player: int, per_state, choice: Sequence[int]):
     return max_mean_value_function(succs, weights)
 
 
-def _bias_of_committed(game: Game, player: int, per_state, choice: Sequence[int],
-                       gains: Sequence[Fraction]) -> list[Fraction]:
-    """Relative potentials of the committed one-player arena.
-
-    On gain-tight edges the adjusted weights w - g admit no positive
-    cycle; potentials anchor at the lex-least node of each critical
-    component and propagate by longest adjusted paths.
-    """
-    n = game.n_states
-    succs = []
-    for s in range(n):
-        rmap, _ = per_state[s][choice[s]]
-        succs.append(sorted({u for u in set(rmap) if gains[u] == gains[s]}))
-    adj = [Fraction(game.weights[player][s]) - gains[s] for s in range(n)]
-
-    comps = strongly_connected_components(succs)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    critical_ref: dict[int, int] = {}
-    for ci, comp in enumerate(comps):
-        members = set(comp)
-        local = {v: [u for u in succs[v] if u in members] for v in comp}
-        mm = _karp_max_mean(comp, local, {v: adj[v] for v in comp})
-        if mm is not None and mm == 0:
-            critical_ref[ci] = min(comp)
-
-    anchors = set(critical_ref.values())
-    bias: list[Fraction | None] = [None] * n
-    for v in anchors:
-        bias[v] = Fraction(0)
-    # Longest adjusted paths toward the anchors; no positive cycles exist on
-    # the tight graph, so relaxation reaches a fixpoint within 2n rounds.
-    for _ in range(2 * n + 2):
-        changed = False
-        for v in range(n):
-            if v in anchors:
-                continue
-            best = bias[v]
-            for u in succs[v]:
-                if bias[u] is None:
-                    continue
-                cand = adj[v] + bias[u]
-                if best is None or cand > best:
-                    best = cand
-            if best is not None and best != bias[v]:
-                bias[v] = best
-                changed = True
-        if not changed:
-            break
-    return [b if b is not None else Fraction(0) for b in bias]
-
-
-def _punish_enum(game: Game, player: int, per_state) -> tuple[list[Fraction], list[int]]:
-    # Componentwise minimum over all positional commitments; an optimal
-    # positional punishment achieves it at every state simultaneously, so a
-    # second pass recovers one witness.
-    best_vals: list[Fraction] | None = None
-    for choice in itertools.product(*(range(len(cs)) for cs in per_state)):
-        vals = _eval_committed(game, player, per_state, choice)
-        if best_vals is None:
-            best_vals = list(vals)
-        else:
-            for s in range(game.n_states):
-                if vals[s] < best_vals[s]:
-                    best_vals[s] = vals[s]
-    assert best_vals is not None
-    for choice in itertools.product(*(range(len(cs)) for cs in per_state)):
-        if _eval_committed(game, player, per_state, choice) == best_vals:
-            return best_vals, list(choice)
-    raise SolverLimitError("no single positional commitment achieves the value vector")
-
-
-def _punish_improve(game: Game, player: int, per_state,
-                    max_rounds: int = 200) -> tuple[list[Fraction], list[int]]:
-    n = game.n_states
-    choice = [0] * n
-    for _ in range(max_rounds):
-        gains = _eval_committed(game, player, per_state, choice)
-        bias = _bias_of_committed(game, player, per_state, choice, gains)
-
-        def key_of(s: int, ci: int) -> tuple[Fraction, Fraction]:
-            rmap, _ = per_state[s][ci]
-            g = max(gains[u] for u in rmap)
-            tight = max((bias[u] for u in rmap if gains[u] == g))
-            return (g, Fraction(game.weights[player][s]) - g + tight)
-
-        switched = False
-        for s in range(n):
-            cur = key_of(s, choice[s])
-            best_ci, best_key = choice[s], cur
-            for ci in range(len(per_state[s])):
-                if ci == choice[s]:
-                    continue
-                k = key_of(s, ci)
-                if k < best_key:
-                    best_ci, best_key = ci, k
-            if best_ci != choice[s]:
-                choice[s] = best_ci
-                switched = True
-        if not switched:
-            final = _eval_committed(game, player, per_state, choice)
-            for s in range(n):
-                attainable = [max(final[u] for u in per_state[s][ci][0])
-                              for ci in range(len(per_state[s]))]
-                if min(attainable) < final[s]:
-                    raise SolverLimitError("policy iteration stopped off the fixpoint")
-            return final, choice
-    raise SolverLimitError("policy iteration exceeded its round budget")
-
-
-def _punish_zwick_paterson(game: Game, player: int, per_state) -> list[Fraction]:
-    """Value iteration on the bipartite game, rounded to small denominators.
-
-    Viable only at toy scale; kept as an independent cross-check of the
-    other two backends.
-    """
-    n = game.n_states
-    n_dev = sum(len(cs) for cs in per_state)
-    total = n + n_dev
-    w_abs = max(1, max(abs(game.weights[player][s]) for s in range(n)))
-    steps = 4 * total * total * (total - 1) * w_abs + 1
-
-    dev_index: dict[tuple[int, int], int] = {}
-    k = 0
-    for s in range(n):
-        for ci in range(len(per_state[s])):
-            dev_index[(s, ci)] = k
-            k += 1
-
-    v_min = [0] * n
-    for _ in range(steps):
-        new_dev = [0] * n_dev
-        for s in range(n):
-            w = game.weights[player][s]
-            for ci, (rmap, _) in enumerate(per_state[s]):
-                new_dev[dev_index[(s, ci)]] = w + max(v_min[u] for u in rmap)
-        new_min = [0] * n
-        for s in range(n):
-            w = game.weights[player][s]
-            new_min[s] = w + min(new_dev[dev_index[(s, ci)]]
-                                 for ci in range(len(per_state[s])))
-        v_min = new_min
+def _farey(n: int) -> list[tuple[int, int]]:
+    """Fractions ``p/q`` in [0, 1) with ``q <= n``, ascending, as pairs."""
     out = []
-    # Each loop pass advances two bipartite half-steps, both charging w(s).
-    radius = Fraction(2 * total * w_abs, steps)
-    for s in range(n):
-        approx = Fraction(v_min[s], 2 * steps)
-        out.append(_round_to_denominator(approx, total, radius))
+    a, b, c, d = 0, 1, 1, n
+    while a < b:
+        out.append((a, b))
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
     return out
 
 
-def _round_to_denominator(x: Fraction, max_den: int, radius: Fraction) -> Fraction:
-    """Unique rational with denominator <= max_den within ``radius`` of x."""
-    lo, hi = x - radius, x + radius
-    for q in range(1, max_den + 1):
-        p_lo = -((-lo.numerator * q) // lo.denominator)  # ceil(lo * q)
-        p_hi = (hi.numerator * q) // hi.denominator      # floor(hi * q)
-        if p_lo <= p_hi:
-            return Fraction(p_lo, q)
-    raise SolverLimitError("no rational with a small denominator in the ball")
+def _coalition_credits(moves: Sequence[Sequence[Sequence[int]]],
+                       preds: Sequence[Iterable[int]],
+                       gain: Sequence[int]) -> tuple[list[int], int]:
+    """Least progress measure of the coalition's energy game.
+
+    At ``s`` the coalition picks a class ``moves[s][c]``, the deviator picks
+    a successor in it, and the coalition's energy changes by ``gain[s]``.
+    Returns each state's least initial credit and the bound ``top``: a
+    credit of ``top`` means no credit keeps the energy nonnegative forever.
+    No winning play needs more than the sum of the negative gains, so the
+    worklist lifting stops.
+    """
+    n = len(moves)
+    top = 1 + sum(-g for g in gain if g < 0)
+    credit = [0] * n
+    work = list(range(n))
+    queued = [True] * n
+    while work:
+        s = work.pop()
+        queued[s] = False
+        need = min(max(credit[u] for u in cls) for cls in moves[s])
+        need = top if need == top else min(top, need - gain[s])
+        if need > credit[s]:
+            credit[s] = need
+            for t in preds[s]:
+                if not queued[t]:
+                    queued[t] = True
+                    work.append(t)
+    return credit, top
 
 
-def punishment_values(game: Game, player: int, backend: str = "auto",
-                      enum_limit: int = 20000) -> PunishmentResult:
+def punishment_values(game: Game, player: int) -> PunishmentResult:
     """Least mean payoff the rest of the players can impose on ``player``.
 
-    The coalition commits a deterministic strategy first and the deviating
-    player best-responds knowing it; positional optima on both sides make
-    the resulting turn-based game finite.  ``backend`` is one of ``enum``
-    (exhaustive positional commitments), ``improve`` (policy iteration),
-    ``zp`` (value iteration cross-check) or ``auto``.
+    The coalition commits a positional strategy first and the deviating
+    player best-responds knowing it.  Every value is the mean of a cycle of
+    at most ``n`` states, so it is one of the candidates ``p/q`` with
+    ``q <= n`` between the player's least and greatest weight.  The
+    coalition holds the deviator to ``p/q`` or below from exactly the states
+    where it wins the energy game with gains ``p - q*w``; a binary search
+    per state, over measures cached by candidate, finds each value.
+
+    The witness commits, at each state, a class whose successors all have
+    finite credit at that state's own value and whose lift does not raise
+    the credit.  It is checked against the deviator's exact best response
+    before it is returned; a mismatch raises :class:`SolverLimitError`.
     """
     per_state = _response_classes(game, player)
-    combos = 1
-    for cs in per_state:
-        combos *= len(cs)
-    if backend == "auto":
-        backend = "enum" if combos <= enum_limit else "improve"
-    if backend == "enum":
-        if combos > enum_limit:
-            raise SolverLimitError(
-                f"{combos} positional commitments exceed the enumeration limit"
-            )
-        vals, choice = _punish_enum(game, player, per_state)
-    elif backend == "improve":
-        vals, choice = _punish_improve(game, player, per_state)
-    elif backend == "zp":
-        approx = _punish_zwick_paterson(game, player, per_state)
-        vals = approx
-        choice = None
-    else:
-        raise ValueError(f"unknown punishment backend {backend!r}")
+    n = game.n_states
+    moves = [[sorted(set(rmap)) for rmap, _ in classes] for classes in per_state]
+    preds: list[set[int]] = [set() for _ in range(n)]
+    for s in range(n):
+        for cls in moves[s]:
+            for u in cls:
+                preds[u].add(s)
+    weights = game.weights[player]
+    lo, hi = min(weights), max(weights)
+    cands = [(t * q + p, q) for t in range(lo, hi) for p, q in _farey(n)] + [(hi, 1)]
 
-    if choice is None:
-        witness: tuple[Mapping[int, int], ...] = tuple(
-            dict(per_state[s][0][1]) for s in range(game.n_states)
+    solved: dict[int, tuple[list[int], int]] = {}
+
+    def credits(k: int) -> tuple[list[int], int]:
+        if k not in solved:
+            p, q = cands[k]
+            solved[k] = _coalition_credits(moves, preds, [p - q * w for w in weights])
+        return solved[k]
+
+    # The coalition wins at candidate k iff the value is at most cands[k];
+    # the greatest weight always bounds the value.
+    index = []
+    for s in range(n):
+        a, b = 0, len(cands) - 1
+        while a < b:
+            mid = (a + b) // 2
+            credit, top = credits(mid)
+            if credit[s] < top:
+                b = mid
+            else:
+                a = mid + 1
+        index.append(a)
+
+    choice = []
+    for s, k in enumerate(index):
+        credit, _ = credits(k)
+        choice.append(min(range(len(moves[s])),
+                          key=lambda c: max(credit[u] for u in moves[s][c])))
+    values = tuple(Fraction(*cands[k]) for k in index)
+    if tuple(_eval_committed(game, player, per_state, choice)) != values:
+        raise SolverLimitError(
+            f"punishment witness for player {game.player_names[player]!r} "
+            "does not hold the deviator to the computed values"
         )
-    else:
-        witness = tuple(dict(per_state[s][choice[s]][1]) for s in range(game.n_states))
-    return PunishmentResult(player=player, values=tuple(vals), coalition=witness)
+    witness = tuple(dict(per_state[s][c][1]) for s, c in enumerate(choice))
+    return PunishmentResult(player=player, values=values, coalition=witness)

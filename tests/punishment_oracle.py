@@ -1,0 +1,24 @@
+"""Brute-force punishment values: the reference the exact solver is tested against.
+
+Enumerates every positional coalition commitment, evaluates the deviator's
+exact best response to each, and takes the componentwise minimum.  An
+optimal positional punishment attains it at every state at once.  Only
+usable on small games: the commitments multiply across states.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from eqdesign.games import Game
+from eqdesign.zerosum import _eval_committed, _response_classes
+
+
+def brute_force_punishment(game: Game, player: int) -> tuple[Fraction, ...]:
+    per_state = _response_classes(game, player)
+    best: list[Fraction] | None = None
+    for choice in itertools.product(*(range(len(cs)) for cs in per_state)):
+        vals = _eval_committed(game, player, per_state, choice)
+        best = vals if best is None else [min(a, b) for a, b in zip(best, vals)]
+    return tuple(best)

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from eqdesign.benchmarks import (
     gen_random_game,
     gen_tsp_game,
 )
+from eqdesign.cli import cli_main
 from eqdesign.fileio import (
     DocumentError,
     canonicalize,
@@ -87,6 +89,30 @@ class TestGameErrors:
             parse_game(json.dumps(doc))
 
 
+    @pytest.mark.parametrize("value", [1.5, "7", True])
+    @pytest.mark.parametrize("table,path", [
+        (("weights", "p1", "m"), r"weights\.p1\.m"),
+        (("global_weights", "m"), r"global_weights\.m"),
+    ], ids=["player", "global"])
+    def test_non_integer_weight_rejected(self, table, path, value):
+        game, _, _ = gen_example1()
+        doc = json.loads(serialize_game(game))
+        entry = doc
+        for key in table[:-1]:
+            entry = entry[key]
+        entry[table[-1]] = value
+        with pytest.raises(DocumentError, match=path):
+            parse_game(json.dumps(doc))
+
+    def test_non_integer_weight_exits_with_usage_error(self, tmp_path):
+        game, _, _ = gen_example1()
+        doc = json.loads(serialize_game(game))
+        doc["weights"]["p1"]["m"] = 1.5
+        path = tmp_path / "bad.game"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(path)], out=io.StringIO()) == 2
+
+
 class TestMachineDocuments:
     def test_round_trip(self):
         game, m1, m2 = gen_example1()
@@ -122,3 +148,19 @@ class TestMachineDocuments:
         doc["rewards"]["q0"]["t"] = [-1]
         with pytest.raises(DocumentError, match="naturals"):
             parse_rm(json.dumps(doc), game)
+
+    def test_bool_reward_rejected(self):
+        game, m1, _ = gen_example1()
+        doc = json.loads(serialize_rm(m1, game))
+        doc["rewards"]["q0"]["t"] = [True]
+        with pytest.raises(DocumentError, match=r"rewards\.q0\.t"):
+            parse_rm(json.dumps(doc), game)
+
+    def test_bool_reward_exits_with_usage_error(self, tmp_path):
+        game, m1, _ = gen_example1()
+        doc = json.loads(serialize_rm(m1, game))
+        doc["rewards"]["q0"]["t"] = [True]
+        game_path, rm_path = tmp_path / "g.game", tmp_path / "bad.rm"
+        game_path.write_text(serialize_game(game))
+        rm_path.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(game_path), str(rm_path)], out=io.StringIO()) == 2

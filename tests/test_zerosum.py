@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqdesign.benchmarks import (
     CostDigraph,
@@ -8,12 +10,35 @@ from eqdesign.benchmarks import (
     gen_random_game,
     gen_random_strategy,
 )
-from eqdesign.games import StrategyProfile, constant_strategy, mean_payoff, run_profile
+from eqdesign.games import (
+    MealyStrategy,
+    StrategyProfile,
+    constant_strategy,
+    mean_payoff,
+    run_profile,
+)
 from eqdesign.zerosum import (
+    PunishmentResult,
+    SolverLimitError,
+    _eval_committed,
     best_response_value,
     max_mean_cycle,
     punishment_values,
 )
+
+from punishment_oracle import brute_force_punishment
+
+
+def witness_values(game, pun: PunishmentResult) -> tuple[Fraction, ...]:
+    """Deviator's best response per state against the positional coalition."""
+    coalition = tuple(i for i in range(game.n_players) if i != pun.player)
+    others = StrategyProfile(coalition, tuple(
+        MealyStrategy(1, 0, ((0,) * game.n_states,),
+                      (tuple(pun.coalition[s][i] for s in range(game.n_states)),))
+        for i in coalition
+    ))
+    return tuple(best_response_value(game, others, pun.player, start=s)
+                 for s in range(game.n_states))
 
 
 class TestMaxMeanCycle:
@@ -114,21 +139,20 @@ class TestPunishment:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_backends_agree(self, seed):
+        """The solver and the brute-force oracle give the same values."""
         game = gen_random_game(seed, n_players=2, n_states=3)
         for player in range(2):
-            enum = punishment_values(game, player, backend="enum")
-            improve = punishment_values(game, player, backend="improve")
-            assert enum.values == improve.values
+            assert punishment_values(game, player).values == \
+                brute_force_punishment(game, player)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_value_iteration_cross_check(self, seed):
-        """Rounded value iteration agrees exactly with enumeration on games
-        small enough for its step budget."""
+        """The returned positional coalition holds the deviator to exactly
+        the punishment value from every state."""
         game = gen_random_game(seed, n_players=2, n_states=3, n_actions=2)
         for player in range(2):
-            enum = punishment_values(game, player, backend="enum")
-            zp = punishment_values(game, player, backend="zp")
-            assert enum.values == zp.values
+            pun = punishment_values(game, player)
+            assert witness_values(game, pun) == pun.values
 
     @pytest.mark.parametrize("seed", range(8))
     def test_no_commitment_helps_the_target(self, seed):
@@ -163,15 +187,49 @@ class TestPunishment:
         for seed in range(4):
             game = gen_random_game(seed + 50, n_players=3, n_states=3, n_actions=2)
             for player in range(3):
-                enum = punishment_values(game, player, backend="enum")
-                improve = punishment_values(game, player, backend="improve")
-                assert enum.values == improve.values
+                assert punishment_values(game, player).values == \
+                    brute_force_punishment(game, player)
 
     @pytest.mark.parametrize("seed", [123, 124, 125])
     def test_all_three_backends_at_full_scale(self, seed):
         game = gen_random_game(seed, n_players=3, n_states=4, n_actions=2)
         for player in range(3):
-            enum = punishment_values(game, player, backend="enum")
-            improve = punishment_values(game, player, backend="improve")
-            zp = punishment_values(game, player, backend="zp")
-            assert enum.values == improve.values == zp.values
+            pun = punishment_values(game, player)
+            assert pun.values == brute_force_punishment(game, player)
+            assert witness_values(game, pun) == pun.values
+
+    def test_policy_iteration_reproducer(self):
+        """Policy iteration once returned (1, 1, 1, 1) here."""
+        pun = punishment_values(gen_random_game(12, 2, 4, 2), 1)
+        assert pun.values == (-1, 0, 0, -1)
+
+    # Seeded games of gen_random_game(seed, 2, 4 + seed % 3, 2) on which
+    # policy iteration returned wrong values or stopped off the fixpoint.
+    @pytest.mark.parametrize("seed,player", [
+        (12, 1), (25, 1), (40, 1), (46, 0), (49, 0), (67, 0), (71, 0), (83, 0),
+        (104, 0), (134, 1), (137, 0), (193, 1), (197, 0), (209, 1), (218, 0),
+        (267, 1), (274, 0), (289, 0), (304, 1), (310, 1), (322, 1), (329, 0),
+        (329, 1), (346, 1), (350, 0),
+    ])
+    def test_policy_iteration_disagreements(self, seed, player):
+        game = gen_random_game(seed, 2, 4 + seed % 3, 2)
+        pun = punishment_values(game, player)
+        assert pun.values == brute_force_punishment(game, player)
+        assert witness_values(game, pun) == pun.values
+
+    def test_failed_witness_check_raises(self, monkeypatch):
+        def off_by_one(game, player, per_state, choice):
+            return [v + 1 for v in _eval_committed(game, player, per_state, choice)]
+
+        monkeypatch.setattr("eqdesign.zerosum._eval_committed", off_by_one)
+        with pytest.raises(SolverLimitError, match="witness"):
+            punishment_values(gen_random_game(12, 2, 4, 2), 1)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5))
+    def test_matches_oracle_and_witness_holds(self, seed, n_players, n_states):
+        game = gen_random_game(seed, n_players=n_players, n_states=n_states)
+        for player in range(n_players):
+            pun = punishment_values(game, player)
+            assert pun.values == brute_force_punishment(game, player)
+            assert witness_values(game, pun) == pun.values
