@@ -10,9 +10,14 @@ the threshold problem a search over lassos.
 Two backends answer threshold queries:
 
 * ``oracle`` - exhaustive over lassos with prefix plus cycle length at most
-  a bound.  Cycles are explored by a layered walk over move classes with
-  the per-player deviation ceiling fixed up front, so the sweep enumerates
-  achievable weight-sum vectors rather than raw walks.
+  a bound.  Cycles are explored by a layered walk over successor states
+  with the per-player deviation ceiling fixed up front, so the sweep
+  enumerates achievable weight-sum vectors rather than raw walks.  Each
+  vector (every player, then the global table) is packed into one int of
+  fixed-width signed fields, so a step of the walk is one int addition; a
+  closed cycle is decoded once and checked against each ceiling ``p/q`` by
+  integer cross-multiplication.  ``realize`` replays the same walk and
+  follows a signature's packed sums back to a concrete lasso.
 * ``lp`` - unbounded cycle-frequency feasibility: for every deviation
   ceiling and every strongly connected sub-arena, an exact rational LP over
   move frequencies decides whether a cycle with the requested payoffs
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .games import (
     Game,
@@ -266,6 +271,39 @@ def _vec_join(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# Packed weight sums
+#
+# A vector of weight sums (every player, then the global table) travels
+# through the walk as one int: field k holds entry k as a signed
+# ``width``-bit integer at bit ``k * width``.  Packing is linear, so adding
+# packed vectors adds them entrywise as long as no entry leaves its field;
+# ``_field_width`` leaves two spare bits above the largest sum a lasso of the
+# length bound can reach.
+
+
+def _field_width(max_abs_weight: int, bound: int) -> int:
+    return (max_abs_weight * bound).bit_length() + 2
+
+
+def _pack_sums(vec: Sequence[int], width: int) -> int:
+    x = 0
+    for v in reversed(vec):
+        x = (x << width) + v
+    return x
+
+
+def _unpack_sums(x: int, width: int, n: int) -> tuple[int, ...]:
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    out = []
+    for _ in range(n):
+        v = ((x + half) & mask) - half
+        out.append(v)
+        x = (x - v) >> width
+    return tuple(out)
+
+
 class NashLassoSolver:
     """Threshold queries over one game, one fixed player, one length bound.
 
@@ -283,6 +321,9 @@ class NashLassoSolver:
         self.fixed = fixed
         self.bound = bound
         self.pun = _punishments(game, fixed)
+        rows = (*game.weights, game.global_weights)
+        self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
+        self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
         self._classes = self._build_classes()
         self._ceilings = self._build_ceilings(ceiling_limit)
         self._sweep_cache: list[tuple] | None = None
@@ -372,12 +413,12 @@ class NashLassoSolver:
         return dist
 
     @staticmethod
-    def _dists_to(allowed: list[list[_MoveClass]], target: int,
-                  members: set[int]) -> dict[int, int]:
-        preds: dict[int, set[int]] = {s: set() for s in members}
-        for s in members:
+    def _dists_to(allowed: list[list[_MoveClass]], target: int) -> dict[int, int]:
+        """Steps from each state >= ``target`` back to it, over those states."""
+        preds: dict[int, set[int]] = {s: set() for s in range(target, len(allowed))}
+        for s in preds:
             for c in allowed[s]:
-                if c.succ in members:
+                if c.succ >= target:
                     preds[c.succ].add(s)
         dist = {target: 0}
         frontier = [target]
@@ -405,75 +446,77 @@ class NashLassoSolver:
         if self._sweep_cache is not None:
             return self._sweep_cache
         game = self.game
-        n = game.n_players
-        wvecs = [
-            tuple(game.weights[i][s] for i in range(n)) + (game.global_weights[s],)
-            for s in range(game.n_states)
-        ]
+        width, n_sums = self._width, game.n_players + 1
         out: list[tuple] = []
-        seen: set[tuple] = set()
+        seen: set[tuple[int, int, int]] = set()
         for ci, ceiling in enumerate(self._ceilings):
+            # Cycle payoff sums/length must reach each ceiling p/q.
+            floors = [
+                (i, c.numerator, c.denominator)
+                for i, c in enumerate(ceiling)
+                if i != self.fixed and c is not None
+            ]
             allowed = self._allowed(ceiling)
             dist = self._dists_from(allowed, game.initial)
             for anchor in sorted(dist):
                 budget = self.bound - dist[anchor]
                 if budget < 1:
                     continue
-                members = {s for s in range(game.n_states) if s >= anchor}
-                back = self._dists_to(allowed, anchor, members)
-                if anchor not in back:
-                    continue
-                closures = self._walk(allowed, anchor, budget, back, wvecs)
-                for length, sums in closures:
-                    if not self._cycle_is_equilibrium(ceiling, sums, length):
-                        continue
-                    key = (anchor, length, sums)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append((ci, anchor, length, sums, dist[anchor]))
-        out.sort(key=lambda rec: (Fraction(rec[3][-1], rec[2]), rec[2], rec[1], rec[3]))
+                back = self._dists_to(allowed, anchor)
+                walk = self._walk(allowed, anchor, budget, back)
+                for length, layer in enumerate(walk, 1):
+                    for packed in layer.get(anchor, ()):
+                        key = (anchor, length, packed)
+                        if key in seen:
+                            continue
+                        sums = _unpack_sums(packed, width, n_sums)
+                        if all(sums[i] * q >= p * length for i, p, q in floors):
+                            seen.add(key)
+                            out.append((ci, anchor, length, sums, dist[anchor]))
+        # Designer value sums/length in units of 1/lcm(1..bound): exact ints.
+        scale = math.lcm(*range(1, self.bound + 1))
+        out.sort(key=lambda rec: (rec[3][-1] * (scale // rec[2]), rec[2], rec[1], rec[3]))
         self._sweep_cache = out
         return out
 
-    def _walk(self, allowed, anchor: int, budget: int, back: dict[int, int],
-              wvecs) -> list[tuple[int, tuple[int, ...]]]:
-        """Layered reachability of weight-sum vectors on cycles at ``anchor``."""
-        zero = (0,) * (self.game.n_players + 1)
-        layer: dict[int, set[tuple[int, ...]]] = {anchor: {zero}}
-        closures: list[tuple[int, tuple[int, ...]]] = []
-        for k in range(budget):
-            nxt: dict[int, set[tuple[int, ...]]] = {}
-            for s, sums_set in layer.items():
-                w = wvecs[s]
-                for cls in allowed[s]:
-                    t = cls.succ
-                    if t < anchor:
-                        continue
-                    if t == anchor:
-                        for sums in sums_set:
-                            closures.append(
-                                (k + 1, tuple(a + b for a, b in zip(sums, w)))
-                            )
-                    rem = budget - (k + 1)
-                    if t not in back or back[t] > rem:
-                        continue
-                    bucket = nxt.setdefault(t, set())
-                    for sums in sums_set:
-                        bucket.add(tuple(a + b for a, b in zip(sums, w)))
-            layer = nxt
-            if not layer:
-                break
-        return closures
+    def _walk(self, allowed, anchor: int, horizon: int,
+              back: dict[int, int]) -> Iterator[dict[int, set[int]]]:
+        """Layered reachability of packed weight sums on cycles at ``anchor``.
 
-    def _cycle_is_equilibrium(self, ceiling: tuple, sums: tuple[int, ...],
-                              length: int) -> bool:
-        for i in range(self.game.n_players):
-            if i == self.fixed or ceiling[i] is None:
-                continue
-            if Fraction(sums[i], length) < ceiling[i]:
-                return False
-        return True
+        Yields, for k = 1, 2, ..., the map from each state to the packed
+        weight sums of the k-step walks from ``anchor`` over states >=
+        ``anchor`` that can still return to it within ``horizon`` steps;
+        the sums at ``anchor`` itself are the cycles of length k.  States
+        enter a layer in the order their predecessors are visited, each
+        predecessor's successors in class order; ``realize`` relies on it.
+        """
+        wpack = self._wpack
+        succs = {
+            s: [(t, back[t]) for t in dict.fromkeys(c.succ for c in allowed[s])
+                if t in back]
+            for s in back
+        }
+        layer: dict[int, set[int]] = {anchor: {0}}
+        for k in range(1, horizon + 1):
+            rem = horizon - k
+            nxt: dict[int, set[int]] = {}
+            for s, xs in layer.items():
+                shifted = None
+                for t, d in succs[s]:
+                    if d > rem:
+                        continue
+                    if shifted is None:
+                        w = wpack[s]
+                        shifted = {x + w for x in xs}
+                    bucket = nxt.get(t)
+                    if bucket is None:
+                        nxt[t] = set(shifted)
+                    else:
+                        bucket |= shifted
+            if not nxt:
+                return
+            yield nxt
+            layer = nxt
 
     @staticmethod
     def _sums_in_bounds(query: ThresholdQuery, sums: tuple[int, ...],
@@ -521,50 +564,38 @@ class NashLassoSolver:
     # -- witness extraction ----------------------------------------------------
 
     def realize(self, rec: tuple) -> Lasso:
-        """Rebuild a concrete lasso from a sweep signature."""
+        """Rebuild a concrete lasso from a sweep signature.
+
+        Replays the sweep's walk with horizon ``length`` and follows each
+        packed sum back to its first parent: the first state of the previous
+        layer, in layer order, whose first class into the current state
+        carries a sum that explains it.
+        """
         ci, anchor, length, sums, _ = rec
         allowed = self._allowed(self._ceilings[ci])
         game = self.game
-        n = game.n_players
-        wvecs = [
-            tuple(game.weights[i][s] for i in range(n)) + (game.global_weights[s],)
-            for s in range(game.n_states)
-        ]
-        zero = (0,) * (n + 1)
-        members = {s for s in range(game.n_states) if s >= anchor}
-        back = self._dists_to(allowed, anchor, members)
-        layers: list[dict[int, dict[tuple, tuple]]] = [{anchor: {zero: None}}]
-        for k in range(length):
-            cur = layers[-1]
-            nxt: dict[int, dict[tuple, tuple]] = {}
-            for s, table in cur.items():
-                w = wvecs[s]
-                for cls in allowed[s]:
-                    t = cls.succ
-                    if t < anchor:
-                        continue
-                    if k + 1 == length:
-                        if t != anchor:
-                            continue
-                    elif t not in back or back[t] > length - k - 1:
-                        continue
-                    bucket = nxt.setdefault(t, {})
-                    for sums_k in table:
-                        ns = tuple(a + b for a, b in zip(sums_k, w))
-                        if ns not in bucket:
-                            bucket[ns] = (s, sums_k, cls)
-            layers.append(nxt)
-        goal = layers[length].get(anchor, {})
-        if sums not in goal:
+        back = self._dists_to(allowed, anchor)
+        layers = [{anchor: {0}}, *self._walk(allowed, anchor, length, back)]
+        packed = _pack_sums(sums, self._width)
+        if (_unpack_sums(packed, self._width, game.n_players + 1) != tuple(sums)
+                or len(layers) <= length
+                or packed not in layers[length].get(anchor, ())):
             raise SolverLimitError("signature no longer realizable")
+        wpack = self._wpack
         cyc_states: list[int] = []
         cyc_moves: list[tuple[int, ...]] = []
-        cur_state, cur_sums = anchor, sums
-        for k in range(length, 0, -1):
-            prev_s, prev_sums, cls = layers[k][cur_state][cur_sums]
-            cyc_states.append(prev_s)
+        cur_state = anchor
+        for k in range(length - 1, -1, -1):
+            for s, xs in layers[k].items():
+                prev = packed - wpack[s]
+                if prev not in xs:
+                    continue
+                cls = next((c for c in allowed[s] if c.succ == cur_state), None)
+                if cls is not None:
+                    break
+            cyc_states.append(s)
             cyc_moves.append(cls.joint)
-            cur_state, cur_sums = prev_s, prev_sums
+            cur_state, packed = s, prev
         cyc_states.reverse()
         cyc_moves.reverse()
 

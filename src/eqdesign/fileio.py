@@ -33,6 +33,13 @@ def _require(doc: Mapping, key: str, kind, path: str):
     return value
 
 
+def _names(doc: Mapping, key: str) -> list[str]:
+    names = _require(doc, key, list, "")
+    if not all(isinstance(x, str) for x in names):
+        raise DocumentError(f"{key}: expected a list of names")
+    return names
+
+
 def parse_game(text: str) -> Game:
     """Parse and validate a game document; diagnostics name the key path."""
     try:
@@ -41,9 +48,9 @@ def parse_game(text: str) -> Game:
         raise _syntax_error(exc)
     if not isinstance(doc, dict):
         raise DocumentError("top level: expected an object")
-    players = _require(doc, "players", list, "")
-    actions = _require(doc, "actions", list, "")
-    states = _require(doc, "states", list, "")
+    players = _names(doc, "players")
+    actions = _names(doc, "actions")
+    states = _names(doc, "states")
     initial = _require(doc, "initial", str, "")
     protocol_doc = _require(doc, "protocol", dict, "")
     transitions_doc = _require(doc, "transitions", dict, "")
@@ -54,14 +61,32 @@ def parse_game(text: str) -> Game:
         if "," in a:
             raise DocumentError(f"actions.{a}: action names may not contain commas")
 
+    for sname, per_player in protocol_doc.items():
+        if not isinstance(per_player, dict):
+            raise DocumentError(f"protocol.{sname}: expected an object")
+        for pname, acts in per_player.items():
+            if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
+                raise DocumentError(
+                    f"protocol.{sname}.{pname}: expected a list of action names"
+                )
+
     transitions: dict[str, dict[tuple[str, ...], str]] = {}
     for sname, table in transitions_doc.items():
         if not isinstance(table, dict):
             raise DocumentError(f"transitions.{sname}: expected an object")
         parsed: dict[tuple[str, ...], str] = {}
         for joint, succ in table.items():
+            if not isinstance(succ, str):
+                raise DocumentError(f"transitions.{sname}.{joint}: expected a state name")
             parsed[tuple(joint.split(","))] = succ
         transitions[sname] = parsed
+
+    for pname, table in weights_doc.items():
+        if not isinstance(table, dict):
+            raise DocumentError(f"weights.{pname}: expected an object")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
+        raise DocumentError("meta: expected an object of strings")
 
     try:
         return make_game(
@@ -73,7 +98,7 @@ def parse_game(text: str) -> Game:
             transitions=transitions,
             weights=weights_doc,
             global_weights=global_doc,
-            meta=doc.get("meta"),
+            meta=meta,
         )
     except GameStructureError as exc:
         raise DocumentError(str(exc))

@@ -174,9 +174,10 @@ def from_subsidy_scheme(game: Game, kappa: dict[int, tuple[int, ...]]) -> Reward
         vec = kappa.get(s, (0,) * game.n_players)
         if len(vec) != game.n_players:
             raise RewardMachineError(f"subsidy vector at state {s} has wrong arity")
-        if any(r < 0 for r in vec):
-            raise RewardMachineError("subsidies must be naturals")
-        rows.append(tuple(int(r) for r in vec))
+        # bool is an int subclass; it and non-integral numbers are refused, not cast.
+        if any(isinstance(r, bool) or not isinstance(r, int) or r < 0 for r in vec):
+            raise RewardMachineError(f"subsidy vector at state {s}: expected naturals")
+        rows.append(tuple(vec))
     return RewardMachine(
         state_names=("q0",),
         initial=0,

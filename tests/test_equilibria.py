@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqdesign.benchmarks import (
     complete_digraph,
+    gen_example1,
     gen_random_game,
     gen_tsp_game,
 )
@@ -12,9 +16,12 @@ from eqdesign.equilibria import (
     POS_INF,
     NashLassoSolver,
     ThresholdQuery,
+    _field_width,
     grim_trigger_profile,
     is_ne_outcome,
     ne_threshold,
+    _pack_sums,
+    _unpack_sums,
 )
 from eqdesign.games import (
     InvalidLassoError,
@@ -24,9 +31,10 @@ from eqdesign.games import (
     payoffs,
     run_profile,
 )
-from eqdesign.zerosum import best_response_value
+from eqdesign.zerosum import SolverLimitError, best_response_value
 
 from conftest import lasso_by_names
+from sweep_oracle import oracle_signatures
 
 
 def query1(lo, hi, fixed=None):
@@ -185,3 +193,105 @@ class TestNeThreshold:
         assert witness is not None
         assert Fraction(1, 2) <= witness.global_payoff <= 1
         assert is_ne_outcome(game, witness.lasso)
+
+
+def check_against_sweep_oracle(game, fixed, bound):
+    """The packed sweep equals the tuple sweep; every signature realizes."""
+    solver = NashLassoSolver(game, fixed, bound)
+    sigs = solver.signatures()
+    assert sigs == oracle_signatures(solver)
+    for rec in sigs:
+        _, anchor, length, sums, prefix_len = rec
+        lasso = solver.realize(rec)
+        assert len(lasso.cycle_states) == length
+        assert min(lasso.cycle_states) == anchor
+        assert len(lasso.prefix_states) == prefix_len
+        per, glob = payoffs(game, lasso)
+        assert per == tuple(Fraction(v, length) for v in sums[:-1])
+        assert glob == Fraction(sums[-1], length)
+        assert is_ne_outcome(game, lasso, fixed, solver.pun)
+    return sigs
+
+
+def reweighted(game, offset, global_factor=1):
+    """The same arena, every player weight shifted by ``offset`` and every
+    global weight multiplied by ``global_factor``.
+
+    A shift moves payoffs and punishments alike, so the equilibria stay the
+    same while every sum gets the magnitude of ``offset``; the punishment
+    solver's cost follows the weight range, not the magnitude.
+    """
+    return dataclasses.replace(
+        game,
+        weights=tuple(tuple(w + offset for w in row) for row in game.weights),
+        global_weights=tuple(w * global_factor for w in game.global_weights),
+    )
+
+
+def moved(rec, offset, global_factor):
+    ci, anchor, length, sums, prefix_len = rec
+    sums = tuple(v + offset * length for v in sums[:-1]) + (sums[-1] * global_factor,)
+    return ci, anchor, length, sums, prefix_len
+
+
+class TestPackedWalk:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5),
+           st.sampled_from([None, 0]), st.integers(1, 12))
+    def test_matches_tuple_sweep_and_realizes(self, seed, n_players, n_states,
+                                              fixed, bound):
+        game = gen_random_game(seed, n_players=n_players, n_states=n_states)
+        check_against_sweep_oracle(game, fixed, bound)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 10**15), st.integers(1, 12),
+           st.lists(st.integers(-1, 1), min_size=1, max_size=5),
+           st.lists(st.integers(-1, 1), min_size=1, max_size=5))
+    def test_pack_round_trips_without_carries(self, top, bound, a, b):
+        # Entries of +-top*bound in adjacent fields, in any sign pattern, plus
+        # a second vector: sums stay exact even past the largest lasso sum.
+        width = _field_width(top, bound)
+        n = min(len(a), len(b))
+        va = [top * bound * x for x in a[:n]]
+        vb = [top * (bound - 1) * x for x in b[:n]]
+        assert _unpack_sums(_pack_sums(va, width), width, n) == tuple(va)
+        total = _pack_sums(va, width) + _pack_sums(vb, width)
+        assert _unpack_sums(total, width, n) == tuple(x + y for x, y in zip(va, vb))
+
+    @pytest.mark.parametrize("offset,global_factor", [
+        (10**12, 1), (-(10**12) - 7, -(10**12)), (3**40, -(5**30)), (0, -(10**13)),
+    ])
+    @pytest.mark.parametrize("bound", [1, 3, 6])
+    def test_huge_and_negative_weights(self, offset, global_factor, bound):
+        game = gen_random_game(20, n_players=3, n_states=4)
+        small = NashLassoSolver(game, None, bound).signatures()
+        assert small
+        big = check_against_sweep_oracle(
+            reweighted(game, offset, global_factor), None, bound)
+        assert sorted(big) == sorted(moved(rec, offset, global_factor) for rec in small)
+
+    @pytest.mark.parametrize("bound", [1, 2, 12])
+    def test_all_zero_weights(self, bound):
+        game = gen_random_game(5, n_players=2, n_states=3, weight_range=(0, 0))
+        sigs = check_against_sweep_oracle(game, None, bound)
+        assert all(set(rec[3]) == {0} for rec in sigs)
+        assert sigs or bound == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_negative_global_weights(self, seed):
+        game = gen_random_game(seed, n_players=2, n_states=4)
+        check_against_sweep_oracle(reweighted(game, 0, -1), 0, 6)
+
+    def test_bound_one_closes_at_the_initial_state_only(self):
+        game = reweighted(gen_random_game(4, n_players=2, n_states=3), 10**12)
+        sigs = check_against_sweep_oracle(game, None, 1)
+        assert sigs and all(rec[1] == game.initial and rec[2] == 1 for rec in sigs)
+
+    def test_forged_signature_refused(self):
+        game, _, _ = gen_example1()
+        solver = NashLassoSolver(game, None, 4)
+        ci, anchor, length, sums, prefix_len = solver.signatures()[0]
+        # Entries too large for their field must not alias a real signature.
+        forged = (sums[0] + (1 << solver._width),) + sums[1:]
+        with pytest.raises(SolverLimitError, match="realizable"):
+            solver.realize((ci, anchor, length, forged, prefix_len))

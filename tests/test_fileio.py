@@ -113,6 +113,32 @@ class TestGameErrors:
         assert cli_main(["verify", str(path)], out=io.StringIO()) == 2
 
 
+    @pytest.mark.parametrize("mutate,path", [
+        (lambda doc: doc["weights"].update(p1=5), r"weights\.p1"),
+        (lambda doc: doc["protocol"].update(t=["go_l"]), r"protocol\.t"),
+        (lambda doc: doc["protocol"]["t"].update(p1=5), r"protocol\.t\.p1"),
+        (lambda doc: doc["protocol"]["t"].update(p1="go_l"), r"protocol\.t\.p1"),
+        (lambda doc: doc["protocol"]["t"].update(p1=[3]), r"protocol\.t\.p1"),
+        (lambda doc: doc["transitions"]["t"].update(go_l=["l"]), r"transitions\.t\.go_l"),
+        (lambda doc: doc["states"].append(7), "states"),
+        (lambda doc: doc["players"].append(["p2"]), "players"),
+        (lambda doc: doc["actions"].append(None), "actions"),
+        (lambda doc: doc.update(meta=["x"]), "meta"),
+        (lambda doc: doc.update(meta={"family": 1}), "meta"),
+    ], ids=["weights-table", "protocol-state", "protocol-number", "protocol-string", "protocol-action",
+            "transition-target", "state-name", "player-name", "action-name",
+            "meta", "meta-value"])
+    def test_malformed_shape_names_the_key_path(self, mutate, path, tmp_path):
+        game, _, _ = gen_example1()
+        doc = json.loads(serialize_game(game))
+        mutate(doc)
+        with pytest.raises(DocumentError, match=path):
+            parse_game(json.dumps(doc))
+        bad = tmp_path / "bad.game"
+        bad.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(bad)], out=io.StringIO()) == 2
+
+
 class TestMachineDocuments:
     def test_round_trip(self):
         game, m1, m2 = gen_example1()

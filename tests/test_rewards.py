@@ -104,6 +104,17 @@ class TestSubsidySchemes:
         assert not is_beta_rm(rm, norm - 1)
         assert is_beta_rm(rm, norm)
 
+    @pytest.mark.parametrize("entry", [1.5, 1.0, True, False, "1", -1])
+    def test_non_natural_entry_refused(self, entry, example1):
+        game, _, _ = example1
+        with pytest.raises(RewardMachineError, match="state 0"):
+            from_subsidy_scheme(game, {0: (entry,)})
+
+    def test_wrong_arity_refused(self, example1):
+        game, _, _ = example1
+        with pytest.raises(RewardMachineError, match="arity"):
+            from_subsidy_scheme(game, {0: (1, 1)})
+
 
 class TestDeliveryMachines:
     def test_k1_structure(self, example1):
