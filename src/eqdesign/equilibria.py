@@ -19,10 +19,13 @@ Two backends answer threshold queries:
   integer cross-multiplication.  ``realize`` replays the same walk and
   follows a signature's packed sums back to a concrete lasso.
 * ``lp`` - unbounded cycle-frequency feasibility: for every deviation
-  ceiling and every strongly connected sub-arena, an exact rational LP over
-  move frequencies decides whether a cycle with the requested payoffs
-  exists; a frequency vertex is scaled to integers and unrolled into an
-  Euler circuit to recover a concrete lasso.
+  ceiling and every strongly connected sub-arena, an exact LP over move
+  frequencies decides whether a cycle with the requested payoffs exists.
+  Its rows are integers: each is multiplied by one common ``L``, the lcm of
+  the denominators of the ceilings and query bounds it uses, so the
+  fraction-free simplex reaches the vertex of the unscaled rational LP.  A
+  frequency vertex is scaled to integers and unrolled into an Euler circuit
+  to recover a concrete lasso.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .zerosum import (
 POS_INF = math.inf
 NEG_INF = -math.inf
 
-Bound = object  # Fraction or +-inf
+Bound = object  # int, Fraction or +-inf
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,8 @@ class ThresholdQuery:
     """Payoff window for the equilibrium threshold problem.
 
     ``lower``/``upper`` bound each player's payoff, the global pair bounds
-    the designer value; infinities mean "no constraint".  ``fixed_player``
+    the designer value; infinities mean "no constraint", and every finite
+    bound is an exact ``int`` or ``Fraction``.  ``fixed_player``
     requests j-fixed equilibria: that player's deviations are not checked.
     """
 
@@ -72,6 +76,9 @@ class ThresholdQuery:
     fixed_player: int | None = None
 
     def __post_init__(self) -> None:
+        for b in (*self.lower, *self.upper, self.global_lower, self.global_upper):
+            if type(b) not in (int, Fraction) and b not in (NEG_INF, POS_INF):
+                raise ValueError(f"query bound {b!r} is not an int, a Fraction or an infinity")
         for lo, hi in zip(self.lower, self.upper):
             if lo > hi:
                 raise ValueError("infeasible per-player bounds (lower > upper)")
@@ -670,12 +677,11 @@ class NashLassoSolver:
         profile = grim_trigger_profile(self.game, lasso, self.fixed, self.pun)
         return NEWitness(lasso, profile, per, glob)
 
-    def _lp_scan(self, query: ThresholdQuery, realize: bool):
-        game = self.game
-        feasible_seen = False
+    def _lp_polytopes(self) -> Iterator[tuple]:
+        """``(ceiling, allowed, members, edges)`` per ceiling and reachable SCC with moves."""
         for ceiling in self._ceilings:
             allowed = self._allowed(ceiling)
-            dist = self._dists_from(allowed, game.initial)
+            dist = self._dists_from(allowed, self.game.initial)
             reach = sorted(dist)
             if not reach:
                 continue
@@ -693,19 +699,23 @@ class NashLassoSolver:
                     for cls in allowed[s]
                     if cls.succ in members
                 ]
-                if not edges:
-                    continue
-                point = self._lp_solve(query, ceiling, members, edges,
-                                       normalized=True)
-                if point is None:
-                    continue
-                feasible_seen = True
-                if not realize:
-                    return True
-                lasso = self._lp_realize(query, ceiling, allowed, members,
-                                         edges, point)
-                if lasso is not None:
-                    return lasso
+                if edges:
+                    yield ceiling, allowed, members, edges
+
+    def _lp_scan(self, query: ThresholdQuery, realize: bool):
+        feasible_seen = False
+        for ceiling, allowed, members, edges in self._lp_polytopes():
+            point = self._lp_solve(query, ceiling, members, edges,
+                                   normalized=True)
+            if point is None:
+                continue
+            feasible_seen = True
+            if not realize:
+                return True
+            lasso = self._lp_realize(query, ceiling, allowed, members,
+                                     edges, point)
+            if lasso is not None:
+                return lasso
         if feasible_seen and realize:
             raise SolverLimitError(
                 "threshold query is feasible but no witness was realized"
@@ -716,41 +726,48 @@ class NashLassoSolver:
                   members: set[int], edges: list, normalized: bool):
         game = self.game
         n_vars = len(edges)
+        # Every row is scaled by one common L, the lcm of the denominators of
+        # the bounds this LP uses: the phase-1 objective is then L times the
+        # unscaled one and Bland's rule takes the same pivots to the same
+        # vertex.  Scaling each row by its own denominator would reweight the
+        # artificial sum and can change the vertex.
+        bounds = [ceiling[i] for i in range(game.n_players)
+                  if i != self.fixed and ceiling[i] is not None]
+        bounds += [b for b in (*query.lower, *query.upper,
+                               query.global_lower, query.global_upper)
+                   if b not in (NEG_INF, POS_INF)]
+        scale = math.lcm(1, *(b.denominator for b in bounds))
+
+        def at_least(targets: list[int], b, sign: int) -> Constraint:
+            # sign * (t - b) >= 0, times L.
+            c = scale // b.denominator * b.numerator
+            return Constraint(tuple(sign * (scale * t - c) for t in targets), ">=", 0)
+
         cons: list[Constraint] = []
         if normalized:
-            cons.append(Constraint((Fraction(1),) * n_vars, "==", Fraction(1)))
+            cons.append(Constraint((scale,) * n_vars, "==", scale))
         for s in sorted(members):
-            row = [Fraction(0)] * n_vars
+            row = [0] * n_vars
             for k, (src, cls) in enumerate(edges):
                 if src == s:
-                    row[k] += 1
+                    row[k] += scale
                 if cls.succ == s:
-                    row[k] -= 1
-            cons.append(Constraint(tuple(row), "==", Fraction(0)))
+                    row[k] -= scale
+            cons.append(Constraint(tuple(row), "==", 0))
         for i in range(game.n_players):
-            targets = [Fraction(game.weights[i][src]) for src, _ in edges]
+            targets = [game.weights[i][src] for src, _ in edges]
             if i != self.fixed and ceiling[i] is not None:
-                cons.append(Constraint(
-                    tuple(t - ceiling[i] for t in targets), ">=", Fraction(0)
-                ))
+                cons.append(at_least(targets, ceiling[i], 1))
             if query.lower[i] != NEG_INF:
-                cons.append(Constraint(
-                    tuple(t - query.lower[i] for t in targets), ">=", Fraction(0)
-                ))
+                cons.append(at_least(targets, query.lower[i], 1))
             if query.upper[i] != POS_INF:
-                cons.append(Constraint(
-                    tuple(query.upper[i] - t for t in targets), ">=", Fraction(0)
-                ))
-        gl = [Fraction(game.global_weights[src]) for src, _ in edges]
+                cons.append(at_least(targets, query.upper[i], -1))
+        gl = [game.global_weights[src] for src, _ in edges]
         if query.global_lower != NEG_INF:
-            cons.append(Constraint(
-                tuple(t - query.global_lower for t in gl), ">=", Fraction(0)
-            ))
+            cons.append(at_least(gl, query.global_lower, 1))
         if query.global_upper != POS_INF:
-            cons.append(Constraint(
-                tuple(query.global_upper - t for t in gl), ">=", Fraction(0)
-            ))
-        lbs = None if normalized else [Fraction(1)] * n_vars
+            cons.append(at_least(gl, query.global_upper, -1))
+        lbs = None if normalized else [1] * n_vars
         return feasible_point(n_vars, cons, lbs)
 
     def _lp_realize(self, query: ThresholdQuery, ceiling: tuple, allowed,

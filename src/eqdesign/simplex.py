@@ -1,12 +1,21 @@
-"""Exact feasibility solver for small linear programs over the rationals.
+"""Exact feasibility solver for small linear programs with integer rows.
 
-Phase-1 simplex with Bland's rule on Fraction tableaus: no scaling, no
-tolerances, termination guaranteed.  Only feasibility and one vertex are
-needed by the cycle-frequency backend, so no objective phase is provided.
+Phase-1 simplex with Bland's rule on an integer tableau, fraction-free as
+in Bareiss ("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968) but with each row reduced by its own gcd
+instead of divided by the previous pivot: a pivot replaces every other row
+by ``p*row - f*pivot_row`` over that gcd, so each row stays a positive
+multiple of the row a rational tableau would hold and every sign test,
+ratio test and tie-break decides as it would there.  Ratios are
+compared by cross-multiplication.  No scaling, no tolerances, termination
+guaranteed.  Only feasibility and one vertex are needed by the
+cycle-frequency backend, so no objective phase is provided; the vertex is
+the only place fractions appear.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -14,109 +23,108 @@ from typing import Sequence
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
     rel: str  # "==", "<=" or ">="
-    rhs: Fraction
+    rhs: int
+
+
+def _pivot(table: list[list[int]], r: int, col: int) -> None:
+    """Eliminate ``col`` from every row but ``r``, given ``table[r][col] > 0``."""
+    prow = table[r]
+    p = prow[col]
+    for i, row in enumerate(table):
+        f = row[col]
+        if f and i != r:
+            row = [p * a - f * b for a, b in zip(row, prow)]
+            g = math.gcd(*row)
+            table[i] = [a // g for a in row] if g > 1 else row
 
 
 def feasible_point(n_vars: int, constraints: Sequence[Constraint],
-                   lower_bounds: Sequence[Fraction] | None = None) -> list[Fraction] | None:
+                   lower_bounds: Sequence[int] | None = None) -> list[Fraction] | None:
     """A rational point satisfying all constraints, or None if infeasible.
 
-    Variables are bounded below by ``lower_bounds`` (default 0) and
-    unbounded above.  The returned point is a basic feasible solution of
-    the slack form, so its support is as small as the constraint system
-    allows.
+    Coefficients, right-hand sides and lower bounds must be ``int``; any
+    other type, ``bool`` included, raises :class:`ValueError` naming the
+    constraint or variable.  Variables are bounded below by
+    ``lower_bounds`` (default 0) and unbounded above.  The returned point is
+    a basic feasible solution of the slack form, so its support is as small
+    as the constraint system allows.
     """
-    lbs = list(lower_bounds) if lower_bounds is not None else [Fraction(0)] * n_vars
+    lbs = list(lower_bounds) if lower_bounds is not None else [0] * n_vars
     if len(lbs) != n_vars:
         raise ValueError("one lower bound per variable required")
+    for k, lb in enumerate(lbs):
+        if type(lb) is not int:
+            raise ValueError(f"lower bound {k} is not an int: {lb!r}")
 
-    # Substitute x = y + lb with y >= 0.
-    rows: list[list[Fraction]] = []
-    rels: list[str] = []
-    rhss: list[Fraction] = []
-    for c in constraints:
-        if len(c.coeffs) != n_vars:
-            raise ValueError("constraint arity mismatch")
-        shift = sum(a * lb for a, lb in zip(c.coeffs, lbs))
-        rows.append([Fraction(a) for a in c.coeffs])
-        rels.append(c.rel)
-        rhss.append(Fraction(c.rhs) - shift)
-
-    # Slack form: one slack per inequality.
-    n_slack = sum(1 for r in rels if r != "==")
+    # Slack form with x = y + lb, y >= 0; one slack per inequality, and every
+    # right-hand side made nonnegative.
+    n_slack = sum(1 for c in constraints if c.rel != "==")
     width = n_vars + n_slack
-    table: list[list[Fraction]] = []
-    si = 0
-    for row, rel, rhs in zip(rows, rels, rhss):
-        full = row + [Fraction(0)] * n_slack
-        if rel == "<=":
-            full[n_vars + si] = Fraction(1)
+    table: list[list[int]] = []
+    si = n_vars
+    for k, c in enumerate(constraints):
+        if len(c.coeffs) != n_vars:
+            raise ValueError(f"constraint {k}: arity mismatch")
+        if any(type(a) is not int for a in c.coeffs) or type(c.rhs) is not int:
+            raise ValueError(
+                f"constraint {k}: coefficients and right-hand side must be ints"
+            )
+        row = list(c.coeffs) + [0] * n_slack
+        if c.rel in ("<=", ">="):
+            row[si] = 1 if c.rel == "<=" else -1
             si += 1
-        elif rel == ">=":
-            full[n_vars + si] = Fraction(-1)
-            si += 1
-        elif rel != "==":
-            raise ValueError(f"unknown relation {rel!r}")
-        if rhs < 0:
-            full = [-a for a in full]
-            rhs = -rhs
-        table.append(full + [rhs])
+        elif c.rel != "==":
+            raise ValueError(f"constraint {k}: unknown relation {c.rel!r}")
+        rhs = c.rhs - sum(a * lb for a, lb in zip(c.coeffs, lbs))
+        row.append(rhs)
+        table.append([-a for a in row] if rhs < 0 else row)
 
+    # Phase 1 from an artificial basis, minimising the artificial sum.  The
+    # artificial columns are never read, so only their basis indices exist.
+    # The objective row (sum of the rows) goes last and pivots like a row.
     m = len(table)
-    # Phase 1: artificial basis, minimise the artificial sum.
-    for i in range(m):
-        for j in range(m):
-            table[i].insert(width + j, Fraction(1 if i == j else 0))
-    total = width + m
     basis = list(range(width, width + m))
-    # Objective row: sum of artificial rows (to be driven to zero).
-    obj = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            obj[j] += table[i][j]
-
-    def pivot(row: int, col: int) -> None:
-        piv = table[row][col]
-        table[row] = [a / piv for a in table[row]]
-        for r in range(m):
-            if r != row and table[r][col] != 0:
-                f = table[r][col]
-                table[r] = [a - f * b for a, b in zip(table[r], table[row])]
-        if obj[col] != 0:
-            f = obj[col]
-            for j in range(total + 1):
-                obj[j] -= f * table[row][j]
+    table.append([sum(row[j] for row in table) for j in range(width + 1)])
 
     while True:
+        obj = table[m]
         col = next((j for j in range(width) if obj[j] > 0), None)
         if col is None:
             break
-        best_row, best_ratio = None, None
+        best = None
         for r in range(m):
-            if table[r][col] > 0:
-                ratio = table[r][total] / table[r][col]
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[r] < basis[best_row]
-                ):
-                    best_row, best_ratio = r, ratio
-        if best_row is None:
+            a = table[r][col]
+            if a > 0:
+                if best is None:
+                    best = r
+                    continue
+                # rhs_r / a against rhs_best / a_best, both denominators > 0.
+                here = table[r][width] * table[best][col]
+                there = table[best][width] * a
+                if here < there or (here == there and basis[r] < basis[best]):
+                    best = r
+        if best is None:
             break
-        basis[best_row] = col
-        pivot(best_row, col)
+        basis[best] = col
+        _pivot(table, best, col)
 
-    if obj[total] != 0:
+    if table[m][width] != 0:
         return None
-    # Drive leftover artificials out of the basis where possible.
+    # Drive leftover artificials out of the basis where possible; a negative
+    # pivot row is negated first so every row stays a positive multiple.
     for r in range(m):
-        if basis[r] >= width and table[r][total] == 0:
-            col = next((j for j in range(width) if table[r][j] != 0), None)
+        row = table[r]
+        if basis[r] >= width and row[width] == 0:
+            col = next((j for j in range(width) if row[j] != 0), None)
             if col is not None:
+                if row[col] < 0:
+                    table[r] = [-a for a in row]
                 basis[r] = col
-                pivot(r, col)
-    point = [Fraction(0)] * n_vars
+                _pivot(table, r, col)
+    point = [Fraction(lb) for lb in lbs]
     for r, b in enumerate(basis):
         if b < n_vars:
-            point[b] = table[r][total]
-    return [p + lb for p, lb in zip(point, lbs)]
+            point[b] += Fraction(table[r][width], table[r][b])
+    return point

@@ -387,21 +387,32 @@ def punishment_values(game: Game, player: int) -> PunishmentResult:
                 preds[u].add(s)
     weights = game.weights[player]
     lo, hi = min(weights), max(weights)
-    cands = [(t * q + p, q) for t in range(lo, hi) for p, q in _farey(n)] + [(hi, 1)]
+    # Candidate k is t + p/q with t = lo + k // F and p/q the (k % F)-th
+    # Farey fraction, ascending; the last one is hi.  Computed on demand:
+    # the list would grow with the weight range.
+    farey = _farey(n)
+    last = (hi - lo) * len(farey)
+
+    def cand(k: int) -> tuple[int, int]:
+        if k == last:
+            return hi, 1
+        t, j = divmod(k, len(farey))
+        p, q = farey[j]
+        return (lo + t) * q + p, q
 
     solved: dict[int, tuple[list[int], int]] = {}
 
     def credits(k: int) -> tuple[list[int], int]:
         if k not in solved:
-            p, q = cands[k]
+            p, q = cand(k)
             solved[k] = _coalition_credits(moves, preds, [p - q * w for w in weights])
         return solved[k]
 
-    # The coalition wins at candidate k iff the value is at most cands[k];
+    # The coalition wins at candidate k iff the value is at most cand(k);
     # the greatest weight always bounds the value.
     index = []
     for s in range(n):
-        a, b = 0, len(cands) - 1
+        a, b = 0, last
         while a < b:
             mid = (a + b) // 2
             credit, top = credits(mid)
@@ -416,7 +427,7 @@ def punishment_values(game: Game, player: int) -> PunishmentResult:
         credit, _ = credits(k)
         choice.append(min(range(len(moves[s])),
                           key=lambda c: max(credit[u] for u in moves[s][c])))
-    values = tuple(Fraction(*cands[k]) for k in index)
+    values = tuple(Fraction(*cand(k)) for k in index)
     if tuple(_eval_committed(game, player, per_state, choice)) != values:
         raise SolverLimitError(
             f"punishment witness for player {game.player_names[player]!r} "

@@ -137,6 +137,14 @@ class TestNeThreshold:
         with pytest.raises(ValueError):
             query1(Fraction(1), Fraction(0))
 
+    @pytest.mark.parametrize("bad", [0.5, 0.0, True, "1"])
+    def test_inexact_bounds_rejected(self, bad):
+        with pytest.raises(ValueError, match="query bound"):
+            query1(bad, POS_INF)
+        with pytest.raises(ValueError, match="query bound"):
+            ThresholdQuery((bad,), (POS_INF,))
+        assert query1(-1, 2) == query1(Fraction(-1), Fraction(2))
+
     def test_pennies_has_no_equilibrium(self, pennies_game):
         solver = NashLassoSolver(pennies_game)
         assert not solver.has_equilibrium()

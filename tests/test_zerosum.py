@@ -233,3 +233,12 @@ class TestPunishment:
             pun = punishment_values(game, player)
             assert pun.values == brute_force_punishment(game, player)
             assert witness_values(game, pun) == pun.values
+
+    # Candidates are computed on demand, so a weight range of 10^5 costs
+    # nothing by itself; these games also keep the energy-game lifting short.
+    @pytest.mark.parametrize("seed,player", [(3, 0), (4, 0), (4, 1), (5, 0)])
+    def test_wide_weight_range(self, seed, player):
+        game = gen_random_game(seed, 2, 3, weight_range=(0, 10**5))
+        pun = punishment_values(game, player)
+        assert pun.values == brute_force_punishment(game, player)
+        assert witness_values(game, pun) == pun.values
