@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .games import Game, GameStructureError, MealyStrategy
-from .rewards import RewardMachine, RewardMachineError, is_beta_rm
+from .rewards import RewardMachine, RewardMachineError, is_beta_rm, product_arena
 from .zerosum import SolverLimitError
 
 
@@ -218,13 +218,14 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
     )
 
 
-def product_pair_index(product: Game) -> dict[tuple[str, str], int]:
-    """Map (game state name, machine state name) to a product state id."""
-    out = {}
-    for k, name in enumerate(product.state_names):
-        left, _, right = name.rpartition("|")
-        out[(left, right)] = k
-    return out
+def product_pair_index(game: Game, rm: RewardMachine) -> dict[tuple[int, int], int]:
+    """Map (game state id, machine state id) to the id of its product state.
+
+    Covers the reachable pairs of ``implement(game, rm)``, numbered as
+    that product numbers them (both come from :func:`product_arena`).
+    """
+    pairs, _ = product_arena(game, rm)
+    return {pair: k for k, pair in enumerate(pairs)}
 
 
 def lift_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
@@ -237,8 +238,9 @@ def lift_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
     ``player + 1`` of the auxiliary game.
     """
     sigma.validate(product, player)
-    rm.validate_for(aux.source)
-    pidx = product_pair_index(product)
+    pidx = product_pair_index(aux.source, rm)
+    if len(pidx) != product.n_states:
+        raise RewardMachineError("product is not the implementation of this machine")
     src = aux.source
 
     mem_pairs = [(t, q) for t in range(sigma.n_memory) for q in range(rm.n_states)]
@@ -249,8 +251,7 @@ def lift_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
         step_row = []
         act_row = []
         for s, _vi in aux.pair_of_state:
-            key = (src.state_names[s], rm.state_names[q])
-            ps = pidx.get(key)
+            ps = pidx.get((s, q))
             q_next = rm.step[q][s]
             if ps is None:
                 # Product pair unreachable; stay put and play a legal filler.
@@ -307,19 +308,14 @@ def lower_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
     sigma_hat.validate(aux.game, player + 1)
     rm.validate_for(aux.source)
     vec_of = machine_state_vectors(aux, rm)
-    src = aux.source
-    name_to_src = {n: k for k, n in enumerate(src.state_names)}
-    name_to_q = {n: k for k, n in enumerate(rm.state_names)}
+    pairs, _ = product_arena(aux.source, rm)
 
     step_rows = []
     act_rows = []
     for t in range(sigma_hat.n_memory):
         step_row = []
         act_row = []
-        for ps in range(product.n_states):
-            left, _, right = product.state_names[ps].rpartition("|")
-            s = name_to_src[left]
-            q = name_to_q[right]
+        for s, q in pairs:
             aux_state = aux.state_id(s, vec_of[q])
             step_row.append(sigma_hat.step[t][aux_state])
             act_row.append(sigma_hat.act[t][aux_state])

@@ -33,7 +33,7 @@ from .equilibria import (
 )
 from .games import Game, Lasso, MealyStrategy
 from .rewards import RewardMachine, from_subsidy_scheme, implement
-from .zerosum import SolverLimitError
+from .zerosum import PunishmentResult, SolverLimitError, punishment_values
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,12 @@ def _global_query(game: Game, fixed: int | None, lo, hi) -> ThresholdQuery:
 
 def _search(game: Game, epsilon: Fraction, fixed: int | None, maximize: bool,
             backend: str, bound: int,
-            solver: NashLassoSolver | None = None) -> SearchResult:
+            solver: NashLassoSolver | None = None,
+            pun: dict[int, PunishmentResult] | None = None) -> SearchResult:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if solver is None:
-        solver = NashLassoSolver(game, fixed, bound)
+        solver = NashLassoSolver(game, fixed, bound, pun=pun)
 
     if backend == "oracle":
         values = solver.global_values()
@@ -215,7 +216,7 @@ def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:
 
 
 def _lasso_candidates(aux: AuxiliaryGame, q: ImprovementQuery,
-                      maximize_first: bool) -> list[RewardMachine]:
+                      maximize_first: bool, solved: dict) -> list[RewardMachine]:
     """Machines distilled from the most valuable designer lassos.
 
     Skipped when the auxiliary game is too large for the bounded sweep;
@@ -223,7 +224,8 @@ def _lasso_candidates(aux: AuxiliaryGame, q: ImprovementQuery,
     """
     if aux.game.n_states > q.aux_candidate_state_limit:
         return []
-    solver = NashLassoSolver(aux.game, fixed=0, bound=q.bound)
+    solver = NashLassoSolver(aux.game, fixed=0, bound=q.bound,
+                             pun=_punishments_in(solved, aux.game, 0))
     sigs = solver.signatures()
     if maximize_first:
         sigs = list(reversed(sigs))
@@ -268,6 +270,27 @@ def _subsidy_candidates(game: Game, q: ImprovementQuery) -> list[RewardMachine]:
     return machines
 
 
+def _punishments_in(solved: dict, game: Game,
+                    fixed: int | None) -> dict[int, PunishmentResult]:
+    """Punishments of every player but ``fixed``, solved at most once each.
+
+    ``solved`` maps an arena (protocols and transitions) to the results
+    already computed on it, by (player, weight row): the values and the
+    witness depend on nothing else.  Most certify candidates are subsidy
+    schemes, whose products keep the base arena and change one player's
+    weights, so most solves of a decision are found here.
+    """
+    arena = solved.setdefault((game.protocol, frozenset(game.transitions.items())), {})
+    pun = {}
+    for i in range(game.n_players):
+        if i != fixed:
+            key = (i, game.weights[i])
+            if key not in arena:
+                arena[key] = punishment_values(game, i)
+            pun[i] = arena[key]
+    return pun
+
+
 def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     """Can some budget-respecting machine raise the extreme value past delta?
 
@@ -276,19 +299,24 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     mode only answers yes with a machine whose product has been re-solved
     and beats the threshold, so its positive answers are self-certifying;
     its candidate family is finite and documented, so a negative answer
-    means no candidate improved, not that none exists.
+    means no candidate improved, not that none exists.  Punishment solves
+    are shared within one call and never across calls.
     """
+    solved: dict = {}
     maximize = q.mode == "weak"
-    base = _search(game, q.epsilon, None, maximize, "oracle", q.bound)
+    base = _search(game, q.epsilon, None, maximize, "oracle", q.bound,
+                   pun=_punishments_in(solved, game, None))
     aux = build_auxiliary(game, q.budget)
 
     if q.method == "paper":
-        aux_search = _search(aux.game, q.epsilon, 0, maximize, "oracle", q.bound)
+        aux_pun = _punishments_in(solved, aux.game, 0)
+        aux_search = _search(aux.game, q.epsilon, 0, maximize, "oracle", q.bound,
+                             pun=aux_pun)
         decision = aux_search.value - base.value > q.delta
         rm = None
         lasso = None
         if decision and aux_search.ne_exists:
-            solver = NashLassoSolver(aux.game, fixed=0, bound=q.bound)
+            solver = NashLassoSolver(aux.game, fixed=0, bound=q.bound, pun=aux_pun)
             rec = solver.extreme_signature(maximize=maximize)
             if rec is not None:
                 lasso = solver.realize(rec)
@@ -298,7 +326,7 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         )
 
     best_seen = base.value
-    candidates = _lasso_candidates(aux, q, maximize_first=True)
+    candidates = _lasso_candidates(aux, q, maximize_first=True, solved=solved)
     candidates += _subsidy_candidates(game, q)
     seen: set[tuple] = set()
     for rm in candidates:
@@ -307,11 +335,12 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
             continue
         seen.add(key)
         product = implement(game, rm)
-        val = _search(product, q.epsilon, None, maximize, "oracle", q.bound)
+        pun = _punishments_in(solved, product, None)
+        val = _search(product, q.epsilon, None, maximize, "oracle", q.bound, pun=pun)
         if val.value > best_seen:
             best_seen = val.value
         if val.value - base.value > q.delta:
-            solver = NashLassoSolver(product, None, q.bound)
+            solver = NashLassoSolver(product, None, q.bound, pun=pun)
             rec = solver.extreme_signature(maximize=maximize)
             lasso = solver.realize(rec) if rec is not None else None
             return ImprovementAnswer(

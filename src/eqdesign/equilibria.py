@@ -317,17 +317,20 @@ class NashLassoSolver:
     Punishment tables, move classes and the lattice of deviation ceilings
     are computed once; oracle sweeps and LP queries share them.  Instances
     are cheap to build relative to the queries they answer and are meant to
-    be reused across a binary search.
+    be reused across a binary search.  ``pun``, when given, holds the
+    punishment of every player but ``fixed`` (as :func:`is_ne_outcome`
+    takes it), so callers that meet the same arena again need not re-solve.
     """
 
     def __init__(self, game: Game, fixed: int | None = None, bound: int = 12,
-                 ceiling_limit: int = 4096):
+                 ceiling_limit: int = 4096,
+                 pun: Mapping[int, PunishmentResult] | None = None):
         if bound < 1:
             raise ValueError("lasso length bound must be positive")
         self.game = game
         self.fixed = fixed
         self.bound = bound
-        self.pun = _punishments(game, fixed)
+        self.pun = _punishments(game, fixed) if pun is None else pun
         rows = (*game.weights, game.global_weights)
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]

@@ -91,17 +91,17 @@ def is_beta_rm(rm: RewardMachine, budget: int) -> bool:
     return rm.max_norm() <= budget
 
 
-def implement(game: Game, rm: RewardMachine) -> Game:
-    """Product game of ``game`` with ``rm``; only reachable pairs are kept.
+def product_arena(game: Game, rm: RewardMachine,
+                  ) -> tuple[list[tuple[int, int]], dict[tuple[int, tuple[int, ...]], int]]:
+    """Reachable (game state, machine state) pairs and the product's moves.
 
-    Protocols are inherited from the game component, the machine advances
-    by reading the game state being left, player weights gain the rewards
-    and the global weight is charged their sum.  The global weight of the
-    product may go negative; plain games allow integer weights.
+    Pair ``k`` is product state ``k``, numbered in the order a depth-first
+    walk from ``(game.initial, rm.initial)`` (product state 0) first meets
+    it; the table maps ``(k, joint)`` to the successor's id.  This is the
+    one place that numbers product states, so code that needs the pair
+    behind a product state asks here instead of reading state names.
     """
     rm.validate_for(game)
-    n = game.n_players
-
     pairs: list[tuple[int, int]] = []
     index: dict[tuple[int, int], int] = {}
 
@@ -111,8 +111,7 @@ def implement(game: Game, rm: RewardMachine) -> Game:
             pairs.append(pair)
         return index[pair]
 
-    root = intern((game.initial, rm.initial))
-    frontier = [root]
+    frontier = [intern((game.initial, rm.initial))]
     transitions: dict[tuple[int, tuple[int, ...]], int] = {}
     while frontier:
         ps = frontier.pop()
@@ -125,7 +124,21 @@ def implement(game: Game, rm: RewardMachine) -> Game:
             transitions[(ps, joint)] = pt
             if not known:
                 frontier.append(pt)
+    return pairs, transitions
 
+
+def implement(game: Game, rm: RewardMachine) -> Game:
+    """Product game of ``game`` with ``rm``; only reachable pairs are kept.
+
+    Protocols are inherited from the game component, the machine advances
+    by reading the game state being left, player weights gain the rewards
+    and the global weight is charged their sum.  The global weight of the
+    product may go negative; plain games allow integer weights.  Product
+    states follow :func:`product_arena`; their names join the two
+    components' names with ``|`` for display only.
+    """
+    n = game.n_players
+    pairs, transitions = product_arena(game, rm)
     state_names = tuple(
         f"{game.state_names[s]}|{rm.state_names[q]}" for s, q in pairs
     )
@@ -143,7 +156,7 @@ def implement(game: Game, rm: RewardMachine) -> Game:
         player_names=game.player_names,
         action_names=game.action_names,
         state_names=state_names,
-        initial=root,
+        initial=0,
         protocol=protocol,
         transitions=transitions,
         weights=weights,

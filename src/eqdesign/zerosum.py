@@ -14,6 +14,10 @@ Three layers live here:
   solved with progress measures (Brim, Chaloupka, Doyen, Gentilini,
   Raskin), and the positional coalition witness read off the measures is
   checked against the deviator's exact best response before it is returned.
+  A progress measure climbs slowly where its player loses by a small
+  margin, so a lifting that runs long is paired with a strict dual game for
+  the deviator, exact because the denominators are bounded: the two are
+  lifted in lockstep and the first to finish decides the losing states.
 """
 
 from __future__ import annotations
@@ -330,6 +334,71 @@ def _farey(n: int) -> list[tuple[int, int]]:
     return out
 
 
+class _Lifting:
+    """Worklist lifting towards the least progress measure of an energy game.
+
+    At ``s`` one side picks a class ``moves[s][c]``, the other a successor
+    in it, and the energy player's energy changes by ``gain[s]``.  With
+    ``outer, inner = min, max`` the energy player picks the class; with
+    ``max, min`` it picks the successor.  ``credit[s]`` only rises, and a
+    credit of ``top`` (one more than the sum of the negative gains, which
+    bounds every winning credit) means no credit keeps the energy
+    nonnegative forever.
+    """
+
+    def __init__(self, moves, preds, gain: Sequence[int], outer, inner):
+        self.moves, self.preds, self.gain = moves, preds, gain
+        self.outer, self.inner = outer, inner
+        self.top = 1 + sum(-g for g in gain if g < 0)
+        self.credit = [0] * len(moves)
+        self.work = list(range(len(moves)))
+        self.queued = [True] * len(moves)
+
+    def run(self, pops: int = -1) -> bool:
+        """Lift at most ``pops`` states (all, if negative); True once final."""
+        moves, preds, gain, top = self.moves, self.preds, self.gain, self.top
+        outer, inner = self.outer, self.inner
+        credit, work, queued = self.credit, self.work, self.queued
+        while work and pops:
+            pops -= 1
+            s = work.pop()
+            queued[s] = False
+            need = outer(inner(credit[u] for u in cls) for cls in moves[s])
+            need = top if need == top else min(top, need - gain[s])
+            if need > credit[s]:
+                credit[s] = need
+                for t in preds[s]:
+                    if not queued[t]:
+                        queued[t] = True
+                        work.append(t)
+        return not work
+
+    def raise_to_top(self, states: Iterable[int]) -> None:
+        """Give ``states`` credit ``top`` and requeue their predecessors."""
+        credit, work, queued = self.credit, self.work, self.queued
+        for s in states:
+            if credit[s] != self.top:
+                credit[s] = self.top
+                for t in self.preds[s]:
+                    if not queued[t]:
+                        queued[t] = True
+                        work.append(t)
+
+
+def _strict_dual(moves: Sequence[Sequence[Sequence[int]]],
+                 preds: Sequence[Iterable[int]], gain: Sequence[int]) -> _Lifting:
+    """The deviator's energy game on the coalition's arena, with gains
+    ``-n*gain[s] - 1``: the deviator wins exactly where the coalition loses.
+
+    Optimal play on both sides is positional, so it ends in a cycle of at
+    most ``n`` states.  The coalition loses where that cycle's integer gain
+    sum is negative, so at most -1, and its mean gain at most ``-1/n``:
+    exactly where the mean dual gain is at least 0.
+    """
+    n = len(moves)
+    return _Lifting(moves, preds, [-n * g - 1 for g in gain], max, min)
+
+
 def _coalition_credits(moves: Sequence[Sequence[Sequence[int]]],
                        preds: Sequence[Iterable[int]],
                        gain: Sequence[int]) -> tuple[list[int], int]:
@@ -339,26 +408,29 @@ def _coalition_credits(moves: Sequence[Sequence[Sequence[int]]],
     a successor in it, and the coalition's energy changes by ``gain[s]``.
     Returns each state's least initial credit and the bound ``top``: a
     credit of ``top`` means no credit keeps the energy nonnegative forever.
-    No winning play needs more than the sum of the negative gains, so the
-    worklist lifting stops.
+
+    Where the coalition loses, its credits climb to ``top`` one cycle
+    deficit at a time, as many lifts as the gains are wide; where it wins,
+    the dual's credits do.  So once the lifting has run four pops per
+    state (most liftings of small games end sooner, and would only pay for
+    a dual), the strict dual (:func:`_strict_dual`) is lifted in lockstep
+    with it, one pop each.  If the dual finishes first, its winners get
+    credit ``top`` and the coalition's lifting finishes on the rest.  Every
+    credit stays at or below the least measure all along, and lifting from
+    below it ends on it, so the result is the one-sided lifting's.
     """
     n = len(moves)
-    top = 1 + sum(-g for g in gain if g < 0)
-    credit = [0] * n
-    work = list(range(n))
-    queued = [True] * n
-    while work:
-        s = work.pop()
-        queued[s] = False
-        need = min(max(credit[u] for u in cls) for cls in moves[s])
-        need = top if need == top else min(top, need - gain[s])
-        if need > credit[s]:
-            credit[s] = need
-            for t in preds[s]:
-                if not queued[t]:
-                    queued[t] = True
-                    work.append(t)
-    return credit, top
+    coalition = _Lifting(moves, preds, gain, min, max)
+    if coalition.run(4 * n):
+        return coalition.credit, coalition.top
+    deviator = _strict_dual(moves, preds, gain)
+    while not coalition.run(1):
+        if deviator.run(1):
+            coalition.raise_to_top(
+                s for s in range(n) if deviator.credit[s] < deviator.top)
+            coalition.run()
+            break
+    return coalition.credit, coalition.top
 
 
 def punishment_values(game: Game, player: int) -> PunishmentResult:

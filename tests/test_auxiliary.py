@@ -8,6 +8,7 @@ level via exact best-response values on both sides.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from eqdesign.auxiliary import (
     lift_strategy,
     lower_strategy,
     machine_state_vectors,
+    product_pair_index,
     reward_vectors,
     rm_to_strategy,
     strategy_to_rm,
@@ -244,6 +246,42 @@ class TestLiftLower:
             q = rm.state_names.index(name.rpartition("|")[2])
             lowered_mem = sigma.initial * rm.n_states + q
             assert back.act[lowered_mem][ps] == sigma.act[sigma.initial][ps]
+
+    def test_bars_in_state_names(self, example1):
+        """Product states are paired by the walk that builds the product,
+        so ``|`` inside game or machine state names changes nothing."""
+        game, _, _ = example1
+        aux = build_auxiliary(game, 1)
+        rm = strategy_to_rm(aux, gen_random_strategy(aux.game, 0, 7))
+        product = implement(game, rm)
+        bar_game = replace(game, state_names=tuple(f"{n}|g" for n in game.state_names))
+        bar_aux = build_auxiliary(bar_game, 1)
+        bar_rm = replace(rm, state_names=tuple(f"m|{k}" for k in range(rm.n_states)))
+        bar_product = implement(bar_game, bar_rm)
+
+        pairs = product_pairs(game, rm, product)
+        assert product_pair_index(bar_game, bar_rm) == {p: k for k, p in pairs.items()}
+        sigma = gen_random_strategy(product, 0, 5)
+        lifted = lift_strategy(bar_aux, bar_rm, bar_product, sigma, 0)
+        assert lifted == lift_strategy(aux, rm, product, sigma, 0)
+        for ps, (s, q) in pairs.items():
+            for vi in range(len(aux.vectors)):
+                mem = sigma.initial * rm.n_states + q
+                assert lifted.act[mem][aux.state_id(s, vi)] == sigma.act[sigma.initial][ps]
+        hat = gen_random_strategy(aux.game, 1, 9)
+        lowered = lower_strategy(bar_aux, bar_rm, bar_product, hat, 0)
+        assert lowered == lower_strategy(aux, rm, product, hat, 0)
+        vec_of = machine_state_vectors(aux, rm)
+        for ps, (s, q) in pairs.items():
+            assert lowered.act[0][ps] == hat.act[0][aux.state_id(s, vec_of[q])]
+
+    def test_product_of_another_machine_rejected(self, example1):
+        game, m1, m2 = example1
+        aux = build_auxiliary(game, 1)
+        product = implement(game, m1)
+        sigma = gen_random_strategy(product, 0, 2)
+        with pytest.raises(RewardMachineError, match="implementation"):
+            lift_strategy(aux, m2, product, sigma, 0)
 
 
 def certified_ne(game, profile, skip=None):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import eqdesign.design
+import eqdesign.equilibria
 from eqdesign.auxiliary import build_auxiliary
 from eqdesign.benchmarks import gen_random_game
 from eqdesign.design import (
@@ -18,7 +20,7 @@ from eqdesign.design import (
 from eqdesign.equilibria import NashLassoSolver
 from eqdesign.games import make_game
 from eqdesign.rewards import implement, is_beta_rm
-from eqdesign.zerosum import SolverLimitError
+from eqdesign.zerosum import SolverLimitError, punishment_values
 
 
 def single_lasso_game(c: int):
@@ -148,6 +150,36 @@ class TestDecideImprovement:
                                      epsilon=Fraction(1, 10), method="certify")
         assert not decide_improvement(game, q_paper).decision
         assert decide_improvement(game, q_certify).decision
+
+
+class TestPunishmentReuse:
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("two_players", [False, True])
+    def test_each_solve_once_per_decision(self, example1, mode, two_players,
+                                          monkeypatch):
+        """A decision solves each distinct (arena, player, weight row) once,
+        and keeps nothing for the next decision, which solves them again.
+        In the two-player game a unit subsidy leaves the other player's
+        punishment unchanged: 38 distinct solves, 64 without sharing."""
+        calls = []
+
+        def counting(game, player):
+            calls.append((game.protocol, frozenset(game.transitions.items()),
+                          player, game.weights[player]))
+            return punishment_values(game, player)
+
+        monkeypatch.setattr(eqdesign.design, "punishment_values", counting)
+        monkeypatch.setattr(eqdesign.equilibria, "punishment_values", counting)
+        game = gen_random_game(1, 2, 3) if two_players else example1[0]
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 10),
+                             mode=mode, method="certify")
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            decide_improvement(game, q)
+            assert calls and len(calls) == len(set(calls))
+            runs.append(list(calls))
+        assert runs[0] == runs[1]
 
 
 class TestSynthesizeRm:

@@ -1,7 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqdesign.benchmarks import (
@@ -20,12 +21,16 @@ from eqdesign.games import (
 from eqdesign.zerosum import (
     PunishmentResult,
     SolverLimitError,
+    _coalition_credits,
     _eval_committed,
+    _strict_dual,
     best_response_value,
     max_mean_cycle,
     punishment_values,
 )
+import eqdesign.zerosum as zerosum
 
+from lifting_oracle import one_sided_credits
 from punishment_oracle import brute_force_punishment
 
 
@@ -242,3 +247,102 @@ class TestPunishment:
         pun = punishment_values(game, player)
         assert pun.values == brute_force_punishment(game, player)
         assert witness_values(game, pun) == pun.values
+
+    # The energy games of these two took 1.2 s and 4.3 s while the coalition
+    # was lifted alone: its losing credits climbed to ``top`` one small cycle
+    # deficit at a time.
+    @pytest.mark.parametrize("seed,hi,values", [
+        (0, 10**5, (28835, 28974, 28974)),
+        (3, 10**6, (584737, 762698, 352690)),
+    ])
+    def test_wide_range_lifting(self, seed, hi, values):
+        game = gen_random_game(seed, 2, 3, 2, weight_range=(0, hi))
+        start = time.monotonic()
+        pun = punishment_values(game, 0)
+        elapsed = time.monotonic() - start
+        assert pun.values == values
+        assert elapsed < 0.5
+        assert pun.values == brute_force_punishment(game, 0)
+
+
+def predecessors(moves):
+    preds = [set() for _ in moves]
+    for s, classes in enumerate(moves):
+        for cls in classes:
+            for u in cls:
+                preds[u].add(s)
+    return preds
+
+
+@st.composite
+def energy_games(draw):
+    """Class structures over 1-6 states (self-loops allowed) with integer
+    gains that are mixed, all nonnegative (the coalition wins everywhere) or
+    all negative (it loses everywhere); width 0 gives zero gains."""
+    n = draw(st.integers(1, 6))
+    cls = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(sorted)
+    moves = draw(st.lists(st.lists(cls, min_size=1, max_size=3), min_size=n, max_size=n))
+    width = draw(st.sampled_from([0, 1, 3, 40, 1000]))
+    lo, hi = draw(st.sampled_from([(-width, width), (0, width), (-width - 1, -1)]))
+    return moves, draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+
+ONE_STATE_WIN = ([[[0]]], [3])
+ONE_STATE_LOSE = ([[[0]]], [-3])
+ZERO_GAINS = ([[[0, 1]], [[0], [1]]], [0, 0])
+# A two-state loop losing 1 per lap beside a state whose loss puts ``top``
+# at 6,002: the one-sided lifting takes 10,008 pops, the lockstep 22.
+SLOW_LOSS = ([[[1]], [[0]], [[2]]], [1000, -1001, -5000])
+# As above, plus a state that wins by a self-loop: 10,009 pops against 33.
+MIXED = ([[[0], [1]], [[2]], [[1]], [[3]]], [0, 500, -501, -5000])
+# The dual finishes while state 7 is off the worklist; its credit is right
+# (24, not 8) only if raising the losers to ``top`` requeues their
+# predecessors.  Found by random search; 5,000 drawn games missed it.
+REQUEUE = ([[[2], [2, 4]], [[6]], [[2]], [[1], [2, 8]], [[2, 6]], [[3, 8], [5]],
+            [[5], [3]], [[1, 3], [0]], [[2, 6]]],
+           [-16, 17, -17, -16, 9, -1, 19, -8, 1])
+
+
+class TestLifting:
+    @settings(deadline=None)
+    @given(energy_games())
+    @example(ONE_STATE_WIN)
+    @example(ONE_STATE_LOSE)
+    @example(ZERO_GAINS)
+    @example(SLOW_LOSS)
+    @example(MIXED)
+    @example(REQUEUE)
+    def test_matches_one_sided_lifting(self, game):
+        moves, gain = game
+        preds = predecessors(moves)
+        assert _coalition_credits(moves, preds, gain) == one_sided_credits(moves, preds, gain)
+
+    @settings(deadline=None)
+    @given(energy_games())
+    @example(ONE_STATE_WIN)
+    @example(ONE_STATE_LOSE)
+    @example(ZERO_GAINS)
+    @example(SLOW_LOSS)
+    @example(MIXED)
+    def test_dual_winners_are_coalition_losers(self, game):
+        moves, gain = game
+        preds = predecessors(moves)
+        credit, top = one_sided_credits(moves, preds, gain)
+        dual = _strict_dual(moves, preds, gain)
+        assert dual.run()
+        winners = {s for s in range(len(moves)) if dual.credit[s] < dual.top}
+        assert winners == {s for s in range(len(moves)) if credit[s] == top}
+
+    @pytest.mark.parametrize("game", [SLOW_LOSS, MIXED, REQUEUE])
+    def test_dual_finishes_first_on_slow_losses(self, game, monkeypatch):
+        duals = []
+
+        def recording(*args):
+            duals.append(_strict_dual(*args))
+            return duals[-1]
+
+        monkeypatch.setattr(zerosum, "_strict_dual", recording)
+        moves, gain = game
+        preds = predecessors(moves)
+        assert _coalition_credits(moves, preds, gain) == one_sided_credits(moves, preds, gain)
+        assert len(duals) == 1 and not duals[0].work
