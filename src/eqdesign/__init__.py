@@ -25,7 +25,6 @@ from .equilibria import (
     grim_trigger_profile,
     is_ne_outcome,
     ne_threshold,
-    unconstrained_query,
 )
 from .games import (
     Game,
@@ -34,7 +33,6 @@ from .games import (
     StrategyProfile,
     make_game,
     mean_payoff,
-    min_max_weights,
     payoffs,
     run_profile,
 )
@@ -49,7 +47,6 @@ from .rewards import (
 from .zerosum import (
     SolverLimitError,
     best_response_value,
-    max_mean_cycle,
     punishment_values,
 )
 

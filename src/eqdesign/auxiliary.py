@@ -22,8 +22,11 @@ from .games import Game, GameStructureError, MealyStrategy
 from .rewards import RewardMachine, RewardMachineError, is_beta_rm, product_arena
 from .zerosum import SolverLimitError
 
+# Effort budget on the designer's action alphabet.
+REWARD_VECTOR_LIMIT = 5000
 
-def reward_vectors(n_players: int, budget: int, limit: int = 5000) -> tuple[tuple[int, ...], ...]:
+
+def reward_vectors(n_players: int, budget: int) -> tuple[tuple[int, ...], ...]:
     """All natural vectors with entry sum within the budget, lexicographic."""
     if budget < 0:
         raise ValueError("budget must be a natural number")
@@ -39,7 +42,7 @@ def reward_vectors(n_players: int, budget: int, limit: int = 5000) -> tuple[tupl
             prefix.pop()
 
     rec([], budget, n_players)
-    if len(out) > limit:
+    if len(out) > REWARD_VECTOR_LIMIT:
         raise SolverLimitError("reward vector alphabet exceeds the size limit")
     return tuple(sorted(out))
 

@@ -33,7 +33,14 @@ from .equilibria import (
 )
 from .games import Game, Lasso, MealyStrategy
 from .rewards import RewardMachine, from_subsidy_scheme, implement
-from .zerosum import PunishmentResult, SolverLimitError, punishment_values
+from .zerosum import SolverLimitError, punishment_values
+
+# Certify's candidate family: grim replays of the MAX_LASSO_CANDIDATES most
+# valuable designer lassos of an auxiliary game with at most
+# AUX_CANDIDATE_STATE_LIMIT states, then every unit subsidy scheme on one or
+# two states.
+MAX_LASSO_CANDIDATES = 12
+AUX_CANDIDATE_STATE_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,6 @@ class ImprovementQuery:
     mode: str = "strong"  # "strong" or "weak"
     method: str = "certify"  # "certify" or "paper"
     bound: int = 12
-    max_lasso_candidates: int = 12
-    max_subsidy_support: int = 2
-    aux_candidate_state_limit: int = 40
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -81,22 +85,17 @@ class ImprovementAnswer:
     mode: str
 
 
-def _global_query(game: Game, fixed: int | None, lo, hi) -> ThresholdQuery:
-    n = game.n_players
-    return ThresholdQuery(
-        lower=(NEG_INF,) * n, upper=(POS_INF,) * n,
-        global_lower=lo, global_upper=hi, fixed_player=fixed,
-    )
+def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
+            backend: str) -> SearchResult:
+    """Binary search for the solver's extreme designer value; ``epsilon`` > 0."""
+    game = solver.game
 
-
-def _search(game: Game, epsilon: Fraction, fixed: int | None, maximize: bool,
-            backend: str, bound: int,
-            solver: NashLassoSolver | None = None,
-            pun: dict[int, PunishmentResult] | None = None) -> SearchResult:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if solver is None:
-        solver = NashLassoSolver(game, fixed, bound, pun=pun)
+    def global_query(lo, hi) -> ThresholdQuery:
+        n = game.n_players
+        return ThresholdQuery(
+            lower=(NEG_INF,) * n, upper=(POS_INF,) * n,
+            global_lower=lo, global_upper=hi, fixed_player=solver.fixed,
+        )
 
     if backend == "oracle":
         values = solver.global_values()
@@ -106,10 +105,10 @@ def _search(game: Game, epsilon: Fraction, fixed: int | None, maximize: bool,
             k = bisect.bisect_left(values, lo)
             return k < len(values) and values[k] <= hi
     elif backend == "lp":
-        exists = solver.lp_feasible(_global_query(game, fixed, NEG_INF, POS_INF))
+        exists = solver.lp_feasible(global_query(NEG_INF, POS_INF))
 
         def probe(lo: Fraction, hi: Fraction) -> bool:
-            return solver.lp_feasible(_global_query(game, fixed, lo, hi))
+            return solver.lp_feasible(global_query(lo, hi))
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -136,6 +135,17 @@ def _search(game: Game, epsilon: Fraction, fixed: int | None, maximize: bool,
     return SearchResult(a1 if maximize else a2, iterations, True)
 
 
+def algorithm_trace(game: Game, epsilon: Fraction, fixed0: bool = False,
+                    maximize: bool = False, backend: str = "oracle",
+                    bound: int = 12) -> SearchResult:
+    """Binary-search run with its iteration count, for contract checks."""
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    solver = NashLassoSolver(game, 0 if fixed0 else None, bound)
+    return _search(solver, epsilon, maximize, backend)
+
+
 def epsilon_worst_ne(game: Game, epsilon: Fraction, fixed0: bool = False,
                      backend: str = "oracle", bound: int = 12) -> Fraction:
     """Least-equilibrium designer value, approached within epsilon from above.
@@ -144,23 +154,13 @@ def epsilon_worst_ne(game: Game, epsilon: Fraction, fixed0: bool = False,
     auxiliary game (whose global table is agent 0's weight).  Empty
     equilibrium sets collapse to the least global weight.
     """
-    fixed = 0 if fixed0 else None
-    return _search(game, Fraction(epsilon), fixed, False, backend, bound).value
+    return algorithm_trace(game, epsilon, fixed0, False, backend, bound).value
 
 
 def epsilon_best_ne(game: Game, epsilon: Fraction, fixed0: bool = False,
                     backend: str = "oracle", bound: int = 12) -> Fraction:
     """Best-equilibrium designer value, approached within epsilon from below."""
-    fixed = 0 if fixed0 else None
-    return _search(game, Fraction(epsilon), fixed, True, backend, bound).value
-
-
-def algorithm_trace(game: Game, epsilon: Fraction, fixed0: bool = False,
-                    maximize: bool = False, backend: str = "oracle",
-                    bound: int = 12) -> SearchResult:
-    """Binary-search run with its iteration count, for contract checks."""
-    fixed = 0 if fixed0 else None
-    return _search(game, Fraction(epsilon), fixed, maximize, backend, bound)
+    return algorithm_trace(game, epsilon, fixed0, True, backend, bound).value
 
 
 def exact_worst_ne(game: Game, fixed: int | None = None,
@@ -215,24 +215,13 @@ def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:
     return strat
 
 
-def _lasso_candidates(aux: AuxiliaryGame, q: ImprovementQuery,
-                      maximize_first: bool, solved: dict) -> list[RewardMachine]:
-    """Machines distilled from the most valuable designer lassos.
-
-    Skipped when the auxiliary game is too large for the bounded sweep;
-    subsidy candidates remain available in that case.
-    """
-    if aux.game.n_states > q.aux_candidate_state_limit:
-        return []
-    solver = NashLassoSolver(aux.game, fixed=0, bound=q.bound,
-                             pun=_punishments_in(solved, aux.game, 0))
-    sigs = solver.signatures()
-    if maximize_first:
-        sigs = list(reversed(sigs))
+def _lasso_candidates(aux: AuxiliaryGame,
+                      solver: NashLassoSolver) -> list[RewardMachine]:
+    """Machines replaying the most valuable designer lassos of ``solver``."""
     machines: list[RewardMachine] = []
     seen_keys: set[tuple] = set()
     seen_sig: set[tuple] = set()
-    for rec in sigs:
+    for rec in reversed(solver.signatures()):
         _, _, length, sums, _ = rec
         sig_key = (Fraction(sums[-1], length), length)
         if sig_key in seen_sig:
@@ -245,34 +234,30 @@ def _lasso_candidates(aux: AuxiliaryGame, q: ImprovementQuery,
             continue
         seen_keys.add(key)
         machines.append(rm)
-        if len(machines) >= q.max_lasso_candidates:
+        if len(machines) >= MAX_LASSO_CANDIDATES:
             break
     return machines
 
 
 def _subsidy_candidates(game: Game, q: ImprovementQuery) -> list[RewardMachine]:
-    """Unit-entry subsidy schemes with support of at most a few states."""
-    if q.budget < 1 or q.max_subsidy_support < 1:
+    """Unit-entry subsidy schemes on one state or on two distinct states."""
+    if q.budget < 1:
         return []
     n = game.n_players
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     singles = [
         (s, vec) for s in range(game.n_states) for vec in units
     ]
-    machines = []
-    for s, vec in singles:
-        machines.append(from_subsidy_scheme(game, {s: vec}))
-    if q.max_subsidy_support >= 2:
-        for (s1, v1), (s2, v2) in itertools.combinations(singles, 2):
-            if s1 == s2:
-                continue
+    machines = [from_subsidy_scheme(game, {s: vec}) for s, vec in singles]
+    for (s1, v1), (s2, v2) in itertools.combinations(singles, 2):
+        if s1 != s2:
             machines.append(from_subsidy_scheme(game, {s1: v1, s2: v2}))
     return machines
 
 
-def _punishments_in(solved: dict, game: Game,
-                    fixed: int | None) -> dict[int, PunishmentResult]:
-    """Punishments of every player but ``fixed``, solved at most once each.
+def _solver(solved: dict, game: Game, fixed: int | None,
+            bound: int) -> NashLassoSolver:
+    """Solver whose punishments are solved at most once per decision.
 
     ``solved`` maps an arena (protocols and transitions) to the results
     already computed on it, by (player, weight row): the values and the
@@ -288,7 +273,7 @@ def _punishments_in(solved: dict, game: Game,
             if key not in arena:
                 arena[key] = punishment_values(game, i)
             pun[i] = arena[key]
-    return pun
+    return NashLassoSolver(game, fixed, bound, pun=pun)
 
 
 def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
@@ -299,34 +284,36 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     mode only answers yes with a machine whose product has been re-solved
     and beats the threshold, so its positive answers are self-certifying;
     its candidate family is finite and documented, so a negative answer
-    means no candidate improved, not that none exists.  Punishment solves
-    are shared within one call and never across calls.
+    means no candidate improved, not that none exists.  Each game searched
+    (base, auxiliary, each candidate product) gets one solver, which also
+    realizes the witness lasso.  Punishment solves are shared within one
+    call and never across calls.
     """
     solved: dict = {}
     maximize = q.mode == "weak"
-    base = _search(game, q.epsilon, None, maximize, "oracle", q.bound,
-                   pun=_punishments_in(solved, game, None))
+    base = _search(_solver(solved, game, None, q.bound), q.epsilon, maximize, "oracle")
     aux = build_auxiliary(game, q.budget)
 
     if q.method == "paper":
-        aux_pun = _punishments_in(solved, aux.game, 0)
-        aux_search = _search(aux.game, q.epsilon, 0, maximize, "oracle", q.bound,
-                             pun=aux_pun)
+        aux_solver = _solver(solved, aux.game, 0, q.bound)
+        aux_search = _search(aux_solver, q.epsilon, maximize, "oracle")
         decision = aux_search.value - base.value > q.delta
         rm = None
         lasso = None
         if decision and aux_search.ne_exists:
-            solver = NashLassoSolver(aux.game, fixed=0, bound=q.bound, pun=aux_pun)
-            rec = solver.extreme_signature(maximize=maximize)
+            rec = aux_solver.extreme_signature(maximize=maximize)
             if rec is not None:
-                lasso = solver.realize(rec)
+                lasso = aux_solver.realize(rec)
                 rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
         return ImprovementAnswer(
             decision, base.value, aux_search.value, rm, lasso, "paper", q.mode
         )
 
     best_seen = base.value
-    candidates = _lasso_candidates(aux, q, maximize_first=True, solved=solved)
+    candidates = []
+    # Larger auxiliary games are left to the subsidy schemes.
+    if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
+        candidates = _lasso_candidates(aux, _solver(solved, aux.game, 0, q.bound))
     candidates += _subsidy_candidates(game, q)
     seen: set[tuple] = set()
     for rm in candidates:
@@ -334,18 +321,19 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         if key in seen:
             continue
         seen.add(key)
-        product = implement(game, rm)
-        pun = _punishments_in(solved, product, None)
-        val = _search(product, q.epsilon, None, maximize, "oracle", q.bound, pun=pun)
+        solver = _solver(solved, implement(game, rm), None, q.bound)
+        val = _search(solver, q.epsilon, maximize, "oracle")
         if val.value > best_seen:
             best_seen = val.value
         if val.value - base.value > q.delta:
-            solver = NashLassoSolver(product, None, q.bound, pun=pun)
             rec = solver.extreme_signature(maximize=maximize)
             lasso = solver.realize(rec) if rec is not None else None
             return ImprovementAnswer(
                 True, base.value, val.value, rm, lasso, "certify", q.mode
             )
+        # Freed before the next product is built, which then reuses its
+        # memory: kept alive, the criterion-5 decisions ran ~2% slower.
+        del solver
     return ImprovementAnswer(
         False, base.value, best_seen, None, None, "certify", q.mode
     )

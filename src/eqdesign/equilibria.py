@@ -56,6 +56,11 @@ from .zerosum import (
 POS_INF = math.inf
 NEG_INF = -math.inf
 
+# Effort budgets: the size of the deviation-ceiling lattice, and the length
+# of a lasso unrolled from an LP frequency vertex.
+CEILING_LIMIT = 4096
+LASSO_LENGTH_CAP = 4096
+
 Bound = object  # int, Fraction or +-inf
 
 
@@ -84,13 +89,6 @@ class ThresholdQuery:
                 raise ValueError("infeasible per-player bounds (lower > upper)")
         if self.global_lower > self.global_upper:
             raise ValueError("infeasible global bounds (lower > upper)")
-
-
-def unconstrained_query(game: Game, fixed_player: int | None = None) -> ThresholdQuery:
-    n = game.n_players
-    return ThresholdQuery(
-        lower=(NEG_INF,) * n, upper=(POS_INF,) * n, fixed_player=fixed_player
-    )
 
 
 @dataclass(frozen=True)
@@ -176,28 +174,29 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
             return None
         return m - 1
 
+    # Per step of the lasso, the successors each punished player could force.
+    forced = [[game.deviation_successors(s, joint, i) for i in punished_players]
+              for s, joint in zip(states_at, moves_at)]
+
     def culprits(m: int, observed: int) -> list[int]:
         prev = predecessor(m)
         if prev is None:
             return []
-        ps, pm = states_at[prev], moves_at[prev]
-        out = []
-        for i in range(game.n_players):
-            if i == fixed:
-                continue
-            for alt in game.protocol[i][ps]:
-                if alt == pm[i]:
-                    continue
-                if game.transitions[(ps, pm[:i] + (alt,) + pm[i + 1:])] == observed:
-                    out.append(i)
-                    break
-        return out
+        return [i for i, devs in zip(punished_players, forced[prev]) if observed in devs]
 
     def mode_for(m: int, observed: int, viewer: int) -> int:
         suspects = [i for i in culprits(m, observed) if i != viewer]
         if not suspects:
             return inert
         return punish_base + punished_players.index(suspects[0])
+
+    def mode_action(m: int, s: int, p: int) -> int:
+        """Player ``p``'s action at ``s`` in punish or inert mode ``m``."""
+        if m != inert:
+            victim = punished_players[m - punish_base]
+            if p != victim:
+                return pun[victim].coalition[s][p]
+        return game.protocol[p][s][0]
 
     strategies = []
     for p in range(game.n_players):
@@ -215,24 +214,10 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
                         continue
                     target = mode_for(m, s, p)
                     step_row.append(target)
-                    if target == inert:
-                        act_row.append(game.protocol[p][s][0])
-                    else:
-                        victim = punished_players[target - punish_base]
-                        if p == victim:
-                            act_row.append(game.protocol[p][s][0])
-                        else:
-                            act_row.append(pun[victim].coalition[s][p])
+                    act_row.append(mode_action(target, s, p))
                     continue
                 step_row.append(m)
-                if m == inert:
-                    act_row.append(game.protocol[p][s][0])
-                else:
-                    victim = punished_players[m - punish_base]
-                    if p == victim:
-                        act_row.append(game.protocol[p][s][0])
-                    else:
-                        act_row.append(pun[victim].coalition[s][p])
+                act_row.append(mode_action(m, s, p))
             step_rows.append(tuple(step_row))
             act_rows.append(tuple(act_row))
         strategies.append(
@@ -323,7 +308,6 @@ class NashLassoSolver:
     """
 
     def __init__(self, game: Game, fixed: int | None = None, bound: int = 12,
-                 ceiling_limit: int = 4096,
                  pun: Mapping[int, PunishmentResult] | None = None):
         if bound < 1:
             raise ValueError("lasso length bound must be positive")
@@ -335,7 +319,7 @@ class NashLassoSolver:
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
         self._classes = self._build_classes()
-        self._ceilings = self._build_ceilings(ceiling_limit)
+        self._ceilings = self._build_ceilings()
         self._sweep_cache: list[tuple] | None = None
 
     # -- shared structure ---------------------------------------------------
@@ -379,7 +363,7 @@ class NashLassoSolver:
             per_state.append(kept)
         return per_state
 
-    def _build_ceilings(self, limit: int) -> list[tuple]:
+    def _build_ceilings(self) -> list[tuple]:
         bottom = (None,) * self.game.n_players
         seeds = {bottom}
         for classes in self._classes:
@@ -394,7 +378,7 @@ class NashLassoSolver:
                 if j not in closed:
                     closed.add(j)
                     frontier.append(j)
-                    if len(closed) > limit:
+                    if len(closed) > CEILING_LIMIT:
                         raise SolverLimitError("deviation ceiling lattice too large")
 
         def sort_key(vec: tuple):
@@ -774,10 +758,9 @@ class NashLassoSolver:
         return feasible_point(n_vars, cons, lbs)
 
     def _lp_realize(self, query: ThresholdQuery, ceiling: tuple, allowed,
-                    members: set[int], edges: list, point,
-                    length_cap: int = 4096) -> Lasso | None:
+                    members: set[int], edges: list, point) -> Lasso | None:
         multi = self._scale_to_integers(point)
-        lasso = self._euler_lasso(allowed, edges, multi, length_cap)
+        lasso = self._euler_lasso(allowed, edges, multi)
         if lasso is not None:
             return lasso
         # Vertex support was disconnected: force every sub-arena move to be
@@ -785,7 +768,7 @@ class NashLassoSolver:
         forced = self._lp_solve(query, ceiling, members, edges, normalized=False)
         if forced is not None:
             multi = self._scale_to_integers(forced)
-            lasso = self._euler_lasso(allowed, edges, multi, length_cap)
+            lasso = self._euler_lasso(allowed, edges, multi)
             if lasso is not None:
                 return lasso
         # Bounded fallback: look for any in-bounds signature of the sweep.
@@ -801,10 +784,9 @@ class NashLassoSolver:
             denom = denom * x.denominator // math.gcd(denom, x.denominator)
         return [int(x * denom) for x in point]
 
-    def _euler_lasso(self, allowed, edges: list, multi: list[int],
-                     length_cap: int) -> Lasso | None:
+    def _euler_lasso(self, allowed, edges: list, multi: list[int]) -> Lasso | None:
         total = sum(multi)
-        if total == 0 or total > length_cap:
+        if total == 0 or total > LASSO_LENGTH_CAP:
             return None
         support = [(edges[k], multi[k]) for k in range(len(edges)) if multi[k] > 0]
         nodes = sorted({src for (src, _), _ in support}
@@ -850,7 +832,7 @@ class NashLassoSolver:
         cyc_states = [start] + [s for s, _ in circuit[:-1]]
         cyc_moves = [cls.joint for _, cls in circuit]
         prefix_states, prefix_moves = self._shortest_prefix(allowed, start)
-        if len(prefix_states) + len(cyc_states) > max(length_cap, self.bound):
+        if len(prefix_states) + len(cyc_states) > max(LASSO_LENGTH_CAP, self.bound):
             return None
         lasso = Lasso(tuple(prefix_states), tuple(cyc_states),
                       tuple(prefix_moves), tuple(cyc_moves))

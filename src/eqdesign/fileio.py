@@ -4,7 +4,10 @@ A game document carries players, actions, states, the initial state, the
 per-state protocol, the transition table (joint actions joined with
 commas), per-player weight tables and the global table.  Serialization is
 canonical: sorted keys, no insignificant whitespace, trailing newline -
-parsing and re-serializing any accepted document is byte-stable.
+parsing and re-serializing any accepted document is byte-stable, so a
+document with anything the game would not keep (an unknown key, player or
+state, a transition the protocol forbids, a protocol list out of action
+order or with a repeat, an empty ``meta``) is refused.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from .rewards import RewardMachine, RewardMachineError
 
 class DocumentError(ValueError):
     """Malformed document; carries the offending key path or position."""
+
+
+_GAME_KEYS = ("players", "actions", "states", "initial", "protocol", "transitions",
+             "weights", "global_weights", "meta")
 
 
 def _syntax_error(exc: json.JSONDecodeError) -> DocumentError:
@@ -48,6 +55,9 @@ def parse_game(text: str) -> Game:
         raise _syntax_error(exc)
     if not isinstance(doc, dict):
         raise DocumentError("top level: expected an object")
+    for key in doc:
+        if key not in _GAME_KEYS:
+            raise DocumentError(f"{key}: unknown key")
     players = _names(doc, "players")
     actions = _names(doc, "actions")
     states = _names(doc, "states")
@@ -61,6 +71,7 @@ def parse_game(text: str) -> Game:
         if "," in a:
             raise DocumentError(f"actions.{a}: action names may not contain commas")
 
+    action_pos = {a: k for k, a in enumerate(actions)}
     for sname, per_player in protocol_doc.items():
         if not isinstance(per_player, dict):
             raise DocumentError(f"protocol.{sname}: expected an object")
@@ -68,6 +79,12 @@ def parse_game(text: str) -> Game:
             if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
                 raise DocumentError(
                     f"protocol.{sname}.{pname}: expected a list of action names"
+                )
+            # The game keeps a protocol in action order; so must the document.
+            order = [action_pos[a] for a in acts if a in action_pos]
+            if order != sorted(set(order)):
+                raise DocumentError(
+                    f"protocol.{sname}.{pname}: actions repeated or not in action order"
                 )
 
     transitions: dict[str, dict[tuple[str, ...], str]] = {}
@@ -85,8 +102,10 @@ def parse_game(text: str) -> Game:
         if not isinstance(table, dict):
             raise DocumentError(f"weights.{pname}: expected an object")
     meta = doc.get("meta", {})
-    if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
-        raise DocumentError("meta: expected an object of strings")
+    # An empty meta object is not written back, so it is refused.
+    if (not isinstance(meta, dict) or ("meta" in doc and not meta)
+            or not all(isinstance(v, str) for v in meta.values())):
+        raise DocumentError("meta: expected a nonempty object of strings")
 
     try:
         return make_game(

@@ -16,6 +16,7 @@ workers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -155,8 +156,11 @@ def make_game(
     """Intern a name-level description into a :class:`Game`.
 
     Raises :class:`GameStructureError` naming the offending component when
-    a table is partial, a protocol is empty, a name is unknown, or a weight
-    is not an integer (floats, numeric strings and booleans are refused).
+    a table is partial, a protocol is empty, a name is unknown, a
+    transition is given for a joint action the protocol forbids, or a
+    weight is not an integer (floats, numeric strings and booleans are
+    refused).  Protocol lists are sorted into action order; nothing else
+    given is dropped or reordered.
     """
     pid = {p: i for i, p in enumerate(players)}
     aid = {a: i for i, a in enumerate(actions)}
@@ -210,8 +214,13 @@ def make_game(
         if sname not in global_weights:
             raise GameStructureError(f"global_weights.{sname}: missing entry")
         grow.append(_weight(global_weights[sname], f"global_weights.{sname}"))
+    # Every known key has been read, so a longer table holds an unknown one.
+    _no_extra(weights, pid, "weights", "player")
+    for pname in players:
+        _no_extra(weights[pname], sid, f"weights.{pname}", "state")
+    _no_extra(global_weights, sid, "global_weights", "state")
 
-    return Game(
+    game = Game(
         player_names=tuple(players),
         action_names=tuple(actions),
         state_names=tuple(states),
@@ -222,6 +231,23 @@ def make_game(
         global_weights=tuple(grow),
         meta=tuple(sorted((meta or {}).items())),
     )
+    # Game has checked every allowed joint action, so any further transition
+    # is for one the protocol forbids.
+    n_allowed = sum(math.prod(map(len, per_state)) for per_state in zip(*game.protocol))
+    if len(trans) > n_allowed:
+        s, joint = next((s, joint) for s, joint in trans
+                        if any(a not in game.protocol[i][s] for i, a in enumerate(joint)))
+        raise GameStructureError(
+            f"transitions.{states[s]}.{','.join(game.joint_action_names(joint))}: "
+            "joint action not allowed"
+        )
+    return game
+
+
+def _no_extra(table: Mapping, known: Mapping, path: str, kind: str) -> None:
+    if len(table) > len(known):
+        extra = next(k for k in table if k not in known)
+        raise GameStructureError(f"{path}.{extra}: unknown {kind}")
 
 
 @dataclass(frozen=True)
@@ -255,15 +281,6 @@ class MealyStrategy:
                         f"action {game.action_names[self.act[t][s]]!r} not allowed for "
                         f"player {game.player_names[player]!r} at {game.state_names[s]!r}"
                     )
-
-
-def constant_strategy(game: Game, player: int, pick: int | None = None) -> MealyStrategy:
-    """Memoryless strategy playing ``pick`` (default: least allowed action)."""
-    acts = []
-    for s in range(game.n_states):
-        allowed = game.protocol[player][s]
-        acts.append(pick if pick is not None and pick in allowed else allowed[0])
-    return MealyStrategy(1, 0, ((0,) * game.n_states,), (tuple(acts),))
 
 
 @dataclass(frozen=True)
@@ -358,15 +375,6 @@ def payoffs(game: Game, lasso: Lasso) -> tuple[tuple[Fraction, ...], Fraction]:
     return per, mean_payoff(game.global_weights, lasso)
 
 
-def min_max_weights(game: Game) -> dict[int | str, tuple[int, int]]:
-    """Exact (min, max) of every weight table, keyed by player id and 'global'."""
-    out: dict[int | str, tuple[int, int]] = {}
-    for i in range(game.n_players):
-        out[i] = (min(game.weights[i]), max(game.weights[i]))
-    out["global"] = (min(game.global_weights), max(game.global_weights))
-    return out
-
-
 def run_profile(game: Game, profile: StrategyProfile, start: int | None = None) -> Lasso:
     """Unique lasso induced by a complete deterministic profile.
 
@@ -400,23 +408,6 @@ def run_profile(game: Game, profile: StrategyProfile, start: int | None = None) 
     )
     lasso.validate(game)
     return lasso
-
-
-def simulate_states(game: Game, profile: StrategyProfile, n_steps: int,
-                    start: int | None = None) -> list[int]:
-    """Explicit step-by-step state transcript, independent of run_profile."""
-    strats = [profile.strategy_for(i) for i in range(game.n_players)]
-    state = game.initial if start is None else start
-    mems = [st.initial for st in strats]
-    out = []
-    for _ in range(n_steps):
-        out.append(state)
-        joint = tuple(st.act[mems[i]][state] for i, st in enumerate(strats))
-        nxt = game.transitions[(state, joint)]
-        for i, st in enumerate(strats):
-            mems[i] = st.step[mems[i]][state]
-        state = nxt
-    return out
 
 
 def lasso_from_states(game: Game, states: Sequence[int],

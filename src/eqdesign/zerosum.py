@@ -168,56 +168,6 @@ def max_mean_value_function(succs: Sequence[Sequence[int]],
     return [values[comp_of[v]] for v in range(n)]
 
 
-def max_mean_cycle(graph: Mapping[object, Iterable[tuple[object, int]]],
-                   source: object) -> Fraction:
-    """Exact maximum cycle mean over cycles reachable from ``source``.
-
-    ``graph`` maps a node to ``(successor, edge weight)`` pairs.  Every
-    reachable node must have at least one outgoing edge.
-    """
-    names: list[object] = []
-    ids: dict[object, int] = {}
-    edge_weight: list[dict[int, int]] = []
-
-    def intern(v: object) -> int:
-        if v not in ids:
-            ids[v] = len(names)
-            names.append(v)
-            edge_weight.append({})
-        return ids[v]
-
-    root = intern(source)
-    frontier = [root]
-    while frontier:
-        v = frontier.pop()
-        edges = list(graph.get(names[v], []))
-        if not edges:
-            raise ValueError(f"reachable node {names[v]!r} has no outgoing edge")
-        for u_name, w in edges:
-            known = u_name in ids
-            u = intern(u_name)
-            # Parallel edges: only the heaviest matters for a max mean cycle.
-            if u not in edge_weight[v] or w > edge_weight[v][u]:
-                edge_weight[v][u] = int(w)
-            if not known:
-                frontier.append(u)
-
-    # Shift edge weights onto split nodes so the node-weighted solver applies:
-    # edge u->v of weight w becomes u -> (u,v) -> v, doubling w on the middle
-    # node because the split cycle is twice as long.
-    n = len(names)
-    split_succs: list[list[int]] = [[] for _ in range(n)]
-    split_weight: list[int] = [0] * n
-    for v in range(n):
-        for u in sorted(edge_weight[v]):
-            mid = len(split_succs)
-            split_succs.append([u])
-            split_weight.append(2 * edge_weight[v][u])
-            split_succs[v].append(mid)
-    vals = max_mean_value_function(split_succs, split_weight)
-    return vals[root]
-
-
 def best_response_value(game: Game, others: StrategyProfile, player: int,
                         start: int | None = None) -> Fraction:
     """Exact supremum of ``player``'s mean payoff against a committed profile.

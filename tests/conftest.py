@@ -1,7 +1,7 @@
 import pytest
 
 from eqdesign.benchmarks import gen_example1, gen_infinite_memory_example
-from eqdesign.games import Game, lasso_from_states, make_game
+from eqdesign.games import Game, MealyStrategy, lasso_from_states, make_game
 from eqdesign.rewards import implement
 
 
@@ -59,3 +59,9 @@ def pennies_game():
 def lasso_by_names(game: Game, names: list[str], cycle_from: int = 0):
     ids = [game.state_names.index(n) for n in names]
     return lasso_from_states(game, ids, cycle_from)
+
+
+def constant_strategy(game: Game, player: int) -> MealyStrategy:
+    """Memoryless strategy playing the least allowed action everywhere."""
+    acts = tuple(game.protocol[player][s][0] for s in range(game.n_states))
+    return MealyStrategy(1, 0, ((0,) * game.n_states,), (acts,))

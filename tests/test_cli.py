@@ -52,6 +52,17 @@ class TestCompute:
              str(fixture_dir / "example1.game")])
         assert code == 2
 
+    def test_forbidden_transition_is_usage_error(self, fixture_dir, tmp_path, capsys):
+        """A transition for a joint action the protocol forbids is refused,
+        not dropped (the value would otherwise be 1/16)."""
+        doc = json.loads((fixture_dir / "example1.game").read_text())
+        doc["transitions"]["t"]["go_t"] = "t"
+        bad = tmp_path / "bad.game"
+        bad.write_text(json.dumps(doc))
+        code, _, _ = run_cli(["compute", "--worst", "--epsilon", "1/8", str(bad)])
+        assert code == 2
+        assert "transitions.t.go_t" in capsys.readouterr().err
+
 
 class TestCheckAndSynth:
     def test_strong_improvement_yes(self, fixture_dir):

@@ -182,6 +182,51 @@ class TestPunishmentReuse:
         assert runs[0] == runs[1]
 
 
+class TestOneSolverPerGame:
+    """A decision builds one solver per game it searches: the base game, the
+    auxiliary game and each candidate product; the witness lasso comes from
+    the solver that found the value."""
+
+    @staticmethod
+    def count(monkeypatch):
+        built, tried = [], []
+
+        class Counting(NashLassoSolver):
+            def __init__(self, game, *args, **kwargs):
+                built.append(game)
+                super().__init__(game, *args, **kwargs)
+
+        def counting_implement(game, rm):
+            product = implement(game, rm)
+            tried.append(product)
+            return product
+
+        monkeypatch.setattr(eqdesign.design, "NashLassoSolver", Counting)
+        monkeypatch.setattr(eqdesign.design, "implement", counting_implement)
+        return built, tried
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_certify(self, example1, mode, monkeypatch):
+        built, tried = self.count(monkeypatch)
+        game = example1[0]
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 10),
+                             mode=mode, method="certify")
+        ans = decide_improvement(game, q)
+        assert ans.decision == (mode == "strong")
+        assert tried and built[0] is game and built[2:] == tried
+        assert built[1].n_states == build_auxiliary(game, 1).game.n_states
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-2)])
+    def test_paper(self, example1, delta, monkeypatch):
+        built, tried = self.count(monkeypatch)
+        game = example1[0]
+        q = ImprovementQuery(budget=1, delta=delta, epsilon=Fraction(1, 10),
+                             method="paper")
+        ans = decide_improvement(game, q)
+        assert (ans.witness_lasso is not None) == ans.decision == (delta < 0)
+        assert len(built) == 2 and built[0] is game and not tried
+
+
 class TestSynthesizeRm:
     def test_witness_reverifies_within_epsilon(self, example1):
         game, _, _ = example1

@@ -1,7 +1,12 @@
+import copy
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqdesign.benchmarks import (
     CostDigraph,
@@ -125,9 +130,19 @@ class TestGameErrors:
         (lambda doc: doc["actions"].append(None), "actions"),
         (lambda doc: doc.update(meta=["x"]), "meta"),
         (lambda doc: doc.update(meta={"family": 1}), "meta"),
+        (lambda doc: doc.update(meta={}), "meta"),
+        (lambda doc: doc.update(extra={}), "extra"),
+        (lambda doc: doc["transitions"]["t"].update(go_t="t"), r"transitions\.t\.go_t"),
+        (lambda doc: doc["weights"].update(p2={}), r"weights\.p2"),
+        (lambda doc: doc["weights"]["p1"].update(x=0), r"weights\.p1\.x"),
+        (lambda doc: doc["global_weights"].update(x=0), r"global_weights\.x"),
+        (lambda doc: doc["protocol"]["t"]["p1"].reverse(), r"protocol\.t\.p1"),
+        (lambda doc: doc["protocol"]["t"]["p1"].insert(0, "go_l"), r"protocol\.t\.p1"),
     ], ids=["weights-table", "protocol-state", "protocol-number", "protocol-string", "protocol-action",
             "transition-target", "state-name", "player-name", "action-name",
-            "meta", "meta-value"])
+            "meta", "meta-value", "meta-empty", "unknown-key", "forbidden-transition",
+            "weights-player", "weights-state", "global-state", "protocol-order",
+            "protocol-repeat"])
     def test_malformed_shape_names_the_key_path(self, mutate, path, tmp_path):
         game, _, _ = gen_example1()
         doc = json.loads(serialize_game(game))
@@ -190,3 +205,80 @@ class TestMachineDocuments:
         game_path.write_text(serialize_game(game))
         rm_path.write_text(json.dumps(doc))
         assert cli_main(["verify", str(game_path), str(rm_path)], out=io.StringIO()) == 2
+
+
+def _mutation_docs():
+    costs = {e: 2 for e in complete_digraph(3).edges}
+    return {
+        "example1": json.loads(serialize_game(gen_example1()[0])),
+        "tsp": json.loads(serialize_game(gen_tsp_game(complete_digraph(3, costs)))),
+    }
+
+
+MUTATION_DOCS = _mutation_docs()
+
+
+def _nodes(doc, path=()):
+    """Paths of every object and list in ``doc``, the root included."""
+    if isinstance(doc, dict):
+        yield path
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        yield path
+        for k, value in enumerate(doc):
+            yield from _nodes(value, path + (k,))
+
+
+def _names_in(doc) -> list[str]:
+    if isinstance(doc, dict):
+        return [n for key, value in doc.items() for n in [key, *_names_in(value)]]
+    if isinstance(doc, list):
+        return [n for value in doc for n in _names_in(value)]
+    return [doc] if isinstance(doc, str) else []
+
+
+class TestMutatedDocuments:
+    """Every single mutation of a valid document is rejected or kept verbatim."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(sorted(MUTATION_DOCS)), st.data())
+    def test_rejected_or_byte_stable(self, family, data):
+        doc = copy.deepcopy(MUTATION_DOCS[family])
+        names = sorted(set(_names_in(doc))) + ["x", "", "meta"]
+        values = st.one_of(
+            st.sampled_from(names),
+            st.integers(-3, 3),
+            st.sampled_from([1.5, True, None, [], {}]),
+            st.lists(st.sampled_from(names), max_size=3),
+            st.dictionaries(st.sampled_from(names), st.sampled_from(names), max_size=2),
+        )
+        path = data.draw(st.sampled_from(list(_nodes(doc))))
+        node = doc
+        for key in path:
+            node = node[key]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = data.draw(st.sampled_from(["drop", "add", "replace", "permute"]))
+        if op in ("drop", "replace") and keys:
+            key = data.draw(st.sampled_from(keys))
+            if op == "drop":
+                del node[key]
+            else:
+                node[key] = data.draw(values)
+        elif op == "permute" and isinstance(node, list):
+            node[:] = data.draw(st.permutations(node))
+        elif isinstance(node, dict):
+            node[data.draw(st.sampled_from(names))] = data.draw(values)
+        else:
+            node.insert(data.draw(st.integers(0, len(node))), data.draw(values))
+        text = json.dumps(doc)
+        try:
+            game = parse_game(text)
+        except DocumentError:
+            pass
+        else:
+            assert serialize_game(game) == canonicalize(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.game"
+            path.write_text(text)
+            assert cli_main(["verify", str(path)], out=io.StringIO()) in (0, 2, 3)

@@ -11,17 +11,15 @@ from eqdesign.games import (
     Lasso,
     MealyStrategy,
     StrategyProfile,
-    constant_strategy,
     lasso_from_states,
     make_game,
     mean_payoff,
-    min_max_weights,
     payoffs,
     run_profile,
-    simulate_states,
 )
 
-from conftest import lasso_by_names
+from conftest import constant_strategy, lasso_by_names
+from simulation_oracle import simulate_states
 
 
 def single_state_game():
@@ -158,26 +156,6 @@ class TestPayoffs:
         game = single_state_game()
         per, glob = payoffs(game, lasso_from_states(game, [0], 0))
         assert per == (0,) and glob == 0
-
-
-class TestMinMaxWeights:
-    def test_example1_global(self, example1):
-        game, _, _ = example1
-        assert min_max_weights(game)["global"] == (0, 2)
-
-    def test_constant_weight(self):
-        game = single_state_game()
-        assert min_max_weights(game)[0] == (0, 0)
-
-    def test_tsp_triangle_global_range(self):
-        from eqdesign.benchmarks import complete_digraph, gen_tsp_game
-
-        costs = {}
-        for e in complete_digraph(3).edges:
-            pair = tuple(sorted(e))
-            costs[e] = {("v1", "v2"): 1, ("v1", "v3"): 2, ("v2", "v3"): 3}[pair]
-        game = gen_tsp_game(complete_digraph(3, costs))
-        assert min_max_weights(game)["global"] == (3, 9)
 
 
 class TestLassoValidation:

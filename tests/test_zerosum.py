@@ -14,7 +14,6 @@ from eqdesign.benchmarks import (
 from eqdesign.games import (
     MealyStrategy,
     StrategyProfile,
-    constant_strategy,
     mean_payoff,
     run_profile,
 )
@@ -25,11 +24,12 @@ from eqdesign.zerosum import (
     _eval_committed,
     _strict_dual,
     best_response_value,
-    max_mean_cycle,
+    max_mean_value_function,
     punishment_values,
 )
 import eqdesign.zerosum as zerosum
 
+from conftest import constant_strategy
 from lifting_oracle import one_sided_credits
 from punishment_oracle import brute_force_punishment
 
@@ -47,38 +47,30 @@ def witness_values(game, pun: PunishmentResult) -> tuple[Fraction, ...]:
 
 
 class TestMaxMeanCycle:
+    """Nodes carry the weights; a node's value is its best reachable cycle mean."""
+
     def test_single_self_loop(self):
-        assert max_mean_cycle({"a": [("a", 5)]}, "a") == 5
+        assert max_mean_value_function([[0]], [5]) == [5]
 
     def test_picks_better_of_two_cycles(self):
-        graph = {
-            "a": [("b", 1), ("c", 1)],
-            "b": [("a", 0)],          # cycle mean 1/2
-            "c": [("d", 1)],
-            "d": [("c", 1)],          # cycle mean following a->c: 2/3 via c-d? no: c<->d mean 1
-        }
-        # cycles: (a,b) mean 1/2, (c,d) mean 1; both reachable from a
-        assert max_mean_cycle(graph, "a") == 1
+        # a=0 -> b=1, c=2; cycles (a, b) of mean 1/2 and (c, d) of mean 1.
+        succs = [[1, 2], [0], [3], [2]]
+        assert max_mean_value_function(succs, [1, 0, 1, 1])[0] == 1
 
     def test_unreachable_cycle_ignored(self):
-        graph = {
-            "a": [("b", 0)],
-            "b": [("a", 0)],
-            "z": [("z", 99)],
-        }
-        assert max_mean_cycle(graph, "a") == 0
+        # a=0 <-> b=1, and z=2 on its own self-loop.
+        assert max_mean_value_function([[1], [0], [2]], [0, 0, 99]) == [0, 0, 99]
 
     def test_reachable_dead_end_rejected(self):
         with pytest.raises(ValueError):
-            max_mean_cycle({"a": [("b", 1)], "b": []}, "a")
+            max_mean_value_function([[1], []], [1, 0])
 
     def test_delivery_product_reward_rate(self, example1_products):
         product, _ = example1_products
-        graph = {
-            s: [(succ, product.weights[0][s]) for _, succ in product.moves(s)]
-            for s in range(product.n_states)
-        }
-        assert max_mean_cycle(graph, product.initial) == Fraction(1, 3)
+        succs = [sorted({succ for _, succ in product.moves(s)})
+                 for s in range(product.n_states)]
+        values = max_mean_value_function(succs, product.weights[0])
+        assert values[product.initial] == Fraction(1, 3)
 
 
 class TestBestResponse:
