@@ -204,7 +204,10 @@ def gen_tsp_game(g: CostDigraph, negated: bool = False) -> Game:
 
 
 def _hamiltonian_arena(g: CostDigraph):
-    """Shared arena of both Hamiltonian constructions."""
+    """Shared arena and city weights of both Hamiltonian constructions.
+
+    A city earns ``n`` on the edges into it and 1 at the sink and traps.
+    """
     n = len(g.vertices)
     cities = list(g.vertices)
     extras = [f"p{n + 1}", f"p{n + 2}"]
@@ -246,7 +249,12 @@ def _hamiltonian_arena(g: CostDigraph):
     fill(SINK, None, SINK)
     fill(SQUARE, None, SQUARE)
     fill(TRIANGLE, None, TRIANGLE)
-    return players, cities, extras, states, actions, protocol, transitions, edge_states
+    weights = {
+        p: {s: n if s.endswith(f">{p}") else 0 for s in edge_states}
+        | dict.fromkeys((SINK, SQUARE, TRIANGLE), 1)
+        for p in cities
+    }
+    return players, extras, states, actions, protocol, transitions, edge_states, weights
 
 
 def gen_hamiltonian_game(g: CostDigraph) -> Game:
@@ -257,19 +265,10 @@ def gen_hamiltonian_game(g: CostDigraph) -> Game:
     the square/triangle traps.  Fixed parameters budget=1, epsilon=1,
     delta=1/2 ride along as metadata.
     """
-    (players, cities, extras, states, actions,
-     protocol, transitions, edge_states) = _hamiltonian_arena(g)
-    n = len(cities)
+    (players, extras, states, actions,
+     protocol, transitions, edge_states, weights) = _hamiltonian_arena(g)
+    n = len(g.vertices)
     specials = {SINK, SQUARE, TRIANGLE}
-
-    weights: dict[str, dict[str, int]] = {}
-    for p in cities:
-        table = {}
-        for s in edge_states:
-            table[s] = n if s.endswith(f">{p}") else 0
-        for s in specials:
-            table[s] = 1
-        weights[p] = table
     for p in extras:
         weights[p] = {s: 0 for s in states}
     global_weights = {s: (0 if s in specials else n) for s in states}
@@ -294,19 +293,9 @@ def gen_hamiltonian_complement_game(g: CostDigraph) -> Game:
     never equilibria; paying one unit at the triangle reconciles them
     exactly when no fair tour exists.
     """
-    (players, cities, extras, states, actions,
-     protocol, transitions, edge_states) = _hamiltonian_arena(g)
-    n = len(cities)
-    specials = {SINK, SQUARE, TRIANGLE}
-
-    weights: dict[str, dict[str, int]] = {}
-    for p in cities:
-        table = {}
-        for s in edge_states:
-            table[s] = n if s.endswith(f">{p}") else 0
-        for s in specials:
-            table[s] = 1
-        weights[p] = table
+    (players, extras, states, actions,
+     protocol, transitions, edge_states, weights) = _hamiltonian_arena(g)
+    n = len(g.vertices)
     weights[extras[0]] = {s: (1 if s == SQUARE else 0) for s in states}
     weights[extras[1]] = {s: (1 if s == TRIANGLE else 0) for s in states}
     global_weights = {}

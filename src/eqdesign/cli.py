@@ -292,7 +292,7 @@ def cli_main(argv: list[str], out=None) -> int:
             return _cmd_verify(args, out)
         raise AssertionError("unreachable")
     except (DocumentError, GameStructureError, RewardMachineError,
-            InvalidLassoError, InvalidStrategyError, FileNotFoundError,
+            InvalidLassoError, InvalidStrategyError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

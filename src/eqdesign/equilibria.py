@@ -7,6 +7,14 @@ successor are unobservable under state-reading strategies and are ignored).
 Grim-trigger profiles realize such lassos with finite memory, which makes
 the threshold problem a search over lassos.
 
+Only the order of the finitely many punishment values shapes the move
+classes and the lattice of deviation ceilings, so both are keyed by ranks:
+each non-fixed player's distinct punishment values are sorted once, and a
+ceiling holds per player the index of the worst punishment it admits, or -1
+where no deviation is observable (always for the fixed player).  The join
+is the elementwise max, domination the elementwise ``<=``; values come back
+only as the floors a cycle payoff must reach.
+
 Two backends answer threshold queries:
 
 * ``oracle`` - exhaustive over lassos with prefix plus cycle length at most
@@ -15,7 +23,7 @@ Two backends answer threshold queries:
   enumerates achievable weight-sum vectors rather than raw walks.  Each
   vector (every player, then the global table) is packed into one int of
   fixed-width signed fields, so a step of the walk is one int addition; a
-  closed cycle is decoded once and checked against each ceiling ``p/q`` by
+  closed cycle is decoded once and checked against each floor ``p/q`` by
   integer cross-multiplication.  ``realize`` replays the same walk and
   follows a signature's packed sums back to a concrete lasso.
 * ``lp`` - unbounded cycle-frequency feasibility: for every deviation
@@ -31,6 +39,8 @@ Two backends answer threshold queries:
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -235,32 +245,12 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
 @dataclass(frozen=True)
 class _MoveClass:
     succ: int
-    devmax: tuple[Fraction | None, ...]
+    devmax: tuple[int, ...]
     joint: tuple[int, ...]
 
 
-def _ceil_le(a: Fraction | None, b: Fraction | None) -> bool:
-    if a is None:
-        return True
-    if b is None:
-        return False
-    return a <= b
-
-
-def _vec_le(a: Sequence, b: Sequence) -> bool:
-    return all(_ceil_le(x, y) for x, y in zip(a, b))
-
-
-def _vec_join(a: tuple, b: tuple) -> tuple:
-    out = []
-    for x, y in zip(a, b):
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(max(x, y))
-    return tuple(out)
+def _vec_le(a: Sequence[int], b: Sequence[int]) -> bool:
+    return all(map(operator.le, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +308,8 @@ class NashLassoSolver:
         rows = (*game.weights, game.global_weights)
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
+        self._levels = [() if i == fixed else tuple(sorted(set(self.pun[i].values)))
+                        for i in range(game.n_players)]
         self._classes = self._build_classes()
         self._ceilings = self._build_ceilings()
         self._sweep_cache: list[tuple] | None = None
@@ -326,20 +318,20 @@ class NashLassoSolver:
 
     def _build_classes(self) -> list[list[_MoveClass]]:
         game = self.game
+        # rank[i][d]: index of player i's punishment at d in its levels.
+        rank = [
+            [bisect_left(levels, v) for v in self.pun[i].values] if levels else None
+            for i, levels in enumerate(self._levels)
+        ]
         per_state: list[list[_MoveClass]] = []
         for s in range(game.n_states):
             by_key: dict[tuple, tuple[int, ...]] = {}
             for joint in game.joint_actions(s):
                 succ = game.transitions[(s, joint)]
-                devmax: list[Fraction | None] = []
-                for i in range(game.n_players):
-                    if i == self.fixed:
-                        devmax.append(None)
-                        continue
-                    devs = game.deviation_successors(s, joint, i)
-                    devmax.append(
-                        max(self.pun[i].values[d] for d in devs) if devs else None
-                    )
+                devmax = []
+                for i, r in enumerate(rank):
+                    devs = game.deviation_successors(s, joint, i) if r else ()
+                    devmax.append(max([r[d] for d in devs]) if devs else -1)
                 key = (succ, tuple(devmax))
                 if key not in by_key or joint < by_key[key]:
                     by_key[key] = joint
@@ -363,48 +355,52 @@ class NashLassoSolver:
             per_state.append(kept)
         return per_state
 
-    def _build_ceilings(self) -> list[tuple]:
-        bottom = (None,) * self.game.n_players
-        seeds = {bottom}
+    def _build_ceilings(self) -> list[tuple[int, ...]]:
+        seeds = {(-1,) * self.game.n_players}
         for classes in self._classes:
             for c in classes:
                 seeds.add(c.devmax)
-        closed: set[tuple] = set(seeds)
+        closed: set[tuple[int, ...]] = set(seeds)
         frontier = list(seeds)
         while frontier:
             v = frontier.pop()
             for u in list(closed):
-                j = _vec_join(v, u)
+                j = tuple(map(max, v, u))
                 if j not in closed:
                     closed.add(j)
                     frontier.append(j)
                     if len(closed) > CEILING_LIMIT:
                         raise SolverLimitError("deviation ceiling lattice too large")
+        return sorted(closed)
 
-        def sort_key(vec: tuple):
-            return tuple(NEG_INF if x is None else x for x in vec)
+    def _floors(self, ceiling: tuple[int, ...]) -> list[tuple[int, Fraction]]:
+        """``(player, punishment value)`` a cycle payoff must reach under ``ceiling``."""
+        return [(i, self._levels[i][r]) for i, r in enumerate(ceiling) if r >= 0]
 
-        return sorted(closed, key=sort_key)
-
-    def _allowed(self, ceiling: tuple) -> list[list[_MoveClass]]:
+    def _allowed(self, ceiling: tuple[int, ...]) -> list[list[_MoveClass]]:
         return [
             [c for c in classes if _vec_le(c.devmax, ceiling)]
             for classes in self._classes
         ]
 
-    @staticmethod
-    def _dists_from(allowed: list[list[_MoveClass]], root: int) -> dict[int, int]:
-        dist = {root: 0}
-        frontier = [root]
+    def _tree(self, allowed: list[list[_MoveClass]]) -> dict[int, tuple]:
+        """Breadth-first tree from the initial state over ``allowed``.
+
+        Maps each reachable state to ``(distance, parent, class)``, where the
+        parent is the first state of the previous layer, in layer order,
+        with a class into it; the root's parent and class are None.
+        """
+        tree: dict[int, tuple] = {self.game.initial: (0, None, None)}
+        frontier = [self.game.initial]
         while frontier:
             nxt: list[int] = []
             for s in frontier:
                 for c in allowed[s]:
-                    if c.succ not in dist:
-                        dist[c.succ] = dist[s] + 1
+                    if c.succ not in tree:
+                        tree[c.succ] = (tree[s][0] + 1, s, c)
                         nxt.append(c.succ)
             frontier = nxt
-        return dist
+        return tree
 
     @staticmethod
     def _dists_to(allowed: list[list[_MoveClass]], target: int) -> dict[int, int]:
@@ -444,16 +440,13 @@ class NashLassoSolver:
         out: list[tuple] = []
         seen: set[tuple[int, int, int]] = set()
         for ci, ceiling in enumerate(self._ceilings):
-            # Cycle payoff sums/length must reach each ceiling p/q.
-            floors = [
-                (i, c.numerator, c.denominator)
-                for i, c in enumerate(ceiling)
-                if i != self.fixed and c is not None
-            ]
+            # Cycle payoff sums/length must reach each floor p/q.
+            floors = [(i, c.numerator, c.denominator) for i, c in self._floors(ceiling)]
             allowed = self._allowed(ceiling)
-            dist = self._dists_from(allowed, game.initial)
-            for anchor in sorted(dist):
-                budget = self.bound - dist[anchor]
+            tree = self._tree(allowed)
+            for anchor in sorted(tree):
+                prefix_len = tree[anchor][0]
+                budget = self.bound - prefix_len
                 if budget < 1:
                     continue
                 back = self._dists_to(allowed, anchor)
@@ -466,7 +459,7 @@ class NashLassoSolver:
                         sums = _unpack_sums(packed, width, n_sums)
                         if all(sums[i] * q >= p * length for i, p, q in floors):
                             seen.add(key)
-                            out.append((ci, anchor, length, sums, dist[anchor]))
+                            out.append((ci, anchor, length, sums, prefix_len))
         # Designer value sums/length in units of 1/lcm(1..bound): exact ints.
         scale = math.lcm(*range(1, self.bound + 1))
         out.sort(key=lambda rec: (rec[3][-1] * (scale // rec[2]), rec[2], rec[1], rec[3]))
@@ -593,7 +586,7 @@ class NashLassoSolver:
         cyc_states.reverse()
         cyc_moves.reverse()
 
-        prefix_states, prefix_moves = self._shortest_prefix(allowed, anchor)
+        prefix_states, prefix_moves = self._prefix(self._tree(allowed), anchor)
         lasso = Lasso(
             tuple(prefix_states), tuple(cyc_states),
             tuple(prefix_moves), tuple(cyc_moves),
@@ -601,28 +594,18 @@ class NashLassoSolver:
         lasso.validate(game)
         return lasso
 
-    def _shortest_prefix(self, allowed, target: int):
-        game = self.game
-        parent: dict[int, tuple[int, _MoveClass] | None] = {game.initial: None}
-        frontier = [game.initial]
-        while frontier and target not in parent:
-            nxt = []
-            for s in frontier:
-                for cls in allowed[s]:
-                    if cls.succ not in parent:
-                        parent[cls.succ] = (s, cls)
-                        nxt.append(cls.succ)
-            frontier = nxt
-        if target not in parent:
+    @staticmethod
+    def _prefix(tree: dict[int, tuple], target: int):
+        """States and moves of the tree path from the initial state to ``target``."""
+        if target not in tree:
             raise SolverLimitError("anchor unreachable while rebuilding the prefix")
         states: list[int] = []
         moves: list[tuple[int, ...]] = []
-        cur = target
-        while parent[cur] is not None:
-            prev, cls = parent[cur]
+        _, prev, cls = tree[target]
+        while cls is not None:
             states.append(prev)
             moves.append(cls.joint)
-            cur = prev
+            _, prev, cls = tree[prev]
         states.reverse()
         moves.reverse()
         return states, moves
@@ -668,10 +651,7 @@ class NashLassoSolver:
         """``(ceiling, allowed, members, edges)`` per ceiling and reachable SCC with moves."""
         for ceiling in self._ceilings:
             allowed = self._allowed(ceiling)
-            dist = self._dists_from(allowed, self.game.initial)
-            reach = sorted(dist)
-            if not reach:
-                continue
+            reach = sorted(self._tree(allowed))
             pos = {s: k for k, s in enumerate(reach)}
             succs = [
                 [pos[c.succ] for c in allowed[s] if c.succ in pos]
@@ -718,11 +698,10 @@ class NashLassoSolver:
         # unscaled one and Bland's rule takes the same pivots to the same
         # vertex.  Scaling each row by its own denominator would reweight the
         # artificial sum and can change the vertex.
-        bounds = [ceiling[i] for i in range(game.n_players)
-                  if i != self.fixed and ceiling[i] is not None]
-        bounds += [b for b in (*query.lower, *query.upper,
-                               query.global_lower, query.global_upper)
-                   if b not in (NEG_INF, POS_INF)]
+        floors = dict(self._floors(ceiling))
+        bounds = [*floors.values()] + [
+            b for b in (*query.lower, *query.upper, query.global_lower, query.global_upper)
+            if b not in (NEG_INF, POS_INF)]
         scale = math.lcm(1, *(b.denominator for b in bounds))
 
         def at_least(targets: list[int], b, sign: int) -> Constraint:
@@ -743,8 +722,8 @@ class NashLassoSolver:
             cons.append(Constraint(tuple(row), "==", 0))
         for i in range(game.n_players):
             targets = [game.weights[i][src] for src, _ in edges]
-            if i != self.fixed and ceiling[i] is not None:
-                cons.append(at_least(targets, ceiling[i], 1))
+            if i in floors:
+                cons.append(at_least(targets, floors[i], 1))
             if query.lower[i] != NEG_INF:
                 cons.append(at_least(targets, query.lower[i], 1))
             if query.upper[i] != POS_INF:
@@ -831,7 +810,7 @@ class NashLassoSolver:
         # visited sequence starting from `start`.
         cyc_states = [start] + [s for s, _ in circuit[:-1]]
         cyc_moves = [cls.joint for _, cls in circuit]
-        prefix_states, prefix_moves = self._shortest_prefix(allowed, start)
+        prefix_states, prefix_moves = self._prefix(self._tree(allowed), start)
         if len(prefix_states) + len(cyc_states) > max(LASSO_LENGTH_CAP, self.bound):
             return None
         lasso = Lasso(tuple(prefix_states), tuple(cyc_states),

@@ -2,7 +2,7 @@
 
 Three layers live here:
 
-* Karp-style maximum mean cycle, exact over ``Fraction`` weights.
+* Karp-style maximum mean cycle, exact over int weights.
 * Best-response values: the supremum a single player can secure against a
   committed finite-memory coalition (positional optima make this a max
   mean cycle in the committed product).
@@ -85,10 +85,11 @@ def strongly_connected_components(succs: Sequence[Iterable[int]]) -> list[list[i
 
 
 def _karp_max_mean(nodes: Sequence[int], succs: Mapping[int, Sequence[int]],
-                   weight: Mapping[int, Fraction | int]) -> Fraction | None:
+                   weight: Mapping[int, int]) -> Fraction | None:
     """Max mean cycle inside a strongly connected node set; None if acyclic.
 
-    Weights sit on the source node of each step.
+    Weights sit on the source node of each step.  The walk table holds
+    ints; only the candidate means are ``Fraction``s.
     """
     order = list(nodes)
     pos = {v: k for k, v in enumerate(order)}
@@ -97,7 +98,7 @@ def _karp_max_mean(nodes: Sequence[int], succs: Mapping[int, Sequence[int]],
     if not has_edge:
         return None
     # F[k][v] = max weight of a k-edge walk from the pseudo-source.
-    prev = [Fraction(0)] * n
+    prev = [0] * n
     table = [list(prev)]
     for _ in range(n):
         cur: list = [NEG_INF] * n
@@ -134,7 +135,7 @@ def _karp_max_mean(nodes: Sequence[int], succs: Mapping[int, Sequence[int]],
 
 
 def max_mean_value_function(succs: Sequence[Sequence[int]],
-                            weight: Sequence[Fraction | int]) -> list[Fraction]:
+                            weight: Sequence[int]) -> list[Fraction]:
     """Per node, the largest mean of any cycle reachable from it.
 
     Every node must have out-degree >= 1 so a cycle is always reachable.
@@ -190,16 +191,11 @@ def best_response_value(game: Game, others: StrategyProfile, player: int,
     root = (root_state, tuple(strat[p].initial for p in coalition))
     index = {root: 0}
     nodes = [root]
-    succs: list[list[int]] = []
-    weights: list[int] = []
+    succs: list[list[int]] = [[]]
     frontier = [0]
     while frontier:
         vi = frontier.pop()
-        while len(succs) < len(nodes):
-            succs.append([])
-            weights.append(0)
         s, mems = nodes[vi]
-        weights[vi] = game.weights[player][s]
         next_mems = tuple(strat[p].step[m][s] for p, m in zip(coalition, mems))
         outs = set()
         for a in game.protocol[player][s]:
@@ -213,13 +209,10 @@ def best_response_value(game: Game, others: StrategyProfile, player: int,
             if node not in index:
                 index[node] = len(nodes)
                 nodes.append(node)
+                succs.append([])
                 frontier.append(index[node])
             succs[vi].append(index[node])
-    while len(succs) < len(nodes):
-        succs.append([])
-        weights.append(0)
-    for vi, node in enumerate(nodes):
-        weights[vi] = game.weights[player][node[0]]
+    weights = [game.weights[player][s] for s, _ in nodes]
     return max_mean_value_function(succs, weights)[0]
 
 

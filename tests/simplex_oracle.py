@@ -15,6 +15,8 @@ from typing import Sequence
 from eqdesign.equilibria import NEG_INF, POS_INF, NashLassoSolver, ThresholdQuery
 from eqdesign.simplex import Constraint
 
+from ceiling_oracle import ceiling_values
+
 
 def fraction_feasible_point(n_vars: int, constraints: Sequence[Constraint],
                             lower_bounds: Sequence | None = None) -> list[Fraction] | None:
@@ -129,11 +131,12 @@ def fraction_lp_rows(solver: NashLassoSolver, query: ThresholdQuery,
             if cls.succ == s:
                 row[k] -= 1
         cons.append(Constraint(tuple(row), "==", Fraction(0)))
+    values = ceiling_values(solver, ceiling)
     for i in range(game.n_players):
         targets = [Fraction(game.weights[i][src]) for src, _ in edges]
-        if i != solver.fixed and ceiling[i] is not None:
+        if i != solver.fixed and values[i] is not None:
             cons.append(Constraint(
-                tuple(t - ceiling[i] for t in targets), ">=", Fraction(0)
+                tuple(t - values[i] for t in targets), ">=", Fraction(0)
             ))
         if query.lower[i] != NEG_INF:
             cons.append(Constraint(

@@ -2,9 +2,10 @@
 
 Walks tuples of weight sums (every player, then the global table) once per
 move class and checks every closed cycle against the deviation ceilings
-with ``Fraction`` comparisons.  It reads the solver's ceilings and allowed
-classes but none of its walk, so it checks the packing, the shared
-successor sets and the integer ceiling test.
+with ``Fraction`` comparisons, reading each ceiling's values from the
+punishment tables.  It reads the solver's ceilings, allowed classes and
+initial-state tree but none of its walk, so it checks the packing, the
+shared successor sets and the integer ceiling test.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from eqdesign.equilibria import NashLassoSolver
+
+from ceiling_oracle import ceiling_values
 
 
 def oracle_signatures(solver: NashLassoSolver) -> list[tuple]:
@@ -25,7 +28,7 @@ def oracle_signatures(solver: NashLassoSolver) -> list[tuple]:
     seen: set[tuple] = set()
     for ci, ceiling in enumerate(solver._ceilings):
         allowed = solver._allowed(ceiling)
-        dist = solver._dists_from(allowed, game.initial)
+        dist = {s: d for s, (d, _, _) in solver._tree(allowed).items()}
         for anchor in sorted(dist):
             budget = solver.bound - dist[anchor]
             if budget < 1:
@@ -88,9 +91,9 @@ def _walk(allowed, anchor: int, budget: int, back: dict[int, int],
 
 def _cycle_is_equilibrium(solver: NashLassoSolver, ceiling: tuple,
                           sums: tuple[int, ...], length: int) -> bool:
-    for i in range(solver.game.n_players):
-        if i == solver.fixed or ceiling[i] is None:
+    for i, c in enumerate(ceiling_values(solver, ceiling)):
+        if i == solver.fixed or c is None:
             continue
-        if Fraction(sums[i], length) < ceiling[i]:
+        if Fraction(sums[i], length) < c:
             return False
     return True

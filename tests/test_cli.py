@@ -160,6 +160,22 @@ class TestExitCodes:
         code, _, _ = run_cli(["compute", "--worst", "--epsilon", "1", "no.game"])
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["verify-dir", "gen-dest-file", "synth-out-dir"])
+    def test_os_error_is_two(self, case, fixture_dir, tmp_path, capsys):
+        game = str(fixture_dir / "example1.game")
+        existing = tmp_path / "taken"
+        existing.write_text("")
+        argv = {
+            "verify-dir": ["verify", str(tmp_path)],
+            "gen-dest-file": ["gen", "example1", "--dest", str(existing)],
+            "synth-out-dir": ["synth", "--mode", "strong", "--budget", "1",
+                              "--delta", "1/2", "--epsilon", "1/10",
+                              "--out", str(tmp_path), game],
+        }[case]
+        code, _, _ = run_cli(argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_subcommand_is_two(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 2

@@ -34,6 +34,7 @@ from eqdesign.games import (
 from eqdesign.zerosum import SolverLimitError, best_response_value
 
 from conftest import lasso_by_names
+from ceiling_oracle import build_ceilings, build_classes
 from sweep_oracle import oracle_signatures
 
 
@@ -240,6 +241,25 @@ def moved(rec, offset, global_factor):
     ci, anchor, length, sums, prefix_len = rec
     sums = tuple(v + offset * length for v in sums[:-1]) + (sums[-1] * global_factor,)
     return ci, anchor, length, sums, prefix_len
+
+
+class TestCeilingRanks:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5),
+           st.sampled_from([None, 0]))
+    def test_ranks_match_fraction_lattice(self, seed, n_players, n_states, fixed):
+        game = gen_random_game(seed, n_players=n_players, n_states=n_states)
+        solver = NashLassoSolver(game, fixed, 4)
+
+        def values(ranks):
+            assert all(type(r) is int for r in ranks)
+            return tuple(None if r < 0 else solver._levels[i][r]
+                         for i, r in enumerate(ranks))
+
+        classes = build_classes(solver)
+        assert [[(c.succ, values(c.devmax), c.joint) for c in per_state]
+                for per_state in solver._classes] == classes
+        assert [values(c) for c in solver._ceilings] == build_ceilings(classes, n_players)
 
 
 class TestPackedWalk:
