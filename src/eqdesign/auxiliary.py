@@ -16,6 +16,7 @@ sums, and hence all mean payoffs, are preserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .games import Game, GameStructureError, MealyStrategy
@@ -66,13 +67,9 @@ class AuxiliaryGame:
     def state_id(self, source_state: int, vector_index: int) -> int:
         return self._pair_index[(source_state, vector_index)]
 
-    @property
+    @cached_property
     def _pair_index(self) -> dict[tuple[int, int], int]:
-        cached = getattr(self, "_pair_index_cache", None)
-        if cached is None:
-            cached = {pair: k for k, pair in enumerate(self.pair_of_state)}
-            object.__setattr__(self, "_pair_index_cache", cached)
-        return cached
+        return {pair: k for k, pair in enumerate(self.pair_of_state)}
 
     def vector_index(self, vec: tuple[int, ...]) -> int:
         return self.vectors.index(vec)
@@ -191,7 +188,7 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
     act_vec = {a: vi for vi, a in enumerate(aux.vector_action)}
 
     src = aux.source
-    zero_vec_index = aux.vector_index((0,) * src.n_players)
+    zero_vi = aux.vector_index((0,) * src.n_players)
     step_rows = []
     reward_rows = []
     for t, vi in pairs:
@@ -203,7 +200,7 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
             except KeyError:
                 # Source state unreachable: pay nothing and move to the
                 # zero-vector twin so states keep tracking vectors.
-                step_row.append(pair_id[(t, zero_vec_index)])
+                step_row.append(pair_id[(t, zero_vi)])
                 reward_row.append((0,) * src.n_players)
                 continue
             played = act_vec[sigma0.act[t][aux_state]]
@@ -212,7 +209,6 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
         step_rows.append(tuple(step_row))
         reward_rows.append(tuple(reward_row))
 
-    zero_vi = aux.vector_index((0,) * src.n_players)
     return RewardMachine(
         state_names=tuple(f"t{t}_v{vi}" for t, vi in pairs),
         initial=pair_id[(sigma0.initial, zero_vi)],

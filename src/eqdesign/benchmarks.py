@@ -130,6 +130,54 @@ def _edge_state(e: tuple[str, str]) -> str:
     return f"{e[0]}>{e[1]}"
 
 
+def _tour_arena(g: CostDigraph, extras: bool) -> dict:
+    """Arena and city weights shared by the tour and Hamiltonian games.
+
+    States are the edges, then the sink.  The target city of the current
+    edge picks the next edge, and any city playing ``star`` sends the play
+    to the sink.  A city earns ``n`` on the edges into it and 1 at the sink
+    and traps.  Without ``extras`` the sink is absorbing; with them, two
+    extra players meet at the sink and move to the absorbing square when
+    their actions match, to the absorbing triangle otherwise.  Returns the
+    :func:`make_game` arguments but the global weights and the metadata.
+    """
+    n = len(g.vertices)
+    players = list(g.vertices) + ([f"p{n + 1}", f"p{n + 2}"] if extras else [])
+    edges = sorted(g.edges)
+    edge_states = [_edge_state(e) for e in edges]
+    traps = [SQUARE, TRIANGLE] if extras else []
+    protocol: dict[str, dict[str, list[str]]] = {}
+    transitions: dict[str, dict[tuple[str, ...], str]] = {}
+
+    def fill(sname: str, owner: str | None, step) -> None:
+        per_player = {
+            p: sorted([_edge_state(d) for d in g.out_edges(p)] + [STAR])
+            if p == owner else [CIRCLE, STAR]
+            for p in players
+        }
+        protocol[sname] = per_player
+        transitions[sname] = {joint: step(joint)
+                              for joint in _it.product(*per_player.values())}
+
+    for e, sname in zip(edges, edge_states):
+        k = players.index(e[1])
+        fill(sname, e[1], lambda joint, k=k: SINK if STAR in joint[:n] else joint[k])
+    if extras:
+        fill(SINK, None, lambda joint: SQUARE if joint[n] == joint[n + 1] else TRIANGLE)
+    else:
+        fill(SINK, None, lambda joint: SINK)
+    for trap in traps:
+        fill(trap, None, lambda joint, trap=trap: trap)
+    weights = {
+        p: {s: n if e[1] == p else 0 for e, s in zip(edges, edge_states)}
+        | dict.fromkeys([SINK, *traps], 1)
+        for p in g.vertices
+    }
+    return dict(players=players, actions=sorted({*edge_states, STAR, CIRCLE}),
+                states=edge_states + [SINK, *traps], initial=edge_states[0],
+                protocol=protocol, transitions=transitions, weights=weights)
+
+
 def gen_tsp_game(g: CostDigraph, negated: bool = False) -> Game:
     """Tour game: worst equilibrium designer value = optimal tour cost.
 
@@ -141,120 +189,12 @@ def gen_tsp_game(g: CostDigraph, negated: bool = False) -> Game:
     """
     costs = g.cost_map()
     n = len(g.vertices)
-    players = list(g.vertices)
-    edge_states = [_edge_state(e) for e in sorted(g.edges)]
-    states = edge_states + [SINK]
-    actions = sorted({_edge_state(e) for e in g.edges} | {STAR, CIRCLE})
-    max_cost = max(costs.values())
-
-    protocol: dict[str, dict[str, list[str]]] = {}
-    transitions: dict[str, dict[tuple[str, ...], str]] = {}
-    for e in sorted(g.edges):
-        sname = _edge_state(e)
-        v = e[1]
-        per_player: dict[str, list[str]] = {}
-        for p in players:
-            if p == v:
-                per_player[p] = sorted(
-                    [_edge_state(d) for d in g.out_edges(v)] + [STAR]
-                )
-            else:
-                per_player[p] = [CIRCLE, STAR]
-        protocol[sname] = per_player
-        table: dict[tuple[str, ...], str] = {}
-        for joint in _it.product(*(per_player[p] for p in players)):
-            if any(a == STAR for a in joint):
-                table[joint] = SINK
-            else:
-                owner_action = joint[players.index(v)]
-                table[joint] = owner_action
-        transitions[sname] = table
-    protocol[SINK] = {p: [CIRCLE, STAR] for p in players}
-    transitions[SINK] = {
-        joint: SINK
-        for joint in _it.product(*([CIRCLE, STAR] for _ in players))
-    }
-
-    weights: dict[str, dict[str, int]] = {}
-    for p in players:
-        table = {}
-        for e in sorted(g.edges):
-            table[_edge_state(e)] = n if e[1] == p else 0
-        table[SINK] = 1
-        weights[p] = table
-    global_weights = {}
-    for e in sorted(g.edges):
-        global_weights[_edge_state(e)] = costs[e] * n
-    global_weights[SINK] = max_cost * n
+    global_weights = {_edge_state(e): c * n for e, c in sorted(costs.items())}
+    global_weights[SINK] = max(costs.values()) * n
     if negated:
         global_weights = {s: -w for s, w in global_weights.items()}
-
-    initial = edge_states[0]
-    return make_game(
-        players=players,
-        actions=actions,
-        states=states,
-        initial=initial,
-        protocol=protocol,
-        transitions=transitions,
-        weights=weights,
-        global_weights=global_weights,
-        meta={"family": "tsp", "epsilon": "1"},
-    )
-
-
-def _hamiltonian_arena(g: CostDigraph):
-    """Shared arena and city weights of both Hamiltonian constructions.
-
-    A city earns ``n`` on the edges into it and 1 at the sink and traps.
-    """
-    n = len(g.vertices)
-    cities = list(g.vertices)
-    extras = [f"p{n + 1}", f"p{n + 2}"]
-    players = cities + extras
-    edge_states = [_edge_state(e) for e in sorted(g.edges)]
-    states = edge_states + [SINK, SQUARE, TRIANGLE]
-    actions = sorted({_edge_state(e) for e in g.edges} | {STAR, CIRCLE})
-
-    protocol: dict[str, dict[str, list[str]]] = {}
-    transitions: dict[str, dict[tuple[str, ...], str]] = {}
-
-    def fill(sname: str, owner: str | None, special: str | None) -> None:
-        per_player: dict[str, list[str]] = {}
-        for p in players:
-            if p == owner:
-                per_player[p] = sorted(
-                    [_edge_state(d) for d in g.out_edges(owner)] + [STAR]
-                )
-            else:
-                per_player[p] = [CIRCLE, STAR]
-        protocol[sname] = per_player
-        table: dict[tuple[str, ...], str] = {}
-        for joint in _it.product(*(per_player[p] for p in players)):
-            if special in (SQUARE, TRIANGLE):
-                table[joint] = special
-            elif special == SINK:
-                a1, a2 = joint[len(cities)], joint[len(cities) + 1]
-                table[joint] = SQUARE if a1 == a2 else TRIANGLE
-            else:
-                city_actions = joint[: len(cities)]
-                if any(a == STAR for a in city_actions):
-                    table[joint] = SINK
-                else:
-                    table[joint] = joint[players.index(owner)]
-        transitions[sname] = table
-
-    for e in sorted(g.edges):
-        fill(_edge_state(e), e[1], None)
-    fill(SINK, None, SINK)
-    fill(SQUARE, None, SQUARE)
-    fill(TRIANGLE, None, TRIANGLE)
-    weights = {
-        p: {s: n if s.endswith(f">{p}") else 0 for s in edge_states}
-        | dict.fromkeys((SINK, SQUARE, TRIANGLE), 1)
-        for p in cities
-    }
-    return players, extras, states, actions, protocol, transitions, edge_states, weights
+    return make_game(**_tour_arena(g, extras=False), global_weights=global_weights,
+                     meta={"family": "tsp", "epsilon": "1"})
 
 
 def gen_hamiltonian_game(g: CostDigraph) -> Game:
@@ -265,23 +205,14 @@ def gen_hamiltonian_game(g: CostDigraph) -> Game:
     the square/triangle traps.  Fixed parameters budget=1, epsilon=1,
     delta=1/2 ride along as metadata.
     """
-    (players, extras, states, actions,
-     protocol, transitions, edge_states, weights) = _hamiltonian_arena(g)
+    arena = _tour_arena(g, extras=True)
     n = len(g.vertices)
-    specials = {SINK, SQUARE, TRIANGLE}
-    for p in extras:
-        weights[p] = {s: 0 for s in states}
-    global_weights = {s: (0 if s in specials else n) for s in states}
-
+    states = arena["states"]
+    for p in arena["players"][n:]:
+        arena["weights"][p] = {s: 0 for s in states}
+    global_weights = {s: (0 if s in (SINK, SQUARE, TRIANGLE) else n) for s in states}
     return make_game(
-        players=players,
-        actions=actions,
-        states=states,
-        initial=edge_states[0],
-        protocol=protocol,
-        transitions=transitions,
-        weights=weights,
-        global_weights=global_weights,
+        **arena, global_weights=global_weights,
         meta={"family": "hamiltonian", "budget": "1", "epsilon": "1", "delta": "1/2"},
     )
 
@@ -293,11 +224,11 @@ def gen_hamiltonian_complement_game(g: CostDigraph) -> Game:
     never equilibria; paying one unit at the triangle reconciles them
     exactly when no fair tour exists.
     """
-    (players, extras, states, actions,
-     protocol, transitions, edge_states, weights) = _hamiltonian_arena(g)
+    arena = _tour_arena(g, extras=True)
     n = len(g.vertices)
-    weights[extras[0]] = {s: (1 if s == SQUARE else 0) for s in states}
-    weights[extras[1]] = {s: (1 if s == TRIANGLE else 0) for s in states}
+    states = arena["states"]
+    for p, trap in zip(arena["players"][n:], (SQUARE, TRIANGLE)):
+        arena["weights"][p] = {s: (1 if s == trap else 0) for s in states}
     global_weights = {}
     for s in states:
         if s in (SINK, SQUARE):
@@ -306,16 +237,8 @@ def gen_hamiltonian_complement_game(g: CostDigraph) -> Game:
             global_weights[s] = 2
         else:
             global_weights[s] = n
-
     return make_game(
-        players=players,
-        actions=actions,
-        states=states,
-        initial=edge_states[0],
-        protocol=protocol,
-        transitions=transitions,
-        weights=weights,
-        global_weights=global_weights,
+        **arena, global_weights=global_weights,
         meta={"family": "hamiltonian-complement", "budget": "1",
               "epsilon": "1", "delta": "1/2"},
     )

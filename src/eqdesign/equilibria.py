@@ -34,6 +34,10 @@ Two backends answer threshold queries:
   fraction-free simplex reaches the vertex of the unscaled rational LP.  A
   frequency vertex is scaled to integers and unrolled into an Euler circuit
   to recover a concrete lasso.
+
+Both backends return a witness only through one certificate: its
+grim-trigger profile must survive every non-fixed player's exact best
+response, or the query is refused with ``SolverLimitError``.
 """
 
 from __future__ import annotations
@@ -611,7 +615,10 @@ class NashLassoSolver:
         return states, moves
 
     def witness(self, rec: tuple) -> NEWitness:
-        lasso = self.realize(rec)
+        return self._certify(self.realize(rec))
+
+    def _certify(self, lasso: Lasso) -> NEWitness:
+        """Grim-trigger profile of ``lasso``, checked by exact best responses."""
         profile = grim_trigger_profile(self.game, lasso, self.fixed, self.pun)
         per, glob = payoffs(self.game, lasso)
         for i in range(self.game.n_players):
@@ -628,24 +635,34 @@ class NashLassoSolver:
 
     def lp_feasible(self, query: ThresholdQuery) -> bool:
         self._check_query(query)
-        return self._lp_scan(query, realize=False) is not None
+        return any(
+            self._lp_solve(query, ceiling, members, edges, normalized=True) is not None
+            for ceiling, _, members, edges in self._lp_polytopes()
+        )
 
     def lp_witness(self, query: ThresholdQuery) -> NEWitness | None:
         self._check_query(query)
-        result = self._lp_scan(query, realize=True)
-        if result is None:
-            return None
-        lasso = result
-        if not is_ne_outcome(self.game, lasso, self.fixed, self.pun):
-            raise SolverLimitError("lp realization failed the equilibrium check")
-        per, glob = payoffs(self.game, lasso)
-        in_bounds = all(
-            lo <= v <= hi for v, lo, hi in zip(per, query.lower, query.upper)
-        ) and query.global_lower <= glob <= query.global_upper
-        if not in_bounds:
-            raise SolverLimitError("lp realization drifted out of bounds")
-        profile = grim_trigger_profile(self.game, lasso, self.fixed, self.pun)
-        return NEWitness(lasso, profile, per, glob)
+        feasible_seen = False
+        for ceiling, allowed, members, edges in self._lp_polytopes():
+            point = self._lp_solve(query, ceiling, members, edges, normalized=True)
+            if point is None:
+                continue
+            feasible_seen = True
+            lasso = self._lp_realize(query, ceiling, allowed, members, edges, point)
+            if lasso is None:
+                continue
+            w = self._certify(lasso)
+            in_bounds = all(
+                lo <= v <= hi for v, lo, hi in zip(w.player_payoffs, query.lower, query.upper)
+            ) and query.global_lower <= w.global_payoff <= query.global_upper
+            if not in_bounds:
+                raise SolverLimitError("lp realization drifted out of bounds")
+            return w
+        if feasible_seen:
+            raise SolverLimitError(
+                "threshold query is feasible but no witness was realized"
+            )
+        return None
 
     def _lp_polytopes(self) -> Iterator[tuple]:
         """``(ceiling, allowed, members, edges)`` per ceiling and reachable SCC with moves."""
@@ -668,26 +685,6 @@ class NashLassoSolver:
                 ]
                 if edges:
                     yield ceiling, allowed, members, edges
-
-    def _lp_scan(self, query: ThresholdQuery, realize: bool):
-        feasible_seen = False
-        for ceiling, allowed, members, edges in self._lp_polytopes():
-            point = self._lp_solve(query, ceiling, members, edges,
-                                   normalized=True)
-            if point is None:
-                continue
-            feasible_seen = True
-            if not realize:
-                return True
-            lasso = self._lp_realize(query, ceiling, allowed, members,
-                                     edges, point)
-            if lasso is not None:
-                return lasso
-        if feasible_seen and realize:
-            raise SolverLimitError(
-                "threshold query is feasible but no witness was realized"
-            )
-        return None
 
     def _lp_solve(self, query: ThresholdQuery, ceiling: tuple,
                   members: set[int], edges: list, normalized: bool):
@@ -758,9 +755,7 @@ class NashLassoSolver:
 
     @staticmethod
     def _scale_to_integers(point) -> list[int]:
-        denom = 1
-        for x in point:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
+        denom = math.lcm(*(x.denominator for x in point))
         return [int(x * denom) for x in point]
 
     def _euler_lasso(self, allowed, edges: list, multi: list[int]) -> Lasso | None:
@@ -768,16 +763,9 @@ class NashLassoSolver:
         if total == 0 or total > LASSO_LENGTH_CAP:
             return None
         support = [(edges[k], multi[k]) for k in range(len(edges)) if multi[k] > 0]
-        nodes = sorted({src for (src, _), _ in support}
-                       | {cls.succ for (_, cls), _ in support})
-        pos = {s: k for k, s in enumerate(nodes)}
-        succs = [[] for _ in nodes]
-        for (src, cls), _ in support:
-            succs[pos[src]].append(pos[cls.succ])
-        comps = strongly_connected_components(succs)
-        if len(comps) != 1:
-            return None
-        # Hierholzer over the multigraph, smallest successor first.
+        # Hierholzer over the multigraph, smallest successor first.  The flow
+        # is balanced, so a disconnected support leaves edges off the circuit
+        # and fails the length test below.
         out_edges: dict[int, list[tuple[int, object, int]]] = {}
         for (src, cls), m in support:
             out_edges.setdefault(src, []).append((cls.succ, cls, m))
@@ -786,7 +774,7 @@ class NashLassoSolver:
         remaining = {
             (src, id(cls)): m for (src, cls), m in support
         }
-        start = nodes[0]
+        start = min(src for (src, _), _ in support)
         circuit: list[tuple[int, object]] = []
         stack: list[tuple[int, object | None]] = [(start, None)]
         while stack:

@@ -167,13 +167,7 @@ def implement(game: Game, rm: RewardMachine) -> Game:
 
 def zero_rm(game: Game) -> RewardMachine:
     """Single-state machine handing out nothing anywhere."""
-    zero = tuple((0,) * game.n_players for _ in range(game.n_states))
-    return RewardMachine(
-        state_names=("q0",),
-        initial=0,
-        step=((0,) * game.n_states,),
-        rewards=(zero,),
-    )
+    return from_subsidy_scheme(game, {})
 
 
 def from_subsidy_scheme(game: Game, kappa: dict[int, tuple[int, ...]]) -> RewardMachine:

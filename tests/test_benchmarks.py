@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -142,6 +143,43 @@ class TestInfiniteMemoryExample:
             assert glob == Fraction(-k, 2 * k + 2)
             values.append(glob)
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def fixed_costs(n):
+    verts = [f"v{i}" for i in range(1, n + 1)]
+    return complete_digraph(n, {(u, v): 1 + (3 * i + 5 * j) % 7
+                                for i, u in enumerate(verts)
+                                for j, v in enumerate(verts) if u != v})
+
+
+OUT_STAR = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v1", "v3")))
+
+
+class TestGeneratedDocuments:
+    """The generated documents are pinned byte for byte: the CLI, the
+    reduction scripts and the benchmark all read them."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: gen_tsp_game(fixed_costs(3)),
+         "3855f5c11bca9c6dcbcea22f4578c27d1706cac70404fbffd4d0125ea5c68e02"),
+        (lambda: gen_tsp_game(fixed_costs(3), negated=True),
+         "934c5ddc8b2445c636c1ac4da2097919e95c5b15e3757252c1602664d7f1c45b"),
+        (lambda: gen_tsp_game(fixed_costs(4)),
+         "1a65542eea9a9bdac87527ee322799ad19692d37ed3f18e9141f732ab33876e4"),
+        (lambda: gen_tsp_game(fixed_costs(4), negated=True),
+         "2598210ad7770f363dfd5a247463ffb049b2421684e6220a8e4c6ed6e8d751cd"),
+        (lambda: gen_hamiltonian_game(TRIANGLE),
+         "db3b209fbe8342fc7cf3a5ec652df58019031f2a282798f4fe612a54c554ed13"),
+        (lambda: gen_hamiltonian_complement_game(TRIANGLE),
+         "df38582f61e5075fbb9ea8d94e293870616cd71f42dc0da5855005d91d17df60"),
+        (lambda: gen_hamiltonian_game(OUT_STAR),
+         "8f90127df16c32ddceef3f6d576b8fb862f47090418dba9db63f21adc01618dc"),
+        (lambda: gen_hamiltonian_complement_game(OUT_STAR),
+         "da2f5e4635f24788f638bc42ba9c06935b5617ad01b587bd00f4487dede8160e"),
+    ], ids=["tsp3", "tsp3-negated", "tsp4", "tsp4-negated", "hamiltonian-cycle",
+            "complement-cycle", "hamiltonian-out-star", "complement-out-star"])
+    def test_serialized_bytes_are_pinned(self, make, digest):
+        assert hashlib.sha256(serialize_game(make()).encode()).hexdigest() == digest
 
 
 class TestRandomGames:

@@ -196,12 +196,43 @@ class TestNeThreshold:
         solver = NashLassoSolver(game, bound=12)
         assert (solver.query_oracle(q) is not None) == solver.lp_feasible(q)
 
-    def test_lp_witness_is_valid(self, example1):
-        game, _, _ = example1
-        witness = ne_threshold(game, query1(Fraction(1, 2), Fraction(1)), backend="lp")
+    @pytest.mark.parametrize(
+        "case", ["example1", *((2, seed) for seed in range(6)),
+                 *((3, seed) for seed in (*range(6), 87))],
+        ids=lambda c: c if isinstance(c, str) else f"p{c[0]}-seed{c[1]}")
+    def test_lp_witness_is_valid(self, case):
+        """An LP witness lies in the window and no player beats it by an
+        exact best response, or it is refused; grim trigger is sound with
+        two players, so only three may refuse."""
+        if case == "example1":
+            game, players, bound = gen_example1()[0], 1, 12
+            q = query1(Fraction(1, 2), Fraction(1))
+        else:
+            (players, seed), bound = case, 8
+            game = gen_random_game(seed, n_players=players, n_states=3)
+            values = NashLassoSolver(game, bound=bound).global_values()
+            q = ThresholdQuery((NEG_INF,) * players, (POS_INF,) * players,
+                               values[len(values) // 2], POS_INF)
+        try:
+            witness = ne_threshold(game, q, backend="lp", bound=bound)
+        except SolverLimitError:
+            assert players == 3
+            return
         assert witness is not None
-        assert Fraction(1, 2) <= witness.global_payoff <= 1
+        per = witness.player_payoffs
+        assert all(lo <= v <= hi for v, lo, hi in zip(per, q.lower, q.upper))
+        assert q.global_lower <= witness.global_payoff <= q.global_upper
         assert is_ne_outcome(game, witness.lasso)
+        for i in range(players):
+            assert best_response_value(game, witness.profile.without(i), i) <= per[i]
+
+    def test_lp_refuses_uncertified_three_player_witness(self):
+        # The LP's grim-trigger profile here lets player index 2 secure -1/2
+        # against its payoff of -1; the witness must be refused, not returned.
+        game = gen_random_game(75, 3, 3, 2)
+        q = ThresholdQuery((NEG_INF,) * 3, (POS_INF,) * 3)
+        with pytest.raises(SolverLimitError, match="best-response certificate"):
+            ne_threshold(game, q, backend="lp", bound=8)
 
 
 def check_against_sweep_oracle(game, fixed, bound):
