@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .games import Game, GameStructureError, MealyStrategy
+from .games import Arena, Game, GameStructureError, MealyStrategy
 from .rewards import RewardMachine, RewardMachineError, is_beta_rm, product_arena
 from .zerosum import SolverLimitError
 
@@ -88,7 +88,7 @@ def build_auxiliary(game: Game, budget: int) -> AuxiliaryGame:
     """
     vectors = reward_vectors(game.n_players, budget)
     vec_index = {v: k for k, v in enumerate(vectors)}
-    src_states = game.reachable_states()
+    src_states = game.arena.reachable_states()
 
     pairs = [(s, vi) for s in src_states for vi in range(len(vectors))]
     pair_id = {p: k for k, p in enumerate(pairs)}
@@ -114,7 +114,7 @@ def build_auxiliary(game: Game, budget: int) -> AuxiliaryGame:
 
     transitions: dict[tuple[int, tuple[int, ...]], int] = {}
     for k, (s, vi) in enumerate(pairs):
-        for joint, succ in game.moves(s):
+        for joint, succ in game.arena.moves(s):
             for nvi in range(len(vectors)):
                 aux_joint = (vector_action[nvi],) + joint
                 transitions[(k, aux_joint)] = pair_id[(succ, nvi)]
@@ -132,9 +132,8 @@ def build_auxiliary(game: Game, budget: int) -> AuxiliaryGame:
         player_names=player_names,
         action_names=action_names,
         state_names=state_names,
-        initial=pair_id[(game.initial, zero_vi)],
-        protocol=tuple(tuple(row) for row in protocol),
-        transitions=transitions,
+        arena=Arena(pair_id[(game.initial, zero_vi)],
+                    tuple(tuple(row) for row in protocol), transitions),
         weights=tuple(tuple(row) for row in weights),
         global_weights=tuple(weights[0]),
         meta=game.meta,

@@ -52,6 +52,13 @@ class SearchResult:
     ne_exists: bool
 
 
+def _exact(**values: object) -> None:
+    for name, value in values.items():
+        # bool is an int subclass; it and floats are refused, not converted.
+        if type(value) not in (int, Fraction):
+            raise ValueError(f"{name} {value!r} is not an int or a Fraction")
+
+
 @dataclass(frozen=True)
 class ImprovementQuery:
     """Parameters of an improvement decision."""
@@ -64,6 +71,7 @@ class ImprovementQuery:
     bound: int = 12
 
     def __post_init__(self) -> None:
+        _exact(delta=self.delta, epsilon=self.epsilon)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.budget < 0:
@@ -139,7 +147,7 @@ def algorithm_trace(game: Game, epsilon: Fraction, fixed0: bool = False,
                     maximize: bool = False, backend: str = "oracle",
                     bound: int = 12) -> SearchResult:
     """Binary-search run with its iteration count, for contract checks."""
-    epsilon = Fraction(epsilon)
+    _exact(epsilon=epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     solver = NashLassoSolver(game, 0 if fixed0 else None, bound)
@@ -259,13 +267,13 @@ def _solver(solved: dict, game: Game, fixed: int | None,
             bound: int) -> NashLassoSolver:
     """Solver whose punishments are solved at most once per decision.
 
-    ``solved`` maps an arena (protocols and transitions) to the results
-    already computed on it, by (player, weight row): the values and the
-    witness depend on nothing else.  Most certify candidates are subsidy
-    schemes, whose products keep the base arena and change one player's
-    weights, so most solves of a decision are found here.
+    ``solved`` maps an :class:`Arena` object to the results already
+    computed on it, by (player, weight row): the values and the witness
+    depend on nothing else.  Most certify candidates are subsidy schemes,
+    whose products share one arena and change one player's weights, so
+    most solves of a decision are found here.
     """
-    arena = solved.setdefault((game.protocol, frozenset(game.transitions.items())), {})
+    arena = solved.setdefault(game.arena, {})
     pun = {}
     for i in range(game.n_players):
         if i != fixed:
@@ -286,8 +294,10 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     its candidate family is finite and documented, so a negative answer
     means no candidate improved, not that none exists.  Each game searched
     (base, auxiliary, each candidate product) gets one solver, which also
-    realizes the witness lasso.  Punishment solves are shared within one
-    call and never across calls.
+    realizes the witness lasso.  What an arena derives (deviation moves,
+    response classes, products) it keeps for its lifetime, across calls: all
+    subsidy-scheme products of ``game`` share one arena.  Punishment solves
+    depend on weights too; they are shared within one call, never across.
     """
     solved: dict = {}
     maximize = q.mode == "weak"

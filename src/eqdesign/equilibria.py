@@ -42,12 +42,13 @@ response, or the query is refused with ``SolverLimitError``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .games import (
     Game,
@@ -98,6 +99,8 @@ class ThresholdQuery:
         for b in (*self.lower, *self.upper, self.global_lower, self.global_upper):
             if type(b) not in (int, Fraction) and b not in (NEG_INF, POS_INF):
                 raise ValueError(f"query bound {b!r} is not an int, a Fraction or an infinity")
+        if len(self.lower) != len(self.upper):
+            raise ValueError("lower and upper bounds must cover the same players")
         for lo, hi in zip(self.lower, self.upper):
             if lo > hi:
                 raise ValueError("infeasible per-player bounds (lower > upper)")
@@ -131,12 +134,9 @@ def is_ne_outcome(game: Game, lasso: Lasso, fixed: int | None = None,
         pun = _punishments(game, fixed)
     mp = [mean_payoff(game.weights[i], lasso) for i in range(game.n_players)]
     for s, joint, _ in lasso.steps():
-        for i in range(game.n_players):
-            if i == fixed:
-                continue
-            for dev in game.deviation_successors(s, joint, i):
-                if mp[i] < pun[i].values[dev]:
-                    return False
+        for i, devs in enumerate(game.arena.deviations(s, joint)):
+            if i != fixed and any(mp[i] < pun[i].values[d] for d in devs):
+                return False
     return True
 
 
@@ -189,8 +189,8 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
         return m - 1
 
     # Per step of the lasso, the successors each punished player could force.
-    forced = [[game.deviation_successors(s, joint, i) for i in punished_players]
-              for s, joint in zip(states_at, moves_at)]
+    forced = [[devs[i] for i in punished_players]
+              for devs in map(game.arena.deviations, states_at, moves_at)]
 
     def culprits(m: int, observed: int) -> list[int]:
         prev = predecessor(m)
@@ -246,8 +246,7 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
 # Move classes and deviation ceilings
 
 
-@dataclass(frozen=True)
-class _MoveClass:
+class _MoveClass(NamedTuple):
     succ: int
     devmax: tuple[int, ...]
     joint: tuple[int, ...]
@@ -305,6 +304,8 @@ class NashLassoSolver:
                  pun: Mapping[int, PunishmentResult] | None = None):
         if bound < 1:
             raise ValueError("lasso length bound must be positive")
+        if fixed is not None and fixed not in range(game.n_players):
+            raise ValueError(f"fixed player {fixed!r} is not a player index")
         self.game = game
         self.fixed = fixed
         self.bound = bound
@@ -321,42 +322,32 @@ class NashLassoSolver:
     # -- shared structure ---------------------------------------------------
 
     def _build_classes(self) -> list[list[_MoveClass]]:
-        game = self.game
         # rank[i][d]: index of player i's punishment at d in its levels.
         rank = [
             [bisect_left(levels, v) for v in self.pun[i].values] if levels else None
             for i, levels in enumerate(self._levels)
         ]
+        # peak(i, devs): the worst punishment rank player i can force, or -1.
+        peak = functools.cache(lambda i, devs: max([rank[i][d] for d in devs])
+                               if rank[i] and devs else -1)
         per_state: list[list[_MoveClass]] = []
-        for s in range(game.n_states):
+        for moves, least, _ in self.game.arena.deviation_moves:
+            # Moves come by least joint action, so the first is the least,
+            # and a stable sort by successor keeps that order.
             by_key: dict[tuple, tuple[int, ...]] = {}
-            for joint in game.joint_actions(s):
-                succ = game.transitions[(s, joint)]
-                devmax = []
-                for i, r in enumerate(rank):
-                    devs = game.deviation_successors(s, joint, i) if r else ()
-                    devmax.append(max([r[d] for d in devs]) if devs else -1)
-                key = (succ, tuple(devmax))
-                if key not in by_key or joint < by_key[key]:
-                    by_key[key] = joint
-            classes = [
-                _MoveClass(succ, devmax, joint)
-                for (succ, devmax), joint in sorted(
-                    by_key.items(), key=lambda kv: (kv[0][0], kv[1])
-                )
-            ]
+            for (succ, devs), joint in zip(moves, least):
+                by_key.setdefault((succ, tuple(map(peak, range(len(rank)), devs))), joint)
             # Drop classes dominated by a same-successor class with weaker
             # deviation ceilings.
-            kept: list[_MoveClass] = []
-            for c in classes:
-                dominated = any(
-                    d.succ == c.succ and d.devmax != c.devmax
-                    and _vec_le(d.devmax, c.devmax)
-                    for d in classes
-                )
-                if not dominated:
-                    kept.append(c)
-            per_state.append(kept)
+            same: dict[int, list[tuple[int, ...]]] = {}
+            for succ, devmax in by_key:
+                same.setdefault(succ, []).append(devmax)
+            per_state.append([
+                _MoveClass(succ, devmax, joint)
+                for (succ, devmax), joint in sorted(by_key.items(), key=lambda kv: kv[0][0])
+                if len(same[succ]) == 1
+                or not any(d != devmax and _vec_le(d, devmax) for d in same[succ])
+            ])
         return per_state
 
     def _build_ceilings(self) -> list[tuple[int, ...]]:

@@ -134,7 +134,7 @@ def game_to_doc(game: Game) -> dict:
     transitions = {
         game.state_names[s]: {
             ",".join(game.joint_action_names(joint)): game.state_names[succ]
-            for joint, succ in game.moves(s)
+            for joint, succ in game.arena.moves(s)
         }
         for s in range(game.n_states)
     }

@@ -1,24 +1,27 @@
 """Weighted concurrent game structures and exact mean-payoff evaluation.
 
-A game couples a finite arena (states, per-player protocols, a total
-transition function over joint actions) with integer weight tables: one per
-player plus a designer-facing global table.  Plays are evaluated by the
-mean payoff of the weight sequence they induce; since every object this
-toolkit manipulates is ultimately periodic, the lim-inf average always
-equals the average over the cycle.
+A game couples a finite arena (initial state, per-player protocols, a total
+transition function over joint actions) with names and integer weight
+tables: one per player plus a designer-facing global table.  Plays are
+evaluated by the mean payoff of the weight sequence they induce; since every
+object this toolkit manipulates is ultimately periodic, the lim-inf average
+always equals the average over the cycle.
 
 States, actions and players are interned as integer ids; the string names
 are kept only for I/O.  All structures are immutable after construction and
 every operation here is pure, so values can be shared freely across
-workers.
+workers.  An :class:`Arena` builds its tables on first use and keeps them
+while it lives, for every game on it (such as all subsidy-scheme products
+of one game).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 
@@ -35,56 +38,203 @@ class InvalidStrategyError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Game:
-    """Multi-player concurrent arena with per-player and global weights.
+class Arena:
+    """Initial state, protocols and transitions: a game without names or weights.
 
-    ``protocol[i][s]`` lists the action ids player ``i`` may use at state
-    ``s`` (never empty), ``transitions[s, joint]`` is total over
-    protocol-allowed joint actions, and ``weights[i][s]`` /
-    ``global_weights[s]`` are integers.
+    ``protocol[i][s]`` lists, ascending, the actions player ``i`` may use at
+    ``s`` (never empty); ``transitions[s, joint]`` is total over them.  Checked
+    once, on construction; ``names`` (players, actions, states) label errors.
     """
+
+    initial: int
+    protocol: tuple[tuple[tuple[int, ...], ...], ...]
+    transitions: Mapping[tuple[int, tuple[int, ...]], int] = field(repr=False)
+    names: InitVar[tuple[Sequence[str], Sequence[str], Sequence[str]] | None] = None
+
+    def __post_init__(self, names) -> None:
+        if not self.protocol or not self.protocol[0]:
+            raise GameStructureError("games need at least one player and one state")
+        n, m = len(self.protocol), self.n_states
+        players, actions, states = names or (range(n), None, range(m))
+        if not 0 <= self.initial < m:
+            raise GameStructureError("initial state out of range")
+        for i, row in enumerate(self.protocol):
+            if len(row) != m:
+                raise GameStructureError(f"player {players[i]!r}: tables must cover every state")
+            for s, acts in enumerate(row):
+                if not acts:
+                    raise GameStructureError(
+                        f"empty protocol for player {players[i]!r} at state {states[s]!r}")
+        for s in range(m):
+            for joint in self.joint_actions(s):
+                succ = self.transitions.get((s, joint))
+                if succ is None:
+                    label = tuple(actions[a] for a in joint) if actions else joint
+                    raise GameStructureError(
+                        f"missing transition at state {states[s]!r} for joint action {label}")
+                if not 0 <= succ < m:
+                    raise GameStructureError("transition target out of range")
+
+    @property
+    def n_states(self) -> int:
+        return len(self.protocol[0])
+
+    def joint_actions(self, state: int) -> Iterator[tuple[int, ...]]:
+        """All protocol-allowed joint actions at ``state``, lexicographic."""
+        return itertools.product(*(row[state] for row in self.protocol))
+
+    def moves(self, state: int) -> list[tuple[tuple[int, ...], int]]:
+        return [(joint, self.transitions[(state, joint)]) for joint in self.joint_actions(state)]
+
+    def reachable_states(self, start: int | None = None) -> list[int]:
+        """States reachable from ``start`` (default: the initial state)."""
+        seen = {self.initial if start is None else start}
+        frontier = list(seen)
+        while frontier:
+            for _, succ in self.moves(frontier.pop()):
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
+        return sorted(seen)
+
+    @cached_property
+    def _tables(self):
+        return _arena_tables(self)
+
+    @property
+    def deviation_moves(self) -> tuple:
+        """Per state: its distinct ``(successor, deviation sets)`` moves, their
+        least joint actions, and each joint action's move, in :meth:`joint_actions`
+        order.  A deviation set holds the other successors one player can force."""
+        return self._tables[0]
+
+    def deviations(self, state: int, joint: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Per player, the deviation set of ``joint`` at ``state``."""
+        moves, _, of_joint = self.deviation_moves[state]
+        return moves[of_joint[list(self.joint_actions(state)).index(joint)]][1]
+
+    def response_classes(self, player: int) -> list[tuple[tuple[tuple[int, ...], tuple], ...]]:
+        """Per state, ascending, each distinct response map (``player``'s successor
+        per own action, the others' fixed) with the least joint action giving it."""
+        return self._tables[1][player]
+
+    def product(self, step: tuple[tuple[int, ...], ...], start: int
+                ) -> tuple[tuple[tuple[int, int], ...], "Arena"]:
+        """Reachable (state, machine state) pairs and their arena, for a
+        machine moving from ``q`` to ``step[q][s]`` when play leaves ``s``.
+        Pair ``k`` is product state ``k``, numbered in the order a depth-first
+        walk from ``(initial, start)`` (product state 0) first meets it.  Kept
+        by ``(step, start)``; equal arenas of different machines are one object.
+        """
+        by_step, by_hash = self._products
+        if (step, start) not in by_step:
+            pairs = [(self.initial, start)]
+            index = {pairs[0]: 0}
+            frontier = [0]
+            transitions: dict[tuple[int, tuple[int, ...]], int] = {}
+            while frontier:
+                ps = frontier.pop()
+                s, q = pairs[ps]
+                for joint, succ in self.moves(s):
+                    pt = index.setdefault((succ, step[q][s]), len(pairs))
+                    if pt == len(pairs):
+                        pairs.append((succ, step[q][s]))
+                        frontier.append(pt)
+                    transitions[ps, joint] = pt
+            protocol = tuple(tuple(row[s] for s, _ in pairs) for row in self.protocol)
+            # Equal transitions have equal joint actions, so equal protocols.
+            same = by_hash.setdefault(hash(frozenset(transitions.items())), [])
+            arena = next((a for a in same if a.transitions == transitions), None)
+            if arena is None:
+                arena = Arena(0, protocol, transitions)
+                same.append(arena)
+            by_step[step, start] = tuple(pairs), arena
+        return by_step[step, start]
+
+    @cached_property
+    def _products(self) -> tuple[dict, dict]:
+        return {}, {}
+
+
+def _arena_tables(arena: Arena):
+    """:attr:`Arena.deviation_moves` and :meth:`Arena.response_classes`,
+    from one pass over the response maps.  In :meth:`Arena.joint_actions`
+    order, a block of ``stride * k`` joint actions fixes the players before
+    player ``i`` (``k`` actions) and holds ``stride`` response maps of ``i``:
+    joint action ``a * stride + o`` of the block is action ``a`` against map
+    ``o``."""
+    moves_table = []
+    responses: list[list] = [[] for _ in arena.protocol]
+    devs_of: dict = {}  # response map -> deviation set of each action
+    intern = {}.setdefault  # one object per distinct tuple kept
+    for s in range(arena.n_states):
+        joints = list(arena.joint_actions(s))
+        succ = [arena.transitions[s, joint] for joint in joints]
+        cols = []
+        block = len(joints)
+        for player, row in enumerate(arena.protocol):
+            k = len(row[s])
+            stride = block // k
+            if stride == 1:
+                rmaps = list(zip(*[succ[a::k] for a in range(k)]))
+            else:
+                rmaps = [rmap for b in range(0, len(joints), block) for rmap in
+                         zip(*[succ[b + a * stride:b + (a + 1) * stride] for a in range(k)])]
+            # Each map's first index: earlier indices overwrite later ones.
+            first = dict(zip(reversed(rmaps), range(len(rmaps) - 1, -1, -1)))
+            classes = []
+            for rmap, g in first.items():
+                if rmap not in devs_of:
+                    devs_of[rmap] = tuple([intern(d, d) for d in [
+                        tuple(sorted({u for u in rmap if u != t})) for t in rmap]])
+                joint = joints[g // stride * block + g % stride]
+                pair = (intern(rmap, rmap), intern(joint, joint))
+                classes.append(intern(pair, pair))
+            responses[player].append(tuple(sorted(classes)))
+            devs = map(devs_of.__getitem__, rmaps)
+            if stride > 1:
+                devs = itertools.chain.from_iterable(
+                    zip(*[devs_of[rmap] for rmap in rmaps[b:b + stride]])
+                    for b in range(0, len(rmaps), stride))
+            cols.append(list(itertools.chain.from_iterable(devs)))
+            block = stride
+        index: dict[tuple, int] = {}
+        least = []
+        of_joint = []
+        for joint, key in zip(joints, zip(succ, zip(*cols))):
+            m = index.get(key)
+            if m is None:
+                m = index[key] = len(least)
+                least.append(joint)
+            of_joint.append(m)
+        moves_table.append(tuple(intern(t, t)
+                                 for t in (tuple(index), tuple(least), tuple(of_joint))))
+    return tuple(moves_table), responses
+
+
+@dataclass(frozen=True, eq=False)
+class Game:
+    """Named players, actions and states on an :class:`Arena`, with integer
+    weights ``weights[i][s]`` and ``global_weights[s]``; ``initial``,
+    ``protocol`` and ``transitions`` read the arena's."""
 
     player_names: tuple[str, ...]
     action_names: tuple[str, ...]
     state_names: tuple[str, ...]
-    initial: int
-    protocol: tuple[tuple[tuple[int, ...], ...], ...]
-    transitions: Mapping[tuple[int, tuple[int, ...]], int] = field(repr=False)
+    arena: Arena = field(repr=False)
     weights: tuple[tuple[int, ...], ...] = field(repr=False)
     global_weights: tuple[int, ...] = field(repr=False)
     meta: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         n, m = self.n_players, self.n_states
-        if n == 0 or m == 0:
-            raise GameStructureError("games need at least one player and one state")
-        if not 0 <= self.initial < m:
-            raise GameStructureError("initial state out of range")
-        if len(self.protocol) != n or len(self.weights) != n:
-            raise GameStructureError("protocol/weight tables must cover every player")
-        if len(self.global_weights) != m:
-            raise GameStructureError("global weight table must cover every state")
-        for i in range(n):
-            if len(self.protocol[i]) != m or len(self.weights[i]) != m:
-                raise GameStructureError(
-                    f"player {self.player_names[i]!r}: tables must cover every state"
-                )
-            for s in range(m):
-                if not self.protocol[i][s]:
-                    raise GameStructureError(
-                        f"empty protocol for player {self.player_names[i]!r} "
-                        f"at state {self.state_names[s]!r}"
-                    )
-        for s in range(m):
-            for joint in self.joint_actions(s):
-                succ = self.transitions.get((s, joint))
-                if succ is None:
-                    raise GameStructureError(
-                        f"missing transition at state {self.state_names[s]!r} "
-                        f"for joint action {self.joint_action_names(joint)}"
-                    )
-                if not 0 <= succ < m:
-                    raise GameStructureError("transition target out of range")
+        if ((len(self.arena.protocol), self.arena.n_states, len(self.global_weights)) != (n, m, m)
+                or [len(row) for row in self.weights] != [m] * n):
+            raise GameStructureError("arena and weight tables must cover every player and state")
+
+    initial = property(lambda self: self.arena.initial)
+    protocol = property(lambda self: self.arena.protocol)
+    transitions = property(lambda self: self.arena.transitions)
 
     @property
     def n_players(self) -> int:
@@ -94,45 +244,8 @@ class Game:
     def n_states(self) -> int:
         return len(self.state_names)
 
-    def joint_actions(self, state: int) -> Iterator[tuple[int, ...]]:
-        """All protocol-allowed joint actions at ``state``, lexicographic."""
-        return itertools.product(*(self.protocol[i][state] for i in range(self.n_players)))
-
-    def moves(self, state: int) -> list[tuple[tuple[int, ...], int]]:
-        return [(joint, self.transitions[(state, joint)]) for joint in self.joint_actions(state)]
-
     def joint_action_names(self, joint: Sequence[int]) -> tuple[str, ...]:
         return tuple(self.action_names[a] for a in joint)
-
-    def deviation_successors(self, state: int, joint: tuple[int, ...], player: int) -> set[int]:
-        """Successors player ``player`` can force by a unilateral deviation.
-
-        Deviations that land on the same successor as ``joint`` itself are
-        dropped: strategies read states only, so such deviations are
-        unobservable and cannot change the play.
-        """
-        base = self.transitions[(state, joint)]
-        out: set[int] = set()
-        for alt in self.protocol[player][state]:
-            if alt == joint[player]:
-                continue
-            dev = self.transitions[(state, joint[:player] + (alt,) + joint[player + 1 :])]
-            if dev != base:
-                out.add(dev)
-        return out
-
-    def reachable_states(self, start: int | None = None) -> list[int]:
-        """States reachable from ``start`` (default: the initial state)."""
-        root = self.initial if start is None else start
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            s = frontier.pop()
-            for _, succ in self.moves(s):
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        return sorted(seen)
 
 
 def _weight(value: object, path: str) -> int:
@@ -171,6 +284,8 @@ def make_game(
         raise GameStructureError(f"unknown initial state {initial!r}")
 
     proto: list[list[tuple[int, ...]]] = [[() for _ in states] for _ in players]
+    # Protocol rows and joint actions repeat across states: one tuple each.
+    ids_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     for sname, per_player in protocol.items():
         if sname not in sid:
             raise GameStructureError(f"protocol.{sname}: unknown state")
@@ -181,7 +296,7 @@ def make_game(
                 ids = tuple(sorted(aid[a] for a in acts))
             except KeyError as exc:
                 raise GameStructureError(f"protocol.{sname}.{pname}: unknown action {exc}")
-            proto[pid[pname]][sid[sname]] = ids
+            proto[pid[pname]][sid[sname]] = ids_of.setdefault(ids, ids)
 
     trans: dict[tuple[int, tuple[int, ...]], int] = {}
     for sname, per_joint in transitions.items():
@@ -196,7 +311,7 @@ def make_game(
                 key = tuple(aid[a] for a in joint)
             except KeyError as exc:
                 raise GameStructureError(f"transitions.{sname}: unknown action {exc}")
-            trans[(sid[sname], key)] = sid[succ]
+            trans[(sid[sname], ids_of.setdefault(key, key))] = sid[succ]
 
     wtab: list[tuple[int, ...]] = []
     for pname in players:
@@ -220,18 +335,18 @@ def make_game(
         _no_extra(weights[pname], sid, f"weights.{pname}", "state")
     _no_extra(global_weights, sid, "global_weights", "state")
 
+    arena = Arena(sid[initial], tuple(tuple(row) for row in proto), trans,
+                  names=(players, actions, states))
     game = Game(
         player_names=tuple(players),
         action_names=tuple(actions),
         state_names=tuple(states),
-        initial=sid[initial],
-        protocol=tuple(tuple(row) for row in proto),
-        transitions=trans,
+        arena=arena,
         weights=tuple(wtab),
         global_weights=tuple(grow),
         meta=tuple(sorted((meta or {}).items())),
     )
-    # Game has checked every allowed joint action, so any further transition
+    # The arena has checked every allowed joint action, so any further transition
     # is for one the protocol forbids.
     n_allowed = sum(math.prod(map(len, per_state)) for per_state in zip(*game.protocol))
     if len(trans) > n_allowed:
@@ -420,7 +535,7 @@ def lasso_from_states(game: Game, states: Sequence[int],
     moves = []
     for k, s in enumerate(seq):
         nxt = seq[k + 1] if k + 1 < len(seq) else seq[cycle_from]
-        for joint in game.joint_actions(s):
+        for joint in game.arena.joint_actions(s):
             if game.transitions[(s, joint)] == nxt:
                 moves.append(joint)
                 break

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .games import Game
+from .games import Arena, Game
 
 
 class RewardMachineError(ValueError):
@@ -92,39 +92,16 @@ def is_beta_rm(rm: RewardMachine, budget: int) -> bool:
 
 
 def product_arena(game: Game, rm: RewardMachine,
-                  ) -> tuple[list[tuple[int, int]], dict[tuple[int, tuple[int, ...]], int]]:
-    """Reachable (game state, machine state) pairs and the product's moves.
+                  ) -> tuple[tuple[tuple[int, int], ...], Arena]:
+    """Reachable (game state, machine state) pairs and the product's arena.
 
-    Pair ``k`` is product state ``k``, numbered in the order a depth-first
-    walk from ``(game.initial, rm.initial)`` (product state 0) first meets
-    it; the table maps ``(k, joint)`` to the successor's id.  This is the
-    one place that numbers product states, so code that needs the pair
-    behind a product state asks here instead of reading state names.
+    Pair ``k`` is product state ``k`` (see :meth:`Arena.product`).  This is
+    the one place that numbers product states, so code that needs the pair
+    behind a product state asks here instead of reading state names.  All
+    single-state machines on one game share the pairs and the arena object.
     """
     rm.validate_for(game)
-    pairs: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
-
-    def intern(pair: tuple[int, int]) -> int:
-        if pair not in index:
-            index[pair] = len(pairs)
-            pairs.append(pair)
-        return index[pair]
-
-    frontier = [intern((game.initial, rm.initial))]
-    transitions: dict[tuple[int, tuple[int, ...]], int] = {}
-    while frontier:
-        ps = frontier.pop()
-        s, q = pairs[ps]
-        q_next = rm.step[q][s]
-        for joint, succ in game.moves(s):
-            target = (succ, q_next)
-            known = target in index
-            pt = intern(target)
-            transitions[(ps, joint)] = pt
-            if not known:
-                frontier.append(pt)
-    return pairs, transitions
+    return game.arena.product(rm.step, rm.initial)
 
 
 def implement(game: Game, rm: RewardMachine) -> Game:
@@ -138,12 +115,9 @@ def implement(game: Game, rm: RewardMachine) -> Game:
     components' names with ``|`` for display only.
     """
     n = game.n_players
-    pairs, transitions = product_arena(game, rm)
+    pairs, arena = product_arena(game, rm)
     state_names = tuple(
         f"{game.state_names[s]}|{rm.state_names[q]}" for s, q in pairs
-    )
-    protocol = tuple(
-        tuple(game.protocol[i][s] for s, _ in pairs) for i in range(n)
     )
     weights = tuple(
         tuple(game.weights[i][s] + rm.rewards[q][s][i] for s, q in pairs)
@@ -156,9 +130,7 @@ def implement(game: Game, rm: RewardMachine) -> Game:
         player_names=game.player_names,
         action_names=game.action_names,
         state_names=state_names,
-        initial=0,
-        protocol=protocol,
-        transitions=transitions,
+        arena=arena,
         weights=weights,
         global_weights=global_weights,
         meta=game.meta,

@@ -22,7 +22,6 @@ Three layers live here:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -229,33 +228,6 @@ class PunishmentResult:
     coalition: tuple[Mapping[int, int], ...]
 
 
-def _response_classes(game: Game, player: int):
-    """Collapse coalition action profiles by their induced response map.
-
-    At each state, two coalition profiles that give the deviating player
-    the same action-to-successor map are interchangeable; only one
-    representative (lex-least) is kept.
-    """
-    others = [j for j in range(game.n_players) if j != player]
-    per_state = []
-    for s in range(game.n_states):
-        dev_actions = game.protocol[player][s]
-        seen: dict[tuple[int, ...], dict[int, int]] = {}
-        for combo in itertools.product(*(game.protocol[j][s] for j in others)):
-            joint = [0] * game.n_players
-            for j, a in zip(others, combo):
-                joint[j] = a
-            rmap = []
-            for a in dev_actions:
-                joint[player] = a
-                rmap.append(game.transitions[(s, tuple(joint))])
-            key = tuple(rmap)
-            if key not in seen:
-                seen[key] = dict(zip(others, combo))
-        per_state.append(sorted(seen.items()))
-    return per_state
-
-
 def _eval_committed(game: Game, player: int, per_state, choice: Sequence[int]):
     """Deviator's exact value per state once the coalition commits ``choice``."""
     succs = []
@@ -392,7 +364,7 @@ def punishment_values(game: Game, player: int) -> PunishmentResult:
     the credit.  It is checked against the deviator's exact best response
     before it is returned; a mismatch raises :class:`SolverLimitError`.
     """
-    per_state = _response_classes(game, player)
+    per_state = game.arena.response_classes(player)
     n = game.n_states
     moves = [[sorted(set(rmap)) for rmap, _ in classes] for classes in per_state]
     preds: list[set[int]] = [set() for _ in range(n)]
@@ -448,5 +420,6 @@ def punishment_values(game: Game, player: int) -> PunishmentResult:
             f"punishment witness for player {game.player_names[player]!r} "
             "does not hold the deviator to the computed values"
         )
-    witness = tuple(dict(per_state[s][c][1]) for s, c in enumerate(choice))
+    witness = tuple({j: a for j, a in enumerate(per_state[s][c][1]) if j != player}
+                    for s, c in enumerate(choice))
     return PunishmentResult(player=player, values=values, coalition=witness)

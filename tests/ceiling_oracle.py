@@ -5,7 +5,9 @@ player could force by deviating (``None`` when it can force nothing), drops
 dominated classes and closes the ceilings under joins, all on
 ``Fraction | None`` vectors with ``None`` below every value.  The solver keys
 the same structures by ranks into each player's sorted punishment values;
-``ceiling_values`` maps a rank vector back to values.
+``ceiling_values`` maps a rank vector back to values.  Deviation sets are
+computed one joint action and one deviation at a time, independently of the
+arena's move table.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from eqdesign.equilibria import NashLassoSolver
+from eqdesign.games import Game
 
 
 def ceiling_values(solver: NashLassoSolver, ceiling: tuple[int, ...]) -> tuple:
@@ -47,20 +50,38 @@ def _vec_join(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def deviation_successors(game: Game, state: int, joint: tuple[int, ...],
+                         player: int) -> set[int]:
+    """Successors ``player`` can force from ``joint`` by a unilateral deviation.
+
+    Deviations that land on the same successor as ``joint`` itself are
+    dropped: strategies read states only, so they are unobservable.
+    """
+    base = game.transitions[(state, joint)]
+    out: set[int] = set()
+    for alt in game.protocol[player][state]:
+        if alt == joint[player]:
+            continue
+        dev = game.transitions[(state, joint[:player] + (alt,) + joint[player + 1:])]
+        if dev != base:
+            out.add(dev)
+    return out
+
+
 def build_classes(solver: NashLassoSolver) -> list[list[tuple]]:
     """Per state, the kept ``(successor, ceiling values, joint)`` classes."""
     game = solver.game
     per_state: list[list[tuple]] = []
     for s in range(game.n_states):
         by_key: dict[tuple, tuple[int, ...]] = {}
-        for joint in game.joint_actions(s):
+        for joint in game.arena.joint_actions(s):
             succ = game.transitions[(s, joint)]
             devmax: list[Fraction | None] = []
             for i in range(game.n_players):
                 if i == solver.fixed:
                     devmax.append(None)
                     continue
-                devs = game.deviation_successors(s, joint, i)
+                devs = deviation_successors(game, s, joint, i)
                 devmax.append(
                     max(solver.pun[i].values[d] for d in devs) if devs else None
                 )

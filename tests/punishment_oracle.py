@@ -12,11 +12,11 @@ import itertools
 from fractions import Fraction
 
 from eqdesign.games import Game
-from eqdesign.zerosum import _eval_committed, _response_classes
+from eqdesign.zerosum import _eval_committed
 
 
 def brute_force_punishment(game: Game, player: int) -> tuple[Fraction, ...]:
-    per_state = _response_classes(game, player)
+    per_state = game.arena.response_classes(player)
     best: list[Fraction] | None = None
     for choice in itertools.product(*(range(len(cs)) for cs in per_state)):
         vals = _eval_committed(game, player, per_state, choice)

@@ -5,8 +5,9 @@ import pytest
 
 import eqdesign.design
 import eqdesign.equilibria
+import eqdesign.games
 from eqdesign.auxiliary import build_auxiliary
-from eqdesign.benchmarks import gen_random_game
+from eqdesign.benchmarks import gen_example1, gen_random_game
 from eqdesign.design import (
     ImprovementQuery,
     algorithm_trace,
@@ -18,7 +19,7 @@ from eqdesign.design import (
     synthesize_rm,
 )
 from eqdesign.equilibria import NashLassoSolver
-from eqdesign.games import make_game
+from eqdesign.games import _arena_tables, make_game
 from eqdesign.rewards import implement, is_beta_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
 
@@ -50,6 +51,15 @@ class TestEpsilonWorst:
     def test_empty_equilibrium_set_returns_min_weight(self, pennies_game):
         assert epsilon_worst_ne(pennies_game, Fraction(1, 2)) == 0
         assert epsilon_best_ne(pennies_game, Fraction(1, 2)) == 0
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, "1/10"])
+    def test_rejects_inexact_epsilon(self, example1, bad):
+        # A float would be searched as its binary expansion, not as written.
+        game = example1[0]
+        for search in (epsilon_worst_ne, epsilon_best_ne, algorithm_trace):
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                search(game, bad)
+        assert epsilon_worst_ne(game, 1) == epsilon_worst_ne(game, Fraction(1))
 
     def test_rejects_nonpositive_epsilon(self, example1):
         game, _, _ = example1
@@ -152,6 +162,20 @@ class TestDecideImprovement:
         assert decide_improvement(game, q_certify).decision
 
 
+class TestImprovementQuery:
+    @pytest.mark.parametrize("field", ["delta", "epsilon"])
+    @pytest.mark.parametrize("bad", [0.1, 0.5, True, False, "1/2"])
+    def test_inexact_parameters_rejected(self, field, bad):
+        values = {"delta": Fraction(1, 2), "epsilon": Fraction(1, 10), field: bad}
+        with pytest.raises(ValueError, match=f"{field} .* not an int or a Fraction"):
+            ImprovementQuery(budget=1, **values)
+
+    def test_ints_and_fractions_accepted(self):
+        q = ImprovementQuery(budget=1, delta=0, epsilon=1)
+        assert (q.delta, q.epsilon) == (0, 1)
+        ImprovementQuery(budget=1, delta=Fraction(-1, 3), epsilon=Fraction(1, 7))
+
+
 class TestPunishmentReuse:
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     @pytest.mark.parametrize("two_players", [False, True])
@@ -227,6 +251,39 @@ class TestOneSolverPerGame:
         assert len(built) == 2 and built[0] is game and not tried
 
 
+class TestArenaSharing:
+    """Every subsidy scheme's product of a game is on one arena object, and
+    each arena's tables (its deviation moves and every player's response
+    classes, from one pass) are built once, however many games share it."""
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_certify(self, mode, monkeypatch):
+        built, products = [], []
+
+        def counting_tables(arena):
+            built.append(arena)
+            return _arena_tables(arena)
+
+        def counting_implement(game, rm):
+            products.append((rm, implement(game, rm)))
+            return products[-1][1]
+
+        monkeypatch.setattr(eqdesign.games, "_arena_tables", counting_tables)
+        monkeypatch.setattr(eqdesign.design, "implement", counting_implement)
+        game = gen_example1()[0]  # fresh, so no tables come from other tests
+        q = ImprovementQuery(budget=1, delta=Fraction(10), epsilon=Fraction(1, 10),
+                             mode=mode, method="certify")
+        assert not decide_improvement(game, q).decision
+        subsidy = [product.arena for rm, product in products if rm.n_states == 1]
+        assert len(subsidy) == 10 and all(a is subsidy[0] for a in subsidy)
+        # The 12 lasso replays walk out 7 distinct product arenas.
+        arenas = {id(product.arena): product.arena for _, product in products}
+        assert len(products) == 22 and len(arenas) == 8
+        # Base game, auxiliary game, and each product arena: once each.
+        assert len(built) == len({id(a) for a in built}) == 10
+        assert game.arena in built and all(a in built for a in arenas.values())
+
+
 class TestSynthesizeRm:
     def test_witness_reverifies_within_epsilon(self, example1):
         game, _, _ = example1
@@ -284,7 +341,7 @@ class TestSynthesizeRm:
         moves = []
         for k, x in enumerate(cycle):
             nxt = cycle[(k + 1) % 6]
-            for joint in aux.game.joint_actions(x):
+            for joint in aux.game.arena.joint_actions(x):
                 if aux.game.transitions[(x, joint)] == nxt:
                     moves.append(joint)
                     break

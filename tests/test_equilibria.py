@@ -34,7 +34,7 @@ from eqdesign.games import (
 from eqdesign.zerosum import SolverLimitError, best_response_value
 
 from conftest import lasso_by_names
-from ceiling_oracle import build_ceilings, build_classes
+from ceiling_oracle import build_ceilings, build_classes, deviation_successors
 from sweep_oracle import oracle_signatures
 
 
@@ -145,6 +145,22 @@ class TestNeThreshold:
         with pytest.raises(ValueError, match="query bound"):
             ThresholdQuery((bad,), (POS_INF,))
         assert query1(-1, 2) == query1(Fraction(-1), Fraction(2))
+
+    def test_unequal_bound_lengths_rejected(self):
+        # zip would drop player 1's upper bound; the LP would index past it.
+        with pytest.raises(ValueError, match="same players"):
+            ThresholdQuery(lower=(NEG_INF, NEG_INF), upper=(Fraction(-100),))
+        with pytest.raises(ValueError, match="same players"):
+            ThresholdQuery(lower=(NEG_INF,), upper=(POS_INF, POS_INF))
+
+    @pytest.mark.parametrize("fixed", [7, -1, 2])
+    def test_fixed_player_out_of_range_rejected(self, fixed):
+        game = gen_random_game(3, 2, 3, 2)
+        with pytest.raises(ValueError, match="not a player index"):
+            NashLassoSolver(game, fixed)
+        query = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2, fixed_player=fixed)
+        with pytest.raises(ValueError, match="not a player index"):
+            ne_threshold(game, query)
 
     def test_pennies_has_no_equilibrium(self, pennies_game):
         solver = NashLassoSolver(pennies_game)
@@ -291,6 +307,41 @@ class TestCeilingRanks:
         assert [[(c.succ, values(c.devmax), c.joint) for c in per_state]
                 for per_state in solver._classes] == classes
         assert [values(c) for c in solver._ceilings] == build_ceilings(classes, n_players)
+
+
+class TestDeviationMoves:
+    """The arena's move table and response classes against one joint action
+    and one deviation at a time."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5), st.integers(2, 3))
+    def test_moves_expand_to_per_joint_deviations(self, seed, n_players, n_states, n_actions):
+        game = gen_random_game(seed, n_players, n_states, n_actions)
+        arena = game.arena
+        for s, (moves, least, of_joint) in enumerate(arena.deviation_moves):
+            joints = list(arena.joint_actions(s))
+            assert len(of_joint) == len(joints) and len(set(moves)) == len(moves)
+            for joint, m in zip(joints, of_joint):
+                devs = tuple(tuple(sorted(deviation_successors(game, s, joint, i)))
+                             for i in range(n_players))
+                assert moves[m] == (game.transitions[s, joint], devs)
+                assert arena.deviations(s, joint) == devs
+                assert least[m] <= joint
+            assert [of_joint[joints.index(j)] for j in least] == list(range(len(moves)))
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5), st.integers(2, 3))
+    def test_response_classes_keep_the_least_profile(self, seed, n_players, n_states,
+                                                     n_actions):
+        game = gen_random_game(seed, n_players, n_states, n_actions)
+        for i in range(n_players):
+            for s, classes in enumerate(game.arena.response_classes(i)):
+                least = {}
+                for joint in game.arena.joint_actions(s):
+                    rmap = tuple(game.transitions[s, joint[:i] + (a,) + joint[i + 1:]]
+                                 for a in game.protocol[i][s])
+                    least.setdefault(rmap, joint)
+                assert list(classes) == sorted(least.items())
 
 
 class TestPackedWalk:

@@ -79,9 +79,7 @@ class TestMeanPayoff:
             player_names=game.player_names,
             action_names=game.action_names,
             state_names=game.state_names,
-            initial=game.initial,
-            protocol=game.protocol,
-            transitions=game.transitions,
+            arena=game.arena,
             weights=(tuple(c * w for w in game.weights[0]), game.weights[1]),
             global_weights=game.global_weights,
         )

@@ -67,7 +67,7 @@ class TestMaxMeanCycle:
 
     def test_delivery_product_reward_rate(self, example1_products):
         product, _ = example1_products
-        succs = [sorted({succ for _, succ in product.moves(s)})
+        succs = [sorted({succ for _, succ in product.arena.moves(s)})
                  for s in range(product.n_states)]
         values = max_mean_value_function(succs, product.weights[0])
         assert values[product.initial] == Fraction(1, 3)
