@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Print one line per answer to a fixed set of exact questions.
+
+Two checkouts that print the same lines give the same answers, so a change
+meant to leave every answer alone is checked by running this script on both
+and comparing the outputs byte for byte::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python scripts/answer_digest.py > after.txt
+    cmp before.txt after.txt
+
+The lines cover the four criterion-5 improvement decisions, the serialized
+Hamiltonian constructions, and, on seeded random games with two and three
+players: every equilibrium signature (as a digest), the extreme witnesses,
+oracle and LP answers on point and half-line designer windows and on
+player windows, and
+binary-search runs.  Only public names are used, so the script runs
+unchanged against older checkouts.
+"""
+
+import argparse
+import hashlib
+from fractions import Fraction
+
+from eqdesign.benchmarks import (
+    CostDigraph,
+    gen_hamiltonian_complement_game,
+    gen_hamiltonian_game,
+    gen_random_game,
+)
+from eqdesign.design import ImprovementQuery, algorithm_trace, decide_improvement
+from eqdesign.equilibria import NEG_INF, POS_INF, NashLassoSolver, ThresholdQuery
+from eqdesign.fileio import serialize_game
+from eqdesign.zerosum import SolverLimitError
+
+WITH_PATH = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v2", "v3"), ("v3", "v1")))
+WITHOUT_PATH = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v1", "v3")))
+# Designer thresholds of the windows asked on every random game.
+THRESHOLDS = tuple(Fraction(k, 2) for k in range(-5, 6)) + (Fraction(1, 3), Fraction(-2, 3))
+EPSILONS = (Fraction(1), Fraction(1, 8))
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def answer(fn, show=repr) -> str:
+    """``show(fn())``, or the refusal ``fn`` raised."""
+    try:
+        return show(fn())
+    except SolverLimitError as exc:
+        return f"refused: {exc}"
+
+
+def witness_line(w) -> str:
+    if w is None:
+        return "None"
+    return f"{w.lasso!r} {w.player_payoffs!r} {w.global_payoff!r}"
+
+
+def decisions() -> None:
+    for mode, make in (("strong", gen_hamiltonian_game),
+                       ("weak", gen_hamiltonian_complement_game)):
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1),
+                             mode=mode, method="certify")
+        for name, graph in (("with", WITH_PATH), ("without", WITHOUT_PATH)):
+            ans = decide_improvement(make(graph), q)
+            key = None if ans.witness_rm is None else ans.witness_rm.canonical_key()
+            print(f"decision {mode} {name}: {'yes' if ans.decision else 'no'} "
+                  f"{ans.baseline_value} {ans.improved_value} {key!r} {ans.witness_lasso!r}")
+    for name, graph in (("with", WITH_PATH), ("without", WITHOUT_PATH)):
+        for make in (gen_hamiltonian_game, gen_hamiltonian_complement_game):
+            print(f"serialized {make.__name__} {name}: {digest(serialize_game(make(graph)))}")
+
+
+def threshold_line(tag: str, solver: NashLassoSolver, q: ThresholdQuery) -> None:
+    print(f"{tag}: {solver.query_oracle(q)!r} {solver.lp_feasible(q)} "
+          f"{answer(lambda: solver.lp_witness(q), witness_line)}")
+
+
+def random_game(seed: int, n_players: int, fixed) -> None:
+    game = gen_random_game(seed, n_players, 2 + seed % 4, 2)
+    bound = 3 + seed % 6
+    tag = f"game {seed} {n_players} {fixed} {bound}"
+    solver = NashLassoSolver(game, fixed, bound)
+    sigs = solver.signatures()
+    print(f"{tag} signatures: {len(sigs)} {digest(repr(sigs))}")
+    for maximize in (False, True):
+        rec = solver.extreme_signature(maximize)
+        w = answer(lambda: None if rec is None else solver.witness(rec), witness_line)
+        print(f"{tag} extreme {maximize}: {rec!r} {w}")
+    free = ((NEG_INF,) * n_players, (POS_INF,) * n_players)
+    for c in THRESHOLDS:
+        for lo, hi in ((c, c), (NEG_INF, c), (c, POS_INF)):
+            q = ThresholdQuery(*free, lo, hi, fixed)
+            threshold_line(f"{tag} window [{lo}, {hi}]", solver, q)
+        # Player windows: the first player at least c, the last at most -c.
+        lower, upper = list(free[0]), list(free[1])
+        lower[0], upper[-1] = c, -c
+        q = ThresholdQuery(tuple(lower), tuple(upper), NEG_INF, POS_INF, fixed)
+        threshold_line(f"{tag} players {c}", solver, q)
+    for maximize in (False, True):
+        for eps in EPSILONS:
+            for backend in ("oracle", "lp"):
+                r = answer(lambda: algorithm_trace(game, eps, fixed == 0, maximize,
+                                                   backend, bound))
+                print(f"{tag} search {maximize} {eps} {backend}: {r}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, default=50,
+                        help="random games per player count and fixed player (default 50)")
+    args = parser.parse_args()
+    decisions()
+    for seed in range(args.seeds):
+        for n_players in (2, 3):
+            for fixed in (None, 0):
+                random_game(seed, n_players, fixed)
+
+
+if __name__ == "__main__":
+    main()

@@ -33,9 +33,9 @@ from .design import (
     decide_improvement,
     epsilon_best_ne,
     epsilon_worst_ne,
-    exact_best_ne,
-    exact_worst_ne,
+    _extreme_witness,
 )
+from .equilibria import NashLassoSolver
 from .fileio import (
     DocumentError,
     canonical_json,
@@ -244,32 +244,30 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     game = _load_game(args.game)
-    worst = exact_worst_ne(game, bound=args.bound)
-    best = exact_best_ne(game, bound=args.bound)
-    doc: dict = {
-        "command": "verify",
-        "game_worst_ne": None if worst is None else str(worst.global_payoff),
-        "game_best_ne": None if best is None else str(best.global_payoff),
-    }
-    summary = {
-        "game_worst_ne": "none" if worst is None else worst.global_payoff,
-    }
+    doc: dict = {"command": "verify"}
+    summary: dict = {}
+    worst = _verify_extremes(game, "game", args.bound, doc, summary)
     if args.rm is not None:
         rm = parse_rm(Path(args.rm).read_text(), game)
         if args.budget is not None:
             doc["within_budget"] = is_beta_rm(rm, args.budget)
-        product = implement(game, rm)
-        p_worst = exact_worst_ne(product, bound=args.bound)
-        p_best = exact_best_ne(product, bound=args.bound)
-        doc["product_worst_ne"] = None if p_worst is None else str(p_worst.global_payoff)
-        doc["product_best_ne"] = None if p_best is None else str(p_best.global_payoff)
-        summary["product_worst_ne"] = (
-            "none" if p_worst is None else p_worst.global_payoff
-        )
+        p_worst = _verify_extremes(implement(game, rm), "product", args.bound, doc, summary)
         if worst is not None and p_worst is not None:
             doc["worst_improvement"] = str(p_worst.global_payoff - worst.global_payoff)
     _emit(out, summary, doc)
     return EXIT_YES
+
+
+def _verify_extremes(game: Game, name: str, bound: int, doc: dict, summary: dict):
+    """Record ``game``'s certified worst and best equilibrium values, both
+    from one solver; return the worst witness."""
+    solver = NashLassoSolver(game, None, bound)
+    worst = _extreme_witness(solver, False)
+    best = _extreme_witness(solver, True)
+    doc[f"{name}_worst_ne"] = None if worst is None else str(worst.global_payoff)
+    doc[f"{name}_best_ne"] = None if best is None else str(best.global_payoff)
+    summary[f"{name}_worst_ne"] = "none" if worst is None else worst.global_payoff
+    return worst
 
 
 def cli_main(argv: list[str], out=None) -> int:

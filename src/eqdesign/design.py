@@ -1,11 +1,12 @@
 """Approximation of extreme equilibrium values and reward-machine design.
 
 The extreme designer values over equilibria are approximated by binary
-search: each probe asks the threshold solver whether some equilibrium has
-its designer payoff inside one half of the current bracket.  The worst
-value is approached from above, the best from below, each within the
-requested tolerance.  Games with no equilibrium at all fall back to the
-least global weight, matching the convention the rest of the toolkit uses.
+search: each probe asks whether some equilibrium has its designer payoff
+inside one half of the current bracket.  The worst value is approached from
+above, the best from below, each within the requested tolerance; the
+bounded oracle answers every probe from the one extreme signature.  Games
+with no equilibrium at all fall back to the least global weight, matching
+the convention the rest of the toolkit uses.
 
 The improvement decision comes in two flavours.  ``paper`` compares the
 approximated designer-fixed extreme of the auxiliary game against the base
@@ -18,7 +19,6 @@ may witness the answer.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +30,8 @@ from .equilibria import (
     NashLassoSolver,
     NEWitness,
     ThresholdQuery,
+    _meets,
+    _row,
 )
 from .games import Game, Lasso, MealyStrategy
 from .rewards import RewardMachine, from_subsidy_scheme, implement
@@ -74,8 +76,10 @@ class ImprovementQuery:
         _exact(delta=self.delta, epsilon=self.epsilon)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.budget < 0:
-            raise ValueError("budget must be a natural number")
+        if type(self.budget) is not int or self.budget < 0:
+            raise ValueError(f"budget {self.budget!r} is not a natural number")
+        if type(self.bound) is not int or self.bound < 1:
+            raise ValueError(f"lasso length bound {self.bound!r} is not a positive int")
         if self.mode not in ("strong", "weak"):
             raise ValueError("mode must be 'strong' or 'weak'")
         if self.method not in ("certify", "paper"):
@@ -106,12 +110,15 @@ def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
         )
 
     if backend == "oracle":
-        values = solver.global_values()
-        exists = bool(values)
+        rec = solver.extreme_signature(maximize)
+        exists = rec is not None
 
         def probe(lo: Fraction, hi: Fraction) -> bool:
-            k = bisect.bisect_left(values, lo)
-            return k < len(values) and values[k] <= hi
+            # The worst value stays at or above the bracket's lower edge, the
+            # best at or below its upper edge, so a window holds a value exactly
+            # when its other edge admits the extreme.
+            row = _row(game.n_players, 1, lo) if maximize else _row(game.n_players, -1, hi)
+            return _meets((row,), rec[3], rec[2])
     elif backend == "lp":
         exists = solver.lp_feasible(global_query(NEG_INF, POS_INF))
 
@@ -171,19 +178,21 @@ def epsilon_best_ne(game: Game, epsilon: Fraction, fixed0: bool = False,
     return algorithm_trace(game, epsilon, fixed0, True, backend, bound).value
 
 
+def _extreme_witness(solver: NashLassoSolver, maximize: bool) -> NEWitness | None:
+    """Certified witness of the solver's least (or greatest) designer value."""
+    rec = solver.extreme_signature(maximize)
+    return solver.witness(rec) if rec is not None else None
+
+
 def exact_worst_ne(game: Game, fixed: int | None = None,
                    bound: int = 12) -> NEWitness | None:
     """Exact least designer value over equilibrium lassos within the bound."""
-    solver = NashLassoSolver(game, fixed, bound)
-    rec = solver.extreme_signature(maximize=False)
-    return solver.witness(rec) if rec is not None else None
+    return _extreme_witness(NashLassoSolver(game, fixed, bound), False)
 
 
 def exact_best_ne(game: Game, fixed: int | None = None,
                   bound: int = 12) -> NEWitness | None:
-    solver = NashLassoSolver(game, fixed, bound)
-    rec = solver.extreme_signature(maximize=True)
-    return solver.witness(rec) if rec is not None else None
+    return _extreme_witness(NashLassoSolver(game, fixed, bound), True)
 
 
 def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:

@@ -12,8 +12,9 @@ classes and the lattice of deviation ceilings, so both are keyed by ranks:
 each non-fixed player's distinct punishment values are sorted once, and a
 ceiling holds per player the index of the worst punishment it admits, or -1
 where no deviation is observable (always for the fixed player).  The join
-is the elementwise max, domination the elementwise ``<=``; values come back
-only as the floors a cycle payoff must reach.
+is the elementwise max, domination the elementwise ``<=``.  A ceiling's
+floors and a query's window are payoff rows alike (``NashLassoSolver._rows``),
+which the sweep, the oracle's window test, the LP and its witness check read.
 
 Two backends answer threshold queries:
 
@@ -23,14 +24,14 @@ Two backends answer threshold queries:
   enumerates achievable weight-sum vectors rather than raw walks.  Each
   vector (every player, then the global table) is packed into one int of
   fixed-width signed fields, so a step of the walk is one int addition; a
-  closed cycle is decoded once and checked against each floor ``p/q`` by
-  integer cross-multiplication.  ``realize`` replays the same walk and
+  closed cycle is decoded once and checked against each row by integer
+  cross-multiplication.  ``realize`` replays the same walk and
   follows a signature's packed sums back to a concrete lasso.
 * ``lp`` - unbounded cycle-frequency feasibility: for every deviation
   ceiling and every strongly connected sub-arena, an exact LP over move
   frequencies decides whether a cycle with the requested payoffs exists.
-  Its rows are integers: each is multiplied by one common ``L``, the lcm of
-  the denominators of the ceilings and query bounds it uses, so the
+  Its rows are integers: each payoff row is multiplied by one common ``L``,
+  the lcm of the denominators of its bounds, so the
   fraction-free simplex reaches the vertex of the unscaled rational LP.  A
   frequency vertex is scaled to integers and unrolled into an Euler circuit
   to recover a concrete lasso.
@@ -101,11 +102,12 @@ class ThresholdQuery:
                 raise ValueError(f"query bound {b!r} is not an int, a Fraction or an infinity")
         if len(self.lower) != len(self.upper):
             raise ValueError("lower and upper bounds must cover the same players")
-        for lo, hi in zip(self.lower, self.upper):
-            if lo > hi:
-                raise ValueError("infeasible per-player bounds (lower > upper)")
-        if self.global_lower > self.global_upper:
-            raise ValueError("infeasible global bounds (lower > upper)")
+        if self.fixed_player is not None and type(self.fixed_player) is not int:
+            raise ValueError(f"fixed player {self.fixed_player!r} is not a player index")
+        # A lower bound of +inf or an upper bound of -inf admits no payoff.
+        for lo, hi in (*zip(self.lower, self.upper), (self.global_lower, self.global_upper)):
+            if lo > hi or lo == POS_INF or hi == NEG_INF:
+                raise ValueError(f"empty payoff window [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -289,6 +291,17 @@ def _unpack_sums(x: int, width: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _row(k: int, sign: int, bound) -> tuple[int, int, int]:
+    """Payoff row ``sign * payoff k >= sign * p/q`` (the designer's at ``k = n``),
+    kept as the integers ``(k, sign*q, sign*p)``."""
+    return k, sign * bound.denominator, sign * bound.numerator
+
+
+def _meets(rows: Sequence[tuple[int, int, int]], sums: Sequence, length: int) -> bool:
+    """Whether weight ``sums`` over ``length`` steps pass every row."""
+    return all(sums[k] * q >= p * length for k, q, p in rows)
+
+
 class NashLassoSolver:
     """Threshold queries over one game, one fixed player, one length bound.
 
@@ -302,9 +315,10 @@ class NashLassoSolver:
 
     def __init__(self, game: Game, fixed: int | None = None, bound: int = 12,
                  pun: Mapping[int, PunishmentResult] | None = None):
-        if bound < 1:
-            raise ValueError("lasso length bound must be positive")
-        if fixed is not None and fixed not in range(game.n_players):
+        if type(bound) is not int or bound < 1:
+            raise ValueError(f"lasso length bound {bound!r} is not a positive int")
+        # bool is an int subclass; True is refused, not read as player 1.
+        if fixed is not None and (type(fixed) is not int or fixed not in range(game.n_players)):
             raise ValueError(f"fixed player {fixed!r} is not a player index")
         self.game = game
         self.fixed = fixed
@@ -368,9 +382,28 @@ class NashLassoSolver:
                         raise SolverLimitError("deviation ceiling lattice too large")
         return sorted(closed)
 
-    def _floors(self, ceiling: tuple[int, ...]) -> list[tuple[int, Fraction]]:
-        """``(player, punishment value)`` a cycle payoff must reach under ``ceiling``."""
-        return [(i, self._levels[i][r]) for i, r in enumerate(ceiling) if r >= 0]
+    def _rows(self, ceiling: tuple[int, ...] | None,
+              query: ThresholdQuery | None = None) -> list[tuple[int, int, int]]:
+        """Payoff rows (:func:`_row`) of ``ceiling`` and ``query``, either absent.
+
+        Per player the ceiling's floor, the query's lower and upper bound;
+        then the global bounds.  Infinite bounds make no row.  The LP keeps
+        this order, and Bland's rule follows it.
+        """
+        n = self.game.n_players
+        windows = () if query is None else (*zip(query.lower, query.upper),
+                                            (query.global_lower, query.global_upper))
+        rows = []
+        for k in range(n + 1):
+            if ceiling is not None and k < n and ceiling[k] >= 0:
+                rows.append(_row(k, 1, self._levels[k][ceiling[k]]))
+            if windows:
+                lo, hi = windows[k]
+                if lo != NEG_INF:
+                    rows.append(_row(k, 1, lo))
+                if hi != POS_INF:
+                    rows.append(_row(k, -1, hi))
+        return rows
 
     def _allowed(self, ceiling: tuple[int, ...]) -> list[list[_MoveClass]]:
         return [
@@ -435,8 +468,7 @@ class NashLassoSolver:
         out: list[tuple] = []
         seen: set[tuple[int, int, int]] = set()
         for ci, ceiling in enumerate(self._ceilings):
-            # Cycle payoff sums/length must reach each floor p/q.
-            floors = [(i, c.numerator, c.denominator) for i, c in self._floors(ceiling)]
+            floors = self._rows(ceiling)
             allowed = self._allowed(ceiling)
             tree = self._tree(allowed)
             for anchor in sorted(tree):
@@ -452,7 +484,7 @@ class NashLassoSolver:
                         if key in seen:
                             continue
                         sums = _unpack_sums(packed, width, n_sums)
-                        if all(sums[i] * q >= p * length for i, p, q in floors):
+                        if _meets(floors, sums, length):
                             seen.add(key)
                             out.append((ci, anchor, length, sums, prefix_len))
         # Designer value sums/length in units of 1/lcm(1..bound): exact ints.
@@ -500,16 +532,6 @@ class NashLassoSolver:
             yield nxt
             layer = nxt
 
-    @staticmethod
-    def _sums_in_bounds(query: ThresholdQuery, sums: tuple[int, ...],
-                        length: int) -> bool:
-        for i, (lo, hi) in enumerate(zip(query.lower, query.upper)):
-            v = Fraction(sums[i], length)
-            if v < lo or v > hi:
-                return False
-        g = Fraction(sums[-1], length)
-        return query.global_lower <= g <= query.global_upper
-
     def global_values(self) -> list[Fraction]:
         """Sorted distinct designer values over all equilibrium signatures."""
         vals = {Fraction(rec[3][-1], rec[2]) for rec in self._sweep()}
@@ -521,10 +543,8 @@ class NashLassoSolver:
     def query_oracle(self, query: ThresholdQuery) -> tuple | None:
         """Least signature satisfying the query, or None."""
         self._check_query(query)
-        for rec in self._sweep():
-            if self._sums_in_bounds(query, rec[3], rec[2]):
-                return rec
-        return None
+        window = self._rows(None, query)
+        return next((rec for rec in self._sweep() if _meets(window, rec[3], rec[2])), None)
 
     def extreme_signature(self, maximize: bool = False) -> tuple | None:
         sweep = self._sweep()
@@ -643,10 +663,8 @@ class NashLassoSolver:
             if lasso is None:
                 continue
             w = self._certify(lasso)
-            in_bounds = all(
-                lo <= v <= hi for v, lo, hi in zip(w.player_payoffs, query.lower, query.upper)
-            ) and query.global_lower <= w.global_payoff <= query.global_upper
-            if not in_bounds:
+            # A payoff is its own weight sum over one step.
+            if not _meets(self._rows(None, query), (*w.player_payoffs, w.global_payoff), 1):
                 raise SolverLimitError("lp realization drifted out of bounds")
             return w
         if feasible_seen:
@@ -679,48 +697,25 @@ class NashLassoSolver:
 
     def _lp_solve(self, query: ThresholdQuery, ceiling: tuple,
                   members: set[int], edges: list, normalized: bool):
-        game = self.game
         n_vars = len(edges)
         # Every row is scaled by one common L, the lcm of the denominators of
         # the bounds this LP uses: the phase-1 objective is then L times the
         # unscaled one and Bland's rule takes the same pivots to the same
         # vertex.  Scaling each row by its own denominator would reweight the
         # artificial sum and can change the vertex.
-        floors = dict(self._floors(ceiling))
-        bounds = [*floors.values()] + [
-            b for b in (*query.lower, *query.upper, query.global_lower, query.global_upper)
-            if b not in (NEG_INF, POS_INF)]
-        scale = math.lcm(1, *(b.denominator for b in bounds))
-
-        def at_least(targets: list[int], b, sign: int) -> Constraint:
-            # sign * (t - b) >= 0, times L.
-            c = scale // b.denominator * b.numerator
-            return Constraint(tuple(sign * (scale * t - c) for t in targets), ">=", 0)
-
+        rows = self._rows(ceiling, query)
+        scale = math.lcm(1, *(abs(q) for _, q, _ in rows))
         cons: list[Constraint] = []
         if normalized:
             cons.append(Constraint((scale,) * n_vars, "==", scale))
-        for s in sorted(members):
-            row = [0] * n_vars
-            for k, (src, cls) in enumerate(edges):
-                if src == s:
-                    row[k] += scale
-                if cls.succ == s:
-                    row[k] -= scale
-            cons.append(Constraint(tuple(row), "==", 0))
-        for i in range(game.n_players):
-            targets = [game.weights[i][src] for src, _ in edges]
-            if i in floors:
-                cons.append(at_least(targets, floors[i], 1))
-            if query.lower[i] != NEG_INF:
-                cons.append(at_least(targets, query.lower[i], 1))
-            if query.upper[i] != POS_INF:
-                cons.append(at_least(targets, query.upper[i], -1))
-        gl = [game.global_weights[src] for src, _ in edges]
-        if query.global_lower != NEG_INF:
-            cons.append(at_least(gl, query.global_lower, 1))
-        if query.global_upper != POS_INF:
-            cons.append(at_least(gl, query.global_upper, -1))
+        # Flow conservation: each member's moves out balance its moves in.
+        cons += [Constraint(tuple(scale * ((src == s) - (cls.succ == s)) for src, cls in edges),
+                            "==", 0) for s in sorted(members)]
+        # Row (k, sign*q, sign*p) times L: L/q * (sign*q*w - sign*p) >= 0 per move.
+        tables = (*self.game.weights, self.game.global_weights)
+        for k, q, p in rows:
+            cons.append(Constraint(
+                tuple(scale // abs(q) * (q * tables[k][src] - p) for src, _ in edges), ">=", 0))
         lbs = None if normalized else [1] * n_vars
         return feasible_point(n_vars, cons, lbs)
 

@@ -86,9 +86,9 @@ class Arena:
     def moves(self, state: int) -> list[tuple[tuple[int, ...], int]]:
         return [(joint, self.transitions[(state, joint)]) for joint in self.joint_actions(state)]
 
-    def reachable_states(self, start: int | None = None) -> list[int]:
-        """States reachable from ``start`` (default: the initial state)."""
-        seen = {self.initial if start is None else start}
+    def reachable_states(self) -> list[int]:
+        """States reachable from the initial state."""
+        seen = {self.initial}
         frontier = list(seen)
         while frontier:
             for _, succ in self.moves(frontier.pop()):
@@ -159,10 +159,11 @@ class Arena:
 def _arena_tables(arena: Arena):
     """:attr:`Arena.deviation_moves` and :meth:`Arena.response_classes`,
     from one pass over the response maps.  In :meth:`Arena.joint_actions`
-    order, a block of ``stride * k`` joint actions fixes the players before
-    player ``i`` (``k`` actions) and holds ``stride`` response maps of ``i``:
-    joint action ``a * stride + o`` of the block is action ``a`` against map
-    ``o``."""
+    order, a block of ``stride * k`` joint actions from ``b`` fixes the
+    players before player ``i`` (``k`` actions); for ``b <= o < b + stride``,
+    joint actions ``o, o + stride, ...`` of the block are ``i``'s actions
+    against one profile of the others, so ``succ[o:b + block:stride]`` is a
+    response map, least at ``joints[o]``."""
     moves_table = []
     responses: list[list] = [[] for _ in arena.protocol]
     devs_of: dict = {}  # response map -> deviation set of each action
@@ -173,30 +174,20 @@ def _arena_tables(arena: Arena):
         cols = []
         block = len(joints)
         for player, row in enumerate(arena.protocol):
-            k = len(row[s])
-            stride = block // k
-            if stride == 1:
-                rmaps = list(zip(*[succ[a::k] for a in range(k)]))
-            else:
-                rmaps = [rmap for b in range(0, len(joints), block) for rmap in
-                         zip(*[succ[b + a * stride:b + (a + 1) * stride] for a in range(k)])]
-            # Each map's first index: earlier indices overwrite later ones.
-            first = dict(zip(reversed(rmaps), range(len(rmaps) - 1, -1, -1)))
-            classes = []
-            for rmap, g in first.items():
-                if rmap not in devs_of:
-                    devs_of[rmap] = tuple([intern(d, d) for d in [
-                        tuple(sorted({u for u in rmap if u != t})) for t in rmap]])
-                joint = joints[g // stride * block + g % stride]
-                pair = (intern(rmap, rmap), intern(joint, joint))
-                classes.append(intern(pair, pair))
-            responses[player].append(tuple(sorted(classes)))
-            devs = map(devs_of.__getitem__, rmaps)
-            if stride > 1:
-                devs = itertools.chain.from_iterable(
-                    zip(*[devs_of[rmap] for rmap in rmaps[b:b + stride]])
-                    for b in range(0, len(rmaps), stride))
-            cols.append(list(itertools.chain.from_iterable(devs)))
+            stride = block // len(row[s])
+            col = [None] * len(joints)
+            first: dict = {}  # response map -> its least joint action
+            for b in range(0, len(joints), block):
+                for o in range(b, b + stride):
+                    rmap = tuple(succ[o:b + block:stride])
+                    if rmap not in devs_of:
+                        devs_of[rmap] = tuple([intern(d, d) for d in [
+                            tuple(sorted({u for u in rmap if u != t})) for t in rmap]])
+                    first.setdefault(rmap, joints[o])
+                    col[o:b + block:stride] = devs_of[rmap]
+            classes = [(intern(rmap, rmap), intern(joint, joint)) for rmap, joint in first.items()]
+            responses[player].append(tuple(sorted(intern(pair, pair) for pair in classes)))
+            cols.append(col)
             block = stride
         index: dict[tuple, int] = {}
         least = []
@@ -490,7 +481,7 @@ def payoffs(game: Game, lasso: Lasso) -> tuple[tuple[Fraction, ...], Fraction]:
     return per, mean_payoff(game.global_weights, lasso)
 
 
-def run_profile(game: Game, profile: StrategyProfile, start: int | None = None) -> Lasso:
+def run_profile(game: Game, profile: StrategyProfile) -> Lasso:
     """Unique lasso induced by a complete deterministic profile.
 
     Simulates the joint (state, memory vector) evolution until the first
@@ -501,7 +492,7 @@ def run_profile(game: Game, profile: StrategyProfile, start: int | None = None) 
         raise InvalidStrategyError("profile must cover exactly the game's players")
     profile.validate(game)
     strats = [profile.strategy_for(i) for i in range(game.n_players)]
-    state = game.initial if start is None else start
+    state = game.initial
     mems = tuple(st.initial for st in strats)
     seen: dict[tuple[int, tuple[int, ...]], int] = {}
     states: list[int] = []
@@ -524,29 +515,3 @@ def run_profile(game: Game, profile: StrategyProfile, start: int | None = None) 
     lasso.validate(game)
     return lasso
 
-
-def lasso_from_states(game: Game, states: Sequence[int],
-                      cycle_from: int) -> Lasso:
-    """Build a lasso from a state walk, choosing lex-least realizing actions.
-
-    ``states[cycle_from:]`` must return to ``states[cycle_from]``.
-    """
-    seq = list(states)
-    moves = []
-    for k, s in enumerate(seq):
-        nxt = seq[k + 1] if k + 1 < len(seq) else seq[cycle_from]
-        for joint in game.arena.joint_actions(s):
-            if game.transitions[(s, joint)] == nxt:
-                moves.append(joint)
-                break
-        else:
-            raise InvalidLassoError(
-                f"no joint action realizes {game.state_names[s]!r} -> "
-                f"{game.state_names[nxt]!r}"
-            )
-    return Lasso(
-        prefix_states=tuple(seq[:cycle_from]),
-        cycle_states=tuple(seq[cycle_from:]),
-        prefix_moves=tuple(moves[:cycle_from]),
-        cycle_moves=tuple(moves[cycle_from:]),
-    )

@@ -1,8 +1,10 @@
 import pytest
 
 from eqdesign.benchmarks import gen_example1, gen_infinite_memory_example
-from eqdesign.games import Game, MealyStrategy, lasso_from_states, make_game
+from eqdesign.games import Game, MealyStrategy, make_game
 from eqdesign.rewards import implement
+
+from lasso_walks import lasso_from_states
 
 
 @pytest.fixture(scope="session")

@@ -6,13 +6,20 @@ with ``Fraction`` comparisons, reading each ceiling's values from the
 punishment tables.  It reads the solver's ceilings, allowed classes and
 initial-state tree but none of its walk, so it checks the packing, the
 shared successor sets and the integer ceiling test.
+
+``fraction_window_test`` and ``bisect_search`` are the same kind of
+reference for the payoff rows: a query window checked with one ``Fraction``
+per payoff, and the oracle binary search bisecting the sorted list of every
+designer value instead of reading the extreme signature.
 """
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
-from eqdesign.equilibria import NashLassoSolver
+from eqdesign.design import SearchResult
+from eqdesign.equilibria import NashLassoSolver, ThresholdQuery
 
 from ceiling_oracle import ceiling_values
 
@@ -97,3 +104,44 @@ def _cycle_is_equilibrium(solver: NashLassoSolver, ceiling: tuple,
         if Fraction(sums[i], length) < c:
             return False
     return True
+
+
+def fraction_window_test(query: ThresholdQuery, sums: tuple[int, ...], length: int) -> bool:
+    """Whether the cycle averages ``sums / length`` lie in the query window."""
+    for i, (lo, hi) in enumerate(zip(query.lower, query.upper)):
+        v = Fraction(sums[i], length)
+        if v < lo or v > hi:
+            return False
+    g = Fraction(sums[-1], length)
+    return query.global_lower <= g <= query.global_upper
+
+
+def bisect_search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool) -> SearchResult:
+    """Oracle binary search whose probes bisect every designer value."""
+    game = solver.game
+    values = solver.global_values()
+
+    def probe(lo: Fraction, hi: Fraction) -> bool:
+        k = bisect.bisect_left(values, lo)
+        return k < len(values) and values[k] <= hi
+
+    min_w = Fraction(min(game.global_weights))
+    max_w = Fraction(max(game.global_weights))
+    if not values:
+        return SearchResult(min_w, 0, False)
+    a1, a2 = min_w, max_w
+    iterations = 0
+    while a2 - a1 >= epsilon:
+        iterations += 1
+        mid = (a1 + a2) / 2
+        if maximize:
+            if probe(mid, a2):
+                a1 = mid
+            else:
+                a2 = mid
+        else:
+            if probe(a1, mid):
+                a2 = mid
+            else:
+                a1 = mid
+    return SearchResult(a1 if maximize else a2, iterations, True)

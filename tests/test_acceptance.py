@@ -41,9 +41,11 @@ from eqdesign.equilibria import (
     ThresholdQuery,
     is_ne_outcome,
 )
-from eqdesign.games import StrategyProfile, lasso_from_states, payoffs, run_profile
+from eqdesign.games import StrategyProfile, payoffs, run_profile
 from eqdesign.rewards import implement, is_beta_rm, k_cycle_delivery_rm
 from eqdesign.zerosum import best_response_value
+
+from lasso_walks import lasso_from_states
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -145,7 +145,7 @@ class TestStrategyToRm:
         """Replaying the designer lasso with rewards (0),(0),(1) gives a
         machine whose product matches the one-cycle delivery value."""
         from eqdesign.design import replay_strategy
-        from eqdesign.games import lasso_from_states
+        from lasso_walks import lasso_from_states
 
         game, _, _ = example1
         aux = build_auxiliary(game, 1)

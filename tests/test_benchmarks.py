@@ -16,10 +16,11 @@ from eqdesign.benchmarks import (
 from eqdesign.design import epsilon_worst_ne, exact_worst_ne
 from eqdesign.equilibria import is_ne_outcome
 from eqdesign.fileio import serialize_game
-from eqdesign.games import GameStructureError, lasso_from_states, payoffs
+from eqdesign.games import GameStructureError, payoffs
 from eqdesign.rewards import implement
 
 from conftest import lasso_by_names
+from lasso_walks import lasso_from_states
 
 TRIANGLE = CostDigraph(("v1", "v2", "v3"),
                        (("v1", "v2"), ("v2", "v3"), ("v3", "v1")))

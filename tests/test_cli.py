@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eqdesign.cli import cli_main
+from eqdesign.equilibria import NashLassoSolver
 from eqdesign.fileio import parse_game, parse_rm
 from eqdesign.rewards import is_beta_rm
 
@@ -113,6 +114,29 @@ class TestVerify:
         assert doc["game_worst_ne"] == "0"
         assert doc["product_worst_ne"] == "2/3"
         assert "game_worst_ne = 0" in text
+
+    @pytest.mark.parametrize("rm,value", [("example1_m1.rm", "2/3"), ("example1_m2.rm", "5/6")])
+    def test_one_solver_per_game(self, fixture_dir, rm, value, monkeypatch):
+        """The game's and the product's worst and best witnesses come from one
+        solver per game; the document is unchanged."""
+        built = []
+        init = NashLassoSolver.__init__
+
+        def counting(self, game, *args, **kwargs):
+            built.append(game)
+            init(self, game, *args, **kwargs)
+
+        monkeypatch.setattr(NashLassoSolver, "__init__", counting)
+        code, text, _ = run_cli([
+            "verify", str(fixture_dir / "example1.game"), str(fixture_dir / rm),
+            "--budget", "1",
+        ])
+        assert code == 0 and len(built) == 2
+        assert text == (
+            f"game_worst_ne = 0\nproduct_worst_ne = {value}\n"
+            '{"command":"verify","game_best_ne":"1","game_worst_ne":"0",'
+            f'"product_best_ne":"{value}","product_worst_ne":"{value}",'
+            f'"within_budget":true,"worst_improvement":"{value}"}}\n')
 
     def test_second_machine(self, fixture_dir):
         code, _, doc = run_cli([

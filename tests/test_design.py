@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqdesign.design
 import eqdesign.equilibria
@@ -10,6 +12,7 @@ from eqdesign.auxiliary import build_auxiliary
 from eqdesign.benchmarks import gen_example1, gen_random_game
 from eqdesign.design import (
     ImprovementQuery,
+    _search,
     algorithm_trace,
     decide_improvement,
     epsilon_best_ne,
@@ -22,6 +25,8 @@ from eqdesign.equilibria import NashLassoSolver
 from eqdesign.games import _arena_tables, make_game
 from eqdesign.rewards import implement, is_beta_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
+
+from sweep_oracle import bisect_search
 
 
 def single_lasso_game(c: int):
@@ -105,6 +110,30 @@ class TestEpsilonBest:
         assert 1 - Fraction(1, 4) < v <= 1
 
 
+class TestExtremeProbes:
+    """The oracle search reads only the extreme signature: every probe window
+    has the extreme's side of the bracket as one edge."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4),
+           st.sampled_from([None, 0]), st.booleans(),
+           st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 8), Fraction(1, 64)]),
+           st.sampled_from([(-2, 2), (-5, 7)]))
+    def test_matches_bisecting_reference(self, seed, n_players, n_states, fixed, maximize,
+                                         epsilon, weights):
+        game = gen_random_game(seed, n_players, n_states, weight_range=weights)
+        solver = NashLassoSolver(game, fixed, bound=5)
+        assert _search(solver, epsilon, maximize, "oracle") == bisect_search(
+            solver, epsilon, maximize)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_no_equilibrium(self, pennies_game, maximize):
+        solver = NashLassoSolver(pennies_game)
+        got = _search(solver, Fraction(1, 8), maximize, "oracle")
+        assert got == bisect_search(solver, Fraction(1, 8), maximize)
+        assert not got.ne_exists
+
+
 class TestIterationContract:
     @pytest.mark.parametrize("seed", range(20))
     def test_iteration_count_formula(self, seed):
@@ -169,6 +198,23 @@ class TestImprovementQuery:
         values = {"delta": Fraction(1, 2), "epsilon": Fraction(1, 10), field: bad}
         with pytest.raises(ValueError, match=f"{field} .* not an int or a Fraction"):
             ImprovementQuery(budget=1, **values)
+
+    # Each case was accepted and reinterpreted, or crashed deep inside.
+    @pytest.mark.parametrize("values,match", [
+        ({"budget": True}, "budget"),
+        ({"budget": 1.5}, "budget"),
+        ({"bound": 0}, "length bound"),
+        ({"bound": True}, "length bound"),
+        ({"bound": 12.0}, "length bound"),
+    ], ids=["budget-true", "budget-float", "bound-zero", "bound-true", "bound-float"])
+    def test_non_int_budget_and_bound_refused(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            ImprovementQuery(**{"budget": 1, "delta": Fraction(1, 2),
+                                "epsilon": Fraction(1, 10), **values})
+
+    def test_exact_extreme_refuses_float_bound(self, example1):
+        with pytest.raises(ValueError, match="length bound"):
+            exact_worst_ne(example1[0], bound=3.0)
 
     def test_ints_and_fractions_accepted(self):
         q = ImprovementQuery(budget=1, delta=0, epsilon=1)
@@ -304,7 +350,7 @@ class TestSynthesizeRm:
     def test_zero_vector_witness_is_payoff_identity(self, example1):
         from eqdesign.design import replay_strategy
         from eqdesign.auxiliary import strategy_to_rm
-        from eqdesign.games import lasso_from_states
+        from lasso_walks import lasso_from_states
 
         game, _, _ = example1
         aux = build_auxiliary(game, 1)
@@ -323,7 +369,7 @@ class TestSynthesizeRm:
         reward-equivalent to the two-cycle machine: product worst 5/6."""
         from eqdesign.design import replay_strategy
         from eqdesign.auxiliary import strategy_to_rm
-        from eqdesign.games import lasso_from_states
+        from lasso_walks import lasso_from_states
 
         game, _, _ = example1
         aux = build_auxiliary(game, 1)

@@ -26,7 +26,6 @@ from eqdesign.equilibria import (
 from eqdesign.games import (
     InvalidLassoError,
     StrategyProfile,
-    lasso_from_states,
     make_game,
     payoffs,
     run_profile,
@@ -35,7 +34,8 @@ from eqdesign.zerosum import SolverLimitError, best_response_value
 
 from conftest import lasso_by_names
 from ceiling_oracle import build_ceilings, build_classes, deviation_successors
-from sweep_oracle import oracle_signatures
+from lasso_walks import lasso_from_states
+from sweep_oracle import fraction_window_test, oracle_signatures
 
 
 def query1(lo, hi, fixed=None):
@@ -162,6 +162,27 @@ class TestNeThreshold:
         with pytest.raises(ValueError, match="not a player index"):
             ne_threshold(game, query)
 
+    # Each case was accepted and reinterpreted, or crashed deep inside.
+    @pytest.mark.parametrize("build,match", [
+        (lambda: ne_threshold(gen_random_game(3, 2, 3, 2),
+                              ThresholdQuery((POS_INF, NEG_INF), (POS_INF, POS_INF)),
+                              backend="lp"), "empty payoff window"),
+        (lambda: ThresholdQuery((NEG_INF, NEG_INF), (POS_INF, NEG_INF)), "empty payoff window"),
+        (lambda: query1(POS_INF, POS_INF), "empty payoff window"),
+        (lambda: query1(NEG_INF, NEG_INF), "empty payoff window"),
+        (lambda: query1(NEG_INF, POS_INF, fixed=True), "not a player index"),
+        (lambda: query1(NEG_INF, POS_INF, fixed=0.0), "not a player index"),
+        (lambda: NashLassoSolver(gen_example1()[0], bound=True), "length bound"),
+        (lambda: NashLassoSolver(gen_example1()[0], bound=3.0), "length bound"),
+        (lambda: NashLassoSolver(gen_random_game(3, 2, 3, 2), fixed=True),
+         "not a player index"),
+    ], ids=["lp-lower-plus-inf", "upper-minus-inf", "global-lower-plus-inf",
+            "global-upper-minus-inf", "query-fixed-true", "query-fixed-float",
+            "solver-bound-true", "solver-bound-float", "solver-fixed-true"])
+    def test_inexact_parameters_refused(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_pennies_has_no_equilibrium(self, pennies_game):
         solver = NashLassoSolver(pennies_game)
         assert not solver.has_equilibrium()
@@ -249,6 +270,48 @@ class TestNeThreshold:
         q = ThresholdQuery((NEG_INF,) * 3, (POS_INF,) * 3)
         with pytest.raises(SolverLimitError, match="best-response certificate"):
             ne_threshold(game, q, backend="lp", bound=8)
+
+
+payoff_bounds = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+
+
+@st.composite
+def payoff_windows(draw, attained):
+    """A window whose finite edges are drawn bounds or payoffs some signature attains."""
+    edge = st.sampled_from(attained) | payoff_bounds if attained else payoff_bounds
+    kind = draw(st.sampled_from(["free", "below", "above", "point", "interval"]))
+    if kind == "free":
+        return NEG_INF, POS_INF
+    a = draw(edge)
+    if kind == "below":
+        return NEG_INF, a
+    if kind == "above":
+        return a, POS_INF
+    return a, a if kind == "point" else a + draw(st.sampled_from([Fraction(1, 3), 1, 2]))
+
+
+class TestPayoffRows:
+    """The oracle's window test reads the query's payoff rows by integer
+    cross-multiplication and agrees with one ``Fraction`` per payoff."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4),
+           st.sampled_from([None, 0]), st.data())
+    def test_query_oracle_is_first_signature_in_the_window(self, seed, n_players, n_states,
+                                                           fixed, data):
+        game = gen_random_game(seed, n_players, n_states)
+        solver = NashLassoSolver(game, fixed, bound=5)
+        sigs = solver.signatures()
+        windows = []
+        for k in range(n_players + 1):
+            attained = sorted({Fraction(sums[k], length) for _, _, length, sums, _ in sigs})
+            windows.append(data.draw(payoff_windows(attained)))
+        (*per_player, (gl, gu)) = windows
+        query = ThresholdQuery(tuple(lo for lo, _ in per_player),
+                               tuple(hi for _, hi in per_player), gl, gu, fixed)
+        want = next((rec for rec in sigs if fraction_window_test(query, rec[3], rec[2])), None)
+        assert solver.query_oracle(query) == want
 
 
 def check_against_sweep_oracle(game, fixed, bound):

@@ -11,7 +11,6 @@ from eqdesign.games import (
     Lasso,
     MealyStrategy,
     StrategyProfile,
-    lasso_from_states,
     make_game,
     mean_payoff,
     payoffs,
@@ -19,6 +18,7 @@ from eqdesign.games import (
 )
 
 from conftest import constant_strategy, lasso_by_names
+from lasso_walks import lasso_from_states
 from simulation_oracle import simulate_states
 
 

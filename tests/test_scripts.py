@@ -1,4 +1,4 @@
-"""The two experiment scripts run end to end at their smallest settings."""
+"""The scripts run end to end at their smallest settings."""
 
 import os
 import subprocess
@@ -31,3 +31,13 @@ def test_run_reductions():
                       "--skip-hamiltonian")
     assert proc.returncode == 0, proc.stderr
     assert "tour games: 1 instances, 3 cities" in proc.stdout
+
+
+def test_answer_digest():
+    proc = run_script("answer_digest.py", "--seeds", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    decisions = [line.split(": ")[1].split()[0] for line in lines if line.startswith("decision ")]
+    assert decisions == ["yes", "no", "no", "yes"]
+    assert sum(line.startswith("serialized ") for line in lines) == 4
+    assert {line.split()[1] for line in lines if line.startswith("game ")} == {"0", "1"}
