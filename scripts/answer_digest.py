@@ -9,11 +9,11 @@ and comparing the outputs byte for byte::
     cmp before.txt after.txt
 
 The lines cover the four criterion-5 improvement decisions, the serialized
-Hamiltonian constructions, and, on seeded random games with two and three
-players: every equilibrium signature (as a digest), the extreme witnesses,
-oracle and LP answers on point and half-line designer windows and on
-player windows, and
-binary-search runs.  Only public names are used, so the script runs
+Hamiltonian constructions, the k-loop delivery machines, and, on seeded
+random games with two and three players: every equilibrium signature (as a
+digest), the extreme witnesses, the machines built from them (as a digest),
+oracle and LP answers on point and half-line designer windows and on player
+windows, and binary-search runs.  Only public names are used, so the script runs
 unchanged against older checkouts.
 """
 
@@ -21,15 +21,30 @@ import argparse
 import hashlib
 from fractions import Fraction
 
+from eqdesign.auxiliary import (
+    build_auxiliary,
+    lift_strategy,
+    lower_strategy,
+    rm_to_strategy,
+    strategy_to_rm,
+)
 from eqdesign.benchmarks import (
     CostDigraph,
+    gen_example1,
     gen_hamiltonian_complement_game,
     gen_hamiltonian_game,
     gen_random_game,
+    gen_random_strategy,
 )
-from eqdesign.design import ImprovementQuery, algorithm_trace, decide_improvement
+from eqdesign.design import (
+    ImprovementQuery,
+    algorithm_trace,
+    decide_improvement,
+    replay_strategy,
+)
 from eqdesign.equilibria import NEG_INF, POS_INF, NashLassoSolver, ThresholdQuery
 from eqdesign.fileio import serialize_game
+from eqdesign.rewards import implement, k_cycle_delivery_rm
 from eqdesign.zerosum import SolverLimitError
 
 WITH_PATH = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v2", "v3"), ("v3", "v1")))
@@ -72,6 +87,39 @@ def decisions() -> None:
             print(f"serialized {make.__name__} {name}: {digest(serialize_game(make(graph)))}")
 
 
+def delivery_machines() -> None:
+    robot = gen_example1()[0]
+    machines = [k_cycle_delivery_rm(robot, k) for k in range(1, 5)]
+    print(f"delivery machines 1-4: {digest(repr(machines))}")
+
+
+def translations(game, bound: int) -> list:
+    """Machines and strategies built from the budget-1 auxiliary game.
+
+    The designer's worst and best lassos are replayed as agent-0 strategies,
+    turned into reward machines and back; on each machine's product, one
+    seeded strategy per player is lifted into the auxiliary game and lowered
+    again.
+    """
+    aux = build_auxiliary(game, 1)
+    solver = NashLassoSolver(aux.game, 0, bound)
+    out = []
+    for maximize in (False, True):
+        rec = solver.extreme_signature(maximize)
+        if rec is None:
+            out.append(None)
+            continue
+        sigma0 = replay_strategy(aux, solver.realize(rec))
+        rm = strategy_to_rm(aux, sigma0)
+        product = implement(game, rm)
+        out += [sigma0, rm, rm_to_strategy(aux, rm)]
+        for player in range(game.n_players):
+            lifted = lift_strategy(aux, rm, product,
+                                   gen_random_strategy(product, player, bound), player)
+            out += [lifted, lower_strategy(aux, rm, product, lifted, player)]
+    return out
+
+
 def threshold_line(tag: str, solver: NashLassoSolver, q: ThresholdQuery) -> None:
     print(f"{tag}: {solver.query_oracle(q)!r} {solver.lp_feasible(q)} "
           f"{answer(lambda: solver.lp_witness(q), witness_line)}")
@@ -84,10 +132,15 @@ def random_game(seed: int, n_players: int, fixed) -> None:
     solver = NashLassoSolver(game, fixed, bound)
     sigs = solver.signatures()
     print(f"{tag} signatures: {len(sigs)} {digest(repr(sigs))}")
+    built = []
     for maximize in (False, True):
         rec = solver.extreme_signature(maximize)
         w = answer(lambda: None if rec is None else solver.witness(rec), witness_line)
         print(f"{tag} extreme {maximize}: {rec!r} {w}")
+        built.append(answer(lambda: None if rec is None else solver.witness(rec).profile))
+    if fixed is None:
+        built += translations(game, bound)
+    print(f"{tag} machines: {digest(repr(built))}")
     free = ((NEG_INF,) * n_players, (POS_INF,) * n_players)
     for c in THRESHOLDS:
         for lo, hi in ((c, c), (NEG_INF, c), (c, POS_INF)):
@@ -112,6 +165,7 @@ def main() -> None:
                         help="random games per player count and fixed player (default 50)")
     args = parser.parse_args()
     decisions()
+    delivery_machines()
     for seed in range(args.seeds):
         for n_players in (2, 3):
             for fixed in (None, 0):

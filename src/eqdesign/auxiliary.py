@@ -15,11 +15,12 @@ sums, and hence all mean payoffs, are preserved exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .games import Arena, Game, GameStructureError, MealyStrategy
+from .games import Arena, Game, GameStructureError, MealyStrategy, tabulate
 from .rewards import RewardMachine, RewardMachineError, is_beta_rm, product_arena
 from .zerosum import SolverLimitError
 
@@ -28,9 +29,15 @@ REWARD_VECTOR_LIMIT = 5000
 
 
 def reward_vectors(n_players: int, budget: int) -> tuple[tuple[int, ...], ...]:
-    """All natural vectors with entry sum within the budget, lexicographic."""
+    """All natural vectors with entry sum within the budget, lexicographic.
+
+    There are C(budget + n_players, n_players) of them; an alphabet over the
+    size limit is refused before any is listed.
+    """
     if budget < 0:
         raise ValueError("budget must be a natural number")
+    if math.comb(budget + n_players, n_players) > REWARD_VECTOR_LIMIT:
+        raise SolverLimitError("reward vector alphabet exceeds the size limit")
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, slots: int) -> None:
@@ -43,8 +50,6 @@ def reward_vectors(n_players: int, budget: int) -> tuple[tuple[int, ...], ...]:
             prefix.pop()
 
     rec([], budget, n_players)
-    if len(out) > REWARD_VECTOR_LIMIT:
-        raise SolverLimitError("reward vector alphabet exceeds the size limit")
     return tuple(sorted(out))
 
 
@@ -157,18 +162,14 @@ def rm_to_strategy(aux: AuxiliaryGame, rm: RewardMachine) -> MealyStrategy:
     rm.validate_for(aux.source)
     if not is_beta_rm(rm, aux.budget):
         raise RewardMachineError("machine exceeds the budget; not an agent-0 strategy")
-    vec_index = {v: k for k, v in enumerate(aux.vectors)}
-    step_rows = []
-    act_rows = []
-    for q in range(rm.n_states):
-        step_row = []
-        act_row = []
-        for s, _vi in aux.pair_of_state:
-            step_row.append(rm.step[q][s])
-            act_row.append(aux.vector_action[vec_index[rm.rewards[q][s]]])
-        step_rows.append(tuple(step_row))
-        act_rows.append(tuple(act_row))
-    strat = MealyStrategy(rm.n_states, rm.initial, tuple(step_rows), tuple(act_rows))
+    vec_action = dict(zip(aux.vectors, aux.vector_action))
+
+    def cell(q: int, x: int) -> tuple[int, int]:
+        s = aux.pair_of_state[x][0]
+        return rm.step[q][s], vec_action[rm.rewards[q][s]]
+
+    strat = MealyStrategy(rm.n_states, rm.initial,
+                          *tabulate(rm.n_states, aux.game.n_states, cell))
     strat.validate(aux.game, 0)
     return strat
 
@@ -182,48 +183,29 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
     """
     sigma0.validate(aux.game, 0)
     n_vec = len(aux.vectors)
-    pairs = [(t, vi) for t in range(sigma0.n_memory) for vi in range(n_vec)]
-    pair_id = {p: k for k, p in enumerate(pairs)}
     act_vec = {a: vi for vi, a in enumerate(aux.vector_action)}
-
     src = aux.source
     zero_vi = aux.vector_index((0,) * src.n_players)
-    step_rows = []
-    reward_rows = []
-    for t, vi in pairs:
-        step_row = []
-        reward_row = []
-        for s in range(src.n_states):
-            try:
-                aux_state = aux.state_id(s, vi)
-            except KeyError:
-                # Source state unreachable: pay nothing and move to the
-                # zero-vector twin so states keep tracking vectors.
-                step_row.append(pair_id[(t, zero_vi)])
-                reward_row.append((0,) * src.n_players)
-                continue
-            played = act_vec[sigma0.act[t][aux_state]]
-            step_row.append(pair_id[(sigma0.step[t][aux_state], played)])
-            reward_row.append(aux.vectors[played])
-        step_rows.append(tuple(step_row))
-        reward_rows.append(tuple(reward_row))
 
+    def cell(k: int, s: int) -> tuple[int, tuple[int, ...]]:
+        # Machine state k stands for the pair (strategy memory t, vector vi).
+        t, vi = divmod(k, n_vec)
+        try:
+            aux_state = aux.state_id(s, vi)
+        except KeyError:
+            # Source state unreachable: pay nothing and move to the
+            # zero-vector twin so states keep tracking vectors.
+            return t * n_vec + zero_vi, (0,) * src.n_players
+        played = act_vec[sigma0.act[t][aux_state]]
+        return sigma0.step[t][aux_state] * n_vec + played, aux.vectors[played]
+
+    step, rewards = tabulate(sigma0.n_memory * n_vec, src.n_states, cell)
     return RewardMachine(
-        state_names=tuple(f"t{t}_v{vi}" for t, vi in pairs),
-        initial=pair_id[(sigma0.initial, zero_vi)],
-        step=tuple(step_rows),
-        rewards=tuple(reward_rows),
+        state_names=tuple(f"t{t}_v{vi}" for t in range(sigma0.n_memory) for vi in range(n_vec)),
+        initial=sigma0.initial * n_vec + zero_vi,
+        step=step,
+        rewards=rewards,
     )
-
-
-def product_pair_index(game: Game, rm: RewardMachine) -> dict[tuple[int, int], int]:
-    """Map (game state id, machine state id) to the id of its product state.
-
-    Covers the reachable pairs of ``implement(game, rm)``, numbered as
-    that product numbers them (both come from :func:`product_arena`).
-    """
-    pairs, _ = product_arena(game, rm)
-    return {pair: k for k, pair in enumerate(pairs)}
 
 
 def lift_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
@@ -236,34 +218,26 @@ def lift_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
     ``player + 1`` of the auxiliary game.
     """
     sigma.validate(product, player)
-    pidx = product_pair_index(aux.source, rm)
-    if len(pidx) != product.n_states:
+    pairs, _ = product_arena(aux.source, rm)
+    if len(pairs) != product.n_states:
         raise RewardMachineError("product is not the implementation of this machine")
-    src = aux.source
+    pidx = {pair: k for k, pair in enumerate(pairs)}
+    n_q = rm.n_states
 
-    mem_pairs = [(t, q) for t in range(sigma.n_memory) for q in range(rm.n_states)]
-    mem_id = {p: k for k, p in enumerate(mem_pairs)}
-    step_rows = []
-    act_rows = []
-    for t, q in mem_pairs:
-        step_row = []
-        act_row = []
-        for s, _vi in aux.pair_of_state:
-            ps = pidx.get((s, q))
-            q_next = rm.step[q][s]
-            if ps is None:
-                # Product pair unreachable; stay put and play a legal filler.
-                step_row.append(mem_id[(t, q_next)])
-                act_row.append(src.protocol[player][s][0])
-            else:
-                step_row.append(mem_id[(sigma.step[t][ps], q_next)])
-                act_row.append(sigma.act[t][ps])
-        step_rows.append(tuple(step_row))
-        act_rows.append(tuple(act_row))
-    lifted = MealyStrategy(
-        len(mem_pairs), mem_id[(sigma.initial, rm.initial)],
-        tuple(step_rows), tuple(act_rows),
-    )
+    def cell(k: int, x: int) -> tuple[int, int]:
+        # Memory k stands for the pair (sigma's memory t, machine state q).
+        t, q = divmod(k, n_q)
+        s = aux.pair_of_state[x][0]
+        ps = pidx.get((s, q))
+        q_next = rm.step[q][s]
+        if ps is None:
+            # Product pair unreachable; stay put and play a legal filler.
+            return t * n_q + q_next, aux.source.protocol[player][s][0]
+        return sigma.step[t][ps] * n_q + q_next, sigma.act[t][ps]
+
+    n_memory = sigma.n_memory * n_q
+    lifted = MealyStrategy(n_memory, sigma.initial * n_q + rm.initial,
+                           *tabulate(n_memory, aux.game.n_states, cell))
     lifted.validate(aux.game, player + 1)
     return lifted
 
@@ -307,20 +281,12 @@ def lower_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
     rm.validate_for(aux.source)
     vec_of = machine_state_vectors(aux, rm)
     pairs, _ = product_arena(aux.source, rm)
+    aux_states = [aux.state_id(s, vec_of[q]) for s, q in pairs]
 
-    step_rows = []
-    act_rows = []
-    for t in range(sigma_hat.n_memory):
-        step_row = []
-        act_row = []
-        for s, q in pairs:
-            aux_state = aux.state_id(s, vec_of[q])
-            step_row.append(sigma_hat.step[t][aux_state])
-            act_row.append(sigma_hat.act[t][aux_state])
-        step_rows.append(tuple(step_row))
-        act_rows.append(tuple(act_row))
-    lowered = MealyStrategy(
-        sigma_hat.n_memory, sigma_hat.initial, tuple(step_rows), tuple(act_rows)
-    )
+    def cell(t: int, ps: int) -> tuple[int, int]:
+        return sigma_hat.step[t][aux_states[ps]], sigma_hat.act[t][aux_states[ps]]
+
+    lowered = MealyStrategy(sigma_hat.n_memory, sigma_hat.initial,
+                            *tabulate(sigma_hat.n_memory, len(pairs), cell))
     lowered.validate(product, player)
     return lowered

@@ -38,6 +38,10 @@ class CostDigraph:
             covered = {e for e, _ in self.costs}
             if covered != set(self.edges):
                 raise GameStructureError("costs must cover exactly the edges")
+            for (u, v), cost in self.costs:
+                # bool is an int subclass; it and floats are refused, not converted.
+                if type(cost) is not int:
+                    raise GameStructureError(f"edge ({u}, {v}): cost {cost!r} is not an int")
 
     def cost_map(self) -> dict[tuple[str, str], int]:
         if self.costs is None:
@@ -53,7 +57,7 @@ def complete_digraph(n: int, costs: Mapping[tuple[str, str], int] | None = None)
     edges = tuple(sorted((u, v) for u in vertices for v in vertices if u != v))
     packed = None
     if costs is not None:
-        packed = tuple(sorted((e, int(costs[e])) for e in edges))
+        packed = tuple(sorted((e, costs[e]) for e in edges))
     return CostDigraph(vertices, edges, packed)
 
 

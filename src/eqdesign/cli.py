@@ -166,9 +166,9 @@ def _cmd_check(args, out, want_machine: bool) -> int:
         "improved_value": str(answer.improved_value),
     }
     if answer.witness_lasso is not None:
-        doc["witness_lasso"] = answer.witness_lasso.describe(
-            implement(game, answer.witness_rm) if answer.witness_rm else game
-        )
+        owner = (build_auxiliary(game, args.budget).game if answer.method == "paper"
+                 else implement(game, answer.witness_rm))
+        doc["witness_lasso"] = answer.witness_lasso.describe(owner)
     summary = {
         "decision": "yes" if answer.decision else "no",
         "baseline_value": answer.baseline_value,

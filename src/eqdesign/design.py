@@ -33,7 +33,7 @@ from .equilibria import (
     _meets,
     _row,
 )
-from .games import Game, Lasso, MealyStrategy
+from .games import Game, Lasso, MealyStrategy, tabulate
 from .rewards import RewardMachine, from_subsidy_scheme, implement
 from .zerosum import SolverLimitError, punishment_values
 
@@ -88,6 +88,9 @@ class ImprovementQuery:
 
 @dataclass(frozen=True)
 class ImprovementAnswer:
+    """``witness_lasso`` is a play of ``implement(game, witness_rm)`` in certify
+    mode, of the auxiliary game ``build_auxiliary(game, budget).game`` in paper."""
+
     decision: bool
     baseline_value: Fraction
     improved_value: Fraction
@@ -207,27 +210,16 @@ def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:
     n_pre = len(lasso.prefix_states)
     length = len(states_at)
     absorb = length
-    n_memory = length + 1
     zero_action = aux.vector_action[
         aux.vector_index((0,) * aux.source.n_players)
     ]
 
-    step_rows = []
-    act_rows = []
-    for m in range(n_memory):
-        step_row = []
-        act_row = []
-        for x in range(aux.game.n_states):
-            if m < length and x == states_at[m]:
-                nxt = m + 1 if m + 1 < length else n_pre
-                step_row.append(nxt)
-                act_row.append(moves_at[m][0])
-            else:
-                step_row.append(absorb)
-                act_row.append(zero_action)
-        step_rows.append(tuple(step_row))
-        act_rows.append(tuple(act_row))
-    strat = MealyStrategy(n_memory, 0, tuple(step_rows), tuple(act_rows))
+    def cell(m: int, x: int) -> tuple[int, int]:
+        if m < length and x == states_at[m]:
+            return (m + 1 if m + 1 < length else n_pre), moves_at[m][0]
+        return absorb, zero_action
+
+    strat = MealyStrategy(length + 1, 0, *tabulate(length + 1, aux.game.n_states, cell))
     strat.validate(aux.game, 0)
     return strat
 
@@ -299,9 +291,11 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     ``paper`` mode runs the three-step auxiliary-game comparison verbatim
     (quantifying over every designer strategy, frugal or not).  ``certify``
     mode only answers yes with a machine whose product has been re-solved
-    and beats the threshold, so its positive answers are self-certifying;
-    its candidate family is finite and documented, so a negative answer
-    means no candidate improved, not that none exists.  Each game searched
+    and beats the threshold, and with a product lasso that passes the exact
+    best-response certificate (else :class:`SolverLimitError` is raised), so
+    its positive answers are self-certifying; its candidate family is finite
+    and documented, so a negative answer means no candidate improved, not
+    that none exists.  Each game searched
     (base, auxiliary, each candidate product) gets one solver, which also
     realizes the witness lasso.  What an arena derives (deviation moves,
     response classes, products) it keeps for its lifetime, across calls: all
@@ -346,7 +340,7 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
             best_seen = val.value
         if val.value - base.value > q.delta:
             rec = solver.extreme_signature(maximize=maximize)
-            lasso = solver.realize(rec) if rec is not None else None
+            lasso = solver.witness(rec).lasso if rec is not None else None
             return ImprovementAnswer(
                 True, base.value, val.value, rm, lasso, "certify", q.mode
             )

@@ -59,6 +59,7 @@ from .games import (
     StrategyProfile,
     mean_payoff,
     payoffs,
+    tabulate,
 )
 from .simplex import Constraint, feasible_point
 from .zerosum import (
@@ -175,70 +176,34 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
     inert = punish_base + len(punished_players)
     n_memory = inert + 1
 
-    def next_follow(m: int) -> int:
-        pos = n_pre if m == wrap else m
-        if pos + 1 < length:
-            return pos + 1
-        return wrap
+    # Per follow memory, the successors each punished player could have forced
+    # on the step into it (none before the first step; wrap's is the last).
+    forced_into = [()] + [[devs[i] for i in punished_players]
+                          for devs in map(game.arena.deviations, states_at, moves_at)]
 
-    def predecessor(m: int) -> int | None:
-        if m == wrap:
-            return length - 1
-        if m == 0:
-            return None
-        if m == n_pre and n_pre == 0:
-            return None
-        return m - 1
-
-    # Per step of the lasso, the successors each punished player could force.
-    forced = [[devs[i] for i in punished_players]
-              for devs in map(game.arena.deviations, states_at, moves_at)]
-
-    def culprits(m: int, observed: int) -> list[int]:
-        prev = predecessor(m)
-        if prev is None:
-            return []
-        return [i for i, devs in zip(punished_players, forced[prev]) if observed in devs]
-
-    def mode_for(m: int, observed: int, viewer: int) -> int:
-        suspects = [i for i in culprits(m, observed) if i != viewer]
-        if not suspects:
-            return inert
-        return punish_base + punished_players.index(suspects[0])
-
-    def mode_action(m: int, s: int, p: int) -> int:
-        """Player ``p``'s action at ``s`` in punish or inert mode ``m``."""
-        if m != inert:
-            victim = punished_players[m - punish_base]
+    def cell(p: int, m: int, s: int) -> tuple[int, int]:
+        mode = m
+        if m < punish_base:
+            pos = n_pre if m == wrap else m
+            if s == states_at[pos]:
+                return (pos + 1 if pos + 1 < length else wrap), moves_at[pos][p]
+            # Off the lasso: punish the least player other than p who could
+            # have forced s, or go inert if none could.
+            mode = inert
+            for k, (i, devs) in enumerate(zip(punished_players, forced_into[m])):
+                if i != p and s in devs:
+                    mode = punish_base + k
+                    break
+        if mode != inert:
+            victim = punished_players[mode - punish_base]
             if p != victim:
-                return pun[victim].coalition[s][p]
-        return game.protocol[p][s][0]
+                return mode, pun[victim].coalition[s][p]
+        return mode, game.protocol[p][s][0]
 
-    strategies = []
-    for p in range(game.n_players):
-        step_rows = []
-        act_rows = []
-        for m in range(n_memory):
-            step_row = []
-            act_row = []
-            for s in range(game.n_states):
-                if m < punish_base:
-                    pos = n_pre if m == wrap else m
-                    if s == states_at[pos]:
-                        step_row.append(next_follow(m))
-                        act_row.append(moves_at[pos][p])
-                        continue
-                    target = mode_for(m, s, p)
-                    step_row.append(target)
-                    act_row.append(mode_action(target, s, p))
-                    continue
-                step_row.append(m)
-                act_row.append(mode_action(m, s, p))
-            step_rows.append(tuple(step_row))
-            act_rows.append(tuple(act_row))
-        strategies.append(
-            MealyStrategy(n_memory, 0, tuple(step_rows), tuple(act_rows))
-        )
+    strategies = [
+        MealyStrategy(n_memory, 0, *tabulate(n_memory, game.n_states, functools.partial(cell, p)))
+        for p in range(game.n_players)
+    ]
     profile = StrategyProfile(tuple(range(game.n_players)), tuple(strategies))
     profile.validate(game)
     return profile

@@ -169,14 +169,6 @@ def serialize_game(game: Game) -> str:
     return canonical_json(game_to_doc(game))
 
 
-def canonicalize(text: str) -> str:
-    """Reformat any JSON document into the canonical byte form."""
-    try:
-        return canonical_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise _syntax_error(exc)
-
-
 def parse_rm(text: str, game: Game) -> RewardMachine:
     """Parse a reward machine document against its target game."""
     try:

@@ -22,7 +22,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 
 class GameStructureError(ValueError):
@@ -354,6 +354,16 @@ def _no_extra(table: Mapping, known: Mapping, path: str, kind: str) -> None:
     if len(table) > len(known):
         extra = next(k for k in table if k not in known)
         raise GameStructureError(f"{path}.{extra}: unknown {kind}")
+
+
+def tabulate(n_rows: int, n_cols: int, cell: Callable[[int, int], tuple]) -> tuple:
+    """``(step, out)`` tables, as row tuples, of the Mealy machine whose row ``m``,
+    column ``s`` moves to ``cell(m, s)[0]`` and emits ``cell(m, s)[1]``: memory
+    and action of a strategy, or next state and reward vector of a machine."""
+    rows = [tuple(zip(*map(cell, itertools.repeat(m, n_cols), range(n_cols))))
+            for m in range(n_rows)]
+    step, out = zip(*rows)
+    return step, out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .games import Arena, Game
+from .games import Arena, Game, tabulate
 
 
 class RewardMachineError(ValueError):
@@ -186,24 +186,19 @@ def k_cycle_delivery_rm(game: Game, k: int) -> RewardMachine:
 
     pattern = [t, l, m] * k
     nq = 3 * k
-    step_rows = []
-    reward_rows = []
-    for j in range(nq):
-        row = []
-        rew = []
-        for s in range(game.n_states):
-            if s == pattern[j]:
-                row.append((j + 1) % nq)
-            elif s == t:
-                row.append(1 % nq)
-            else:
-                row.append(0)
-            rew.append((1,) if (j == nq - 1 and s == m) else (0,))
-        step_rows.append(tuple(row))
-        reward_rows.append(tuple(rew))
+
+    def cell(j: int, s: int) -> tuple[int, tuple[int]]:
+        paid = (1,) if (j == nq - 1 and s == m) else (0,)
+        if s == pattern[j]:
+            return (j + 1) % nq, paid
+        if s == t:
+            return 1 % nq, paid
+        return 0, paid
+
+    step, rewards = tabulate(nq, game.n_states, cell)
     return RewardMachine(
         state_names=tuple(f"q{j}" for j in range(nq)),
         initial=0,
-        step=tuple(step_rows),
-        rewards=tuple(reward_rows),
+        step=step,
+        rewards=rewards,
     )

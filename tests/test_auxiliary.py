@@ -8,17 +8,19 @@ level via exact best-response values on both sides.
 """
 
 import itertools
+import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from eqdesign.auxiliary import (
+    REWARD_VECTOR_LIMIT,
     build_auxiliary,
     lift_strategy,
     lower_strategy,
     machine_state_vectors,
-    product_pair_index,
     reward_vectors,
     rm_to_strategy,
     strategy_to_rm,
@@ -30,8 +32,8 @@ from eqdesign.benchmarks import (
 )
 from eqdesign.design import exact_worst_ne
 from eqdesign.games import MealyStrategy, StrategyProfile, payoffs, run_profile
-from eqdesign.rewards import RewardMachineError, implement, zero_rm
-from eqdesign.zerosum import best_response_value
+from eqdesign.rewards import RewardMachineError, implement, product_arena, zero_rm
+from eqdesign.zerosum import SolverLimitError, best_response_value
 
 
 def product_pairs(game, rm, product):
@@ -57,6 +59,20 @@ class TestBuildAuxiliary:
         assert reward_vectors(1, 1) == ((0,), (1,))
         assert reward_vectors(2, 1) == ((0, 0), (0, 1), (1, 0))
         assert len(reward_vectors(2, 2)) == 6  # C(budget+n, n)
+
+    @pytest.mark.parametrize("n_players,budget", [(1, 4999), (2, 98), (3, 29), (5, 11)])
+    def test_alphabet_at_the_limit(self, n_players, budget):
+        vectors = reward_vectors(n_players, budget)
+        assert len(vectors) == math.comb(budget + n_players, n_players) <= REWARD_VECTOR_LIMIT
+        assert list(vectors) == sorted(set(vectors))
+        assert all(min(v) >= 0 and sum(v) <= budget for v in vectors)
+
+    @pytest.mark.parametrize("n_players,budget", [(1, 5000), (2, 99), (3, 30), (5, 10**6)])
+    def test_oversized_alphabet_refused_before_listing(self, n_players, budget):
+        start = time.perf_counter()
+        with pytest.raises(SolverLimitError, match="size limit"):
+            reward_vectors(n_players, budget)
+        assert time.perf_counter() - start < 0.5
 
     def test_example1_budget_one(self, example1):
         game, _, _ = example1
@@ -260,7 +276,8 @@ class TestLiftLower:
         bar_product = implement(bar_game, bar_rm)
 
         pairs = product_pairs(game, rm, product)
-        assert product_pair_index(bar_game, bar_rm) == {p: k for k, p in pairs.items()}
+        bar_pairs, _ = product_arena(bar_game, bar_rm)
+        assert dict(enumerate(bar_pairs)) == pairs
         sigma = gen_random_strategy(product, 0, 5)
         lifted = lift_strategy(bar_aux, bar_rm, bar_product, sigma, 0)
         assert lifted == lift_strategy(aux, rm, product, sigma, 0)

@@ -95,6 +95,22 @@ class TestTspGame:
         with pytest.raises(GameStructureError):
             gen_tsp_game(TRIANGLE)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, Fraction(1), "1", None])
+    def test_non_int_cost_refused_naming_the_edge(self, bad):
+        """A cost is refused, not cast: 1.5 and True would both become 1."""
+        costs = {e: 1 for e in complete_digraph(3).edges}
+        costs[("v2", "v3")] = bad
+        with pytest.raises(GameStructureError, match=r"edge \(v2, v3\)"):
+            complete_digraph(3, costs)
+        with pytest.raises(GameStructureError, match=r"edge \(v2, v3\)"):
+            CostDigraph(TRIANGLE.vertices, TRIANGLE.edges,
+                        tuple((e, bad if e == ("v2", "v3") else 1) for e in TRIANGLE.edges))
+
+    @pytest.mark.parametrize("cost", [0, 1, 9, -3, 10**20])
+    def test_int_costs_kept(self, cost):
+        costs = {e: cost for e in complete_digraph(3).edges}
+        assert complete_digraph(3, costs).cost_map() == costs
+
 
 class TestHamiltonianGames:
     def test_arena_shape(self):

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from eqdesign.auxiliary import build_auxiliary
 from eqdesign.cli import cli_main
+from eqdesign.design import ImprovementQuery, decide_improvement
 from eqdesign.equilibria import NashLassoSolver
 from eqdesign.fileio import parse_game, parse_rm
-from eqdesign.rewards import is_beta_rm
+from eqdesign.rewards import implement, is_beta_rm
+from eqdesign.zerosum import SolverLimitError
 
 
 def run_cli(argv):
@@ -75,6 +78,40 @@ class TestCheckAndSynth:
         assert code == 0
         assert doc["decision"] is True
         assert Fraction(doc["improved_value"]) >= Fraction(2, 3) - Fraction(1, 10)
+
+    def test_failed_certificate_exits_three(self, fixture_dir, monkeypatch):
+        def failing(solver, lasso):
+            raise SolverLimitError("grim profile failed its exact best-response certificate")
+
+        monkeypatch.setattr(NashLassoSolver, "_certify", failing)
+        code, _, _ = run_cli([
+            "check", "--mode", "strong", "--budget", "1", "--delta", "1/2",
+            "--epsilon", "1/10", str(fixture_dir / "example1.game"),
+        ])
+        assert code == 3
+
+    @pytest.mark.parametrize("method", ["paper", "certify"])
+    def test_witness_lasso_named_by_its_game(self, tmp_path, method):
+        """A paper-mode lasso is a play of the auxiliary game, a certify one a
+        play of the witness machine's product; the document names its states
+        by that game."""
+        code, _, _ = run_cli(["gen", "random", "--seed", "14", "--players", "2",
+                              "--states", "3", "--actions", "2", "--dest", str(tmp_path)])
+        assert code == 0
+        path = tmp_path / "random_14.game"
+        argv = ["check", "--method", method, "--mode", "weak", "--budget", "1",
+                "--delta", "1/2", "--epsilon", "1/8", str(path)]
+        code, _, doc = run_cli(argv)
+        assert code == 0 and "witness_lasso" in doc
+        game = parse_game(path.read_text())
+        ans = decide_improvement(game, ImprovementQuery(
+            budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 8), mode="weak", method=method))
+        owner = (build_auxiliary(game, 1).game if method == "paper"
+                 else implement(game, ans.witness_rm))
+        ans.witness_lasso.validate(owner)
+        named = doc["witness_lasso"]
+        assert named == ans.witness_lasso.describe(owner)
+        assert set(named["prefix"] + named["cycle"]) <= set(owner.state_names)
 
     def test_oversized_delta_is_no(self, fixture_dir):
         code, _, doc = run_cli([

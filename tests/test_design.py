@@ -163,6 +163,18 @@ class TestDecideImprovement:
         worst = exact_worst_ne(product).global_payoff
         assert worst >= Fraction(2, 3) - Fraction(1, 10)
 
+    def test_certify_yes_passes_the_certificate(self, example1, monkeypatch):
+        """The witness lasso of a "yes" returns through the exact
+        best-response certificate; when it fails, the answer is a refusal."""
+        def failing(solver, lasso):
+            raise SolverLimitError("grim profile failed its exact best-response certificate")
+
+        monkeypatch.setattr(NashLassoSolver, "_certify", failing)
+        game, _, _ = example1
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 10))
+        with pytest.raises(SolverLimitError, match="certificate"):
+            decide_improvement(game, q)
+
     def test_zero_budget_cannot_improve(self, example1):
         game, _, _ = example1
         for delta in (Fraction(0), Fraction(1, 4)):

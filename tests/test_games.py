@@ -15,6 +15,7 @@ from eqdesign.games import (
     mean_payoff,
     payoffs,
     run_profile,
+    tabulate,
 )
 
 from conftest import constant_strategy, lasso_by_names
@@ -28,6 +29,21 @@ def single_state_game():
         protocol={"s": {"p1": ["a"]}}, transitions={"s": {("a",): "s"}},
         weights={"p1": {"s": 0}}, global_weights={"s": 0},
     )
+
+
+class TestTabulate:
+    @given(st.integers(1, 5), st.integers(1, 5))
+    def test_one_call_per_cell_row_major(self, n_rows, n_cols):
+        calls = []
+
+        def cell(m, s):
+            calls.append((m, s))
+            return m * n_cols + s, (m, s)
+
+        step, out = tabulate(n_rows, n_cols, cell)
+        assert calls == [(m, s) for m in range(n_rows) for s in range(n_cols)]
+        assert step == tuple(tuple(m * n_cols + s for s in range(n_cols)) for m in range(n_rows))
+        assert out == tuple(tuple((m, s) for s in range(n_cols)) for m in range(n_rows))
 
 
 class TestMeanPayoff:

@@ -41,3 +41,9 @@ def test_answer_digest():
     assert decisions == ["yes", "no", "no", "yes"]
     assert sum(line.startswith("serialized ") for line in lines) == 4
     assert {line.split()[1] for line in lines if line.startswith("game ")} == {"0", "1"}
+    # One machine digest per random game (seeds x player counts x fixed players),
+    # plus one over the delivery machines.
+    machines = [line for line in lines if line.startswith("game ") and " machines: " in line]
+    assert len(machines) == 2 * 2 * 2
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in machines)
+    assert sum(line.startswith("delivery machines 1-4: ") for line in lines) == 1
