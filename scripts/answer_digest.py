@@ -8,8 +8,9 @@ and comparing the outputs byte for byte::
     PYTHONHASHSEED=0 PYTHONPATH=src python scripts/answer_digest.py > after.txt
     cmp before.txt after.txt
 
-The lines cover the four criterion-5 improvement decisions, the serialized
-Hamiltonian constructions, the k-loop delivery machines, and, on seeded
+The lines cover the four criterion-5 improvement decisions, certify
+decisions on the running example and on seeded two-player games, the
+serialized Hamiltonian constructions, the k-loop delivery machines, and, on seeded
 random games with two and three players: every equilibrium signature (as a
 digest), the extreme witnesses, the machines built from them (as a digest),
 oracle and LP answers on point and half-line designer windows and on player
@@ -72,16 +73,32 @@ def witness_line(w) -> str:
     return f"{w.lasso!r} {w.player_payoffs!r} {w.global_payoff!r}"
 
 
+def improvement_line(ans) -> str:
+    key = None if ans.witness_rm is None else ans.witness_rm.canonical_key()
+    return (f"{'yes' if ans.decision else 'no'} {ans.baseline_value} "
+            f"{ans.improved_value} {key!r} {ans.witness_lasso!r}")
+
+
 def decisions() -> None:
     for mode, make in (("strong", gen_hamiltonian_game),
                        ("weak", gen_hamiltonian_complement_game)):
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1),
                              mode=mode, method="certify")
         for name, graph in (("with", WITH_PATH), ("without", WITHOUT_PATH)):
-            ans = decide_improvement(make(graph), q)
-            key = None if ans.witness_rm is None else ans.witness_rm.canonical_key()
-            print(f"decision {mode} {name}: {'yes' if ans.decision else 'no'} "
-                  f"{ans.baseline_value} {ans.improved_value} {key!r} {ans.witness_lasso!r}")
+            print(f"decision {mode} {name}: {improvement_line(decide_improvement(make(graph), q))}")
+
+
+def certify_decisions(seeds: int) -> None:
+    """Certify decisions (budget 1, delta 1/2, epsilon 1/8) on the running
+    example and on ``gen_random_game(seed, 2, 3, 2)`` for each seed."""
+    games = [("example1", gen_example1()[0])]
+    games += [(f"random {seed}", gen_random_game(seed, 2, 3, 2)) for seed in range(seeds)]
+    for name, game in games:
+        for mode in ("strong", "weak"):
+            q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 8),
+                                 mode=mode, method="certify")
+            print(f"certify {name} {mode}: "
+                  f"{answer(lambda: decide_improvement(game, q), improvement_line)}")
     for name, graph in (("with", WITH_PATH), ("without", WITHOUT_PATH)):
         for make in (gen_hamiltonian_game, gen_hamiltonian_complement_game):
             print(f"serialized {make.__name__} {name}: {digest(serialize_game(make(graph)))}")
@@ -163,8 +180,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=50,
                         help="random games per player count and fixed player (default 50)")
+    parser.add_argument("--certify-seeds", type=int, default=40,
+                        help="random two-player games given certify decisions (default 40)")
     args = parser.parse_args()
     decisions()
+    certify_decisions(args.certify_seeds)
     delivery_machines()
     for seed in range(args.seeds):
         for n_players in (2, 3):

@@ -34,11 +34,21 @@ def test_run_reductions():
 
 
 def test_answer_digest():
-    proc = run_script("answer_digest.py", "--seeds", "2")
+    proc = run_script("answer_digest.py", "--seeds", "2", "--certify-seeds", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     decisions = [line.split(": ")[1].split()[0] for line in lines if line.startswith("decision ")]
     assert decisions == ["yes", "no", "no", "yes"]
+    # Certify decisions: the running example, then seeds 0 and 1, strong then weak.
+    certify = [line.split(": ", 1) for line in lines if line.startswith("certify ")]
+    assert [tag for tag, _ in certify] == [
+        f"certify {name} {mode}" for name in ("example1", "random 0", "random 1")
+        for mode in ("strong", "weak")]
+    assert [ans.split()[0] for _, ans in certify] == ["yes", "no", "no", "no", "no", "no"]
+    # A yes names its witness machine's key and lasso; a no names neither.
+    assert certify[0][1].startswith("yes 1/16 31/32 (0, ")
+    assert " Lasso(prefix_states=" in certify[0][1]
+    assert all(ans.endswith(" None None") for _, ans in certify[1:])
     assert sum(line.startswith("serialized ") for line in lines) == 4
     assert {line.split()[1] for line in lines if line.startswith("game ")} == {"0", "1"}
     # One machine digest per random game (seeds x player counts x fixed players),
