@@ -226,26 +226,41 @@ def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:
 
 def _lasso_candidates(aux: AuxiliaryGame,
                       solver: NashLassoSolver) -> list[RewardMachine]:
-    """Machines replaying the most valuable designer lassos of ``solver``."""
+    """Machines replaying the most valuable designer lassos of ``solver``.
+
+    Signatures are read from the most valuable down, one per (value,
+    length) pair, until ``MAX_LASSO_CANDIDATES`` distinct machines are
+    found.  The sweep lists only the signatures at or above the value of
+    the ``top``-th pair and prunes the walks that cannot reach it; its list
+    is the top of the full sorted list, in the same order, so the machines
+    are those of a full sweep.  When repeated machines use up the pairs,
+    the next sweep asks for twice the pairs read so far; one that lists
+    fewer pairs than asked has listed them all.
+    """
     machines: list[RewardMachine] = []
     seen_keys: set[tuple] = set()
-    seen_sig: set[tuple] = set()
-    for rec in reversed(solver.signatures()):
-        _, _, length, sums, _ = rec
-        sig_key = (Fraction(sums[-1], length), length)
-        if sig_key in seen_sig:
-            continue
-        seen_sig.add(sig_key)
-        lasso = solver.realize(rec)
-        rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
-        key = rm.canonical_key()
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        machines.append(rm)
-        if len(machines) >= MAX_LASSO_CANDIDATES:
-            break
-    return machines
+    seen_sig: set[tuple[int, int]] = set()
+    top = MAX_LASSO_CANDIDATES
+    while True:
+        for rec in reversed(solver.signatures(top=top)):
+            _, _, length, sums, _ = rec
+            # (designer sum, length) names the same pair as (value, length).
+            sig_key = (sums[-1], length)
+            if sig_key in seen_sig:
+                continue
+            seen_sig.add(sig_key)
+            lasso = solver.realize(rec)
+            rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
+            key = rm.canonical_key()
+            if key in seen_keys:
+                continue
+            seen_keys.add(key)
+            machines.append(rm)
+            if len(machines) >= MAX_LASSO_CANDIDATES:
+                return machines
+        if len(seen_sig) < top:
+            return machines
+        top = 2 * len(seen_sig)
 
 
 def _subsidy_candidates(game: Game, q: ImprovementQuery) -> list[RewardMachine]:

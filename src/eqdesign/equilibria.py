@@ -24,9 +24,15 @@ Two backends answer threshold queries:
   enumerates achievable weight-sum vectors rather than raw walks.  Each
   vector (every player, then the global table) is packed into one int of
   fixed-width signed fields, so a step of the walk is one int addition; a
-  closed cycle is decoded once and checked against each row by integer
-  cross-multiplication.  ``realize`` replays the same walk and
-  follows a signature's packed sums back to a concrete lasso.
+  closed cycle is checked against each row as a least value of one field,
+  and only a cycle that passes is decoded.  ``realize`` replays the same
+  walk and follows a signature's packed sums back to a concrete lasso.
+  A designer floor (``signatures(top=...)``, which certify's candidate
+  loop reads) prunes the walk: a partial cycle is dropped when even the
+  best designer return to its anchor cannot reach the floor.  The floor
+  filters whole cycles and pruning drops no state from a layer, so the
+  records kept, their first ceiling, prefix length and order, and every
+  realized lasso, are those of the exhaustive sweep.
 * ``lp`` - unbounded cycle-frequency feasibility: for every deviation
   ceiling and every strongly connected sub-arena, an exact LP over move
   frequencies decides whether a cycle with the requested payoffs exists.
@@ -46,10 +52,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .games import (
     Game,
@@ -417,21 +423,36 @@ class NashLassoSolver:
 
     # -- oracle sweep ---------------------------------------------------------
 
-    def _sweep(self) -> list[tuple]:
-        """All equilibrium cycle signatures within the length bound.
+    def _sweep(self, top: int | None = None) -> list[tuple]:
+        """Equilibrium cycle signatures within the length bound, least first.
 
         A signature is ``(ceiling index, anchor state, cycle length, weight
         sums, prefix length)``; the anchor is the least state on the cycle,
-        weight sums run over all players plus the global table.  The sweep
-        is exhaustive: every equilibrium lasso with prefix + cycle within
-        the bound projects onto exactly one signature.
+        weight sums run over all players plus the global table.  Without
+        ``top`` the sweep is exhaustive: every equilibrium lasso with
+        prefix + cycle within the bound projects onto exactly one signature.
+
+        ``top`` keeps only the signatures worth at least its ``top``-th most
+        valuable (value, length) pair, all of them when there are fewer
+        pairs.  The walk then keeps a designer floor, the value of the
+        ``top``-th pair recorded so far, and drops every partial cycle that
+        can no longer reach it.  Only the exhaustive list is kept.
         """
-        if self._sweep_cache is not None:
+        if top is None and self._sweep_cache is not None:
             return self._sweep_cache
         game = self.game
+        # Designer values sums/length are exact ints in units of 1/scale.
+        scale = math.lcm(*range(1, self.bound + 1))
         width, n_sums = self._width, game.n_players + 1
+        # Offset by ``half``, every field of a packed sum lies in [0, 2**width),
+        # so each row reads its own field with one shift and mask.
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        offset = _pack_sums((half,) * n_sums, width)
+        fs = None  # the designer floor, in units of 1/scale
+        best: list[tuple[int, int]] = []  # the top (value * scale, length) pairs, least first
         out: list[tuple] = []
         seen: set[tuple[int, int, int]] = set()
+        designer = None if top is None else lambda: None if fs is None else (scale, fs)
         for ci, ceiling in enumerate(self._ceilings):
             floors = self._rows(ceiling)
             allowed = self._allowed(ceiling)
@@ -442,24 +463,46 @@ class NashLassoSolver:
                 if budget < 1:
                     continue
                 back = self._dists_to(allowed, anchor)
-                walk = self._walk(allowed, anchor, budget, back)
+                walk = self._walk(allowed, anchor, budget, back, designer)
                 for length, layer in enumerate(walk, 1):
-                    for packed in layer.get(anchor, ()):
-                        key = (anchor, length, packed)
-                        if key in seen:
-                            continue
-                        sums = _unpack_sums(packed, width, n_sums)
-                        if _meets(floors, sums, length):
+                    closed = layer.get(anchor)
+                    if not closed:
+                        continue
+                    # Ceiling floors are lower bounds (q > 0), as is the
+                    # designer floor, as raised so far: each is a least value
+                    # of one field.
+                    rows = floors if fs is None else [*floors, (n_sums - 1, scale, fs)]
+                    bounds = [(k * width, half - (-p * length // q)) for k, q, p in rows]
+                    for packed in closed:
+                        fields = packed + offset
+                        for shift, least_field in bounds:
+                            if (fields >> shift) & mask < least_field:
+                                break
+                        else:
+                            key = (anchor, length, packed)
+                            if key in seen:
+                                continue
                             seen.add(key)
+                            sums = _unpack_sums(packed, width, n_sums)
                             out.append((ci, anchor, length, sums, prefix_len))
-        # Designer value sums/length in units of 1/lcm(1..bound): exact ints.
-        scale = math.lcm(*range(1, self.bound + 1))
+                            if top is None:
+                                continue
+                            pair = (sums[-1] * (scale // length), length)
+                            if pair not in best and (len(best) < top or pair > best[0]):
+                                insort(best, pair)
+                                del best[:-top]
+                                if len(best) == top:
+                                    fs = best[0][0]
+        if fs is not None:
+            out = [rec for rec in out if rec[3][-1] * (scale // rec[2]) >= fs]
         out.sort(key=lambda rec: (rec[3][-1] * (scale // rec[2]), rec[2], rec[1], rec[3]))
-        self._sweep_cache = out
+        if top is None:
+            self._sweep_cache = out
         return out
 
-    def _walk(self, allowed, anchor: int, horizon: int,
-              back: dict[int, int]) -> Iterator[dict[int, set[int]]]:
+    def _walk(self, allowed, anchor: int, horizon: int, back: dict[int, int],
+              designer: Callable[[], tuple[int, int] | None] | None = None,
+              ) -> Iterator[dict[int, set[int]]]:
         """Layered reachability of packed weight sums on cycles at ``anchor``.
 
         Yields, for k = 1, 2, ..., the map from each state to the packed
@@ -468,6 +511,15 @@ class NashLassoSolver:
         the sums at ``anchor`` itself are the cycles of length k.  States
         enter a layer in the order their predecessors are visited, each
         predecessor's successors in class order; ``realize`` relies on it.
+
+        ``designer()``, read before each layer, may return a designer floor
+        ``(q, p)``, q > 0: the layer then keeps only the sums that can still
+        close a cycle worth at least p/q to the designer, by the best
+        designer return to the anchor (:meth:`_designer_limits`), so a floor
+        raised during the walk prunes the layers after it.  A state whose
+        sums are all dropped keeps its place, empty, so the states and their
+        order are those of the unpruned walk.  A floor at or below the least
+        global weight prunes nothing and is ignored.
         """
         wpack = self._wpack
         succs = {
@@ -475,6 +527,8 @@ class NashLassoSolver:
                 if t in back]
             for s in back
         }
+        least = min(self.game.global_weights)
+        floor = limits = None
         layer: dict[int, set[int]] = {anchor: {0}}
         for k in range(1, horizon + 1):
             rem = horizon - k
@@ -494,8 +548,52 @@ class NashLassoSolver:
                         bucket |= shifted
             if not nxt:
                 return
+            if designer is not None and designer() != floor:
+                floor = designer()
+                limits = (None if floor is None or floor[1] <= least * floor[0]
+                          else self._designer_limits(succs, anchor, horizon, *floor))
+            if limits is not None:
+                for t, xs in nxt.items():
+                    lim = limits[k][t]
+                    if xs and min(xs) < lim:
+                        nxt[t] = {x for x in xs if x >= lim}
             yield nxt
             layer = nxt
+
+    def _designer_limits(self, succs: dict[int, list[tuple[int, int]]], anchor: int,
+                         horizon: int, q: int, p: int) -> list[dict[int, int]]:
+        """Per step k <= ``horizon`` and state t, the least packed sums a k-step
+        walk at t may carry and still close a cycle within ``horizon`` steps
+        whose designer value reaches p/q.
+
+        Offset by ``half``, every field below the designer's is nonnegative,
+        so packed sums order by their top field, the designer's: its value
+        is at least d exactly when the packed sums are at least
+        ``(d << shift) - offset``.
+        """
+        g = self.game.global_weights
+        n, width = self.game.n_players, self._width
+        shift, offset = n * width, _pack_sums((1 << (width - 1),) * n, width)
+        limits: list[dict[int, int]] = [{}] * (horizon + 1)
+        # best[s]: the greatest designer sum of a j-step walk from s to the
+        # anchor; gain[s]: the greatest best*q - p*j over the j seen so far.
+        best = {anchor: 0}
+        gain: dict[int, int] = {}
+        for j in range(horizon):
+            for s, b in best.items():
+                v = b * q - p * j
+                if s not in gain or v > gain[s]:
+                    gain[s] = v
+            # After k steps, with j left, the designer sum D needs D*q + gain >= p*k.
+            k = horizon - j
+            limits[k] = {t: (-((v - p * k) // q) << shift) - offset for t, v in gain.items()}
+            nxt = {}
+            for s, ts in succs.items():
+                most = max([best[t] for t, _ in ts if t in best], default=None)
+                if most is not None:
+                    nxt[s] = g[s] + most
+            best = nxt
+        return limits
 
     def global_values(self) -> list[Fraction]:
         """Sorted distinct designer values over all equilibrium signatures."""
@@ -517,8 +615,15 @@ class NashLassoSolver:
             return None
         return sweep[-1] if maximize else sweep[0]
 
-    def signatures(self) -> list[tuple]:
-        return list(self._sweep())
+    def signatures(self, top: int | None = None) -> list[tuple]:
+        """Equilibrium signatures, least designer value first.
+
+        With ``top``, only those worth at least the ``top``-th most valuable
+        (value, length) pair, and the sweep lists no others.
+        """
+        if top is not None and (type(top) is not int or top < 1):
+            raise ValueError(f"top {top!r} is not a positive int")
+        return list(self._sweep(top))
 
     def _check_query(self, query: ThresholdQuery) -> None:
         if len(query.lower) != self.game.n_players:
@@ -533,16 +638,19 @@ class NashLassoSolver:
     def realize(self, rec: tuple) -> Lasso:
         """Rebuild a concrete lasso from a sweep signature.
 
-        Replays the sweep's walk with horizon ``length`` and follows each
-        packed sum back to its first parent: the first state of the previous
-        layer, in layer order, whose first class into the current state
-        carries a sum that explains it.
+        Replays the sweep's walk with horizon ``length``, pruned at the
+        signature's own designer value, and follows each packed sum back to
+        its first parent: the first state of the previous layer, in layer
+        order, whose first class into the current state carries a sum that
+        explains it.  Every step of that path reaches the value, so pruning
+        keeps it, and keeps the layer order: the lasso is the unpruned walk's.
         """
         ci, anchor, length, sums, _ = rec
         allowed = self._allowed(self._ceilings[ci])
         game = self.game
         back = self._dists_to(allowed, anchor)
-        layers = [{anchor: {0}}, *self._walk(allowed, anchor, length, back)]
+        walk = self._walk(allowed, anchor, length, back, lambda: (length, sums[-1]))
+        layers = [{anchor: {0}}, *walk]
         packed = _pack_sums(sums, self._width)
         if (_unpack_sums(packed, self._width, game.n_players + 1) != tuple(sums)
                 or len(layers) <= length

@@ -1,0 +1,65 @@
+"""Full-sweep candidate loop: the reference the floored sweep is tested against.
+
+``full_candidates`` reads every signature of the exhaustive sweep, most
+valuable first, one per (value, length) pair, and replays each with
+``full_realize``, which walks without a designer floor.  The floored loop
+in ``eqdesign.design._lasso_candidates`` must build the same machines in
+the same order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import eqdesign.design as design
+from eqdesign.auxiliary import AuxiliaryGame
+from eqdesign.equilibria import NashLassoSolver, _pack_sums
+from eqdesign.games import Lasso
+from eqdesign.rewards import RewardMachine
+
+
+def full_candidates(aux: AuxiliaryGame, solver: NashLassoSolver) -> list[RewardMachine]:
+    machines: list[RewardMachine] = []
+    seen_keys: set[tuple] = set()
+    seen_sig: set[tuple] = set()
+    for rec in reversed(solver.signatures()):
+        _, _, length, sums, _ = rec
+        sig_key = (Fraction(sums[-1], length), length)
+        if sig_key in seen_sig:
+            continue
+        seen_sig.add(sig_key)
+        # Looked up at call time, as the loop under test does.
+        rm = design.strategy_to_rm(aux, design.replay_strategy(aux, full_realize(solver, rec)))
+        key = rm.canonical_key()
+        if key in seen_keys:
+            continue
+        seen_keys.add(key)
+        machines.append(rm)
+        if len(machines) >= design.MAX_LASSO_CANDIDATES:
+            break
+    return machines
+
+
+def full_realize(solver: NashLassoSolver, rec: tuple) -> Lasso:
+    """The lasso of ``rec`` traced back through the unpruned walk."""
+    ci, anchor, length, sums, _ = rec
+    allowed = solver._allowed(solver._ceilings[ci])
+    back = solver._dists_to(allowed, anchor)
+    layers = [{anchor: {0}}, *solver._walk(allowed, anchor, length, back)]
+    packed = _pack_sums(sums, solver._width)
+    assert packed in layers[length][anchor]
+    states: list[int] = []
+    moves: list[tuple[int, ...]] = []
+    cur = anchor
+    for k in range(length - 1, -1, -1):
+        for s, xs in layers[k].items():
+            prev = packed - solver._wpack[s]
+            cls = next((c for c in allowed[s] if c.succ == cur), None)
+            if prev in xs and cls is not None:
+                break
+        states.append(s)
+        moves.append(cls.joint)
+        cur, packed = s, prev
+    prefix_states, prefix_moves = solver._prefix(solver._tree(allowed), anchor)
+    return Lasso(tuple(prefix_states), tuple(reversed(states)),
+                 tuple(prefix_moves), tuple(reversed(moves)))

@@ -9,9 +9,17 @@ import eqdesign.design
 import eqdesign.equilibria
 import eqdesign.games
 from eqdesign.auxiliary import build_auxiliary
-from eqdesign.benchmarks import gen_example1, gen_random_game
+from eqdesign.benchmarks import (
+    CostDigraph,
+    gen_example1,
+    gen_hamiltonian_complement_game,
+    gen_hamiltonian_game,
+    gen_random_game,
+)
 from eqdesign.design import (
+    MAX_LASSO_CANDIDATES,
     ImprovementQuery,
+    _lasso_candidates,
     _search,
     algorithm_trace,
     decide_improvement,
@@ -26,6 +34,7 @@ from eqdesign.games import _arena_tables, make_game
 from eqdesign.rewards import implement, is_beta_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
 
+from candidate_oracle import full_candidates
 from sweep_oracle import bisect_search
 
 
@@ -340,6 +349,89 @@ class TestArenaSharing:
         # Base game, auxiliary game, and each product arena: once each.
         assert len(built) == len({id(a) for a in built}) == 10
         assert game.arena in built and all(a in built for a in arenas.values())
+
+
+def keys(machines) -> list[tuple]:
+    return [rm.canonical_key() for rm in machines]
+
+
+class TestFlooredCandidates:
+    """Certify's lasso candidates read only the signatures above a designer
+    floor, and are the machines, in order, of the full-sweep loop."""
+
+    # The criterion-5 graphs: a directed 3-cycle and a fork.
+    WITH = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v2", "v3"), ("v3", "v1")))
+    WITHOUT = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v1", "v3")))
+
+    @staticmethod
+    def count_sweeps(monkeypatch) -> list:
+        tops = []
+        signatures = NashLassoSolver.signatures
+
+        def counting(self, top=None):
+            tops.append(top)
+            return signatures(self, top)
+
+        monkeypatch.setattr(NashLassoSolver, "signatures", counting)
+        return tops
+
+    @staticmethod
+    def both(aux, bound=12):
+        solver = NashLassoSolver(aux.game, 0, bound)
+        pun = solver.pun
+        return (_lasso_candidates(aux, solver),
+                full_candidates(aux, NashLassoSolver(aux.game, 0, bound, pun=pun)))
+
+    @pytest.mark.parametrize("make", [gen_hamiltonian_game, gen_hamiltonian_complement_game])
+    @pytest.mark.parametrize("graph", ["WITH", "WITHOUT"])
+    def test_criterion_5_auxiliary_games(self, make, graph, monkeypatch):
+        aux = build_auxiliary(make(getattr(self, graph)), 1)
+        tops = self.count_sweeps(monkeypatch)
+        floored, full = self.both(aux)
+        assert keys(floored) == keys(full) and len(full) == MAX_LASSO_CANDIDATES
+        # One floored pass, then the reference's full sweep.
+        assert tops == [MAX_LASSO_CANDIDATES, None]
+
+    def test_fork_complement_floor_reaches_the_least_weight(self):
+        # The complement game of the fork has 20 signatures in its auxiliary
+        # game, and the 12th most valuable (value, length) pair is worth the
+        # least global weight: the floored sweep lists every signature.
+        aux = build_auxiliary(gen_hamiltonian_complement_game(self.WITHOUT), 1)
+        solver = NashLassoSolver(aux.game, 0, 12)
+        floored = solver.signatures(top=MAX_LASSO_CANDIDATES)
+        full = NashLassoSolver(aux.game, 0, 12, pun=solver.pun).signatures()
+        pairs = sorted({(Fraction(rec[3][-1], rec[2]), rec[2]) for rec in full}, reverse=True)
+        assert pairs[MAX_LASSO_CANDIDATES - 1][0] == min(aux.game.global_weights)
+        assert floored == full and len(full) == 20
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("n_players,budget", [(2, 1), (2, 2), (3, 1)])
+    def test_seeded_auxiliary_games(self, seed, n_players, budget):
+        aux = build_auxiliary(gen_random_game(seed, n_players, 2 + seed % 2), budget)
+        floored, full = self.both(aux, 4 + seed % 5)
+        assert keys(floored) == keys(full)
+
+    def test_duplicate_machines_lower_the_floor(self, monkeypatch):
+        # Replays of equal length are made to give one machine, so the first
+        # pass over the top 12 pairs finds too few and the floor is lowered.
+        real = eqdesign.design.strategy_to_rm
+
+        def collapsing(aux, sigma0):
+            return by_memory.setdefault(sigma0.n_memory, real(aux, sigma0))
+
+        monkeypatch.setattr(eqdesign.design, "strategy_to_rm", collapsing)
+        tops = self.count_sweeps(monkeypatch)
+        aux = build_auxiliary(gen_example1()[0], 1)
+        by_memory = {}
+        solver = NashLassoSolver(aux.game, 0, 12)
+        floored = _lasso_candidates(aux, solver)
+        passes = tops[:]
+        by_memory = {}
+        full = full_candidates(aux, NashLassoSolver(aux.game, 0, 12, pun=solver.pun))
+        assert keys(floored) == keys(full) and len(full) < MAX_LASSO_CANDIDATES
+        # Each pass asks for twice the pairs read so far, until one lists them all.
+        assert passes[0] == MAX_LASSO_CANDIDATES and len(passes) > 1
+        assert all(b >= 2 * a for a, b in zip(passes, passes[1:]))
 
 
 class TestSynthesizeRm:

@@ -35,6 +35,7 @@ from eqdesign.zerosum import SolverLimitError, best_response_value
 from conftest import lasso_by_names
 from ceiling_oracle import build_ceilings, build_classes, deviation_successors
 from lasso_walks import lasso_from_states
+from candidate_oracle import full_realize
 from sweep_oracle import fraction_window_test, oracle_signatures
 
 
@@ -312,6 +313,57 @@ class TestPayoffRows:
                                tuple(hi for _, hi in per_player), gl, gu, fixed)
         want = next((rec for rec in sigs if fraction_window_test(query, rec[3], rec[2])), None)
         assert solver.query_oracle(query) == want
+
+
+def value(rec) -> Fraction:
+    return Fraction(rec[3][-1], rec[2])
+
+
+class TestFlooredSweep:
+    """A designer floor cuts the sweep to the exhaustive list's suffix at the
+    floor, records unchanged, and realizes every record as before."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4),
+           st.sampled_from([None, 0]), st.integers(2, 8))
+    def test_every_value_as_floor(self, seed, n_players, n_states, fixed, bound):
+        game = gen_random_game(seed, n_players, n_states)
+        full = NashLassoSolver(game, fixed, bound).signatures()
+        pairs = sorted({(value(rec), rec[2]) for rec in full}, reverse=True)
+        # Every designer value is the floor of the top pairs down to its first.
+        assert {v for v, _ in pairs} == {pairs[top - 1][0] for top in range(1, len(pairs) + 1)}
+        pun = NashLassoSolver(game, fixed, bound).pun
+        for top in range(1, len(pairs) + 2):
+            floor = pairs[top - 1][0] if top <= len(pairs) else min(game.global_weights)
+            want = [rec for rec in full if value(rec) >= floor]
+            solver = NashLassoSolver(game, fixed, bound, pun=pun)
+            assert solver.signatures(top=top) == want
+            for rec in want:
+                assert solver.realize(rec) == full_realize(solver, rec)
+            # A full sweep kept on the solver changes nothing.
+            solver.signatures()
+            assert solver.signatures(top=top) == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pruned_walk_keeps_states_in_order(self, seed):
+        game = gen_random_game(seed, n_players=3, n_states=4)
+        solver = NashLassoSolver(game, None, 8)
+        for rec in solver.signatures():
+            ci, anchor, length, sums, _ = rec
+            allowed = solver._allowed(solver._ceilings[ci])
+            back = solver._dists_to(allowed, anchor)
+            plain = list(solver._walk(allowed, anchor, length, back))
+            pruned = list(solver._walk(allowed, anchor, length, back, lambda: (length, sums[-1])))
+            assert [list(layer) for layer in pruned] == [list(layer) for layer in plain]
+            assert all(xs <= plain[k][t] for k, layer in enumerate(pruned)
+                       for t, xs in layer.items())
+            assert _pack_sums(sums, solver._width) in pruned[-1][anchor]
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.0, True, "1"])
+    def test_top_must_be_a_positive_int(self, bad):
+        solver = NashLassoSolver(gen_example1()[0], None, 4)
+        with pytest.raises(ValueError, match="top"):
+            solver.signatures(top=bad)
 
 
 def check_against_sweep_oracle(game, fixed, bound):
