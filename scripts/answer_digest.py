@@ -8,9 +8,9 @@ and comparing the outputs byte for byte::
     PYTHONHASHSEED=0 PYTHONPATH=src python scripts/answer_digest.py > after.txt
     cmp before.txt after.txt
 
-The lines cover the four criterion-5 improvement decisions, certify
-decisions on the running example and on seeded two-player games, the
-serialized Hamiltonian constructions, the k-loop delivery machines, and, on seeded
+The lines cover the four criterion-5 improvement decisions, the serialized
+Hamiltonian constructions, certify decisions on the running example and on
+seeded two-player games, the k-loop delivery machines, and, on seeded
 random games with two and three players: every equilibrium signature (as a
 digest), the extreme witnesses, the machines built from them (as a digest),
 oracle and LP answers on point and half-line designer windows and on player
@@ -53,6 +53,8 @@ WITHOUT_PATH = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v1", "v3")))
 # Designer thresholds of the windows asked on every random game.
 THRESHOLDS = tuple(Fraction(k, 2) for k in range(-5, 6)) + (Fraction(1, 3), Fraction(-2, 3))
 EPSILONS = (Fraction(1), Fraction(1, 8))
+# Seeded two-player games given certify decisions, at most.
+CERTIFY_SEEDS = 40
 
 
 def digest(text: str) -> str:
@@ -86,6 +88,9 @@ def decisions() -> None:
                              mode=mode, method="certify")
         for name, graph in (("with", WITH_PATH), ("without", WITHOUT_PATH)):
             print(f"decision {mode} {name}: {improvement_line(decide_improvement(make(graph), q))}")
+    for name, graph in (("with", WITH_PATH), ("without", WITHOUT_PATH)):
+        for make in (gen_hamiltonian_game, gen_hamiltonian_complement_game):
+            print(f"serialized {make.__name__} {name}: {digest(serialize_game(make(graph)))}")
 
 
 def certify_decisions(seeds: int) -> None:
@@ -99,9 +104,6 @@ def certify_decisions(seeds: int) -> None:
                                  mode=mode, method="certify")
             print(f"certify {name} {mode}: "
                   f"{answer(lambda: decide_improvement(game, q), improvement_line)}")
-    for name, graph in (("with", WITH_PATH), ("without", WITHOUT_PATH)):
-        for make in (gen_hamiltonian_game, gen_hamiltonian_complement_game):
-            print(f"serialized {make.__name__} {name}: {digest(serialize_game(make(graph)))}")
 
 
 def delivery_machines() -> None:
@@ -180,11 +182,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=50,
                         help="random games per player count and fixed player (default 50)")
-    parser.add_argument("--certify-seeds", type=int, default=40,
-                        help="random two-player games given certify decisions (default 40)")
     args = parser.parse_args()
     decisions()
-    certify_decisions(args.certify_seeds)
+    certify_decisions(min(args.seeds, CERTIFY_SEEDS))
     delivery_machines()
     for seed in range(args.seeds):
         for n_players in (2, 3):

@@ -28,7 +28,8 @@ Two backends answer threshold queries:
   and only a cycle that passes is decoded.  ``realize`` replays the same
   walk and follows a signature's packed sums back to a concrete lasso.
   A designer floor (``signatures(top=...)``, which certify's candidate
-  loop reads) prunes the walk: a partial cycle is dropped when even the
+  loop reads) prunes the walk, once a layer holds more than
+  ``PRUNE_LAYER_SUMS`` sums: a partial cycle is dropped when even the
   best designer return to its anchor cannot reach the floor.  The floor
   filters whole cycles and pruning drops no state from a layer, so the
   records kept, their first ceiling, prefix length and order, and every
@@ -83,6 +84,10 @@ NEG_INF = -math.inf
 # of a lasso unrolled from an LP frequency vertex.
 CEILING_LIMIT = 4096
 LASSO_LENGTH_CAP = 4096
+# A designer floor prunes the oracle walk only from the first layer holding
+# more packed sums than this: below it, building the pruning tables costs
+# more than the sums they could drop.
+PRUNE_LAYER_SUMS = 256
 
 Bound = object  # int, Fraction or +-inf
 
@@ -518,8 +523,9 @@ class NashLassoSolver:
         designer return to the anchor (:meth:`_designer_limits`), so a floor
         raised during the walk prunes the layers after it.  A state whose
         sums are all dropped keeps its place, empty, so the states and their
-        order are those of the unpruned walk.  A floor at or below the least
-        global weight prunes nothing and is ignored.
+        order are those of the unpruned walk.  Pruning starts at the first
+        layer holding more than ``PRUNE_LAYER_SUMS`` sums, and a floor at or
+        below the least global weight prunes nothing and is ignored.
         """
         wpack = self._wpack
         succs = {
@@ -548,7 +554,8 @@ class NashLassoSolver:
                         bucket |= shifted
             if not nxt:
                 return
-            if designer is not None and designer() != floor:
+            if designer is not None and designer() != floor and (
+                    limits is not None or sum(map(len, nxt.values())) > PRUNE_LAYER_SUMS):
                 floor = designer()
                 limits = (None if floor is None or floor[1] <= least * floor[0]
                           else self._designer_limits(succs, anchor, horizon, *floor))
@@ -644,6 +651,7 @@ class NashLassoSolver:
         order, whose first class into the current state carries a sum that
         explains it.  Every step of that path reaches the value, so pruning
         keeps it, and keeps the layer order: the lasso is the unpruned walk's.
+        Walks whose layers stay small are not pruned (``PRUNE_LAYER_SUMS``).
         """
         ci, anchor, length, sums, _ = rec
         allowed = self._allowed(self._ceilings[ci])

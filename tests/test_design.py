@@ -406,7 +406,10 @@ class TestFlooredCandidates:
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("n_players,budget", [(2, 1), (2, 2), (3, 1)])
-    def test_seeded_auxiliary_games(self, seed, n_players, budget):
+    @pytest.mark.parametrize("gate", [0, eqdesign.equilibria.PRUNE_LAYER_SUMS])
+    def test_seeded_auxiliary_games(self, seed, n_players, budget, gate, monkeypatch):
+        # Gate 0 prunes the small walks of these games too.
+        monkeypatch.setattr(eqdesign.equilibria, "PRUNE_LAYER_SUMS", gate)
         aux = build_auxiliary(gen_random_game(seed, n_players, 2 + seed % 2), budget)
         floored, full = self.both(aux, 4 + seed % 5)
         assert keys(floored) == keys(full)

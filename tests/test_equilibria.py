@@ -1,13 +1,18 @@
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqdesign.equilibria
+from eqdesign.auxiliary import build_auxiliary
 from eqdesign.benchmarks import (
+    CostDigraph,
     complete_digraph,
     gen_example1,
+    gen_hamiltonian_game,
     gen_random_game,
     gen_tsp_game,
 )
@@ -325,8 +330,15 @@ class TestFlooredSweep:
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4),
-           st.sampled_from([None, 0]), st.integers(2, 8))
-    def test_every_value_as_floor(self, seed, n_players, n_states, fixed, bound):
+           st.sampled_from([None, 0]), st.integers(2, 8),
+           st.sampled_from([0, eqdesign.equilibria.PRUNE_LAYER_SUMS]))
+    def test_every_value_as_floor(self, seed, n_players, n_states, fixed, bound, gate):
+        # Gate 0 prunes every layer of these small walks; the default, few.
+        with mock.patch.object(eqdesign.equilibria, "PRUNE_LAYER_SUMS", gate):
+            self.check_every_value_as_floor(seed, n_players, n_states, fixed, bound)
+
+    @staticmethod
+    def check_every_value_as_floor(seed, n_players, n_states, fixed, bound):
         game = gen_random_game(seed, n_players, n_states)
         full = NashLassoSolver(game, fixed, bound).signatures()
         pairs = sorted({(value(rec), rec[2]) for rec in full}, reverse=True)
@@ -344,20 +356,59 @@ class TestFlooredSweep:
             solver.signatures()
             assert solver.signatures(top=top) == want
 
+    @staticmethod
+    def walks(solver, rec):
+        """The plain walk of ``rec`` and the walk pruned at its value."""
+        ci, anchor, length, sums, _ = rec
+        allowed = solver._allowed(solver._ceilings[ci])
+        back = solver._dists_to(allowed, anchor)
+        plain = list(solver._walk(allowed, anchor, length, back))
+        pruned = list(solver._walk(allowed, anchor, length, back, lambda: (length, sums[-1])))
+        return plain, pruned
+
     @pytest.mark.parametrize("seed", range(6))
-    def test_pruned_walk_keeps_states_in_order(self, seed):
+    def test_pruned_walk_keeps_states_in_order(self, seed, monkeypatch):
+        monkeypatch.setattr(eqdesign.equilibria, "PRUNE_LAYER_SUMS", 0)
         game = gen_random_game(seed, n_players=3, n_states=4)
         solver = NashLassoSolver(game, None, 8)
         for rec in solver.signatures():
-            ci, anchor, length, sums, _ = rec
-            allowed = solver._allowed(solver._ceilings[ci])
-            back = solver._dists_to(allowed, anchor)
-            plain = list(solver._walk(allowed, anchor, length, back))
-            pruned = list(solver._walk(allowed, anchor, length, back, lambda: (length, sums[-1])))
+            _, anchor, _, sums, _ = rec
+            plain, pruned = self.walks(solver, rec)
             assert [list(layer) for layer in pruned] == [list(layer) for layer in plain]
             assert all(xs <= plain[k][t] for k, layer in enumerate(pruned)
                        for t, xs in layer.items())
             assert _pack_sums(sums, solver._width) in pruned[-1][anchor]
+
+    def test_small_walks_are_not_pruned(self):
+        # Every layer of these walks holds at most PRUNE_LAYER_SUMS sums, so
+        # the floor builds no tables; with the gate at 0 it prunes some.
+        solver = NashLassoSolver(gen_random_game(3, n_players=3, n_states=4), None, 8)
+        dropped = 0
+        for rec in solver.signatures():
+            plain, pruned = self.walks(solver, rec)
+            assert max(sum(map(len, layer.values())) for layer in plain) <= (
+                eqdesign.equilibria.PRUNE_LAYER_SUMS)
+            assert pruned == plain
+            with mock.patch.object(eqdesign.equilibria, "PRUNE_LAYER_SUMS", 0):
+                pruned = self.walks(solver, rec)[1]
+            dropped += sum(len(xs) for layer in plain for xs in layer.values())
+            dropped -= sum(len(xs) for layer in pruned for xs in layer.values())
+        assert dropped > 0
+
+    def test_pruning_starts_at_a_large_layer(self):
+        # On the fork's auxiliary game, the walk of the most valuable
+        # signature reaches layers of thousands of sums; a floor at its value
+        # prunes from the first layer holding more than PRUNE_LAYER_SUMS.
+        graph = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v1", "v3")))
+        aux = build_auxiliary(gen_hamiltonian_game(graph), 1)
+        solver = NashLassoSolver(aux.game, 0, 12)
+        plain, pruned = self.walks(solver, solver.extreme_signature(True))
+        sizes = [sum(map(len, layer.values())) for layer in plain]
+        first = next(k for k, n in enumerate(sizes)
+                     if n > eqdesign.equilibria.PRUNE_LAYER_SUMS)
+        assert pruned[:first] == plain[:first]
+        assert all(sum(map(len, layer.values())) < n
+                   for layer, n in zip(pruned[first:], sizes[first:]))
 
     @pytest.mark.parametrize("bad", [0, -1, 1.0, True, "1"])
     def test_top_must_be_a_positive_int(self, bad):

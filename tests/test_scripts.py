@@ -34,7 +34,7 @@ def test_run_reductions():
 
 
 def test_answer_digest():
-    proc = run_script("answer_digest.py", "--seeds", "2", "--certify-seeds", "2")
+    proc = run_script("answer_digest.py", "--seeds", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     decisions = [line.split(": ")[1].split()[0] for line in lines if line.startswith("decision ")]
