@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .games import Arena, Game, GameStructureError, MealyStrategy, tabulate
 from .rewards import RewardMachine, RewardMachineError, is_beta_rm, product_arena
@@ -59,7 +58,8 @@ class AuxiliaryGame:
 
     ``game`` has agent 0 at player index 0 and the source players shifted
     up by one; its global weight table doubles as agent 0's, so global
-    threshold queries read the designer payoff directly.
+    threshold queries read the designer payoff directly.  ``pair_id`` and
+    ``vec_index`` invert ``pair_of_state`` and ``vectors``.
     """
 
     game: Game
@@ -68,16 +68,14 @@ class AuxiliaryGame:
     vectors: tuple[tuple[int, ...], ...]
     pair_of_state: tuple[tuple[int, int], ...] = field(repr=False)
     vector_action: tuple[int, ...] = field(repr=False)
+    pair_id: Mapping[tuple[int, int], int] = field(repr=False)
+    vec_index: Mapping[tuple[int, ...], int] = field(repr=False)
 
     def state_id(self, source_state: int, vector_index: int) -> int:
-        return self._pair_index[(source_state, vector_index)]
-
-    @cached_property
-    def _pair_index(self) -> dict[tuple[int, int], int]:
-        return {pair: k for k, pair in enumerate(self.pair_of_state)}
+        return self.pair_id[(source_state, vector_index)]
 
     def vector_index(self, vec: tuple[int, ...]) -> int:
-        return self.vectors.index(vec)
+        return self.vec_index[vec]
 
 
 def vector_action_name(vec: Sequence[int]) -> str:
@@ -150,6 +148,8 @@ def build_auxiliary(game: Game, budget: int) -> AuxiliaryGame:
         vectors=vectors,
         pair_of_state=tuple(pairs),
         vector_action=vector_action,
+        pair_id=pair_id,
+        vec_index=vec_index,
     )
 
 
@@ -162,11 +162,10 @@ def rm_to_strategy(aux: AuxiliaryGame, rm: RewardMachine) -> MealyStrategy:
     rm.validate_for(aux.source)
     if not is_beta_rm(rm, aux.budget):
         raise RewardMachineError("machine exceeds the budget; not an agent-0 strategy")
-    vec_action = dict(zip(aux.vectors, aux.vector_action))
 
     def cell(q: int, x: int) -> tuple[int, int]:
         s = aux.pair_of_state[x][0]
-        return rm.step[q][s], vec_action[rm.rewards[q][s]]
+        return rm.step[q][s], aux.vector_action[aux.vec_index[rm.rewards[q][s]]]
 
     strat = MealyStrategy(rm.n_states, rm.initial,
                           *tabulate(rm.n_states, aux.game.n_states, cell))
@@ -183,7 +182,8 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
     """
     sigma0.validate(aux.game, 0)
     n_vec = len(aux.vectors)
-    act_vec = {a: vi for vi, a in enumerate(aux.vector_action)}
+    # Vector actions are numbered consecutively, in vector order.
+    first_action = aux.vector_action[0]
     src = aux.source
     zero_vi = aux.vector_index((0,) * src.n_players)
 
@@ -196,7 +196,7 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
             # Source state unreachable: pay nothing and move to the
             # zero-vector twin so states keep tracking vectors.
             return t * n_vec + zero_vi, (0,) * src.n_players
-        played = act_vec[sigma0.act[t][aux_state]]
+        played = sigma0.act[t][aux_state] - first_action
         return sigma0.step[t][aux_state] * n_vec + played, aux.vectors[played]
 
     step, rewards = tabulate(sigma0.n_memory * n_vec, src.n_states, cell)
@@ -255,9 +255,8 @@ def machine_state_vectors(aux: AuxiliaryGame, rm: RewardMachine) -> list[int]:
     for q in range(rm.n_states):
         for s in range(aux.source.n_states):
             target = rm.step[q][s]
-            try:
-                vi = aux.vector_index(rm.rewards[q][s])
-            except ValueError:
+            vi = aux.vec_index.get(rm.rewards[q][s])
+            if vi is None:
                 raise RewardMachineError("machine pays beyond the budget")
             if vec_of[target] is None:
                 vec_of[target] = vi

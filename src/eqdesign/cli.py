@@ -166,9 +166,7 @@ def _cmd_check(args, out, want_machine: bool) -> int:
         "improved_value": str(answer.improved_value),
     }
     if answer.witness_lasso is not None:
-        owner = (build_auxiliary(game, args.budget).game if answer.method == "paper"
-                 else implement(game, answer.witness_rm))
-        doc["witness_lasso"] = answer.witness_lasso.describe(owner)
+        doc["witness_lasso"] = answer.witness_lasso.describe(answer.witness_game)
     summary = {
         "decision": "yes" if answer.decision else "no",
         "baseline_value": answer.baseline_value,

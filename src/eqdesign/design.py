@@ -88,14 +88,16 @@ class ImprovementQuery:
 
 @dataclass(frozen=True)
 class ImprovementAnswer:
-    """``witness_lasso`` is a play of ``implement(game, witness_rm)`` in certify
-    mode, of the auxiliary game ``build_auxiliary(game, budget).game`` in paper."""
+    """``witness_lasso`` is a certified play of ``witness_game``: the product
+    ``implement(game, witness_rm)`` in certify mode, the auxiliary game
+    ``build_auxiliary(game, budget).game`` in paper mode."""
 
     decision: bool
     baseline_value: Fraction
     improved_value: Fraction
     witness_rm: RewardMachine | None
     witness_lasso: Lasso | None
+    witness_game: Game | None
     method: str
     mode: str
 
@@ -306,9 +308,10 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     ``paper`` mode runs the three-step auxiliary-game comparison verbatim
     (quantifying over every designer strategy, frugal or not).  ``certify``
     mode only answers yes with a machine whose product has been re-solved
-    and beats the threshold, and with a product lasso that passes the exact
-    best-response certificate (else :class:`SolverLimitError` is raised), so
-    its positive answers are self-certifying; its candidate family is finite
+    and beats the threshold.  In both modes the witness lasso passes the
+    exact best-response certificate on its game (else
+    :class:`SolverLimitError` is raised), so certify's positive answers
+    are self-certifying; its candidate family is finite
     and documented, so a negative answer means no candidate improved, not
     that none exists.  Each game searched
     (base, auxiliary, each candidate product) gets one solver, which also
@@ -326,16 +329,15 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         aux_solver = _solver(solved, aux.game, 0, q.bound)
         aux_search = _search(aux_solver, q.epsilon, maximize, "oracle")
         decision = aux_search.value - base.value > q.delta
-        rm = None
-        lasso = None
+        rm = lasso = owner = None
         if decision and aux_search.ne_exists:
             rec = aux_solver.extreme_signature(maximize=maximize)
             if rec is not None:
-                lasso = aux_solver.realize(rec)
+                lasso = aux_solver.witness(rec).lasso
                 rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
-        return ImprovementAnswer(
-            decision, base.value, aux_search.value, rm, lasso, "paper", q.mode
-        )
+                owner = aux.game
+        return ImprovementAnswer(decision, base.value, aux_search.value, rm, lasso,
+                                 owner, "paper", q.mode)
 
     best_seen = base.value
     candidates = []
@@ -355,16 +357,16 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
             best_seen = val.value
         if val.value - base.value > q.delta:
             rec = solver.extreme_signature(maximize=maximize)
-            lasso = solver.witness(rec).lasso if rec is not None else None
-            return ImprovementAnswer(
-                True, base.value, val.value, rm, lasso, "certify", q.mode
-            )
+            lasso = owner = None
+            if rec is not None:
+                lasso, owner = solver.witness(rec).lasso, solver.game
+            return ImprovementAnswer(True, base.value, val.value, rm, lasso,
+                                     owner, "certify", q.mode)
         # Freed before the next product is built, which then reuses its
         # memory: kept alive, the criterion-5 decisions ran ~2% slower.
         del solver
-    return ImprovementAnswer(
-        False, base.value, best_seen, None, None, "certify", q.mode
-    )
+    return ImprovementAnswer(False, base.value, best_seen, None, None, None,
+                             "certify", q.mode)
 
 
 def synthesize_rm(game: Game, q: ImprovementQuery) -> RewardMachine:

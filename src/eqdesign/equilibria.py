@@ -9,7 +9,8 @@ the threshold problem a search over lassos.
 
 Only the order of the finitely many punishment values shapes the move
 classes and the lattice of deviation ceilings, so both are keyed by ranks:
-each non-fixed player's distinct punishment values are sorted once, and a
+the punishment solver returns each player's distinct values ascending
+(``PunishmentResult.levels``) and each state's rank among them, and a
 ceiling holds per player the index of the worst punishment it admits, or -1
 where no deviation is observable (always for the fixed player).  The join
 is the elementwise max, domination the elementwise ``<=``.  A ceiling's
@@ -41,7 +42,8 @@ Two backends answer threshold queries:
   the lcm of the denominators of its bounds, so the
   fraction-free simplex reaches the vertex of the unscaled rational LP.  A
   frequency vertex is scaled to integers and unrolled into an Euler circuit
-  to recover a concrete lasso.
+  to recover a concrete lasso.  Both backends reach a lasso's cycle by the
+  breadth-first tree of the ceiling's moves (``NashLassoSolver._lasso``).
 
 Both backends return a witness only through one certificate: its
 grim-trigger profile must survive every non-fixed player's exact best
@@ -53,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -303,8 +305,6 @@ class NashLassoSolver:
         rows = (*game.weights, game.global_weights)
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
-        self._levels = [() if i == fixed else tuple(sorted(set(self.pun[i].values)))
-                        for i in range(game.n_players)]
         self._classes = self._build_classes()
         self._ceilings = self._build_ceilings()
         self._sweep_cache: list[tuple] | None = None
@@ -313,10 +313,8 @@ class NashLassoSolver:
 
     def _build_classes(self) -> list[list[_MoveClass]]:
         # rank[i][d]: index of player i's punishment at d in its levels.
-        rank = [
-            [bisect_left(levels, v) for v in self.pun[i].values] if levels else None
-            for i, levels in enumerate(self._levels)
-        ]
+        rank = [None if i == self.fixed else self.pun[i].ranks
+                for i in range(self.game.n_players)]
         # peak(i, devs): the worst punishment rank player i can force, or -1.
         peak = functools.cache(lambda i, devs: max([rank[i][d] for d in devs])
                                if rank[i] and devs else -1)
@@ -372,7 +370,7 @@ class NashLassoSolver:
         rows = []
         for k in range(n + 1):
             if ceiling is not None and k < n and ceiling[k] >= 0:
-                rows.append(_row(k, 1, self._levels[k][ceiling[k]]))
+                rows.append(_row(k, 1, self.pun[k].levels[ceiling[k]]))
             if windows:
                 lo, hi = windows[k]
                 if lo != NEG_INF:
@@ -655,12 +653,11 @@ class NashLassoSolver:
         """
         ci, anchor, length, sums, _ = rec
         allowed = self._allowed(self._ceilings[ci])
-        game = self.game
         back = self._dists_to(allowed, anchor)
         walk = self._walk(allowed, anchor, length, back, lambda: (length, sums[-1]))
         layers = [{anchor: {0}}, *walk]
         packed = _pack_sums(sums, self._width)
-        if (_unpack_sums(packed, self._width, game.n_players + 1) != tuple(sums)
+        if (_unpack_sums(packed, self._width, self.game.n_players + 1) != tuple(sums)
                 or len(layers) <= length
                 or packed not in layers[length].get(anchor, ())):
             raise SolverLimitError("signature no longer realizable")
@@ -679,32 +676,26 @@ class NashLassoSolver:
             cyc_states.append(s)
             cyc_moves.append(cls.joint)
             cur_state, packed = s, prev
-        cyc_states.reverse()
-        cyc_moves.reverse()
+        return self._lasso(allowed, cyc_states[::-1], cyc_moves[::-1])
 
-        prefix_states, prefix_moves = self._prefix(self._tree(allowed), anchor)
-        lasso = Lasso(
-            tuple(prefix_states), tuple(cyc_states),
-            tuple(prefix_moves), tuple(cyc_moves),
-        )
-        lasso.validate(game)
-        return lasso
-
-    @staticmethod
-    def _prefix(tree: dict[int, tuple], target: int):
-        """States and moves of the tree path from the initial state to ``target``."""
-        if target not in tree:
+    def _lasso(self, allowed: list[list[_MoveClass]], cyc_states: Sequence[int],
+               cyc_moves: Sequence[tuple[int, ...]]) -> Lasso:
+        """The validated lasso that reaches the cycle's first state by the
+        breadth-first tree path over ``allowed`` (:meth:`_tree`), then loops."""
+        tree = self._tree(allowed)
+        if cyc_states[0] not in tree:
             raise SolverLimitError("anchor unreachable while rebuilding the prefix")
         states: list[int] = []
         moves: list[tuple[int, ...]] = []
-        _, prev, cls = tree[target]
+        _, prev, cls = tree[cyc_states[0]]
         while cls is not None:
             states.append(prev)
             moves.append(cls.joint)
             _, prev, cls = tree[prev]
-        states.reverse()
-        moves.reverse()
-        return states, moves
+        lasso = Lasso(tuple(states[::-1]), tuple(cyc_states),
+                      tuple(moves[::-1]), tuple(cyc_moves))
+        lasso.validate(self.game)
+        return lasso
 
     def witness(self, rec: tuple) -> NEWitness:
         return self._certify(self.realize(rec))
@@ -802,16 +793,14 @@ class NashLassoSolver:
 
     def _lp_realize(self, query: ThresholdQuery, ceiling: tuple, allowed,
                     members: set[int], edges: list, point) -> Lasso | None:
-        multi = self._scale_to_integers(point)
-        lasso = self._euler_lasso(allowed, edges, multi)
+        lasso = self._euler_lasso(allowed, edges, point)
         if lasso is not None:
             return lasso
         # Vertex support was disconnected: force every sub-arena move to be
         # used at least once, which restores connectivity if still feasible.
         forced = self._lp_solve(query, ceiling, members, edges, normalized=False)
         if forced is not None:
-            multi = self._scale_to_integers(forced)
-            lasso = self._euler_lasso(allowed, edges, multi)
+            lasso = self._euler_lasso(allowed, edges, forced)
             if lasso is not None:
                 return lasso
         # Bounded fallback: look for any in-bounds signature of the sweep.
@@ -820,57 +809,45 @@ class NashLassoSolver:
             return self.realize(rec)
         return None
 
-    @staticmethod
-    def _scale_to_integers(point) -> list[int]:
+    def _euler_lasso(self, allowed, edges: list, point) -> Lasso | None:
+        """Unroll a frequency vertex over ``edges`` into a lasso, or None."""
+        # Scaled to integers, each edge's frequency is its multiplicity.
         denom = math.lcm(*(x.denominator for x in point))
-        return [int(x * denom) for x in point]
-
-    def _euler_lasso(self, allowed, edges: list, multi: list[int]) -> Lasso | None:
-        total = sum(multi)
+        # Per source, [class, uses left] in ``edges`` order, which is by
+        # (successor, joint action) within a source.
+        out: dict[int, list[list]] = {}
+        for (src, cls), x in zip(edges, point):
+            if x > 0:
+                out.setdefault(src, []).append([cls, int(x * denom)])
+        total = sum(m for uses in out.values() for _, m in uses)
         if total == 0 or total > LASSO_LENGTH_CAP:
             return None
-        support = [(edges[k], multi[k]) for k in range(len(edges)) if multi[k] > 0]
         # Hierholzer over the multigraph, smallest successor first.  The flow
         # is balanced, so a disconnected support leaves edges off the circuit
         # and fails the length test below.
-        out_edges: dict[int, list[tuple[int, object, int]]] = {}
-        for (src, cls), m in support:
-            out_edges.setdefault(src, []).append((cls.succ, cls, m))
-        for s in out_edges:
-            out_edges[s].sort(key=lambda e: (e[0], e[1].joint))
-        remaining = {
-            (src, id(cls)): m for (src, cls), m in support
-        }
-        start = min(src for (src, _), _ in support)
-        circuit: list[tuple[int, object]] = []
-        stack: list[tuple[int, object | None]] = [(start, None)]
+        start = min(out)
+        circuit: list[tuple[int, _MoveClass]] = []
+        stack: list[tuple[int, _MoveClass | None]] = [(start, None)]
         while stack:
             s, via = stack[-1]
-            advanced = False
-            for succ, cls, _ in out_edges.get(s, []):
-                key = (s, id(cls))
-                if remaining.get(key, 0) > 0:
-                    remaining[key] -= 1
-                    stack.append((succ, cls))
-                    advanced = True
+            for use in out.get(s, ()):
+                if use[1]:
+                    use[1] -= 1
+                    stack.append((use[0].succ, use[0]))
                     break
-            if not advanced:
+            else:
                 stack.pop()
                 if via is not None:
                     circuit.append((s, via))
-        circuit.reverse()
         if len(circuit) != total:
             return None
-        # circuit[k] = (state entered, class used to enter it): rebuild the
-        # visited sequence starting from `start`.
-        cyc_states = [start] + [s for s, _ in circuit[:-1]]
-        cyc_moves = [cls.joint for _, cls in circuit]
-        prefix_states, prefix_moves = self._prefix(self._tree(allowed), start)
-        if len(prefix_states) + len(cyc_states) > max(LASSO_LENGTH_CAP, self.bound):
+        # circuit, reversed, holds (state entered, class used to enter it):
+        # the cycle visits ``start`` and then every state entered but the last.
+        circuit.reverse()
+        lasso = self._lasso(allowed, [start] + [s for s, _ in circuit[:-1]],
+                            [cls.joint for _, cls in circuit])
+        if len(lasso.prefix_states) + total > max(LASSO_LENGTH_CAP, self.bound):
             return None
-        lasso = Lasso(tuple(prefix_states), tuple(cyc_states),
-                      tuple(prefix_moves), tuple(cyc_moves))
-        lasso.validate(self.game)
         return lasso
 
 

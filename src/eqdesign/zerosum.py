@@ -219,13 +219,18 @@ def best_response_value(game: Game, others: StrategyProfile, player: int,
 class PunishmentResult:
     """Per-state punishment values plus a positional coalition witness.
 
-    ``coalition[s]`` maps each punishing player to the action it commits
-    at ``s`` under an optimal punishment of ``player``.
+    ``levels`` are the distinct values, ascending, ``ranks[s]`` the index of
+    state ``s``'s value in them, and ``values[s]`` is ``levels[ranks[s]]``
+    (the same object).  ``coalition[s]`` is the joint action the punishing
+    players commit at ``s`` under an optimal punishment of ``player``: entry
+    ``j`` is player ``j``'s action, and the punished player's entry is unused.
     """
 
     player: int
+    levels: tuple[Fraction, ...]
+    ranks: tuple[int, ...]
     values: tuple[Fraction, ...]
-    coalition: tuple[Mapping[int, int], ...]
+    coalition: tuple[tuple[int, ...], ...]
 
 
 def _eval_committed(game: Game, player: int, per_state, choice: Sequence[int]):
@@ -414,12 +419,15 @@ def punishment_values(game: Game, player: int) -> PunishmentResult:
         credit, _ = credits(k)
         choice.append(min(range(len(moves[s])),
                           key=lambda c: max(credit[u] for u in moves[s][c])))
-    values = tuple(Fraction(*cand(k)) for k in index)
+    # Candidates ascend with their index, so the distinct indices rank the values.
+    distinct = sorted(set(index))
+    levels = tuple(Fraction(*cand(k)) for k in distinct)
+    ranks = tuple(map({k: r for r, k in enumerate(distinct)}.get, index))
+    values = tuple(levels[r] for r in ranks)
     if tuple(_eval_committed(game, player, per_state, choice)) != values:
         raise SolverLimitError(
             f"punishment witness for player {game.player_names[player]!r} "
             "does not hold the deviator to the computed values"
         )
-    witness = tuple({j: a for j, a in enumerate(per_state[s][c][1]) if j != player}
-                    for s, c in enumerate(choice))
-    return PunishmentResult(player=player, values=values, coalition=witness)
+    return PunishmentResult(player, levels, ranks, values,
+                            tuple(per_state[s][c][1] for s, c in enumerate(choice)))

@@ -60,6 +60,4 @@ def full_realize(solver: NashLassoSolver, rec: tuple) -> Lasso:
         states.append(s)
         moves.append(cls.joint)
         cur, packed = s, prev
-    prefix_states, prefix_moves = solver._prefix(solver._tree(allowed), anchor)
-    return Lasso(tuple(prefix_states), tuple(reversed(states)),
-                 tuple(prefix_moves), tuple(reversed(moves)))
+    return solver._lasso(allowed, states[::-1], moves[::-1])

@@ -4,6 +4,9 @@ Enumerates every positional coalition commitment, evaluates the deviator's
 exact best response to each, and takes the componentwise minimum.  An
 optimal positional punishment attains it at every state at once.  Only
 usable on small games: the commitments multiply across states.
+
+``dict_coalition`` rebuilds the solver's coalition witness in the form it
+had before it became one joint action per state.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from eqdesign.games import Game
-from eqdesign.zerosum import _eval_committed
+from eqdesign.zerosum import _coalition_credits, _eval_committed
 
 
 def brute_force_punishment(game: Game, player: int) -> tuple[Fraction, ...]:
@@ -22,3 +25,24 @@ def brute_force_punishment(game: Game, player: int) -> tuple[Fraction, ...]:
         vals = _eval_committed(game, player, per_state, choice)
         best = vals if best is None else [min(a, b) for a, b in zip(best, vals)]
     return tuple(best)
+
+
+def dict_coalition(game: Game, player: int,
+                   values: tuple[Fraction, ...]) -> list[dict[int, int]]:
+    """The coalition witness in its per-state dict form: at each state, the
+    class whose successors need the least credit at that state's own value,
+    as ``{punisher: action}`` from the class's least joint action."""
+    per_state = game.arena.response_classes(player)
+    moves = [[sorted(set(rmap)) for rmap, _ in classes] for classes in per_state]
+    preds: list[set[int]] = [set() for _ in moves]
+    for s, classes in enumerate(moves):
+        for cls in classes:
+            for u in cls:
+                preds[u].add(s)
+    out = []
+    for s, v in enumerate(values):
+        gains = [v.numerator - v.denominator * w for w in game.weights[player]]
+        credit, _ = _coalition_credits(moves, preds, gains)
+        c = min(range(len(moves[s])), key=lambda c: max(credit[u] for u in moves[s][c]))
+        out.append({j: a for j, a in enumerate(per_state[s][c][1]) if j != player})
+    return out

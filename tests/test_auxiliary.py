@@ -32,7 +32,13 @@ from eqdesign.benchmarks import (
 )
 from eqdesign.design import exact_worst_ne
 from eqdesign.games import MealyStrategy, StrategyProfile, payoffs, run_profile
-from eqdesign.rewards import RewardMachineError, implement, product_arena, zero_rm
+from eqdesign.rewards import (
+    RewardMachineError,
+    from_subsidy_scheme,
+    implement,
+    product_arena,
+    zero_rm,
+)
 from eqdesign.zerosum import SolverLimitError, best_response_value
 
 
@@ -99,6 +105,12 @@ class TestBuildAuxiliary:
     def test_deterministic_vector_order(self):
         assert reward_vectors(3, 1) == (
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+    def test_indexes_invert_pairs_and_vectors(self):
+        aux = build_auxiliary(gen_random_game(2, n_players=2, n_states=3), 2)
+        assert [aux.state_id(s, vi) for s, vi in aux.pair_of_state] == list(
+            range(aux.game.n_states))
+        assert [aux.vector_index(v) for v in aux.vectors] == list(range(len(aux.vectors)))
 
 
 class TestRmToStrategy:
@@ -238,6 +250,12 @@ class TestLiftLower:
         aux = build_auxiliary(game, 1)
         with pytest.raises(RewardMachineError):
             machine_state_vectors(aux, m1)
+
+    def test_lower_refuses_over_budget_machine(self, example1):
+        game, _, _ = example1
+        aux = build_auxiliary(game, 1)
+        with pytest.raises(RewardMachineError, match="beyond the budget"):
+            machine_state_vectors(aux, from_subsidy_scheme(game, {game.initial: (2,)}))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lift_then_lower_round_trip(self, seed):

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import eqdesign.cli
+import eqdesign.design
+import eqdesign.equilibria
 from eqdesign.auxiliary import build_auxiliary
 from eqdesign.cli import cli_main
 from eqdesign.design import ImprovementQuery, decide_improvement
@@ -109,9 +112,30 @@ class TestCheckAndSynth:
         owner = (build_auxiliary(game, 1).game if method == "paper"
                  else implement(game, ans.witness_rm))
         ans.witness_lasso.validate(owner)
+        assert ans.witness_game.state_names == owner.state_names
         named = doc["witness_lasso"]
         assert named == ans.witness_lasso.describe(owner)
         assert set(named["prefix"] + named["cycle"]) <= set(owner.state_names)
+
+    def test_paper_check_builds_the_auxiliary_game_once(self, tmp_path, monkeypatch):
+        """The answer carries the game its lasso is a play of, so naming the
+        lasso's states builds nothing again."""
+        code, _, _ = run_cli(["gen", "random", "--seed", "14", "--players", "2",
+                              "--states", "3", "--actions", "2", "--dest", str(tmp_path)])
+        assert code == 0
+        built = []
+
+        def counting(game, budget):
+            built.append(budget)
+            return build_auxiliary(game, budget)
+
+        monkeypatch.setattr(eqdesign.design, "build_auxiliary", counting)
+        monkeypatch.setattr(eqdesign.cli, "build_auxiliary", counting)
+        code, _, doc = run_cli(["check", "--method", "paper", "--mode", "weak",
+                                "--budget", "1", "--delta", "1/2", "--epsilon", "1/8",
+                                str(tmp_path / "random_14.game")])
+        assert code == 0 and "witness_lasso" in doc
+        assert built == [1]
 
     def test_oversized_delta_is_no(self, fixture_dir):
         code, _, doc = run_cli([
@@ -236,6 +260,17 @@ class TestExitCodes:
         code, _, _ = run_cli(argv)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_ceiling_lattice_limit_is_three(self, tmp_path, monkeypatch, capsys):
+        code, _, _ = run_cli(["gen", "random", "--seed", "3", "--players", "3",
+                              "--states", "4", "--actions", "2", "--dest", str(tmp_path)])
+        assert code == 0
+        argv = ["compute", "--worst", "--epsilon", "1/4", str(tmp_path / "random_3.game")]
+        assert run_cli(argv)[0] == 0
+        monkeypatch.setattr(eqdesign.equilibria, "CEILING_LIMIT", 2)
+        code, _, _ = run_cli(argv)
+        assert code == 3
+        assert "limit: deviation ceiling lattice too large" in capsys.readouterr().err
 
     def test_unknown_subcommand_is_two(self):
         code, _, _ = run_cli(["frobnicate"])

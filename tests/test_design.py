@@ -29,7 +29,7 @@ from eqdesign.design import (
     exact_worst_ne,
     synthesize_rm,
 )
-from eqdesign.equilibria import NashLassoSolver
+from eqdesign.equilibria import NashLassoSolver, is_ne_outcome
 from eqdesign.games import _arena_tables, make_game
 from eqdesign.rewards import implement, is_beta_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
@@ -143,6 +143,31 @@ class TestExtremeProbes:
         assert not got.ne_exists
 
 
+class TestLpSearch:
+    """The LP binary search against the bounded oracle's: the LP has no
+    length bound, so it finds every equilibrium the oracle does and may
+    reach further, while both run the same number of halvings."""
+
+    @pytest.mark.parametrize("case", ["example1", *range(30)], ids=str)
+    def test_matches_or_extends_the_oracle(self, case):
+        if case == "example1":
+            game, bound = gen_example1()[0], 12
+        else:
+            game, bound = gen_random_game(case, 2, 2 + case % 3, 2), 6
+        for fixed in (None, 0):
+            solver = NashLassoSolver(game, fixed, bound)
+            for maximize in (False, True):
+                for eps in (Fraction(1), Fraction(1, 8)):
+                    want = _search(solver, eps, maximize, "oracle")
+                    got = _search(solver, eps, maximize, "lp")
+                    assert got.iterations == want.iterations
+                    assert got.ne_exists or not want.ne_exists
+                    if maximize:
+                        assert got.value >= want.value
+                    else:
+                        assert got.value <= want.value
+
+
 class TestIterationContract:
     @pytest.mark.parametrize("seed", range(20))
     def test_iteration_count_formula(self, seed):
@@ -181,6 +206,24 @@ class TestDecideImprovement:
         monkeypatch.setattr(NashLassoSolver, "_certify", failing)
         game, _, _ = example1
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 10))
+        with pytest.raises(SolverLimitError, match="certificate"):
+            decide_improvement(game, q)
+
+    def test_paper_witness_passes_the_certificate(self, example1, monkeypatch):
+        """Paper mode's witness lasso is certified on the auxiliary game, as
+        certify's is on the product; when the certificate fails, the answer
+        is a refusal."""
+        game, _, _ = example1
+        q = ImprovementQuery(budget=1, delta=Fraction(-2), epsilon=Fraction(1, 10),
+                             method="paper")
+        ans = decide_improvement(game, q)
+        assert ans.decision and ans.witness_game.n_states == build_auxiliary(game, 1).game.n_states
+        assert is_ne_outcome(ans.witness_game, ans.witness_lasso, 0)
+
+        def failing(solver, lasso):
+            raise SolverLimitError("grim profile failed its exact best-response certificate")
+
+        monkeypatch.setattr(NashLassoSolver, "_certify", failing)
         with pytest.raises(SolverLimitError, match="certificate"):
             decide_improvement(game, q)
 

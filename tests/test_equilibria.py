@@ -466,13 +466,121 @@ class TestCeilingRanks:
 
         def values(ranks):
             assert all(type(r) is int for r in ranks)
-            return tuple(None if r < 0 else solver._levels[i][r]
+            return tuple(None if r < 0 else solver.pun[i].levels[r]
                          for i, r in enumerate(ranks))
 
         classes = build_classes(solver)
         assert [[(c.succ, values(c.devmax), c.joint) for c in per_state]
                 for per_state in solver._classes] == classes
         assert [values(c) for c in solver._ceilings] == build_ceilings(classes, n_players)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5), st.integers(2, 3),
+           st.sampled_from([None, 0]))
+    def test_classes_ordered_by_successor_then_joint(self, seed, n_players, n_states,
+                                                      n_actions, fixed):
+        """The LP unroll reads each state's classes in this order."""
+        game = gen_random_game(seed, n_players, n_states, n_actions)
+        solver = NashLassoSolver(game, fixed, 4)
+        for per_state in solver._classes:
+            keys = [(c.succ, c.joint) for c in per_state]
+            assert keys == sorted(set(keys))
+
+    def test_ceiling_lattice_limit(self, monkeypatch):
+        game = gen_random_game(3, n_players=3, n_states=4)
+        assert len(NashLassoSolver(game, None, 4)._ceilings) > 2
+        monkeypatch.setattr(eqdesign.equilibria, "CEILING_LIMIT", 2)
+        with pytest.raises(SolverLimitError, match="deviation ceiling lattice too large"):
+            NashLassoSolver(game, None, 4)
+
+
+class TestLpUnroll:
+    """The three stages of ``_lp_realize``: the vertex's own Euler circuit,
+    the re-solve that forces every move, and the bounded oracle's lasso."""
+
+    @staticmethod
+    def unrolls(monkeypatch) -> list[bool]:
+        """Records, per ``_euler_lasso`` call, whether it returned a lasso."""
+        seen: list[bool] = []
+        euler = NashLassoSolver._euler_lasso
+
+        def spy(solver, allowed, edges, point):
+            lasso = euler(solver, allowed, edges, point)
+            seen.append(lasso is not None)
+            return lasso
+
+        monkeypatch.setattr(NashLassoSolver, "_euler_lasso", spy)
+        return seen
+
+    @staticmethod
+    def certified_in_window(game, q, witness):
+        per, glob = payoffs(game, witness.lasso)
+        assert (per, glob) == (witness.player_payoffs, witness.global_payoff)
+        assert all(lo <= v <= hi for v, lo, hi in zip(per, q.lower, q.upper))
+        assert q.global_lower <= glob <= q.global_upper
+        assert is_ne_outcome(game, witness.lasso)
+
+    @staticmethod
+    def vertices(solver, q):
+        """``(allowed, edges, vertex)`` of every feasible polytope, in scan order."""
+        for ceiling, allowed, members, edges in solver._lp_polytopes():
+            point = solver._lp_solve(q, ceiling, members, edges, normalized=True)
+            if point is not None:
+                yield allowed, edges, point
+
+    def test_vertex_too_long_to_unroll(self, monkeypatch):
+        """A vertex whose circuit exceeds ``LASSO_LENGTH_CAP`` is not unrolled;
+        the forced circuit is longer still, so the witness is the oracle's."""
+        game = gen_example1()[0]
+        solver = NashLassoSolver(game, None, 12)
+        q = query1(Fraction(1, 2), Fraction(1))
+        allowed, edges, point = next(self.vertices(solver, q))
+        lasso = solver._euler_lasso(allowed, edges, point)
+        assert lasso is not None and len(lasso.cycle_states) == 3
+        assert solver.lp_witness(q).lasso == lasso
+        monkeypatch.setattr(eqdesign.equilibria, "LASSO_LENGTH_CAP", 2)
+        assert solver._euler_lasso(allowed, edges, point) is None
+        seen = self.unrolls(monkeypatch)
+        witness = solver.lp_witness(q)
+        assert seen == [False, False]
+        assert witness.lasso == solver.realize(solver.query_oracle(q))
+        self.certified_in_window(game, q, witness)
+
+    def test_prefix_counts_toward_the_cap(self, monkeypatch):
+        """The cap bounds prefix plus cycle, unless the length bound is larger."""
+        game = gen_random_game(7, 2, 3, 2)
+        q = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2)
+        solver = NashLassoSolver(game, None, 3)
+        for allowed, edges, point in self.vertices(solver, q):
+            lasso = solver._euler_lasso(allowed, edges, point)
+            if lasso.prefix_states:
+                break
+        assert (len(lasso.prefix_states), len(lasso.cycle_states)) == (2, 2)
+        monkeypatch.setattr(eqdesign.equilibria, "LASSO_LENGTH_CAP", 2)
+        assert solver._euler_lasso(allowed, edges, point) is None
+        solver.bound = 4
+        assert solver._euler_lasso(allowed, edges, point) == lasso
+
+    def test_witness_from_the_forced_resolve(self, monkeypatch):
+        # The vertex's support is disconnected; forcing every move connects it.
+        game = gen_random_game(5, 2, 3, 2)
+        q = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2, Fraction(-2, 3), Fraction(-2, 3))
+        solver = NashLassoSolver(game, None, 8)
+        seen = self.unrolls(monkeypatch)
+        witness = solver.lp_witness(q)
+        assert seen[-2:] == [False, True]
+        assert witness.lasso != solver.realize(solver.query_oracle(q))
+        self.certified_in_window(game, q, witness)
+
+    def test_witness_from_the_bounded_fallback(self, monkeypatch):
+        game = gen_random_game(37, 2, 3, 2)
+        q = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2, NEG_INF, Fraction(-3, 2))
+        solver = NashLassoSolver(game, None, 4)
+        seen = self.unrolls(monkeypatch)
+        witness = solver.lp_witness(q)
+        assert seen and not any(seen)
+        assert witness.lasso == solver.realize(solver.query_oracle(q))
+        self.certified_in_window(game, q, witness)
 
 
 class TestDeviationMoves:

@@ -31,7 +31,7 @@ import eqdesign.zerosum as zerosum
 
 from conftest import constant_strategy
 from lifting_oracle import one_sided_credits
-from punishment_oracle import brute_force_punishment
+from punishment_oracle import brute_force_punishment, dict_coalition
 
 
 def witness_values(game, pun: PunishmentResult) -> tuple[Fraction, ...]:
@@ -230,6 +230,23 @@ class TestPunishment:
             pun = punishment_values(game, player)
             assert pun.values == brute_force_punishment(game, player)
             assert witness_values(game, pun) == pun.values
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4))
+    def test_levels_ranks_and_coalition(self, seed, n_players, n_states):
+        """Levels are the distinct values ascending, each value is its rank's
+        level (the same object), and the joint-action witness agrees with
+        its per-state dict form on every punisher."""
+        game = gen_random_game(seed, n_players=n_players, n_states=n_states)
+        for player in range(n_players):
+            pun = punishment_values(game, player)
+            assert pun.levels == tuple(sorted(set(pun.values)))
+            assert all(type(r) is int for r in pun.ranks)
+            assert all(pun.values[s] is pun.levels[r] for s, r in enumerate(pun.ranks))
+            for joint, old in zip(pun.coalition, dict_coalition(game, player, pun.values),
+                                  strict=True):
+                assert len(joint) == n_players
+                assert {j: joint[j] for j in range(n_players) if j != player} == old
 
     # Candidates are computed on demand, so a weight range of 10^5 costs
     # nothing by itself; these games also keep the energy-game lifting short.
