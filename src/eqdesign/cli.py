@@ -33,7 +33,6 @@ from .design import (
     decide_improvement,
     epsilon_best_ne,
     epsilon_worst_ne,
-    _extreme_witness,
 )
 from .equilibria import NashLassoSolver
 from .fileio import (
@@ -260,8 +259,8 @@ def _verify_extremes(game: Game, name: str, bound: int, doc: dict, summary: dict
     """Record ``game``'s certified worst and best equilibrium values, both
     from one solver; return the worst witness."""
     solver = NashLassoSolver(game, None, bound)
-    worst = _extreme_witness(solver, False)
-    best = _extreme_witness(solver, True)
+    worst, best = [None if rec is None else solver.witness(rec)
+                   for rec in map(solver.extreme_signature, (False, True))]
     doc[f"{name}_worst_ne"] = None if worst is None else str(worst.global_payoff)
     doc[f"{name}_best_ne"] = None if best is None else str(best.global_payoff)
     summary[f"{name}_worst_ne"] = "none" if worst is None else worst.global_payoff

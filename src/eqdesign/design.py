@@ -30,8 +30,6 @@ from .equilibria import (
     NashLassoSolver,
     NEWitness,
     ThresholdQuery,
-    _meets,
-    _row,
 )
 from .games import Game, Lasso, MealyStrategy, tabulate
 from .rewards import RewardMachine, from_subsidy_scheme, implement
@@ -117,13 +115,13 @@ def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
     if backend == "oracle":
         rec = solver.extreme_signature(maximize)
         exists = rec is not None
+        extreme = Fraction(rec[3][-1], rec[2]) if exists else None
 
         def probe(lo: Fraction, hi: Fraction) -> bool:
             # The worst value stays at or above the bracket's lower edge, the
             # best at or below its upper edge, so a window holds a value exactly
             # when its other edge admits the extreme.
-            row = _row(game.n_players, 1, lo) if maximize else _row(game.n_players, -1, hi)
-            return _meets((row,), rec[3], rec[2])
+            return extreme >= lo if maximize else extreme <= hi
     elif backend == "lp":
         exists = solver.lp_feasible(global_query(NEG_INF, POS_INF))
 

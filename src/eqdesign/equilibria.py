@@ -14,8 +14,11 @@ the punishment solver returns each player's distinct values ascending
 ceiling holds per player the index of the worst punishment it admits, or -1
 where no deviation is observable (always for the fixed player).  The join
 is the elementwise max, domination the elementwise ``<=``.  A ceiling's
-floors and a query's window are payoff rows alike (``NashLassoSolver._rows``),
+floors and a query's window are payoff rows alike (:func:`_row`),
 which the sweep, the oracle's window test, the LP and its witness check read.
+Each ceiling's sub-arena is one record, built with the solver (``_Ceiling``):
+its floors, the classes it allows, their successors and its breadth-first
+tree, which the sweep, ``realize``, the LP and every witness's prefix read.
 
 Two backends answer threshold queries:
 
@@ -42,8 +45,8 @@ Two backends answer threshold queries:
   the lcm of the denominators of its bounds, so the
   fraction-free simplex reaches the vertex of the unscaled rational LP.  A
   frequency vertex is scaled to integers and unrolled into an Euler circuit
-  to recover a concrete lasso.  Both backends reach a lasso's cycle by the
-  breadth-first tree of the ceiling's moves (``NashLassoSolver._lasso``).
+  to recover a concrete lasso; both backends reach its cycle by the tree
+  path (``NashLassoSolver._lasso``).
 
 Both backends return a witness only through one certificate: its
 grim-trigger profile must survive every non-fixed player's exact best
@@ -232,6 +235,23 @@ class _MoveClass(NamedTuple):
     joint: tuple[int, ...]
 
 
+class _Ceiling(NamedTuple):
+    """A deviation ceiling's sub-arena, built once per solver: its payoff
+    rows (``floors``, one :func:`_row` per player it bounds, in player
+    order), the classes it allows at each state (``allowed``, in class
+    order), their distinct successors in that order (``succs``), and the
+    breadth-first ``tree`` from the initial state, mapping each reachable
+    state to ``(distance, parent, class)``: the parent is the first state of
+    the previous layer, in layer order, with a class into it; the root's
+    parent and class are None."""
+
+    ranks: tuple[int, ...]
+    floors: list[tuple[int, int, int]]
+    allowed: list[list[_MoveClass]]
+    succs: list[list[int]]
+    tree: dict[int, tuple]
+
+
 def _vec_le(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(map(operator.le, a, b))
 
@@ -275,6 +295,19 @@ def _row(k: int, sign: int, bound) -> tuple[int, int, int]:
     return k, sign * bound.denominator, sign * bound.numerator
 
 
+def _window(query: ThresholdQuery) -> list[tuple[int, int, int]]:
+    """Payoff rows of ``query``: per player its lower and upper bound, then
+    the global bounds.  Infinite bounds make no row."""
+    rows = []
+    for k, (lo, hi) in enumerate((*zip(query.lower, query.upper),
+                                  (query.global_lower, query.global_upper))):
+        if lo != NEG_INF:
+            rows.append(_row(k, 1, lo))
+        if hi != POS_INF:
+            rows.append(_row(k, -1, hi))
+    return rows
+
+
 def _meets(rows: Sequence[tuple[int, int, int]], sums: Sequence, length: int) -> bool:
     """Whether weight ``sums`` over ``length`` steps pass every row."""
     return all(sums[k] * q >= p * length for k, q, p in rows)
@@ -306,7 +339,7 @@ class NashLassoSolver:
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
         self._classes = self._build_classes()
-        self._ceilings = self._build_ceilings()
+        self._ceilings = [self._ceiling(ranks) for ranks in self._build_ceilings()]
         self._sweep_cache: list[tuple] | None = None
 
     # -- shared structure ---------------------------------------------------
@@ -319,7 +352,7 @@ class NashLassoSolver:
         peak = functools.cache(lambda i, devs: max([rank[i][d] for d in devs])
                                if rank[i] and devs else -1)
         per_state: list[list[_MoveClass]] = []
-        for moves, least, _ in self.game.arena.deviation_moves:
+        for moves, least in self.game.arena.deviation_moves:
             # Moves come by least joint action, so the first is the least,
             # and a stable sort by successor keeps that order.
             by_key: dict[tuple, tuple[int, ...]] = {}
@@ -345,84 +378,35 @@ class NashLassoSolver:
                 seeds.add(c.devmax)
         closed: set[tuple[int, ...]] = set(seeds)
         frontier = list(seeds)
+        # Checked before each join pass, so the seeds count toward the limit.
         while frontier:
+            if len(closed) > CEILING_LIMIT:
+                raise SolverLimitError("deviation ceiling lattice too large")
             v = frontier.pop()
             for u in list(closed):
                 j = tuple(map(max, v, u))
                 if j not in closed:
                     closed.add(j)
                     frontier.append(j)
-                    if len(closed) > CEILING_LIMIT:
-                        raise SolverLimitError("deviation ceiling lattice too large")
         return sorted(closed)
 
-    def _rows(self, ceiling: tuple[int, ...] | None,
-              query: ThresholdQuery | None = None) -> list[tuple[int, int, int]]:
-        """Payoff rows (:func:`_row`) of ``ceiling`` and ``query``, either absent.
-
-        Per player the ceiling's floor, the query's lower and upper bound;
-        then the global bounds.  Infinite bounds make no row.  The LP keeps
-        this order, and Bland's rule follows it.
-        """
-        n = self.game.n_players
-        windows = () if query is None else (*zip(query.lower, query.upper),
-                                            (query.global_lower, query.global_upper))
-        rows = []
-        for k in range(n + 1):
-            if ceiling is not None and k < n and ceiling[k] >= 0:
-                rows.append(_row(k, 1, self.pun[k].levels[ceiling[k]]))
-            if windows:
-                lo, hi = windows[k]
-                if lo != NEG_INF:
-                    rows.append(_row(k, 1, lo))
-                if hi != POS_INF:
-                    rows.append(_row(k, -1, hi))
-        return rows
-
-    def _allowed(self, ceiling: tuple[int, ...]) -> list[list[_MoveClass]]:
-        return [
-            [c for c in classes if _vec_le(c.devmax, ceiling)]
+    def _ceiling(self, ranks: tuple[int, ...]) -> _Ceiling:
+        """The record of the ceiling ``ranks``; every reader shares it."""
+        allowed = [
+            [c for c in classes if _vec_le(c.devmax, ranks)]
             for classes in self._classes
         ]
-
-    def _tree(self, allowed: list[list[_MoveClass]]) -> dict[int, tuple]:
-        """Breadth-first tree from the initial state over ``allowed``.
-
-        Maps each reachable state to ``(distance, parent, class)``, where the
-        parent is the first state of the previous layer, in layer order,
-        with a class into it; the root's parent and class are None.
-        """
         tree: dict[int, tuple] = {self.game.initial: (0, None, None)}
-        frontier = [self.game.initial]
-        while frontier:
-            nxt: list[int] = []
-            for s in frontier:
-                for c in allowed[s]:
-                    if c.succ not in tree:
-                        tree[c.succ] = (tree[s][0] + 1, s, c)
-                        nxt.append(c.succ)
-            frontier = nxt
-        return tree
-
-    @staticmethod
-    def _dists_to(allowed: list[list[_MoveClass]], target: int) -> dict[int, int]:
-        """Steps from each state >= ``target`` back to it, over those states."""
-        preds: dict[int, set[int]] = {s: set() for s in range(target, len(allowed))}
-        for s in preds:
+        # States are expanded in the order they enter the tree: layer by layer.
+        order = [self.game.initial]
+        for s in order:
             for c in allowed[s]:
-                if c.succ >= target:
-                    preds[c.succ].add(s)
-        dist = {target: 0}
-        frontier = [target]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for p in preds[s]:
-                    if p not in dist:
-                        dist[p] = dist[s] + 1
-                        nxt.append(p)
-            frontier = nxt
-        return dist
+                if c.succ not in tree:
+                    tree[c.succ] = (tree[s][0] + 1, s, c)
+                    order.append(c.succ)
+        succs = [list(dict.fromkeys(c.succ for c in classes)) for classes in allowed]
+        floors = [_row(k, 1, self.pun[k].levels[r]) for k, r in enumerate(ranks) if r >= 0]
+        return _Ceiling(ranks, floors, allowed, succs, tree)
 
     # -- oracle sweep ---------------------------------------------------------
 
@@ -456,17 +440,13 @@ class NashLassoSolver:
         out: list[tuple] = []
         seen: set[tuple[int, int, int]] = set()
         designer = None if top is None else lambda: None if fs is None else (scale, fs)
-        for ci, ceiling in enumerate(self._ceilings):
-            floors = self._rows(ceiling)
-            allowed = self._allowed(ceiling)
-            tree = self._tree(allowed)
+        for ci, (_, floors, _, succs, tree) in enumerate(self._ceilings):
             for anchor in sorted(tree):
                 prefix_len = tree[anchor][0]
                 budget = self.bound - prefix_len
                 if budget < 1:
                     continue
-                back = self._dists_to(allowed, anchor)
-                walk = self._walk(allowed, anchor, budget, back, designer)
+                walk = self._walk(succs, anchor, budget, designer)
                 for length, layer in enumerate(walk, 1):
                     closed = layer.get(anchor)
                     if not closed:
@@ -503,7 +483,7 @@ class NashLassoSolver:
             self._sweep_cache = out
         return out
 
-    def _walk(self, allowed, anchor: int, horizon: int, back: dict[int, int],
+    def _walk(self, succs: list[list[int]], anchor: int, horizon: int,
               designer: Callable[[], tuple[int, int] | None] | None = None,
               ) -> Iterator[dict[int, set[int]]]:
         """Layered reachability of packed weight sums on cycles at ``anchor``.
@@ -513,7 +493,8 @@ class NashLassoSolver:
         ``anchor`` that can still return to it within ``horizon`` steps;
         the sums at ``anchor`` itself are the cycles of length k.  States
         enter a layer in the order their predecessors are visited, each
-        predecessor's successors in class order; ``realize`` relies on it.
+        predecessor's successors in ``succs`` (class) order; ``realize``
+        relies on it.
 
         ``designer()``, read before each layer, may return a designer floor
         ``(q, p)``, q > 0: the layer then keeps only the sums that can still
@@ -526,11 +507,19 @@ class NashLassoSolver:
         below the least global weight prunes nothing and is ignored.
         """
         wpack = self._wpack
-        succs = {
-            s: [(t, back[t]) for t in dict.fromkeys(c.succ for c in allowed[s])
-                if t in back]
-            for s in back
-        }
+        # back[t]: the steps from t back to the anchor, over states >= anchor.
+        preds: dict[int, list[int]] = {}
+        for s in range(anchor, len(succs)):
+            for t in succs[s]:
+                preds.setdefault(t, []).append(s)
+        back = {anchor: 0}
+        frontier = [anchor]
+        for t in frontier:
+            for s in preds.get(t, ()):
+                if s not in back:
+                    back[s] = back[t] + 1
+                    frontier.append(s)
+        steps = {s: [(t, back[t]) for t in succs[s] if t in back] for s in back}
         least = min(self.game.global_weights)
         floor = limits = None
         layer: dict[int, set[int]] = {anchor: {0}}
@@ -539,7 +528,7 @@ class NashLassoSolver:
             nxt: dict[int, set[int]] = {}
             for s, xs in layer.items():
                 shifted = None
-                for t, d in succs[s]:
+                for t, d in steps[s]:
                     if d > rem:
                         continue
                     if shifted is None:
@@ -556,7 +545,7 @@ class NashLassoSolver:
                     limits is not None or sum(map(len, nxt.values())) > PRUNE_LAYER_SUMS):
                 floor = designer()
                 limits = (None if floor is None or floor[1] <= least * floor[0]
-                          else self._designer_limits(succs, anchor, horizon, *floor))
+                          else self._designer_limits(steps, anchor, horizon, *floor))
             if limits is not None:
                 for t, xs in nxt.items():
                     lim = limits[k][t]
@@ -565,7 +554,7 @@ class NashLassoSolver:
             yield nxt
             layer = nxt
 
-    def _designer_limits(self, succs: dict[int, list[tuple[int, int]]], anchor: int,
+    def _designer_limits(self, steps: dict[int, list[tuple[int, int]]], anchor: int,
                          horizon: int, q: int, p: int) -> list[dict[int, int]]:
         """Per step k <= ``horizon`` and state t, the least packed sums a k-step
         walk at t may carry and still close a cycle within ``horizon`` steps
@@ -593,7 +582,7 @@ class NashLassoSolver:
             k = horizon - j
             limits[k] = {t: (-((v - p * k) // q) << shift) - offset for t, v in gain.items()}
             nxt = {}
-            for s, ts in succs.items():
+            for s, ts in steps.items():
                 most = max([best[t] for t, _ in ts if t in best], default=None)
                 if most is not None:
                     nxt[s] = g[s] + most
@@ -611,7 +600,7 @@ class NashLassoSolver:
     def query_oracle(self, query: ThresholdQuery) -> tuple | None:
         """Least signature satisfying the query, or None."""
         self._check_query(query)
-        window = self._rows(None, query)
+        window = _window(query)
         return next((rec for rec in self._sweep() if _meets(window, rec[3], rec[2])), None)
 
     def extreme_signature(self, maximize: bool = False) -> tuple | None:
@@ -652,9 +641,8 @@ class NashLassoSolver:
         Walks whose layers stay small are not pruned (``PRUNE_LAYER_SUMS``).
         """
         ci, anchor, length, sums, _ = rec
-        allowed = self._allowed(self._ceilings[ci])
-        back = self._dists_to(allowed, anchor)
-        walk = self._walk(allowed, anchor, length, back, lambda: (length, sums[-1]))
+        _, _, allowed, succs, tree = self._ceilings[ci]
+        walk = self._walk(succs, anchor, length, lambda: (length, sums[-1]))
         layers = [{anchor: {0}}, *walk]
         packed = _pack_sums(sums, self._width)
         if (_unpack_sums(packed, self._width, self.game.n_players + 1) != tuple(sums)
@@ -676,13 +664,12 @@ class NashLassoSolver:
             cyc_states.append(s)
             cyc_moves.append(cls.joint)
             cur_state, packed = s, prev
-        return self._lasso(allowed, cyc_states[::-1], cyc_moves[::-1])
+        return self._lasso(tree, cyc_states[::-1], cyc_moves[::-1])
 
-    def _lasso(self, allowed: list[list[_MoveClass]], cyc_states: Sequence[int],
+    def _lasso(self, tree: dict[int, tuple], cyc_states: Sequence[int],
                cyc_moves: Sequence[tuple[int, ...]]) -> Lasso:
-        """The validated lasso that reaches the cycle's first state by the
-        breadth-first tree path over ``allowed`` (:meth:`_tree`), then loops."""
-        tree = self._tree(allowed)
+        """The validated lasso that reaches the cycle's first state by a
+        ceiling's breadth-first ``tree`` (:class:`_Ceiling`), then loops."""
         if cyc_states[0] not in tree:
             raise SolverLimitError("anchor unreachable while rebuilding the prefix")
         states: list[int] = []
@@ -719,24 +706,24 @@ class NashLassoSolver:
     def lp_feasible(self, query: ThresholdQuery) -> bool:
         self._check_query(query)
         return any(
-            self._lp_solve(query, ceiling, members, edges, normalized=True) is not None
-            for ceiling, _, members, edges in self._lp_polytopes()
+            self._lp_solve(query, cei, members, edges, normalized=True) is not None
+            for cei, members, edges in self._lp_polytopes()
         )
 
     def lp_witness(self, query: ThresholdQuery) -> NEWitness | None:
         self._check_query(query)
         feasible_seen = False
-        for ceiling, allowed, members, edges in self._lp_polytopes():
-            point = self._lp_solve(query, ceiling, members, edges, normalized=True)
+        for cei, members, edges in self._lp_polytopes():
+            point = self._lp_solve(query, cei, members, edges, normalized=True)
             if point is None:
                 continue
             feasible_seen = True
-            lasso = self._lp_realize(query, ceiling, allowed, members, edges, point)
+            lasso = self._lp_realize(query, cei, members, edges, point)
             if lasso is None:
                 continue
             w = self._certify(lasso)
             # A payoff is its own weight sum over one step.
-            if not _meets(self._rows(None, query), (*w.player_payoffs, w.global_payoff), 1):
+            if not _meets(_window(query), (*w.player_payoffs, w.global_payoff), 1):
                 raise SolverLimitError("lp realization drifted out of bounds")
             return w
         if feasible_seen:
@@ -746,28 +733,23 @@ class NashLassoSolver:
         return None
 
     def _lp_polytopes(self) -> Iterator[tuple]:
-        """``(ceiling, allowed, members, edges)`` per ceiling and reachable SCC with moves."""
-        for ceiling in self._ceilings:
-            allowed = self._allowed(ceiling)
-            reach = sorted(self._tree(allowed))
-            pos = {s: k for k, s in enumerate(reach)}
-            succs = [
-                [pos[c.succ] for c in allowed[s] if c.succ in pos]
-                for s in reach
-            ]
-            comps = strongly_connected_components(succs)
+        """``(ceiling record, members, edges)`` per ceiling and reachable SCC with moves."""
+        for cei in self._ceilings:
+            # A component is reachable when one of its states is.
+            comps = [comp for comp in strongly_connected_components(cei.succs)
+                     if comp[0] in cei.tree]
             for comp in sorted(comps, key=min):
-                members = {reach[k] for k in comp}
+                members = set(comp)
                 edges = [
                     (s, cls)
                     for s in sorted(members)
-                    for cls in allowed[s]
+                    for cls in cei.allowed[s]
                     if cls.succ in members
                 ]
                 if edges:
-                    yield ceiling, allowed, members, edges
+                    yield cei, members, edges
 
-    def _lp_solve(self, query: ThresholdQuery, ceiling: tuple,
+    def _lp_solve(self, query: ThresholdQuery, cei: _Ceiling,
                   members: set[int], edges: list, normalized: bool):
         n_vars = len(edges)
         # Every row is scaled by one common L, the lcm of the denominators of
@@ -775,7 +757,9 @@ class NashLassoSolver:
         # unscaled one and Bland's rule takes the same pivots to the same
         # vertex.  Scaling each row by its own denominator would reweight the
         # artificial sum and can change the vertex.
-        rows = self._rows(ceiling, query)
+        # Per payoff, the ceiling's floor, then the query's lower and upper
+        # bound: the LP keeps this order, and Bland's rule follows it.
+        rows = sorted([*cei.floors, *_window(query)], key=operator.itemgetter(0))
         scale = math.lcm(1, *(abs(q) for _, q, _ in rows))
         cons: list[Constraint] = []
         if normalized:
@@ -791,16 +775,16 @@ class NashLassoSolver:
         lbs = None if normalized else [1] * n_vars
         return feasible_point(n_vars, cons, lbs)
 
-    def _lp_realize(self, query: ThresholdQuery, ceiling: tuple, allowed,
+    def _lp_realize(self, query: ThresholdQuery, cei: _Ceiling,
                     members: set[int], edges: list, point) -> Lasso | None:
-        lasso = self._euler_lasso(allowed, edges, point)
+        lasso = self._euler_lasso(cei.tree, edges, point)
         if lasso is not None:
             return lasso
         # Vertex support was disconnected: force every sub-arena move to be
         # used at least once, which restores connectivity if still feasible.
-        forced = self._lp_solve(query, ceiling, members, edges, normalized=False)
+        forced = self._lp_solve(query, cei, members, edges, normalized=False)
         if forced is not None:
-            lasso = self._euler_lasso(allowed, edges, forced)
+            lasso = self._euler_lasso(cei.tree, edges, forced)
             if lasso is not None:
                 return lasso
         # Bounded fallback: look for any in-bounds signature of the sweep.
@@ -809,8 +793,9 @@ class NashLassoSolver:
             return self.realize(rec)
         return None
 
-    def _euler_lasso(self, allowed, edges: list, point) -> Lasso | None:
-        """Unroll a frequency vertex over ``edges`` into a lasso, or None."""
+    def _euler_lasso(self, tree: dict[int, tuple], edges: list, point) -> Lasso | None:
+        """Unroll a frequency vertex over ``edges`` into a lasso whose prefix
+        follows the ceiling's ``tree``, or None."""
         # Scaled to integers, each edge's frequency is its multiplicity.
         denom = math.lcm(*(x.denominator for x in point))
         # Per source, [class, uses left] in ``edges`` order, which is by
@@ -844,7 +829,7 @@ class NashLassoSolver:
         # circuit, reversed, holds (state entered, class used to enter it):
         # the cycle visits ``start`` and then every state entered but the last.
         circuit.reverse()
-        lasso = self._lasso(allowed, [start] + [s for s, _ in circuit[:-1]],
+        lasso = self._lasso(tree, [start] + [s for s, _ in circuit[:-1]],
                             [cls.joint for _, cls in circuit])
         if len(lasso.prefix_states) + total > max(LASSO_LENGTH_CAP, self.bound):
             return None

@@ -103,15 +103,19 @@ class Arena:
 
     @property
     def deviation_moves(self) -> tuple:
-        """Per state: its distinct ``(successor, deviation sets)`` moves, their
-        least joint actions, and each joint action's move, in :meth:`joint_actions`
-        order.  A deviation set holds the other successors one player can force."""
+        """Per state: its distinct ``(successor, deviation sets)`` moves and
+        their least joint actions, in :meth:`joint_actions` order.  A deviation
+        set holds the other successors one player can force (:meth:`deviations`)."""
         return self._tables[0]
 
     def deviations(self, state: int, joint: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """Per player, the deviation set of ``joint`` at ``state``."""
-        moves, _, of_joint = self.deviation_moves[state]
-        return moves[of_joint[list(self.joint_actions(state)).index(joint)]][1]
+        """Per player, the successors other than ``joint``'s own that it can
+        force at ``state`` by changing its action in ``joint``, ascending."""
+        own = self.transitions[state, joint]
+        return tuple(
+            tuple(sorted({self.transitions[state, (*joint[:i], a, *joint[i + 1:])]
+                          for a in row[state]} - {own}))
+            for i, row in enumerate(self.protocol))
 
     def response_classes(self, player: int) -> list[tuple[tuple[tuple[int, ...], tuple], ...]]:
         """Per state, ascending, each distinct response map (``player``'s successor
@@ -189,17 +193,11 @@ def _arena_tables(arena: Arena):
             responses[player].append(tuple(sorted(intern(pair, pair) for pair in classes)))
             cols.append(col)
             block = stride
-        index: dict[tuple, int] = {}
-        least = []
-        of_joint = []
+        least: dict[tuple, tuple[int, ...]] = {}  # move -> its least joint action
         for joint, key in zip(joints, zip(succ, zip(*cols))):
-            m = index.get(key)
-            if m is None:
-                m = index[key] = len(least)
-                least.append(joint)
-            of_joint.append(m)
+            least.setdefault(key, joint)
         moves_table.append(tuple(intern(t, t)
-                                 for t in (tuple(index), tuple(least), tuple(of_joint))))
+                                 for t in (tuple(least), tuple(least.values()))))
     return tuple(moves_table), responses
 
 

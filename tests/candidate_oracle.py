@@ -43,9 +43,8 @@ def full_candidates(aux: AuxiliaryGame, solver: NashLassoSolver) -> list[RewardM
 def full_realize(solver: NashLassoSolver, rec: tuple) -> Lasso:
     """The lasso of ``rec`` traced back through the unpruned walk."""
     ci, anchor, length, sums, _ = rec
-    allowed = solver._allowed(solver._ceilings[ci])
-    back = solver._dists_to(allowed, anchor)
-    layers = [{anchor: {0}}, *solver._walk(allowed, anchor, length, back)]
+    cei = solver._ceilings[ci]
+    layers = [{anchor: {0}}, *solver._walk(cei.succs, anchor, length)]
     packed = _pack_sums(sums, solver._width)
     assert packed in layers[length][anchor]
     states: list[int] = []
@@ -54,10 +53,10 @@ def full_realize(solver: NashLassoSolver, rec: tuple) -> Lasso:
     for k in range(length - 1, -1, -1):
         for s, xs in layers[k].items():
             prev = packed - solver._wpack[s]
-            cls = next((c for c in allowed[s] if c.succ == cur), None)
+            cls = next((c for c in cei.allowed[s] if c.succ == cur), None)
             if prev in xs and cls is not None:
                 break
         states.append(s)
         moves.append(cls.joint)
         cur, packed = s, prev
-    return solver._lasso(allowed, states[::-1], moves[::-1])
+    return solver._lasso(cei.tree, states[::-1], moves[::-1])

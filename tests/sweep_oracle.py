@@ -3,9 +3,10 @@
 Walks tuples of weight sums (every player, then the global table) once per
 move class and checks every closed cycle against the deviation ceilings
 with ``Fraction`` comparisons, reading each ceiling's values from the
-punishment tables.  It reads the solver's ceilings, allowed classes and
-initial-state tree but none of its walk, so it checks the packing, the
-shared successor sets and the integer ceiling test.
+punishment tables.  It reads each ceiling record's allowed classes and
+initial-state tree but none of the solver's walk, its successor lists or its
+return distances, so it checks the packing, the shared successor lists and
+the integer ceiling test.
 
 ``fraction_window_test`` and ``bisect_search`` are the same kind of
 reference for the payoff rows: a query window checked with one ``Fraction``
@@ -33,16 +34,16 @@ def oracle_signatures(solver: NashLassoSolver) -> list[tuple]:
     ]
     out: list[tuple] = []
     seen: set[tuple] = set()
-    for ci, ceiling in enumerate(solver._ceilings):
-        allowed = solver._allowed(ceiling)
-        dist = {s: d for s, (d, _, _) in solver._tree(allowed).items()}
+    for ci, cei in enumerate(solver._ceilings):
+        allowed = cei.allowed
+        dist = {s: d for s, (d, _, _) in cei.tree.items()}
         for anchor in sorted(dist):
             budget = solver.bound - dist[anchor]
             if budget < 1:
                 continue
             back = _dists_to(allowed, anchor)
             for length, sums in _walk(allowed, anchor, budget, back, wvecs):
-                if not _cycle_is_equilibrium(solver, ceiling, sums, length):
+                if not _cycle_is_equilibrium(solver, cei.ranks, sums, length):
                     continue
                 key = (anchor, length, sums)
                 if key in seen:

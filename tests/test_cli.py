@@ -261,13 +261,20 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_ceiling_lattice_limit_is_three(self, tmp_path, monkeypatch, capsys):
+    def test_ceiling_lattice_limit_is_three(self, tmp_path, fixture_dir, monkeypatch, capsys):
         code, _, _ = run_cli(["gen", "random", "--seed", "3", "--players", "3",
                               "--states", "4", "--actions", "2", "--dest", str(tmp_path)])
         assert code == 0
         argv = ["compute", "--worst", "--epsilon", "1/4", str(tmp_path / "random_3.game")]
         assert run_cli(argv)[0] == 0
         monkeypatch.setattr(eqdesign.equilibria, "CEILING_LIMIT", 2)
+        code, _, _ = run_cli(argv)
+        assert code == 3
+        assert "limit: deviation ceiling lattice too large" in capsys.readouterr().err
+        # example1's lattice is its two seeds, which count toward the limit.
+        argv = ["compute", "--worst", "--epsilon", "1/4", str(fixture_dir / "example1.game")]
+        assert run_cli(argv)[0] == 0
+        monkeypatch.setattr(eqdesign.equilibria, "CEILING_LIMIT", 0)
         code, _, _ = run_cli(argv)
         assert code == 3
         assert "limit: deviation ceiling lattice too large" in capsys.readouterr().err

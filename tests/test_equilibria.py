@@ -38,7 +38,7 @@ from eqdesign.games import (
 from eqdesign.zerosum import SolverLimitError, best_response_value
 
 from conftest import lasso_by_names
-from ceiling_oracle import build_ceilings, build_classes, deviation_successors
+from ceiling_oracle import build_ceilings, build_classes, ceiling_values, deviation_successors
 from lasso_walks import lasso_from_states
 from candidate_oracle import full_realize
 from sweep_oracle import fraction_window_test, oracle_signatures
@@ -360,10 +360,9 @@ class TestFlooredSweep:
     def walks(solver, rec):
         """The plain walk of ``rec`` and the walk pruned at its value."""
         ci, anchor, length, sums, _ = rec
-        allowed = solver._allowed(solver._ceilings[ci])
-        back = solver._dists_to(allowed, anchor)
-        plain = list(solver._walk(allowed, anchor, length, back))
-        pruned = list(solver._walk(allowed, anchor, length, back, lambda: (length, sums[-1])))
+        succs = solver._ceilings[ci].succs
+        plain = list(solver._walk(succs, anchor, length))
+        pruned = list(solver._walk(succs, anchor, length, lambda: (length, sums[-1])))
         return plain, pruned
 
     @pytest.mark.parametrize("seed", range(6))
@@ -472,7 +471,7 @@ class TestCeilingRanks:
         classes = build_classes(solver)
         assert [[(c.succ, values(c.devmax), c.joint) for c in per_state]
                 for per_state in solver._classes] == classes
-        assert [values(c) for c in solver._ceilings] == build_ceilings(classes, n_players)
+        assert [values(c.ranks) for c in solver._ceilings] == build_ceilings(classes, n_players)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5), st.integers(2, 3),
@@ -493,6 +492,74 @@ class TestCeilingRanks:
         with pytest.raises(SolverLimitError, match="deviation ceiling lattice too large"):
             NashLassoSolver(game, None, 4)
 
+    @pytest.mark.parametrize("game", [gen_random_game(3, 3, 3, 2), gen_example1()[0]])
+    def test_seeds_alone_count_toward_the_limit(self, game, monkeypatch):
+        # Two seeds and no join adds a ceiling: only the seeds can exceed it.
+        assert len(NashLassoSolver(game, None, 4)._ceilings) == 2
+        monkeypatch.setattr(eqdesign.equilibria, "CEILING_LIMIT", 2)
+        NashLassoSolver(game, None, 4)
+        monkeypatch.setattr(eqdesign.equilibria, "CEILING_LIMIT", 1)
+        with pytest.raises(SolverLimitError, match="deviation ceiling lattice too large"):
+            NashLassoSolver(game, None, 4)
+
+
+class TestCeilingRecords:
+    """Each ceiling's sub-arena, built once per solver and read by every consumer."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5),
+           st.sampled_from([None, 0]))
+    def test_record_is_the_ceilings_sub_arena(self, seed, n_players, n_states, fixed):
+        game = gen_random_game(seed, n_players=n_players, n_states=n_states)
+        solver = NashLassoSolver(game, fixed, 4)
+        for cei in solver._ceilings:
+            assert cei.floors == [(k, v.denominator, v.numerator)
+                                  for k, v in enumerate(ceiling_values(solver, cei.ranks))
+                                  if v is not None]
+            assert cei.allowed == [[c for c in per_state
+                                    if all(d <= r for d, r in zip(c.devmax, cei.ranks))]
+                                   for per_state in solver._classes]
+            for per_state, succs in zip(cei.allowed, cei.succs):
+                order = [c.succ for c in per_state]
+                assert succs == sorted(set(order), key=order.index)
+            # Distances by relaxation, independent of the tree's own search.
+            dist = {game.initial: 0}
+            for _ in range(game.n_states):
+                for s, d in list(dist.items()):
+                    for c in cei.allowed[s]:
+                        dist[c.succ] = min(dist.get(c.succ, d + 1), d + 1)
+            assert {s: d for s, (d, _, _) in cei.tree.items()} == dist
+            assert cei.tree[game.initial] == (0, None, None)
+            for t, (d, parent, cls) in cei.tree.items():
+                if t == game.initial:
+                    continue
+                # The parent sits one layer up and enters t by its first
+                # class into t.
+                assert cei.tree[parent][0] == d - 1
+                assert cls == next(c for c in cei.allowed[parent] if c.succ == t)
+
+    def test_one_record_per_ceiling_per_solver(self, monkeypatch):
+        built = []
+        record = NashLassoSolver._ceiling
+
+        def spy(solver, ranks):
+            built.append((solver, ranks))
+            return record(solver, ranks)
+
+        monkeypatch.setattr(NashLassoSolver, "_ceiling", spy)
+        game = gen_random_game(3, n_players=3, n_states=4)
+        solver = NashLassoSolver(game, None, 6)
+        assert len(solver._ceilings) > 2
+        sigs = solver.signatures()
+        assert solver.signatures(top=2) and sigs
+        solver.realize(sigs[0])
+        free = ThresholdQuery((NEG_INF,) * 3, (POS_INF,) * 3)
+        assert solver.lp_feasible(free)
+        _, _, length, sums, _ = sigs[-1]
+        solver.lp_feasible(dataclasses.replace(free, global_lower=Fraction(sums[-1], length)))
+        solver.lp_witness(free)
+        assert built == [(solver, cei.ranks) for cei in solver._ceilings]
+
 
 class TestLpUnroll:
     """The three stages of ``_lp_realize``: the vertex's own Euler circuit,
@@ -504,8 +571,8 @@ class TestLpUnroll:
         seen: list[bool] = []
         euler = NashLassoSolver._euler_lasso
 
-        def spy(solver, allowed, edges, point):
-            lasso = euler(solver, allowed, edges, point)
+        def spy(solver, tree, edges, point):
+            lasso = euler(solver, tree, edges, point)
             seen.append(lasso is not None)
             return lasso
 
@@ -522,11 +589,11 @@ class TestLpUnroll:
 
     @staticmethod
     def vertices(solver, q):
-        """``(allowed, edges, vertex)`` of every feasible polytope, in scan order."""
-        for ceiling, allowed, members, edges in solver._lp_polytopes():
-            point = solver._lp_solve(q, ceiling, members, edges, normalized=True)
+        """``(tree, edges, vertex)`` of every feasible polytope, in scan order."""
+        for cei, members, edges in solver._lp_polytopes():
+            point = solver._lp_solve(q, cei, members, edges, normalized=True)
             if point is not None:
-                yield allowed, edges, point
+                yield cei.tree, edges, point
 
     def test_vertex_too_long_to_unroll(self, monkeypatch):
         """A vertex whose circuit exceeds ``LASSO_LENGTH_CAP`` is not unrolled;
@@ -534,12 +601,12 @@ class TestLpUnroll:
         game = gen_example1()[0]
         solver = NashLassoSolver(game, None, 12)
         q = query1(Fraction(1, 2), Fraction(1))
-        allowed, edges, point = next(self.vertices(solver, q))
-        lasso = solver._euler_lasso(allowed, edges, point)
+        tree, edges, point = next(self.vertices(solver, q))
+        lasso = solver._euler_lasso(tree, edges, point)
         assert lasso is not None and len(lasso.cycle_states) == 3
         assert solver.lp_witness(q).lasso == lasso
         monkeypatch.setattr(eqdesign.equilibria, "LASSO_LENGTH_CAP", 2)
-        assert solver._euler_lasso(allowed, edges, point) is None
+        assert solver._euler_lasso(tree, edges, point) is None
         seen = self.unrolls(monkeypatch)
         witness = solver.lp_witness(q)
         assert seen == [False, False]
@@ -551,15 +618,15 @@ class TestLpUnroll:
         game = gen_random_game(7, 2, 3, 2)
         q = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2)
         solver = NashLassoSolver(game, None, 3)
-        for allowed, edges, point in self.vertices(solver, q):
-            lasso = solver._euler_lasso(allowed, edges, point)
+        for tree, edges, point in self.vertices(solver, q):
+            lasso = solver._euler_lasso(tree, edges, point)
             if lasso.prefix_states:
                 break
         assert (len(lasso.prefix_states), len(lasso.cycle_states)) == (2, 2)
         monkeypatch.setattr(eqdesign.equilibria, "LASSO_LENGTH_CAP", 2)
-        assert solver._euler_lasso(allowed, edges, point) is None
+        assert solver._euler_lasso(tree, edges, point) is None
         solver.bound = 4
-        assert solver._euler_lasso(allowed, edges, point) == lasso
+        assert solver._euler_lasso(tree, edges, point) == lasso
 
     def test_witness_from_the_forced_resolve(self, monkeypatch):
         # The vertex's support is disconnected; forcing every move connects it.
@@ -592,16 +659,19 @@ class TestDeviationMoves:
     def test_moves_expand_to_per_joint_deviations(self, seed, n_players, n_states, n_actions):
         game = gen_random_game(seed, n_players, n_states, n_actions)
         arena = game.arena
-        for s, (moves, least, of_joint) in enumerate(arena.deviation_moves):
-            joints = list(arena.joint_actions(s))
-            assert len(of_joint) == len(joints) and len(set(moves)) == len(moves)
-            for joint, m in zip(joints, of_joint):
+        for s, (moves, least) in enumerate(arena.deviation_moves):
+            assert len(least) == len(set(moves)) == len(moves)
+            of_joint = []
+            for joint in arena.joint_actions(s):
                 devs = tuple(tuple(sorted(deviation_successors(game, s, joint, i)))
                              for i in range(n_players))
-                assert moves[m] == (game.transitions[s, joint], devs)
                 assert arena.deviations(s, joint) == devs
+                m = moves.index((game.transitions[s, joint], devs))
                 assert least[m] <= joint
-            assert [of_joint[joints.index(j)] for j in least] == list(range(len(moves)))
+                of_joint.append((joint, m))
+            # Each move's least joint action is the first joint with that move.
+            assert [next(j for j, k in of_joint if k == m) for m in range(len(moves))] == (
+                list(least))
 
     @settings(deadline=None, max_examples=80)
     @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5), st.integers(2, 3))
