@@ -14,7 +14,10 @@ seeded two-player games, the k-loop delivery machines, and, on seeded
 random games with two and three players: every equilibrium signature (as a
 digest), the extreme witnesses, the machines built from them (as a digest),
 oracle and LP answers on point and half-line designer windows and on player
-windows, and binary-search runs.  Only public names are used, so the script runs
+windows, binary-search runs, and the zero-sum engine read directly: each
+non-fixed player's punishment values (levels, ranks and coalition witness)
+and each player's exact best response against seeded strategies of the
+others (both as digests).  Only public names are used, so the script runs
 unchanged against older checkouts.
 """
 
@@ -45,8 +48,9 @@ from eqdesign.design import (
 )
 from eqdesign.equilibria import NEG_INF, POS_INF, NashLassoSolver, ThresholdQuery
 from eqdesign.fileio import serialize_game
+from eqdesign.games import StrategyProfile
 from eqdesign.rewards import implement, k_cycle_delivery_rm
-from eqdesign.zerosum import SolverLimitError
+from eqdesign.zerosum import SolverLimitError, best_response_value, punishment_values
 
 WITH_PATH = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v2", "v3"), ("v3", "v1")))
 WITHOUT_PATH = CostDigraph(("v1", "v2", "v3"), (("v1", "v2"), ("v1", "v3")))
@@ -139,6 +143,20 @@ def translations(game, bound: int) -> list:
     return out
 
 
+def zero_sum_lines(tag: str, game, fixed) -> None:
+    """Punishments of the non-fixed players, and best responses of every
+    player against one seeded strategy per other player."""
+    pun = [answer(lambda: punishment_values(game, i),
+                  lambda r: repr((r.levels, r.ranks, r.coalition)))
+           for i in range(game.n_players) if i != fixed]
+    print(f"{tag} punishments: {digest(repr(pun))}")
+    profile = StrategyProfile(tuple(range(game.n_players)), tuple(
+        gen_random_strategy(game, i, i + game.n_states) for i in range(game.n_players)))
+    brs = [answer(lambda: best_response_value(game, profile.without(i), i))
+           for i in range(game.n_players)]
+    print(f"{tag} best responses: {digest(repr(brs))}")
+
+
 def threshold_line(tag: str, solver: NashLassoSolver, q: ThresholdQuery) -> None:
     print(f"{tag}: {solver.query_oracle(q)!r} {solver.lp_feasible(q)} "
           f"{answer(lambda: solver.lp_witness(q), witness_line)}")
@@ -160,6 +178,7 @@ def random_game(seed: int, n_players: int, fixed) -> None:
     if fixed is None:
         built += translations(game, bound)
     print(f"{tag} machines: {digest(repr(built))}")
+    zero_sum_lines(tag, game, fixed)
     free = ((NEG_INF,) * n_players, (POS_INF,) * n_players)
     for c in THRESHOLDS:
         for lo, hi in ((c, c), (NEG_INF, c), (c, POS_INF)):

@@ -342,13 +342,10 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     # Larger auxiliary games are left to the subsidy schemes.
     if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
         candidates = _lasso_candidates(aux, _solver(solved, aux.game, 0, q.bound))
+    # Replay machines have two or more states and subsidy schemes one, and
+    # each family is free of repeats, so no candidate is solved twice.
     candidates += _subsidy_candidates(game, q)
-    seen: set[tuple] = set()
     for rm in candidates:
-        key = rm.canonical_key()
-        if key in seen:
-            continue
-        seen.add(key)
         solver = _solver(solved, implement(game, rm), None, q.bound)
         val = _search(solver, q.epsilon, maximize, "oracle")
         if val.value > best_seen:

@@ -170,14 +170,22 @@ def serialize_game(game: Game) -> str:
 
 
 def parse_rm(text: str, game: Game) -> RewardMachine:
-    """Parse a reward machine document against its target game."""
+    """Parse a reward machine document against its target game.
+
+    Anything the machine would not keep (an unknown key, a row for a machine
+    state not in ``states``, an entry for a state the game does not have) is
+    refused, so re-serializing an accepted document is byte-stable.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _syntax_error(exc)
     if not isinstance(doc, dict):
         raise DocumentError("top level: expected an object")
-    states = _require(doc, "states", list, "")
+    for key in doc:
+        if key not in ("states", "initial", "transitions", "rewards"):
+            raise DocumentError(f"{key}: unknown key")
+    states = _names(doc, "states")
     initial = _require(doc, "initial", str, "")
     transitions = _require(doc, "transitions", dict, "")
     rewards = _require(doc, "rewards", dict, "")
@@ -186,6 +194,10 @@ def parse_rm(text: str, game: Game) -> RewardMachine:
         raise DocumentError("states: duplicate machine state names")
     if initial not in qid:
         raise DocumentError(f"initial: unknown machine state {initial!r}")
+    for key, table in (("transitions", transitions), ("rewards", rewards)):
+        for q in table:
+            if q not in qid:
+                raise DocumentError(f"{key}.{q}: unknown machine state")
 
     step_rows = []
     reward_rows = []
@@ -196,13 +208,17 @@ def parse_rm(text: str, game: Game) -> RewardMachine:
         r_table = rewards.get(q)
         if not isinstance(r_table, dict):
             raise DocumentError(f"rewards.{q}: missing or not an object")
+        for key, table in (("transitions", t_table), ("rewards", r_table)):
+            for sname in table:
+                if sname not in game.state_names:
+                    raise DocumentError(f"{key}.{q}.{sname}: unknown game state")
         step_row = []
         reward_row = []
         for sname in game.state_names:
             if sname not in t_table:
                 raise DocumentError(f"transitions.{q}.{sname}: missing")
             target = t_table[sname]
-            if target not in qid:
+            if not isinstance(target, str) or target not in qid:
                 raise DocumentError(
                     f"transitions.{q}.{sname}: unknown machine state {target!r}"
                 )

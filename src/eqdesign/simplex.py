@@ -8,9 +8,10 @@ by ``p*row - f*pivot_row`` over that gcd, so each row stays a positive
 multiple of the row a rational tableau would hold and every sign test,
 ratio test and tie-break decides as it would there.  Ratios are
 compared by cross-multiplication.  No scaling, no tolerances, termination
-guaranteed.  Only feasibility and one vertex are needed by the
-cycle-frequency backend, so no objective phase is provided; the vertex is
-the only place fractions appear.
+guaranteed.  Phase 1 is the whole solver: once the artificial sum is 0 the
+vertex is read off the basis, the only place fractions appear.  An artificial
+still basic there holds a row with right-hand side 0 and sets no coordinate;
+an objective phase must pivot it out first, tested by a case that needs it.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ def feasible_point(n_vars: int, constraints: Sequence[Constraint],
     # Phase 1 from an artificial basis, minimising the artificial sum.  The
     # artificial columns are never read, so only their basis indices exist.
     # The objective row (sum of the rows) goes last and pivots like a row.
+    # The sum is bounded below by 0, so a column lowering it has a positive entry.
     m = len(table)
     basis = list(range(width, width + m))
     table.append([sum(row[j] for row in table) for j in range(width + 1)])
@@ -105,24 +107,11 @@ def feasible_point(n_vars: int, constraints: Sequence[Constraint],
                 there = table[best][width] * a
                 if here < there or (here == there and basis[r] < basis[best]):
                     best = r
-        if best is None:
-            break
         basis[best] = col
         _pivot(table, best, col)
 
     if table[m][width] != 0:
         return None
-    # Drive leftover artificials out of the basis where possible; a negative
-    # pivot row is negated first so every row stays a positive multiple.
-    for r in range(m):
-        row = table[r]
-        if basis[r] >= width and row[width] == 0:
-            col = next((j for j in range(width) if row[j] != 0), None)
-            if col is not None:
-                if row[col] < 0:
-                    table[r] = [-a for a in row]
-                basis[r] = col
-                _pivot(table, r, col)
     point = [Fraction(lb) for lb in lbs]
     for r, b in enumerate(basis):
         if b < n_vars:

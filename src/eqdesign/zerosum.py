@@ -24,11 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .games import Game, StrategyProfile
-
-NEG_INF = float("-inf")
 
 
 class SolverLimitError(RuntimeError):
@@ -83,54 +81,22 @@ def strongly_connected_components(succs: Sequence[Iterable[int]]) -> list[list[i
     return comps
 
 
-def _karp_max_mean(nodes: Sequence[int], succs: Mapping[int, Sequence[int]],
-                   weight: Mapping[int, int]) -> Fraction | None:
-    """Max mean cycle inside a strongly connected node set; None if acyclic.
+def _karp_max_mean(preds: Sequence[Sequence[int]], gain: Sequence[int]) -> Fraction:
+    """Max mean cycle of a strongly connected graph with at least one edge.
 
-    Weights sit on the source node of each step.  The walk table holds
-    ints; only the candidate means are ``Fraction``s.
+    Node ``v`` gains ``gain[v]`` on each step it starts, and ``preds[u]``
+    lists the nodes that step to ``u``.  Every node has a predecessor, so a
+    walk of every length ends at every node: the walk table holds plain
+    ints, and only the candidate means are ``Fraction``s.
     """
-    order = list(nodes)
-    pos = {v: k for k, v in enumerate(order)}
-    n = len(order)
-    has_edge = any(u in pos for v in order for u in succs[v])
-    if not has_edge:
-        return None
+    n = len(gain)
     # F[k][v] = max weight of a k-edge walk from the pseudo-source.
-    prev = [0] * n
-    table = [list(prev)]
+    table = [[0] * n]
     for _ in range(n):
-        cur: list = [NEG_INF] * n
-        for vi, v in enumerate(order):
-            fv = prev[vi]
-            if fv is NEG_INF:
-                continue
-            wv = weight[v]
-            for u in succs[v]:
-                ui = pos.get(u)
-                if ui is None:
-                    continue
-                cand = fv + wv
-                if cur[ui] is NEG_INF or cand > cur[ui]:
-                    cur[ui] = cand
-        table.append(cur)
-        prev = cur
-    best: Fraction | None = None
-    final = table[n]
-    for vi in range(n):
-        if final[vi] is NEG_INF:
-            continue
-        worst: Fraction | None = None
-        for k in range(n):
-            fk = table[k][vi]
-            if fk is NEG_INF:
-                continue
-            cand = Fraction(final[vi] - fk, n - k)
-            if worst is None or cand < worst:
-                worst = cand
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    return best
+        step = [f + g for f, g in zip(table[-1], gain)]
+        table.append([max(map(step.__getitem__, p)) for p in preds])
+    return max(min(Fraction(table[n][v] - table[k][v], n - k) for k in range(n))
+               for v in range(n))
 
 
 def max_mean_value_function(succs: Sequence[Sequence[int]],
@@ -138,6 +104,8 @@ def max_mean_value_function(succs: Sequence[Sequence[int]],
     """Per node, the largest mean of any cycle reachable from it.
 
     Every node must have out-degree >= 1 so a cycle is always reachable.
+    A component takes the best value of its successors outside it and, if
+    it holds a cycle (two or more nodes, or a self-loop), its Karp mean.
     """
     n = len(succs)
     for v in range(n):
@@ -148,23 +116,23 @@ def max_mean_value_function(succs: Sequence[Sequence[int]],
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    values: list[Fraction | None] = [None] * len(comps)
+    values: list[Fraction] = []
     # Tarjan emits components in reverse topological order, so successors
     # of a component are already resolved when we reach it.
     for ci, comp in enumerate(comps):
-        members = set(comp)
-        local = {v: [u for u in succs[v] if u in members] for v in comp}
-        best = _karp_max_mean(comp, local, {v: weight[v] for v in comp})
-        for v in comp:
+        pos = {v: k for k, v in enumerate(comp)}
+        preds: list[list[int]] = [[] for _ in comp]
+        best = []
+        for k, v in enumerate(comp):
             for u in succs[v]:
-                cj = comp_of[u]
-                if cj != ci:
-                    cand = values[cj]
-                    if cand is not None and (best is None or cand > best):
-                        best = cand
-        if best is None:
-            raise ValueError("graph has a reachable dead end")
-        values[ci] = best
+                if comp_of[u] == ci:
+                    preds[pos[u]].append(k)
+                else:
+                    best.append(values[comp_of[u]])
+        # The first node has a predecessor inside iff the component holds a cycle.
+        if preds[0]:
+            best.append(_karp_max_mean(preds, [weight[v] for v in comp]))
+        values.append(max(best))
     return [values[comp_of[v]] for v in range(n)]
 
 

@@ -164,6 +164,19 @@ class TestCheckAndSynth:
         assert vdoc["within_budget"] is True
         assert Fraction(vdoc["product_worst_ne"]) - Fraction(vdoc["game_worst_ne"]) > Fraction(1, 2)
 
+    def test_synth_no_writes_no_machine(self, fixture_dir, tmp_path):
+        """Budget 0 admits only machines that pay nothing: a "no", and no file."""
+        out_path = tmp_path / "m.rm"
+        code, text, doc = run_cli([
+            "synth", "--mode", "strong", "--budget", "0", "--delta", "1",
+            "--epsilon", "1/8", str(fixture_dir / "example1.game"), "--out", str(out_path),
+        ])
+        assert code == 1
+        assert "decision = no" in text
+        assert not out_path.exists()
+        assert doc["decision"] is False
+        assert "machine_file" not in doc
+
 
 class TestVerify:
     def test_example1_values(self, fixture_dir):

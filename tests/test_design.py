@@ -17,10 +17,12 @@ from eqdesign.benchmarks import (
     gen_random_game,
 )
 from eqdesign.design import (
+    AUX_CANDIDATE_STATE_LIMIT,
     MAX_LASSO_CANDIDATES,
     ImprovementQuery,
     _lasso_candidates,
     _search,
+    _subsidy_candidates,
     algorithm_trace,
     decide_improvement,
     epsilon_best_ne,
@@ -478,6 +480,36 @@ class TestFlooredCandidates:
         # Each pass asks for twice the pairs read so far, until one lists them all.
         assert passes[0] == MAX_LASSO_CANDIDATES and len(passes) > 1
         assert all(b >= 2 * a for a, b in zip(passes, passes[1:]))
+
+
+class TestDistinctCandidates:
+    """Certify solves each candidate once, without a dedupe: the replay
+    machines are distinct among themselves, the subsidy schemes too, and
+    the two families never meet.  A new family that overlaps an old one
+    fails here."""
+
+    @staticmethod
+    def candidates(game):
+        """The certify loop's candidates at budget 1 and bound 12, in order."""
+        aux = build_auxiliary(game, 1)
+        found = []
+        if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
+            found = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, 12))
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1))
+        return found + _subsidy_candidates(game, q)
+
+    @pytest.mark.parametrize("make", [gen_hamiltonian_game, gen_hamiltonian_complement_game])
+    @pytest.mark.parametrize("graph", ["WITH", "WITHOUT"])
+    def test_criterion_5_games(self, make, graph):
+        found = self.candidates(make(getattr(TestFlooredCandidates, graph)))
+        assert len(found) > MAX_LASSO_CANDIDATES
+        assert len(set(keys(found))) == len(found)
+
+    @pytest.mark.parametrize("seed", [None, *range(10)])
+    def test_example1_and_seeded_games(self, seed):
+        game = gen_example1()[0] if seed is None else gen_random_game(seed, 2, 3, 2)
+        found = self.candidates(game)
+        assert len(set(keys(found))) == len(found)
 
 
 class TestSynthesizeRm:

@@ -649,6 +649,28 @@ class TestLpUnroll:
         assert witness.lasso == solver.realize(solver.query_oracle(q))
         self.certified_in_window(game, q, witness)
 
+    def test_no_polytope_meets_the_window(self):
+        """A designer window above every weight: no vertex, no witness."""
+        game = gen_random_game(12, 2, 4, 2)
+        q = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2, 100, 100)
+        solver = NashLassoSolver(game, None, 12)
+        assert not solver.lp_feasible(q)
+        assert solver.lp_witness(q) is None
+
+    def test_feasible_without_a_lasso_is_refused(self):
+        """The LP meets the point window 1/2, but neither the unroll nor the
+        bounded oracle finds a lasso there: a refusal, never a silent None."""
+        game = gen_random_game(12, 2, 4, 2)
+        q = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2, Fraction(1, 2), Fraction(1, 2))
+        solver = NashLassoSolver(game, None, 12)
+        assert solver.lp_feasible(q)
+        assert solver.query_oracle(q) is None
+        refusal = "threshold query is feasible but no witness was realized"
+        with pytest.raises(SolverLimitError, match=refusal):
+            solver.lp_witness(q)
+        with pytest.raises(SolverLimitError, match=refusal):
+            ne_threshold(game, q, backend="lp", bound=12)
+
 
 class TestDeviationMoves:
     """The arena's move table and response classes against one joint action

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import io
 import json
@@ -207,15 +208,69 @@ class TestMachineDocuments:
         assert cli_main(["verify", str(game_path), str(rm_path)], out=io.StringIO()) == 2
 
 
+# Refused machine documents, as (mutation of m1's document, the message
+# naming the offending key path or position).
+RM_REFUSALS = {
+    "syntax error": (lambda doc: "{", "syntax error at line 1"),
+    "top level": (lambda doc: [doc], "top level: expected an object"),
+    "nested states": (lambda doc: {**doc, "states": [["q0"]]},
+                      "states: expected a list of names"),
+    "duplicate state": (lambda doc: {**doc, "states": doc["states"] + ["q0"]},
+                        "states: duplicate machine state names"),
+    "unknown initial": (lambda doc: {**doc, "initial": "q9"},
+                        "initial: unknown machine state 'q9'"),
+    "unknown key": (lambda doc: {**doc, "meta": {}}, "meta: unknown key"),
+    "missing row": (lambda doc: {**doc, "transitions": {
+        q: row for q, row in doc["transitions"].items() if q != "q1"}},
+        r"transitions\.q1: missing"),
+    "missing entry": (lambda doc: {**doc, "rewards": {
+        **doc["rewards"], "q2": {"t": [0], "l": [0], "r": [0]}}},
+        r"rewards\.q2\.m: missing"),
+    "row for unknown state": (lambda doc: {**doc, "rewards": {
+        **doc["rewards"], "q7": doc["rewards"]["q0"]}},
+        r"rewards\.q7: unknown machine state"),
+    "entry for unknown game state": (lambda doc: {**doc, "transitions": {
+        **doc["transitions"], "q0": {**doc["transitions"]["q0"], "x": "q0"}}},
+        r"transitions\.q0\.x: unknown game state"),
+    "non-name target": (lambda doc: {**doc, "transitions": {
+        **doc["transitions"], "q0": {**doc["transitions"]["q0"], "t": ["q1"]}}},
+        r"transitions\.q0\.t: unknown machine state"),
+}
+
+
+class TestMachineRefusals:
+    @pytest.mark.parametrize("case", sorted(RM_REFUSALS))
+    def test_refused_by_key_path_with_exit_2(self, case, tmp_path):
+        mutate, message = RM_REFUSALS[case]
+        doc = mutate(copy.deepcopy(MUTATION_DOCS["example1 m1"]))
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        game = gen_example1()[0]
+        with pytest.raises(DocumentError, match=message):
+            parse_rm(text, game)
+        game_path, rm_path = tmp_path / "example1.game", tmp_path / "bad.rm"
+        game_path.write_text(serialize_game(game))
+        rm_path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main(["verify", str(game_path), str(rm_path)], out=io.StringIO())
+        assert code == 2
+        assert err.getvalue().startswith("error: ")
+
+
 def _mutation_docs():
+    game, m1, m2 = gen_example1()
     costs = {e: 2 for e in complete_digraph(3).edges}
     return {
-        "example1": json.loads(serialize_game(gen_example1()[0])),
+        "example1": json.loads(serialize_game(game)),
         "tsp": json.loads(serialize_game(gen_tsp_game(complete_digraph(3, costs)))),
+        "example1 m1": json.loads(serialize_rm(m1, game)),
+        "example1 m2": json.loads(serialize_rm(m2, game)),
     }
 
 
 MUTATION_DOCS = _mutation_docs()
+# Machine documents are read against the example1 game.
+MACHINE_FAMILIES = ("example1 m1", "example1 m2")
 
 
 def _nodes(doc, path=()):
@@ -239,7 +294,8 @@ def _names_in(doc) -> list[str]:
 
 
 class TestMutatedDocuments:
-    """Every single mutation of a valid document is rejected or kept verbatim."""
+    """Every single mutation of a valid game or machine document is rejected
+    or kept verbatim."""
 
     @settings(deadline=None, max_examples=150)
     @given(st.sampled_from(sorted(MUTATION_DOCS)), st.data())
@@ -272,13 +328,23 @@ class TestMutatedDocuments:
         else:
             node.insert(data.draw(st.integers(0, len(node))), data.draw(values))
         text = json.dumps(doc)
+        example1 = gen_example1()[0]
+        machine = family in MACHINE_FAMILIES
         try:
-            game = parse_game(text)
+            if machine:
+                again = serialize_rm(parse_rm(text, example1), example1)
+            else:
+                again = serialize_game(parse_game(text))
         except DocumentError:
             pass
         else:
-            assert serialize_game(game) == canonical_json(json.loads(text))
+            assert again == canonical_json(json.loads(text))
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "mutated.game"
+            path = Path(tmp) / "mutated.doc"
             path.write_text(text)
-            assert cli_main(["verify", str(path)], out=io.StringIO()) in (0, 2, 3)
+            argv = ["verify", str(path)]
+            if machine:
+                game_path = Path(tmp) / "example1.game"
+                game_path.write_text(serialize_game(example1))
+                argv = ["verify", str(game_path), str(path)]
+            assert cli_main(argv, out=io.StringIO()) in (0, 2, 3)

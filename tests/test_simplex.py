@@ -68,6 +68,12 @@ class TestFeasiblePoint:
         (2, [Constraint((1, 1), "==", -2)], [-3, 0], [-2, 0]),
         (1, [Constraint((-2,), "<=", -3)], None, [Fraction(3, 2)]),
         (2, [Constraint((1, -1), "==", 0), Constraint((1, 1), "==", 0)], None, [0, 0]),
+        # A repeated equality row: phase 1 ends with an artificial basic at 0.
+        (3, [Constraint((1, 1, 1), "==", 2), Constraint((1, 1, 1), "==", 2),
+             Constraint((1, -1, 0), "<=", 1)], None, [Fraction(3, 2), Fraction(1, 2), 0]),
+        # An artificial left basic at 0 on a nonzero row, which the oracle
+        # pivots out without moving the vertex.
+        (2, [Constraint((-1, -2), "==", -1), Constraint((2, 2), "==", 2)], None, [1, 0]),
     ])
     def test_edge_cases(self, n_vars, constraints, lbs, expected):
         point = check_against_oracle(n_vars, constraints, lbs)

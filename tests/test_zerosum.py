@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ import eqdesign.zerosum as zerosum
 
 from conftest import constant_strategy
 from lifting_oracle import one_sided_credits
+from max_mean_oracle import brute_force_max_mean
 from punishment_oracle import brute_force_punishment, dict_coalition
 
 
@@ -64,6 +66,36 @@ class TestMaxMeanCycle:
     def test_reachable_dead_end_rejected(self):
         with pytest.raises(ValueError):
             max_mean_value_function([[1], []], [1, 0])
+
+    @pytest.mark.parametrize("succs,weight,expected", [
+        # A self-loop beside a two-cycle, fed by a state with no cycle of its own.
+        ([[1, 2], [1], [3], [2]], [9, -1, 4, -4], [0, -1, 0, 0]),
+        # Three layers: 0 -> the two-cycle {1, 2} -> 3 on a self-loop.
+        ([[1], [2], [1, 3], [3]], [-3, 5, 1, 2], [3, 3, 3, 2]),
+        # Negative weights only, and a chain of acyclic states into one cycle.
+        ([[1], [2], [3], [4], [3]], [-1, -2, -3, -5, -7], [-6] * 5),
+    ])
+    def test_layered_components(self, succs, weight, expected):
+        assert max_mean_value_function(succs, weight) == expected
+        assert brute_force_max_mean(succs, weight) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_simple_cycle_brute_force(self, seed):
+        """Node by node against the simple-cycle reference, on graphs of 1-8
+        nodes whose edges mostly lead to lower nodes: layers of components,
+        self-loops, acyclic states feeding cycles, negative weights."""
+        rng = random.Random(seed)
+        for _ in range(25):
+            n = rng.randint(1, 8)
+            succs = []
+            for v in range(n):
+                down = v > 0 and rng.random() < 0.7
+                succs.append(sorted({rng.randrange(v) if down and rng.random() < 0.8
+                                     else rng.randrange(n)
+                                     for _ in range(rng.randint(1, 3))}))
+            weight = [rng.randint(-4, 4) for _ in range(n)]
+            assert max_mean_value_function(succs, weight) == \
+                brute_force_max_mean(succs, weight)
 
     def test_delivery_product_reward_rate(self, example1_products):
         product, _ = example1_products
