@@ -167,10 +167,8 @@ def rm_to_strategy(aux: AuxiliaryGame, rm: RewardMachine) -> MealyStrategy:
         s = aux.pair_of_state[x][0]
         return rm.step[q][s], aux.vector_action[aux.vec_index[rm.rewards[q][s]]]
 
-    strat = MealyStrategy(rm.n_states, rm.initial,
-                          *tabulate(rm.n_states, aux.game.n_states, cell))
-    strat.validate(aux.game, 0)
-    return strat
+    return MealyStrategy(rm.n_states, rm.initial,
+                         *tabulate(rm.n_states, aux.game.n_states, cell))
 
 
 def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
@@ -236,10 +234,8 @@ def lift_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
         return sigma.step[t][ps] * n_q + q_next, sigma.act[t][ps]
 
     n_memory = sigma.n_memory * n_q
-    lifted = MealyStrategy(n_memory, sigma.initial * n_q + rm.initial,
-                           *tabulate(n_memory, aux.game.n_states, cell))
-    lifted.validate(aux.game, player + 1)
-    return lifted
+    return MealyStrategy(n_memory, sigma.initial * n_q + rm.initial,
+                         *tabulate(n_memory, aux.game.n_states, cell))
 
 
 def machine_state_vectors(aux: AuxiliaryGame, rm: RewardMachine) -> list[int]:
@@ -280,12 +276,12 @@ def lower_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
     rm.validate_for(aux.source)
     vec_of = machine_state_vectors(aux, rm)
     pairs, _ = product_arena(aux.source, rm)
+    if len(pairs) != product.n_states:
+        raise RewardMachineError("product is not the implementation of this machine")
     aux_states = [aux.state_id(s, vec_of[q]) for s, q in pairs]
 
     def cell(t: int, ps: int) -> tuple[int, int]:
         return sigma_hat.step[t][aux_states[ps]], sigma_hat.act[t][aux_states[ps]]
 
-    lowered = MealyStrategy(sigma_hat.n_memory, sigma_hat.initial,
-                            *tabulate(sigma_hat.n_memory, len(pairs), cell))
-    lowered.validate(product, player)
-    return lowered
+    return MealyStrategy(sigma_hat.n_memory, sigma_hat.initial,
+                         *tabulate(sigma_hat.n_memory, len(pairs), cell))

@@ -243,11 +243,12 @@ def _cmd_verify(args, out) -> int:
     game = _load_game(args.game)
     doc: dict = {"command": "verify"}
     summary: dict = {}
+    # Read the machine first, so a malformed document is refused before any solve.
+    rm = None if args.rm is None else parse_rm(Path(args.rm).read_text(), game)
+    if rm is not None and args.budget is not None:
+        doc["within_budget"] = is_beta_rm(rm, args.budget)
     worst = _verify_extremes(game, "game", args.bound, doc, summary)
-    if args.rm is not None:
-        rm = parse_rm(Path(args.rm).read_text(), game)
-        if args.budget is not None:
-            doc["within_budget"] = is_beta_rm(rm, args.budget)
+    if rm is not None:
         p_worst = _verify_extremes(implement(game, rm), "product", args.bound, doc, summary)
         if worst is not None and p_worst is not None:
             doc["worst_improvement"] = str(p_worst.global_payoff - worst.global_payoff)

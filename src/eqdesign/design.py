@@ -219,9 +219,7 @@ def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:
             return (m + 1 if m + 1 < length else n_pre), moves_at[m][0]
         return absorb, zero_action
 
-    strat = MealyStrategy(length + 1, 0, *tabulate(length + 1, aux.game.n_states, cell))
-    strat.validate(aux.game, 0)
-    return strat
+    return MealyStrategy(length + 1, 0, *tabulate(length + 1, aux.game.n_states, cell))
 
 
 def _lasso_candidates(aux: AuxiliaryGame,
@@ -329,11 +327,9 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         decision = aux_search.value - base.value > q.delta
         rm = lasso = owner = None
         if decision and aux_search.ne_exists:
-            rec = aux_solver.extreme_signature(maximize=maximize)
-            if rec is not None:
-                lasso = aux_solver.witness(rec).lasso
-                rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
-                owner = aux.game
+            lasso = aux_solver.witness(aux_solver.extreme_signature(maximize)).lasso
+            rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
+            owner = aux.game
         return ImprovementAnswer(decision, base.value, aux_search.value, rm, lasso,
                                  owner, "paper", q.mode)
 
@@ -351,10 +347,10 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         if val.value > best_seen:
             best_seen = val.value
         if val.value - base.value > q.delta:
-            rec = solver.extreme_signature(maximize=maximize)
             lasso = owner = None
-            if rec is not None:
-                lasso, owner = solver.witness(rec).lasso, solver.game
+            if val.ne_exists:
+                lasso = solver.witness(solver.extreme_signature(maximize)).lasso
+                owner = solver.game
             return ImprovementAnswer(True, base.value, val.value, rm, lasso,
                                      owner, "certify", q.mode)
         # Freed before the next product is built, which then reuses its

@@ -50,7 +50,9 @@ Two backends answer threshold queries:
 
 Both backends return a witness only through one certificate: its
 grim-trigger profile must survive every non-fixed player's exact best
-response, or the query is refused with ``SolverLimitError``.
+response, or the query is refused with ``SolverLimitError``.  A caller's
+lasso is validated where it enters (``is_ne_outcome``, ``payoffs``); the
+lassos and profiles built here are not re-checked.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .games import (
     Lasso,
     MealyStrategy,
     StrategyProfile,
-    mean_payoff,
     payoffs,
     tabulate,
 )
@@ -148,10 +149,9 @@ def _punishments(game: Game, fixed: int | None) -> dict[int, PunishmentResult]:
 def is_ne_outcome(game: Game, lasso: Lasso, fixed: int | None = None,
                   pun: Mapping[int, PunishmentResult] | None = None) -> bool:
     """Folk-theorem check: no observable unilateral deviation beats the play."""
-    lasso.validate(game)
+    mp, _ = payoffs(game, lasso)
     if pun is None:
         pun = _punishments(game, fixed)
-    mp = [mean_payoff(game.weights[i], lasso) for i in range(game.n_players)]
     for s, joint, _ in lasso.steps():
         for i, devs in enumerate(game.arena.deviations(s, joint)):
             if i != fixed and any(mp[i] < pun[i].values[d] for d in devs):
@@ -220,9 +220,7 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
         MealyStrategy(n_memory, 0, *tabulate(n_memory, game.n_states, functools.partial(cell, p)))
         for p in range(game.n_players)
     ]
-    profile = StrategyProfile(tuple(range(game.n_players)), tuple(strategies))
-    profile.validate(game)
-    return profile
+    return StrategyProfile(tuple(range(game.n_players)), tuple(strategies))
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +666,7 @@ class NashLassoSolver:
 
     def _lasso(self, tree: dict[int, tuple], cyc_states: Sequence[int],
                cyc_moves: Sequence[tuple[int, ...]]) -> Lasso:
-        """The validated lasso that reaches the cycle's first state by a
+        """The lasso that reaches the cycle's first state by a
         ceiling's breadth-first ``tree`` (:class:`_Ceiling`), then loops."""
         if cyc_states[0] not in tree:
             raise SolverLimitError("anchor unreachable while rebuilding the prefix")
@@ -679,10 +677,8 @@ class NashLassoSolver:
             states.append(prev)
             moves.append(cls.joint)
             _, prev, cls = tree[prev]
-        lasso = Lasso(tuple(states[::-1]), tuple(cyc_states),
-                      tuple(moves[::-1]), tuple(cyc_moves))
-        lasso.validate(self.game)
-        return lasso
+        return Lasso(tuple(states[::-1]), tuple(cyc_states),
+                     tuple(moves[::-1]), tuple(cyc_moves))
 
     def witness(self, rec: tuple) -> NEWitness:
         return self._certify(self.realize(rec))

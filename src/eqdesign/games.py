@@ -12,7 +12,8 @@ are kept only for I/O.  All structures are immutable after construction and
 every operation here is pure, so values can be shared freely across
 workers.  An :class:`Arena` builds its tables on first use and keeps them
 while it lives, for every game on it (such as all subsidy-scheme products
-of one game).
+of one game).  A function validates a caller's lasso, strategy or profile
+against the game on entry, never one it has built from checked inputs.
 """
 
 from __future__ import annotations
@@ -514,12 +515,10 @@ def run_profile(game: Game, profile: StrategyProfile) -> Lasso:
         mems = tuple(st.step[mems[i]][state] for i, st in enumerate(strats))
         state = nxt
     k = seen[(state, mems)]
-    lasso = Lasso(
+    return Lasso(
         prefix_states=tuple(states[:k]),
         cycle_states=tuple(states[k:]),
         prefix_moves=tuple(moves[:k]),
         cycle_moves=tuple(moves[k:]),
     )
-    lasso.validate(game)
-    return lasso
 

@@ -201,16 +201,6 @@ class PunishmentResult:
     coalition: tuple[tuple[int, ...], ...]
 
 
-def _eval_committed(game: Game, player: int, per_state, choice: Sequence[int]):
-    """Deviator's exact value per state once the coalition commits ``choice``."""
-    succs = []
-    for s in range(game.n_states):
-        rmap, _ = per_state[s][choice[s]]
-        succs.append(sorted(set(rmap)))
-    weights = [game.weights[player][s] for s in range(game.n_states)]
-    return max_mean_value_function(succs, weights)
-
-
 def _farey(n: int) -> list[tuple[int, int]]:
     """Fractions ``p/q`` in [0, 1) with ``q <= n``, ascending, as pairs."""
     out = []
@@ -392,7 +382,8 @@ def punishment_values(game: Game, player: int) -> PunishmentResult:
     levels = tuple(Fraction(*cand(k)) for k in distinct)
     ranks = tuple(map({k: r for r, k in enumerate(distinct)}.get, index))
     values = tuple(levels[r] for r in ranks)
-    if tuple(_eval_committed(game, player, per_state, choice)) != values:
+    committed = [moves[s][c] for s, c in enumerate(choice)]
+    if tuple(max_mean_value_function(committed, weights)) != values:
         raise SolverLimitError(
             f"punishment witness for player {game.player_names[player]!r} "
             "does not hold the deviator to the computed values"

@@ -212,6 +212,22 @@ class TestVerify:
             f'"product_best_ne":"{value}","product_worst_ne":"{value}",'
             f'"within_budget":true,"worst_improvement":"{value}"}}\n')
 
+    def test_bad_machine_refused_before_any_solve(self, fixture_dir, tmp_path, monkeypatch,
+                                                  capsys):
+        doc = json.loads((fixture_dir / "example1_m1.rm").read_text())
+        del doc["rewards"]["q1"]["m"]
+        bad = tmp_path / "bad.rm"
+        bad.write_text(json.dumps(doc))
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("a solver was built before the machine was read")
+
+        monkeypatch.setattr(eqdesign.cli, "NashLassoSolver", no_solver)
+        code, _, _ = run_cli(["verify", str(fixture_dir / "example1.game"), str(bad),
+                              "--budget", "1"])
+        assert code == 2
+        assert "rewards.q1.m" in capsys.readouterr().err
+
     def test_second_machine(self, fixture_dir):
         code, _, doc = run_cli([
             "verify", str(fixture_dir / "example1.game"),

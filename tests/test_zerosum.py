@@ -22,7 +22,6 @@ from eqdesign.zerosum import (
     PunishmentResult,
     SolverLimitError,
     _coalition_credits,
-    _eval_committed,
     _strict_dual,
     best_response_value,
     max_mean_value_function,
@@ -247,10 +246,10 @@ class TestPunishment:
         assert witness_values(game, pun) == pun.values
 
     def test_failed_witness_check_raises(self, monkeypatch):
-        def off_by_one(game, player, per_state, choice):
-            return [v + 1 for v in _eval_committed(game, player, per_state, choice)]
+        def off_by_one(succs, weight):
+            return [v + 1 for v in max_mean_value_function(succs, weight)]
 
-        monkeypatch.setattr("eqdesign.zerosum._eval_committed", off_by_one)
+        monkeypatch.setattr("eqdesign.zerosum.max_mean_value_function", off_by_one)
         with pytest.raises(SolverLimitError, match="witness"):
             punishment_values(gen_random_game(12, 2, 4, 2), 1)
 
