@@ -28,28 +28,19 @@ REWARD_VECTOR_LIMIT = 5000
 
 
 def reward_vectors(n_players: int, budget: int) -> tuple[tuple[int, ...], ...]:
-    """All natural vectors with entry sum within the budget, lexicographic.
-
-    There are C(budget + n_players, n_players) of them; an alphabet over the
-    size limit is refused before any is listed.
+    """All natural vectors with entry sum within the budget, lexicographic:
+    each prefix, in order, is extended by every entry its remaining budget
+    allows, with no sort.  There are C(budget + n_players, n_players) of
+    them; an alphabet over the size limit is refused before any is listed.
     """
     if budget < 0:
         raise ValueError("budget must be a natural number")
     if math.comb(budget + n_players, n_players) > REWARD_VECTOR_LIMIT:
         raise SolverLimitError("reward vector alphabet exceeds the size limit")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            prefix.append(v)
-            rec(prefix, remaining - v, slots - 1)
-            prefix.pop()
-
-    rec([], budget, n_players)
-    return tuple(sorted(out))
+    vectors: list[tuple[int, ...]] = [()]
+    for _ in range(n_players):
+        vectors = [v + (x,) for v in vectors for x in range(budget - sum(v) + 1)]
+    return tuple(vectors)
 
 
 @dataclass(frozen=True, eq=False)

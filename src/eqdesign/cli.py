@@ -43,8 +43,8 @@ from .fileio import (
     serialize_game,
     serialize_rm,
 )
-from .games import Game, GameStructureError, InvalidLassoError, InvalidStrategyError
-from .rewards import RewardMachineError, implement, is_beta_rm
+from .games import Game
+from .rewards import implement, is_beta_rm
 from .zerosum import SolverLimitError
 
 EXIT_YES = 0
@@ -83,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--best", action="store_true")
     p_compute.add_argument("--fixed0", action="store_true",
                            help="designer-fixed value of the auxiliary game")
-    p_compute.add_argument("--budget", type=int, default=0,
-                           help="budget for the auxiliary game (with --fixed0)")
+    p_compute.add_argument("--budget", type=int, default=None,
+                           help="budget for the auxiliary game (with --fixed0; default 0)")
     p_compute.add_argument("--epsilon", type=_fraction, required=True)
     p_compute.add_argument("--bound", type=int, default=12)
     p_compute.add_argument("game")
@@ -123,10 +123,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args, out) -> int:
+    if args.budget is not None and not args.fixed0:
+        raise ValueError("--budget applies only with --fixed0")
     game = _load_game(args.game)
     target = game
     if args.fixed0:
-        target = build_auxiliary(game, args.budget).game
+        target = build_auxiliary(game, args.budget or 0).game
     if args.worst:
         value = epsilon_worst_ne(target, args.epsilon, fixed0=args.fixed0,
                                  bound=args.bound)
@@ -240,12 +242,14 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.budget is not None and args.rm is None:
+        raise ValueError("--budget applies only with a machine document")
     game = _load_game(args.game)
     doc: dict = {"command": "verify"}
     summary: dict = {}
     # Read the machine first, so a malformed document is refused before any solve.
     rm = None if args.rm is None else parse_rm(Path(args.rm).read_text(), game)
-    if rm is not None and args.budget is not None:
+    if args.budget is not None:
         doc["within_budget"] = is_beta_rm(rm, args.budget)
     worst = _verify_extremes(game, "game", args.bound, doc, summary)
     if rm is not None:
@@ -287,9 +291,7 @@ def cli_main(argv: list[str], out=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, out)
         raise AssertionError("unreachable")
-    except (DocumentError, GameStructureError, RewardMachineError,
-            InvalidLassoError, InvalidStrategyError, OSError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverLimitError as exc:

@@ -71,6 +71,7 @@ from .games import (
     Lasso,
     MealyStrategy,
     StrategyProfile,
+    mean_payoff,
     payoffs,
     tabulate,
 )
@@ -138,6 +139,12 @@ class NEWitness:
     global_payoff: Fraction
 
 
+def _check_fixed(game: Game, fixed: int | None) -> None:
+    # bool is an int subclass; True is refused, not read as player 1.
+    if fixed is not None and (type(fixed) is not int or fixed not in range(game.n_players)):
+        raise ValueError(f"fixed player {fixed!r} is not a player index")
+
+
 def _punishments(game: Game, fixed: int | None) -> dict[int, PunishmentResult]:
     return {
         i: punishment_values(game, i)
@@ -149,6 +156,7 @@ def _punishments(game: Game, fixed: int | None) -> dict[int, PunishmentResult]:
 def is_ne_outcome(game: Game, lasso: Lasso, fixed: int | None = None,
                   pun: Mapping[int, PunishmentResult] | None = None) -> bool:
     """Folk-theorem check: no observable unilateral deviation beats the play."""
+    _check_fixed(game, fixed)
     mp, _ = payoffs(game, lasso)
     if pun is None:
         pun = _punishments(game, fixed)
@@ -172,6 +180,7 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
     player explains fall into an inert mode, which certified lassos never
     reach.
     """
+    _check_fixed(game, fixed)
     if pun is None:
         pun = _punishments(game, fixed)
     if not is_ne_outcome(game, lasso, fixed, pun):
@@ -326,9 +335,7 @@ class NashLassoSolver:
                  pun: Mapping[int, PunishmentResult] | None = None):
         if type(bound) is not int or bound < 1:
             raise ValueError(f"lasso length bound {bound!r} is not a positive int")
-        # bool is an int subclass; True is refused, not read as player 1.
-        if fixed is not None and (type(fixed) is not int or fixed not in range(game.n_players)):
-            raise ValueError(f"fixed player {fixed!r} is not a player index")
+        _check_fixed(game, fixed)
         self.game = game
         self.fixed = fixed
         self.bound = bound
@@ -364,28 +371,19 @@ class NashLassoSolver:
             per_state.append([
                 _MoveClass(succ, devmax, joint)
                 for (succ, devmax), joint in sorted(by_key.items(), key=lambda kv: kv[0][0])
-                if len(same[succ]) == 1
-                or not any(d != devmax and _vec_le(d, devmax) for d in same[succ])
+                if not any(d != devmax and _vec_le(d, devmax) for d in same[succ])
             ])
         return per_state
 
     def _build_ceilings(self) -> list[tuple[int, ...]]:
-        seeds = {(-1,) * self.game.n_players}
-        for classes in self._classes:
-            for c in classes:
-                seeds.add(c.devmax)
-        closed: set[tuple[int, ...]] = set(seeds)
-        frontier = list(seeds)
-        # Checked before each join pass, so the seeds count toward the limit.
-        while frontier:
+        # After each seed (a class ceiling), ``closed`` holds the join of every
+        # subset of the seeds read, the empty one being the bottom.
+        closed = {(-1,) * self.game.n_players}
+        for seed in {c.devmax for classes in self._classes for c in classes}:
+            closed |= {tuple(map(max, seed, u)) for u in closed}
+            # The set only grows, so the seeds alone count toward the limit.
             if len(closed) > CEILING_LIMIT:
                 raise SolverLimitError("deviation ceiling lattice too large")
-            v = frontier.pop()
-            for u in list(closed):
-                j = tuple(map(max, v, u))
-                if j not in closed:
-                    closed.add(j)
-                    frontier.append(j)
         return sorted(closed)
 
     def _ceiling(self, ranks: tuple[int, ...]) -> _Ceiling:
@@ -686,7 +684,8 @@ class NashLassoSolver:
     def _certify(self, lasso: Lasso) -> NEWitness:
         """Grim-trigger profile of ``lasso``, checked by exact best responses."""
         profile = grim_trigger_profile(self.game, lasso, self.fixed, self.pun)
-        per, glob = payoffs(self.game, lasso)
+        per = tuple(mean_payoff(w, lasso) for w in self.game.weights)
+        glob = mean_payoff(self.game.global_weights, lasso)
         for i in range(self.game.n_players):
             if i == self.fixed:
                 continue

@@ -355,6 +355,10 @@ def _no_extra(table: Mapping, known: Mapping, path: str, kind: str) -> None:
         raise GameStructureError(f"{path}.{extra}: unknown {kind}")
 
 
+def _action_label(game: Game, a: int) -> str:
+    return repr(game.action_names[a]) if a in range(len(game.action_names)) else f"id {a!r}"
+
+
 def tabulate(n_rows: int, n_cols: int, cell: Callable[[int, int], tuple]) -> tuple:
     """``(step, out)`` tables, as row tuples, of the Mealy machine whose row ``m``,
     column ``s`` moves to ``cell(m, s)[0]`` and emits ``cell(m, s)[1]``: memory
@@ -393,7 +397,7 @@ class MealyStrategy:
                     raise InvalidStrategyError("memory update out of range")
                 if self.act[t][s] not in game.protocol[player][s]:
                     raise InvalidStrategyError(
-                        f"action {game.action_names[self.act[t][s]]!r} not allowed for "
+                        f"action {_action_label(game, self.act[t][s])} not allowed for "
                         f"player {game.player_names[player]!r} at {game.state_names[s]!r}"
                     )
 
@@ -459,10 +463,13 @@ class Lasso:
         if not 0 <= start < game.n_states:
             raise InvalidLassoError("states out of range")
         for s, mv, nxt in self.steps():
+            if len(mv) != game.n_players:
+                raise InvalidLassoError(
+                    f"joint action {mv} at {game.state_names[s]!r} needs one entry per player")
             for i, a in enumerate(mv):
                 if a not in game.protocol[i][s]:
                     raise InvalidLassoError(
-                        f"action {game.action_names[a]!r} not allowed at "
+                        f"action {_action_label(game, a)} not allowed at "
                         f"{game.state_names[s]!r} for {game.player_names[i]!r}"
                     )
             if game.transitions[(s, mv)] != nxt:

@@ -136,8 +136,7 @@ def max_mean_value_function(succs: Sequence[Sequence[int]],
     return [values[comp_of[v]] for v in range(n)]
 
 
-def best_response_value(game: Game, others: StrategyProfile, player: int,
-                        start: int | None = None) -> Fraction:
+def best_response_value(game: Game, others: StrategyProfile, player: int) -> Fraction:
     """Exact supremum of ``player``'s mean payoff against a committed profile.
 
     Builds the one-player arena over (state, coalition memory) pairs; since
@@ -154,8 +153,7 @@ def best_response_value(game: Game, others: StrategyProfile, player: int,
 
     coalition = sorted(others.players)
     strat = {p: others.strategy_for(p) for p in coalition}
-    root_state = game.initial if start is None else start
-    root = (root_state, tuple(strat[p].initial for p in coalition))
+    root = (game.initial, tuple(strat[p].initial for p in coalition))
     index = {root: 0}
     nodes = [root]
     succs: list[list[int]] = [[]]

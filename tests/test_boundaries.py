@@ -4,10 +4,15 @@ Public functions validate the lassos, strategies and profiles they are
 given; what they build from inputs they have checked is not checked again.
 The property test here re-checks every such built object on seeded games,
 so a builder that emits an illegal table fails the suite instead of every
-run.  The refusal test pins the entry points that keep their input check.
+run.  The refusal tests pin the entry points that keep their input check,
+and one table pins each remaining refusal of malformed input by its error
+class and message.
 """
 
+import dataclasses
 import functools
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,18 +25,45 @@ from eqdesign.auxiliary import (
     rm_to_strategy,
     strategy_to_rm,
 )
-from eqdesign.benchmarks import gen_example1, gen_random_game, gen_random_strategy
-from eqdesign.design import replay_strategy
+from eqdesign.benchmarks import (
+    CostDigraph,
+    gen_example1,
+    gen_random_game,
+    gen_random_strategy,
+)
+from eqdesign.design import ImprovementQuery, epsilon_worst_ne, replay_strategy
 from eqdesign.equilibria import (
     NEG_INF,
     POS_INF,
     NashLassoSolver,
     ThresholdQuery,
     grim_trigger_profile,
+    is_ne_outcome,
+    ne_threshold,
 )
-from eqdesign.games import InvalidStrategyError, MealyStrategy, StrategyProfile, run_profile
-from eqdesign.rewards import RewardMachineError, implement
+from eqdesign.fileio import DocumentError, parse_game
+from eqdesign.games import (
+    Arena,
+    GameStructureError,
+    InvalidLassoError,
+    InvalidStrategyError,
+    Lasso,
+    MealyStrategy,
+    StrategyProfile,
+    payoffs,
+    run_profile,
+)
+from eqdesign.rewards import (
+    RewardMachine,
+    RewardMachineError,
+    implement,
+    is_beta_rm,
+    k_cycle_delivery_rm,
+    zero_rm,
+)
 from eqdesign.zerosum import SolverLimitError, best_response_value
+
+from conftest import constant_strategy
 
 
 def extremes_and_middle(sigs):
@@ -102,6 +134,10 @@ def bad_strategy(kind: str, game, player: int) -> MealyStrategy:
         step, act = step[:-1], act[:-1]
     elif kind == "memory out of range":
         step[-1] = 1
+    elif kind == "action id past the alphabet":
+        act[0] = len(game.action_names)
+    elif kind == "action id -1":
+        act[0] = -1
     else:
         s, a = next((s, a) for s in range(n) for a in range(len(game.action_names))
                     if a not in game.protocol[player][s])
@@ -134,9 +170,126 @@ ENTRY_POINTS = {
 }
 
 
+def pair():
+    """Players p1 and p2 on states s0-s2; s0 under joint (0, 0) loops back to
+    s0, and p1 may play only action a0 at s2."""
+    return gen_random_game(1, 2, 3, 2)
+
+
+BAD_LASSOS = {
+    "short joint": (Lasso((), (0,), (), ((0,),)), "(0,) at 's0' needs one entry per player"),
+    "long joint": (Lasso((), (0,), (), ((0, 0, 0),)),
+                   "(0, 0, 0) at 's0' needs one entry per player"),
+    "id 99": (Lasso((), (0,), (), ((99, 0),)), "action id 99 not allowed at 's0' for 'p1'"),
+    "id -1": (Lasso((), (0,), (), ((0, -1),)), "action id -1 not allowed at 's0' for 'p2'"),
+    "off-protocol action": (Lasso((), (2,), (), ((1, 1),)),
+                            "action 'a1' not allowed at 's2' for 'p1'"),
+    "inconsistent step": (Lasso((), (0, 1), (), ((0, 0), (0, 0))),
+                          "step at 's0' is not transition-consistent"),
+}
+
+
+def robot():
+    """Example 1's game: one player, states t, l, m and r."""
+    return gen_example1()[0]
+
+
+FREE = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2)
+
+# case -> (build the malformed input, error class, message fragment)
+REFUSALS = {
+    "arena without players": (lambda: Arena(0, (), {}), GameStructureError,
+                              "at least one player and one state"),
+    "arena initial": (lambda: Arena(1, (((0,),),), {(0, (0,)): 0}), GameStructureError,
+                      "initial state out of range"),
+    "arena ragged protocol": (lambda: Arena(0, (((0,),), ((0,), (0,))), {(0, (0, 0)): 0}),
+                              GameStructureError, "player 1: tables must cover every state"),
+    "arena target": (lambda: Arena(0, (((0,),),), {(0, (0,)): 1}), GameStructureError,
+                     "transition target out of range"),
+    "game weights": (lambda: dataclasses.replace(robot(), weights=((0, 0),)),
+                     GameStructureError, "weight tables must cover every player and state"),
+    "strategy without memory": (lambda: MealyStrategy(0, 0, (), ()), InvalidStrategyError,
+                                "memory set must be nonempty"),
+    "strategy tables": (lambda: MealyStrategy(1, 0, (), ()), InvalidStrategyError,
+                        "step/act tables must cover every memory state"),
+    "strategy action id 99": (lambda: MealyStrategy(1, 0, ((0, 0, 0),), ((99, 0, 0),))
+                              .validate(pair(), 0), InvalidStrategyError,
+                              "action id 99 not allowed for player 'p1' at 's0'"),
+    "strategy action id -1": (lambda: MealyStrategy(1, 0, ((0, 0, 0),), ((-1, 0, 0),))
+                              .validate(pair(), 0), InvalidStrategyError,
+                              "action id -1 not allowed for player 'p1' at 's0'"),
+    "profile arity": (lambda: StrategyProfile((0, 1), ()), InvalidStrategyError,
+                      "exactly one strategy per player"),
+    "run of a partial profile": (lambda: run_profile(pair(), StrategyProfile(
+        (0,), (constant_strategy(pair(), 0),))), InvalidStrategyError, "cover exactly the game's players"),
+    "lasso prefix moves": (lambda: Lasso((0,), (0,), (), ((0,),)), InvalidLassoError,
+                           "prefix needs one realizing action per step"),
+    "lasso cycle moves": (lambda: Lasso((), (0,), (), ()), InvalidLassoError,
+                          "cycle needs one realizing action per step"),
+    "lasso start": (lambda: payoffs(robot(), Lasso((), (5,), (), ((0,),))), InvalidLassoError,
+                    "states out of range"),
+    "machine without states": (lambda: RewardMachine((), 0, (), ()), RewardMachineError,
+                               "machine needs states and a valid initial state"),
+    "machine tables": (lambda: RewardMachine(("q",), 0, (), ()), RewardMachineError,
+                       "step/reward tables must cover every machine state"),
+    "machine ragged": (lambda: RewardMachine(("q", "r"), 0, ((0,), (0, 0)),
+                                             (((0,),), ((0,), (0,)))),
+                       RewardMachineError, "tables must be rectangular"),
+    "machine step": (lambda: RewardMachine(("q",), 0, ((1,),), (((0,),),)), RewardMachineError,
+                     "machine transition out of range"),
+    "machine reward": (lambda: RewardMachine(("q",), 0, ((0,),), (((-1,),),)),
+                       RewardMachineError, "rewards must be naturals"),
+    "machine players": (lambda: implement(robot(), RewardMachine(("q",), 0, ((0,) * 4,),
+                                                                 (((0, 0),) * 4,))),
+                        RewardMachineError, "machine rewards 2 players, game has 1"),
+    "machine budget": (lambda: is_beta_rm(zero_rm(robot()), -1), RewardMachineError,
+                       "budget must be a natural number"),
+    "delivery states": (lambda: k_cycle_delivery_rm(pair(), 1), RewardMachineError,
+                        "robot arena states t, l, m"),
+    "delivery players": (lambda: k_cycle_delivery_rm(
+        dataclasses.replace(pair(), state_names=("t", "l", "m")), 1),
+        RewardMachineError, "one-player robot game"),
+    "digraph vertices": (lambda: CostDigraph(("v", "v"), ()), GameStructureError,
+                         "duplicate vertices"),
+    "digraph parallel": (lambda: CostDigraph(("u", "v"), (("u", "v"), ("u", "v"))),
+                         GameStructureError, "parallel edges"),
+    "digraph edge": (lambda: CostDigraph(("u",), (("u", "v"),)), GameStructureError,
+                     "edge (u, v) uses unknown vertices"),
+    "digraph costs": (lambda: CostDigraph(("u", "v"), (("u", "v"),), ()), GameStructureError,
+                      "costs must cover exactly the edges"),
+    "query epsilon": (lambda: ImprovementQuery(1, Fraction(1, 2), 0), ValueError,
+                      "epsilon must be positive"),
+    "query mode": (lambda: ImprovementQuery(1, Fraction(1, 2), 1, mode="middling"),
+                   ValueError, "mode must be 'strong' or 'weak'"),
+    "query method": (lambda: ImprovementQuery(1, Fraction(1, 2), 1, method="guess"),
+                     ValueError, "method must be 'certify' or 'paper'"),
+    "search backend": (lambda: epsilon_worst_ne(robot(), 1, backend="simplex"), ValueError,
+                       "unknown backend 'simplex'"),
+    "threshold players": (lambda: NashLassoSolver(pair()).query_oracle(
+        ThresholdQuery((NEG_INF,), (POS_INF,))), ValueError, "bounds must cover every player"),
+    "threshold fixed": (lambda: NashLassoSolver(pair()).query_oracle(
+        dataclasses.replace(FREE, fixed_player=0)), ValueError,
+        "query fixed player differs from the solver's fixed player"),
+    "threshold backend": (lambda: ne_threshold(pair(), FREE, backend="simplex"), ValueError,
+                          "unknown backend 'simplex'"),
+    "alphabet budget": (lambda: build_auxiliary(robot(), -1), ValueError,
+                        "budget must be a natural number"),
+    "designer name": (lambda: build_auxiliary(
+        dataclasses.replace(pair(), player_names=("agent0", "p2")), 0), GameStructureError,
+        "may not name a player 'agent0'"),
+    "responder committed": (lambda: best_response_value(pair(), StrategyProfile(
+        (0,), (constant_strategy(pair(), 0),)), 0), ValueError, "must not appear in the committed profile"),
+    "responder coalition": (lambda: best_response_value(pair(), StrategyProfile((), ()), 0),
+                            ValueError, "must cover exactly the other players"),
+    "document top level": (lambda: parse_game("[]"), DocumentError,
+                           "top level: expected an object"),
+}
+
+
 class TestBoundaryRefusals:
     @pytest.mark.parametrize("kind", ["missing state", "memory out of range",
-                                      "action outside the protocol"])
+                                      "action outside the protocol",
+                                      "action id past the alphabet", "action id -1"])
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_entry_point_refuses_bad_strategy(self, delivery, entry, kind):
         _, aux, rm, product = delivery
@@ -153,3 +306,18 @@ class TestBoundaryRefusals:
                                  (lower_strategy, gen_random_strategy(aux.game, 1, 1))]:
             with pytest.raises(RewardMachineError, match="not the implementation"):
                 translate(aux, rm, game, sigma, 0)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_LASSOS))
+    @pytest.mark.parametrize("entry", [payoffs, is_ne_outcome, grim_trigger_profile],
+                             ids=lambda f: f.__name__)
+    def test_entry_point_refuses_bad_lasso(self, entry, kind):
+        lasso, message = BAD_LASSOS[kind]
+        with pytest.raises(InvalidLassoError, match=re.escape(message)):
+            entry(pair(), lasso)
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_malformed_input_refused(self, case):
+        build, error, message = REFUSALS[case]
+        with pytest.raises(error, match=re.escape(message)) as refused:
+            build()
+        assert refused.type is error

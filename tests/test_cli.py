@@ -290,6 +290,19 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["compute", "--worst", "--budget", "3", "--epsilon", "1/4", "{game}"],
+         "--budget applies only with --fixed0"),
+        (["verify", "{game}", "--budget", "1"], "--budget applies only with a machine document"),
+        (["gen", "ham", "--edges", ",", "--dest", "{tmp}"], "edges: at least one edge required"),
+    ], ids=["compute-budget-without-fixed0", "verify-budget-without-machine", "gen-no-edges"])
+    def test_refused_input_is_two(self, fixture_dir, tmp_path, capsys, argv, message):
+        """Each is refused by name; a --budget the command would ignore was dropped."""
+        paths = {"game": fixture_dir / "example1.game", "tmp": tmp_path}
+        code, text, _ = run_cli([arg.format(**paths) for arg in argv])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_ceiling_lattice_limit_is_three(self, tmp_path, fixture_dir, monkeypatch, capsys):
         code, _, _ = run_cli(["gen", "random", "--seed", "3", "--players", "3",
                               "--states", "4", "--actions", "2", "--dest", str(tmp_path)])

@@ -30,6 +30,7 @@ from eqdesign.equilibria import (
 )
 from eqdesign.games import (
     InvalidLassoError,
+    Lasso,
     StrategyProfile,
     make_game,
     payoffs,
@@ -42,6 +43,9 @@ from ceiling_oracle import build_ceilings, build_classes, ceiling_values, deviat
 from lasso_walks import lasso_from_states
 from candidate_oracle import full_realize
 from sweep_oracle import fraction_window_test, oracle_signatures
+
+# On gen_random_game(1, 2, 3, 2), s0 under joint (0, 0) loops back to s0.
+S0_LOOP = Lasso((), (0,), (), ((0, 0),))
 
 
 def query1(lo, hi, fixed=None):
@@ -182,9 +186,20 @@ class TestNeThreshold:
         (lambda: NashLassoSolver(gen_example1()[0], bound=3.0), "length bound"),
         (lambda: NashLassoSolver(gen_random_game(3, 2, 3, 2), fixed=True),
          "not a player index"),
+        # The loop at s0 is no equilibrium, but was one with player 1 read as fixed.
+        (lambda: is_ne_outcome(gen_random_game(1, 2, 3, 2), S0_LOOP, fixed=True),
+         "not a player index"),
+        (lambda: grim_trigger_profile(gen_random_game(1, 2, 3, 2), S0_LOOP, fixed=True),
+         "not a player index"),
+        (lambda: is_ne_outcome(gen_random_game(1, 2, 3, 2), S0_LOOP, fixed=7),
+         "not a player index"),
+        (lambda: grim_trigger_profile(gen_random_game(1, 2, 3, 2), S0_LOOP, fixed=7),
+         "not a player index"),
     ], ids=["lp-lower-plus-inf", "upper-minus-inf", "global-lower-plus-inf",
             "global-upper-minus-inf", "query-fixed-true", "query-fixed-float",
-            "solver-bound-true", "solver-bound-float", "solver-fixed-true"])
+            "solver-bound-true", "solver-bound-float", "solver-fixed-true",
+            "ne-outcome-fixed-true", "grim-fixed-true", "ne-outcome-fixed-7",
+            "grim-fixed-7"])
     def test_inexact_parameters_refused(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()

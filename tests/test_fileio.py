@@ -139,11 +139,33 @@ class TestGameErrors:
         (lambda doc: doc["global_weights"].update(x=0), r"global_weights\.x"),
         (lambda doc: doc["protocol"]["t"]["p1"].reverse(), r"protocol\.t\.p1"),
         (lambda doc: doc["protocol"]["t"]["p1"].insert(0, "go_l"), r"protocol\.t\.p1"),
+        (lambda doc: doc["states"].append("t"), "duplicate player/action/state names"),
+        (lambda doc: doc.update(initial="x"), "unknown initial state 'x'"),
+        (lambda doc: doc["protocol"].update(x={}), r"protocol\.x: unknown state"),
+        (lambda doc: doc["protocol"]["t"].update(p9=[]), r"protocol\.t\.p9: unknown player"),
+        (lambda doc: doc["protocol"]["t"]["p1"].append("fly"),
+         r"protocol\.t\.p1: unknown action 'fly'"),
+        (lambda doc: doc["transitions"].update(x={}), r"transitions\.x: unknown state"),
+        (lambda doc: doc["transitions"]["t"].update({"go_l,go_l": "l"}),
+         r"transitions\.t: joint action arity mismatch"),
+        (lambda doc: doc["transitions"]["t"].update(fly="l"),
+         r"transitions\.t: unknown action 'fly'"),
+        (lambda doc: doc["weights"].pop("p1"), r"weights\.p1: missing table"),
+        (lambda doc: doc["weights"]["p1"].pop("m"), r"weights\.p1\.m: missing entry"),
+        (lambda doc: doc.pop("initial"), "initial: missing"),
+        (lambda doc: doc.update(initial=3), "initial: expected str"),
+        (lambda doc: doc["transitions"].update(t=[]), r"transitions\.t: expected an object"),
+        (lambda doc: doc["transitions"]["t"].pop("go_l"),
+         r"missing transition at state 't' for joint action \('go_l',\)"),
     ], ids=["weights-table", "protocol-state", "protocol-number", "protocol-string", "protocol-action",
             "transition-target", "state-name", "player-name", "action-name",
             "meta", "meta-value", "meta-empty", "unknown-key", "forbidden-transition",
             "weights-player", "weights-state", "global-state", "protocol-order",
-            "protocol-repeat"])
+            "protocol-repeat", "duplicate-name", "initial-unknown", "protocol-unknown-state",
+            "protocol-unknown-player", "protocol-unknown-action", "transitions-unknown-state", "transitions-arity",
+            "transitions-unknown-action", "weights-missing-table", "weights-missing-entry",
+            "initial-missing", "initial-number", "transitions-row-list",
+            "transition-missing"])
     def test_malformed_shape_names_the_key_path(self, mutate, path, tmp_path):
         game, _, _ = gen_example1()
         doc = json.loads(serialize_game(game))
@@ -223,6 +245,13 @@ RM_REFUSALS = {
     "missing row": (lambda doc: {**doc, "transitions": {
         q: row for q, row in doc["transitions"].items() if q != "q1"}},
         r"transitions\.q1: missing"),
+    "missing rewards row": (lambda doc: {**doc, "rewards": {
+        q: row for q, row in doc["rewards"].items() if q != "q1"}},
+        r"rewards\.q1: missing or not an object"),
+    "missing transition entry": (lambda doc: {**doc, "transitions": {
+        **doc["transitions"], "q1": {
+            s: t for s, t in doc["transitions"]["q1"].items() if s != "m"}}},
+        r"transitions\.q1\.m: missing"),
     "missing entry": (lambda doc: {**doc, "rewards": {
         **doc["rewards"], "q2": {"t": [0], "l": [0], "r": [0]}}},
         r"rewards\.q2\.m: missing"),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from eqdesign.benchmarks import (
     gen_random_strategy,
 )
 from eqdesign.games import (
+    Arena,
     MealyStrategy,
     StrategyProfile,
     mean_payoff,
@@ -35,6 +37,11 @@ from max_mean_oracle import brute_force_max_mean
 from punishment_oracle import brute_force_punishment, dict_coalition
 
 
+def rooted_at(game, s: int):
+    """``game`` with the same names and weights, played from state ``s``."""
+    return dataclasses.replace(game, arena=Arena(s, game.protocol, game.transitions))
+
+
 def witness_values(game, pun: PunishmentResult) -> tuple[Fraction, ...]:
     """Deviator's best response per state against the positional coalition."""
     coalition = tuple(i for i in range(game.n_players) if i != pun.player)
@@ -43,7 +50,7 @@ def witness_values(game, pun: PunishmentResult) -> tuple[Fraction, ...]:
                       (tuple(pun.coalition[s][i] for s in range(game.n_states)),))
         for i in coalition
     ))
-    return tuple(best_response_value(game, others, pun.player, start=s)
+    return tuple(best_response_value(rooted_at(game, s), others, pun.player)
                  for s in range(game.n_states))
 
 
@@ -196,7 +203,7 @@ class TestPunishment:
                     tuple(gen_random_strategy(game, i, seed + 11 * cs) for i in coalition),
                 )
                 for s in range(game.n_states):
-                    br = best_response_value(game, others, player, start=s)
+                    br = best_response_value(rooted_at(game, s), others, player)
                     assert pun.values[s] <= br
 
     @pytest.mark.parametrize("seed", range(6))
