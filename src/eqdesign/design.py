@@ -20,6 +20,7 @@ may witness the answer.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -277,25 +278,43 @@ def _subsidy_candidates(game: Game, q: ImprovementQuery) -> list[RewardMachine]:
     return machines
 
 
+def _related(punished: dict, player: int, row: tuple[int, ...]) -> tuple | None:
+    """The solved row of ``player`` pointwise at or below ``row`` with the
+    greatest sum, and its result; None if there is none."""
+    best = None
+    for (i, other), result in punished.items():
+        if i == player and all(map(operator.le, other, row)) and (
+                best is None or sum(other) > sum(best[0])):
+            best = other, result
+    return best
+
+
 def _solver(solved: dict, game: Game, fixed: int | None,
             bound: int) -> NashLassoSolver:
-    """Solver whose punishments are solved at most once per decision.
+    """Solver of a candidate product, sharing what the decision's earlier
+    products derived on its arena.
 
-    ``solved`` maps an :class:`Arena` object to the results already
-    computed on it, by (player, weight row): the values and the witness
-    depend on nothing else.  Most certify candidates are subsidy schemes,
-    whose products share one arena and change one player's weights, so
-    most solves of a decision are found here.
+    ``solved`` maps an :class:`Arena` object to two memos.  The first holds
+    punishment results by (player, weight row): the values and the witness
+    depend on nothing else.  A row not solved yet is solved from the solved
+    row of the same player below it (``punishment_values``' related
+    solve), which brackets each state's search.  The second is the
+    solver's structure memo (``NashLassoSolver``'s ``shared``): move
+    classes and ceiling records, by each punished player's ranks and
+    levels.  Most certify candidates are subsidy schemes, whose products
+    share one arena and raise one player's weights at one or two states,
+    so most solves and most structures of a decision are found here.
     """
-    arena = solved.setdefault(game.arena, {})
+    punished, structures = solved.setdefault(game.arena, ({}, {}))
     pun = {}
     for i in range(game.n_players):
         if i != fixed:
             key = (i, game.weights[i])
-            if key not in arena:
-                arena[key] = punishment_values(game, i)
-            pun[i] = arena[key]
-    return NashLassoSolver(game, fixed, bound, pun=pun)
+            if key not in punished:
+                punished[key] = punishment_values(
+                    game, i, _related(punished, i, game.weights[i]))
+            pun[i] = punished[key]
+    return NashLassoSolver(game, fixed, bound, pun=pun, shared=structures)
 
 
 def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
@@ -313,16 +332,22 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     (base, auxiliary, each candidate product) gets one solver, which also
     realizes the witness lasso.  What an arena derives (deviation moves,
     response classes, products) it keeps for its lifetime, across calls: all
-    subsidy-scheme products of ``game`` share one arena.  Punishment solves
-    depend on weights too; they are shared within one call, never across.
+    subsidy-scheme products of ``game`` share one arena.  Within one call,
+    and never across, the candidate products' solvers also share what they
+    derive on one arena (:func:`_solver`): each punishment solve, the solve
+    a raised weight row starts from, and the move classes and ceiling
+    records of each distinct set of punishment ranks and levels, with the
+    walk steps and LP polytopes the records keep.  The base and auxiliary
+    games get solvers of their own, since no other game of the call has
+    their arena; the auxiliary game is dropped before the products are
+    solved, and the memos when the call ends.
     """
-    solved: dict = {}
     maximize = q.mode == "weak"
-    base = _search(_solver(solved, game, None, q.bound), q.epsilon, maximize, "oracle")
+    base = _search(NashLassoSolver(game, None, q.bound), q.epsilon, maximize, "oracle")
     aux = build_auxiliary(game, q.budget)
 
     if q.method == "paper":
-        aux_solver = _solver(solved, aux.game, 0, q.bound)
+        aux_solver = NashLassoSolver(aux.game, 0, q.bound)
         aux_search = _search(aux_solver, q.epsilon, maximize, "oracle")
         decision = aux_search.value - base.value > q.delta
         rm = lasso = owner = None
@@ -337,10 +362,13 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     candidates = []
     # Larger auxiliary games are left to the subsidy schemes.
     if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
-        candidates = _lasso_candidates(aux, _solver(solved, aux.game, 0, q.bound))
+        candidates = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
     # Replay machines have two or more states and subsidy schemes one, and
     # each family is free of repeats, so no candidate is solved twice.
     candidates += _subsidy_candidates(game, q)
+    # Not read again: freed before the products' memos grow.
+    del aux
+    solved: dict = {}
     for rm in candidates:
         solver = _solver(solved, implement(game, rm), None, q.bound)
         val = _search(solver, q.epsilon, maximize, "oracle")

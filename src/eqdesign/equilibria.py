@@ -18,7 +18,10 @@ floors and a query's window are payoff rows alike (:func:`_row`),
 which the sweep, the oracle's window test, the LP and its witness check read.
 Each ceiling's sub-arena is one record, built with the solver (``_Ceiling``):
 its floors, the classes it allows, their successors and its breadth-first
-tree, which the sweep, ``realize``, the LP and every witness's prefix read.
+tree, which the sweep, ``realize``, the LP and every witness's prefix read,
+plus its LP polytopes once first read.  None of it depends on the weights,
+so solvers of one arena whose punishments have the same ranks and levels
+can share the records, which then also keep their walk steps.
 
 Two backends answer threshold queries:
 
@@ -242,21 +245,69 @@ class _MoveClass(NamedTuple):
     joint: tuple[int, ...]
 
 
-class _Ceiling(NamedTuple):
-    """A deviation ceiling's sub-arena, built once per solver: its payoff
-    rows (``floors``, one :func:`_row` per player it bounds, in player
-    order), the classes it allows at each state (``allowed``, in class
-    order), their distinct successors in that order (``succs``), and the
-    breadth-first ``tree`` from the initial state, mapping each reachable
-    state to ``(distance, parent, class)``: the parent is the first state of
-    the previous layer, in layer order, with a class into it; the root's
-    parent and class are None."""
+@dataclass(eq=False, slots=True)
+class _Ceiling:
+    """A deviation ceiling's sub-arena: its payoff rows (``floors``, one
+    :func:`_row` per player it bounds, in player order), the classes it
+    allows at each state (``allowed``, in class order), their distinct
+    successors in that order (``succs``), and the breadth-first ``tree``
+    from the initial state, mapping each reachable state to ``(distance,
+    parent, class)``: the parent is the first state of the previous layer,
+    in layer order, with a class into it; the root's parent and class are
+    None.  It keeps, built on first use, its LP polytopes
+    (:meth:`polytopes`) and, when shared (``kept_steps`` a dict), its
+    per-anchor walk steps (:meth:`steps`), which its solvers walk again."""
 
     ranks: tuple[int, ...]
     floors: list[tuple[int, int, int]]
     allowed: list[list[_MoveClass]]
     succs: list[list[int]]
     tree: dict[int, tuple]
+    kept_steps: dict[int, list[list[tuple[int, int]] | None]] | None = None
+    _polytopes: list[tuple[set[int], list]] | None = None
+
+    def steps(self, anchor: int) -> list[list[tuple[int, int]] | None]:
+        """The walks' moves at ``anchor``: for each state ``s >= anchor``
+        that can return to it over such states, the successors that can
+        too, in ``succs`` order, each with its steps back to the anchor;
+        None for every other state."""
+        steps = None if self.kept_steps is None else self.kept_steps.get(anchor)
+        if steps is None:
+            succs = self.succs
+            preds: dict[int, list[int]] = {}
+            for s in range(anchor, len(succs)):
+                for t in succs[s]:
+                    preds.setdefault(t, []).append(s)
+            back = {anchor: 0}
+            frontier = [anchor]
+            for t in frontier:
+                for s in preds.get(t, ()):
+                    if s not in back:
+                        back[s] = back[t] + 1
+                        frontier.append(s)
+            # A list by state, not a dict: kept for every anchor of every
+            # shared record, it is a decision's largest memo.
+            steps = [[(t, back[t]) for t in succs[s] if t in back] if s in back else None
+                     for s in range(len(succs))]
+            if self.kept_steps is not None:
+                self.kept_steps[anchor] = steps
+        return steps
+
+    def polytopes(self) -> list[tuple[set[int], list[tuple[int, _MoveClass]]]]:
+        """``(members, edges)`` per reachable strongly connected component
+        with moves, by least member: the LP's sub-arenas."""
+        if self._polytopes is None:
+            # A component is reachable when one of its states is.
+            comps = [comp for comp in strongly_connected_components(self.succs)
+                     if comp[0] in self.tree]
+            self._polytopes = []
+            for comp in sorted(comps, key=min):
+                members = set(comp)
+                edges = [(s, cls) for s in sorted(members)
+                         for cls in self.allowed[s] if cls.succ in members]
+                if edges:
+                    self._polytopes.append((members, edges))
+        return self._polytopes
 
 
 def _vec_le(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -329,10 +380,19 @@ class NashLassoSolver:
     be reused across a binary search.  ``pun``, when given, holds the
     punishment of every player but ``fixed`` (as :func:`is_ne_outcome`
     takes it), so callers that meet the same arena again need not re-solve.
+    ``shared``, when given, is a memo for the solvers of one arena.  The
+    move classes and the ceiling records (with what they keep) depend on
+    the arena, the fixed player and each punished player's ranks and
+    levels, not on the weights, so a solver that finds its key there takes
+    them instead of building them, and one that does not stores its own.
+    Its records then keep their walk steps for the solvers to come, in one
+    table per distinct successor lists, kept in ``shared`` under those
+    lists (a tuple of int tuples, which no structure key equals).
     """
 
     def __init__(self, game: Game, fixed: int | None = None, bound: int = 12,
-                 pun: Mapping[int, PunishmentResult] | None = None):
+                 pun: Mapping[int, PunishmentResult] | None = None,
+                 shared: dict | None = None):
         if type(bound) is not int or bound < 1:
             raise ValueError(f"lasso length bound {bound!r} is not a positive int")
         _check_fixed(game, fixed)
@@ -343,11 +403,31 @@ class NashLassoSolver:
         rows = (*game.weights, game.global_weights)
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
-        self._classes = self._build_classes()
-        self._ceilings = [self._ceiling(ranks) for ranks in self._build_ceilings()]
+        if shared is None:
+            self._build_structure()
+        else:
+            key = tuple(None if i == fixed else (self.pun[i].ranks, self.pun[i].levels)
+                        for i in range(game.n_players))
+            if key not in shared:
+                shared[key] = self._build_structure()
+                # Walk steps depend on a record's successors alone: records
+                # with equal successors, in any structure, keep one table.
+                for cei in self._ceilings:
+                    cei.kept_steps = shared.setdefault(tuple(map(tuple, cei.succs)), {})
+            self._classes, self._ceilings = shared[key]
         self._sweep_cache: list[tuple] | None = None
 
     # -- shared structure ---------------------------------------------------
+
+    def _build_structure(self) -> tuple[list, list[_Ceiling]]:
+        """The move classes and the ceiling records, kept on the solver."""
+        self._classes = self._build_classes()
+        # Per state, its classes' distinct successors: the successor list of
+        # every ceiling that allows all of them.
+        self._class_succs = [list(dict.fromkeys(c.succ for c in classes))
+                             for classes in self._classes]
+        self._ceilings = [self._ceiling(ranks) for ranks in self._build_ceilings()]
+        return self._classes, self._ceilings
 
     def _build_classes(self) -> list[list[_MoveClass]]:
         # rank[i][d]: index of player i's punishment at d in its levels.
@@ -388,10 +468,14 @@ class NashLassoSolver:
 
     def _ceiling(self, ranks: tuple[int, ...]) -> _Ceiling:
         """The record of the ceiling ``ranks``; every reader shares it."""
-        allowed = [
-            [c for c in classes if _vec_le(c.devmax, ranks)]
-            for classes in self._classes
-        ]
+        allowed, succs = [], []
+        for classes, every in zip(self._classes, self._class_succs):
+            kept = [c for c in classes if _vec_le(c.devmax, ranks)]
+            # A state whose classes all lie under the ceiling shares its
+            # lists with every such ceiling.
+            full = len(kept) == len(classes)
+            allowed.append(classes if full else kept)
+            succs.append(every if full else list(dict.fromkeys(c.succ for c in kept)))
         tree: dict[int, tuple] = {self.game.initial: (0, None, None)}
         # States are expanded in the order they enter the tree: layer by layer.
         order = [self.game.initial]
@@ -400,7 +484,6 @@ class NashLassoSolver:
                 if c.succ not in tree:
                     tree[c.succ] = (tree[s][0] + 1, s, c)
                     order.append(c.succ)
-        succs = [list(dict.fromkeys(c.succ for c in classes)) for classes in allowed]
         floors = [_row(k, 1, self.pun[k].levels[r]) for k, r in enumerate(ranks) if r >= 0]
         return _Ceiling(ranks, floors, allowed, succs, tree)
 
@@ -436,13 +519,14 @@ class NashLassoSolver:
         out: list[tuple] = []
         seen: set[tuple[int, int, int]] = set()
         designer = None if top is None else lambda: None if fs is None else (scale, fs)
-        for ci, (_, floors, _, succs, tree) in enumerate(self._ceilings):
+        for ci, cei in enumerate(self._ceilings):
+            floors, tree = cei.floors, cei.tree
             for anchor in sorted(tree):
                 prefix_len = tree[anchor][0]
                 budget = self.bound - prefix_len
                 if budget < 1:
                     continue
-                walk = self._walk(succs, anchor, budget, designer)
+                walk = self._walk(cei, anchor, budget, designer)
                 for length, layer in enumerate(walk, 1):
                     closed = layer.get(anchor)
                     if not closed:
@@ -479,7 +563,7 @@ class NashLassoSolver:
             self._sweep_cache = out
         return out
 
-    def _walk(self, succs: list[list[int]], anchor: int, horizon: int,
+    def _walk(self, cei: _Ceiling, anchor: int, horizon: int,
               designer: Callable[[], tuple[int, int] | None] | None = None,
               ) -> Iterator[dict[int, set[int]]]:
         """Layered reachability of packed weight sums on cycles at ``anchor``.
@@ -489,8 +573,8 @@ class NashLassoSolver:
         ``anchor`` that can still return to it within ``horizon`` steps;
         the sums at ``anchor`` itself are the cycles of length k.  States
         enter a layer in the order their predecessors are visited, each
-        predecessor's successors in ``succs`` (class) order; ``realize``
-        relies on it.
+        predecessor's successors in the ceiling's ``succs`` (class) order;
+        ``realize`` relies on it.
 
         ``designer()``, read before each layer, may return a designer floor
         ``(q, p)``, q > 0: the layer then keeps only the sums that can still
@@ -503,19 +587,7 @@ class NashLassoSolver:
         below the least global weight prunes nothing and is ignored.
         """
         wpack = self._wpack
-        # back[t]: the steps from t back to the anchor, over states >= anchor.
-        preds: dict[int, list[int]] = {}
-        for s in range(anchor, len(succs)):
-            for t in succs[s]:
-                preds.setdefault(t, []).append(s)
-        back = {anchor: 0}
-        frontier = [anchor]
-        for t in frontier:
-            for s in preds.get(t, ()):
-                if s not in back:
-                    back[s] = back[t] + 1
-                    frontier.append(s)
-        steps = {s: [(t, back[t]) for t in succs[s] if t in back] for s in back}
+        steps = cei.steps(anchor)
         least = min(self.game.global_weights)
         floor = limits = None
         layer: dict[int, set[int]] = {anchor: {0}}
@@ -550,7 +622,7 @@ class NashLassoSolver:
             yield nxt
             layer = nxt
 
-    def _designer_limits(self, steps: dict[int, list[tuple[int, int]]], anchor: int,
+    def _designer_limits(self, steps: list[list[tuple[int, int]] | None], anchor: int,
                          horizon: int, q: int, p: int) -> list[dict[int, int]]:
         """Per step k <= ``horizon`` and state t, the least packed sums a k-step
         walk at t may carry and still close a cycle within ``horizon`` steps
@@ -578,8 +650,9 @@ class NashLassoSolver:
             k = horizon - j
             limits[k] = {t: (-((v - p * k) // q) << shift) - offset for t, v in gain.items()}
             nxt = {}
-            for s, ts in steps.items():
-                most = max([best[t] for t, _ in ts if t in best], default=None)
+            for s, ts in enumerate(steps):
+                most = None if ts is None else max(
+                    [best[t] for t, _ in ts if t in best], default=None)
                 if most is not None:
                     nxt[s] = g[s] + most
             best = nxt
@@ -637,8 +710,8 @@ class NashLassoSolver:
         Walks whose layers stay small are not pruned (``PRUNE_LAYER_SUMS``).
         """
         ci, anchor, length, sums, _ = rec
-        _, _, allowed, succs, tree = self._ceilings[ci]
-        walk = self._walk(succs, anchor, length, lambda: (length, sums[-1]))
+        cei = self._ceilings[ci]
+        walk = self._walk(cei, anchor, length, lambda: (length, sums[-1]))
         layers = [{anchor: {0}}, *walk]
         packed = _pack_sums(sums, self._width)
         if (_unpack_sums(packed, self._width, self.game.n_players + 1) != tuple(sums)
@@ -654,13 +727,13 @@ class NashLassoSolver:
                 prev = packed - wpack[s]
                 if prev not in xs:
                     continue
-                cls = next((c for c in allowed[s] if c.succ == cur_state), None)
+                cls = next((c for c in cei.allowed[s] if c.succ == cur_state), None)
                 if cls is not None:
                     break
             cyc_states.append(s)
             cyc_moves.append(cls.joint)
             cur_state, packed = s, prev
-        return self._lasso(tree, cyc_states[::-1], cyc_moves[::-1])
+        return self._lasso(cei.tree, cyc_states[::-1], cyc_moves[::-1])
 
     def _lasso(self, tree: dict[int, tuple], cyc_states: Sequence[int],
                cyc_moves: Sequence[tuple[int, ...]]) -> Lasso:
@@ -730,19 +803,8 @@ class NashLassoSolver:
     def _lp_polytopes(self) -> Iterator[tuple]:
         """``(ceiling record, members, edges)`` per ceiling and reachable SCC with moves."""
         for cei in self._ceilings:
-            # A component is reachable when one of its states is.
-            comps = [comp for comp in strongly_connected_components(cei.succs)
-                     if comp[0] in cei.tree]
-            for comp in sorted(comps, key=min):
-                members = set(comp)
-                edges = [
-                    (s, cls)
-                    for s in sorted(members)
-                    for cls in cei.allowed[s]
-                    if cls.succ in members
-                ]
-                if edges:
-                    yield cei, members, edges
+            for members, edges in cei.polytopes():
+                yield cei, members, edges
 
     def _lp_solve(self, query: ThresholdQuery, cei: _Ceiling,
                   members: set[int], edges: list, normalized: bool):

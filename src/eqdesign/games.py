@@ -393,8 +393,14 @@ class MealyStrategy:
             if len(self.step[t]) != game.n_states or len(self.act[t]) != game.n_states:
                 raise InvalidStrategyError("strategy tables must cover every game state")
             for s in range(game.n_states):
-                if not 0 <= self.step[t][s] < self.n_memory:
-                    raise InvalidStrategyError("memory update out of range")
+                # Only ints are read: a bool, a float or a name is refused, not coerced.
+                if type(self.step[t][s]) is not int or not 0 <= self.step[t][s] < self.n_memory:
+                    raise InvalidStrategyError(
+                        f"memory update {self.step[t][s]!r} is not a memory index")
+                if type(self.act[t][s]) is not int:
+                    raise InvalidStrategyError(
+                        f"action {self.act[t][s]!r} for player {game.player_names[player]!r} "
+                        f"at {game.state_names[s]!r} is not an action id")
                 if self.act[t][s] not in game.protocol[player][s]:
                     raise InvalidStrategyError(
                         f"action {_action_label(game, self.act[t][s])} not allowed for "
@@ -459,14 +465,25 @@ class Lasso:
             yield s, mv, nxt
 
     def validate(self, game: Game) -> None:
+        # Only ints are read: a bool, a float or a name is refused, not coerced.
+        for s in (*self.prefix_states, *self.cycle_states):
+            if type(s) is not int:
+                raise InvalidLassoError(f"state {s!r} is not a state index")
         start = self.prefix_states[0] if self.prefix_states else self.cycle_states[0]
         if not 0 <= start < game.n_states:
             raise InvalidLassoError("states out of range")
         for s, mv, nxt in self.steps():
+            if type(mv) is not tuple:
+                raise InvalidLassoError(
+                    f"joint action {mv!r} at {game.state_names[s]!r} is not a tuple")
             if len(mv) != game.n_players:
                 raise InvalidLassoError(
                     f"joint action {mv} at {game.state_names[s]!r} needs one entry per player")
             for i, a in enumerate(mv):
+                if type(a) is not int:
+                    raise InvalidLassoError(
+                        f"action {a!r} at {game.state_names[s]!r} for "
+                        f"{game.player_names[i]!r} is not an action id")
                 if a not in game.protocol[i][s]:
                     raise InvalidLassoError(
                         f"action {_action_label(game, a)} not allowed at "

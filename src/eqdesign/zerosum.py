@@ -18,10 +18,23 @@ Three layers live here:
   margin, so a lifting that runs long is paired with a strict dual game for
   the deviator, exact because the denominators are bounded: the two are
   lifted in lockstep and the first to finish decides the losing states.
+  Lifting from any start at or below the least measure ends on it, which
+  two shortcuts use, each exact for that reason or by monotonicity:
+
+  - a warm start: least measures scale with the gains, and a larger
+    candidate has larger gains, so the measure of the nearest solved
+    candidate above, scaled to the new denominator and rounded up, starts
+    each energy game (in the spirit of Comin and Rizzi's reuse of
+    progress measures across energy games, Algorithmica 2017);
+  - a bracket from a related solve: values are monotone in the player's
+    own weights and rise by at most the largest weight increase, so a
+    solve of a row at or below this one bounds each state's search.
 """
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -210,6 +223,11 @@ def _farey(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _top(gain: Sequence[int]) -> int:
+    """One more than the sum of the negative gains: no winning credit reaches it."""
+    return 1 + sum(-g for g in gain if g < 0)
+
+
 class _Lifting:
     """Worklist lifting towards the least progress measure of an energy game.
 
@@ -222,11 +240,13 @@ class _Lifting:
     nonnegative forever.
     """
 
-    def __init__(self, moves, preds, gain: Sequence[int], outer, inner):
+    def __init__(self, moves, preds, gain: Sequence[int], outer, inner,
+                 credit: list[int] | None = None):
         self.moves, self.preds, self.gain = moves, preds, gain
         self.outer, self.inner = outer, inner
-        self.top = 1 + sum(-g for g in gain if g < 0)
-        self.credit = [0] * len(moves)
+        self.top = _top(gain)
+        # A start at or below the least measure ends on it, like zero does.
+        self.credit = [0] * len(moves) if credit is None else credit
         self.work = list(range(len(moves)))
         self.queued = [True] * len(moves)
 
@@ -235,11 +255,12 @@ class _Lifting:
         moves, preds, gain, top = self.moves, self.preds, self.gain, self.top
         outer, inner = self.outer, self.inner
         credit, work, queued = self.credit, self.work, self.queued
+        at = credit.__getitem__
         while work and pops:
             pops -= 1
             s = work.pop()
             queued[s] = False
-            need = outer(inner(credit[u] for u in cls) for cls in moves[s])
+            need = outer([inner(map(at, cls)) for cls in moves[s]])
             need = top if need == top else min(top, need - gain[s])
             if need > credit[s]:
                 credit[s] = need
@@ -276,8 +297,8 @@ def _strict_dual(moves: Sequence[Sequence[Sequence[int]]],
 
 
 def _coalition_credits(moves: Sequence[Sequence[Sequence[int]]],
-                       preds: Sequence[Iterable[int]],
-                       gain: Sequence[int]) -> tuple[list[int], int]:
+                       preds: Sequence[Iterable[int]], gain: Sequence[int],
+                       start: list[int] | None = None) -> tuple[list[int], int]:
     """Least progress measure of the coalition's energy game.
 
     At ``s`` the coalition picks a class ``moves[s][c]``, the deviator picks
@@ -293,10 +314,12 @@ def _coalition_credits(moves: Sequence[Sequence[Sequence[int]]],
     with it, one pop each.  If the dual finishes first, its winners get
     credit ``top`` and the coalition's lifting finishes on the rest.  Every
     credit stays at or below the least measure all along, and lifting from
-    below it ends on it, so the result is the one-sided lifting's.
+    below it ends on it, so the result is the one-sided lifting's.  So is
+    the result of a ``start`` at or below the least measure, which the
+    coalition's lifting then starts from instead of zero.
     """
     n = len(moves)
-    coalition = _Lifting(moves, preds, gain, min, max)
+    coalition = _Lifting(moves, preds, gain, min, max, start)
     if coalition.run(4 * n):
         return coalition.credit, coalition.top
     deviator = _strict_dual(moves, preds, gain)
@@ -309,7 +332,28 @@ def _coalition_credits(moves: Sequence[Sequence[Sequence[int]]],
     return coalition.credit, coalition.top
 
 
-def punishment_values(game: Game, player: int) -> PunishmentResult:
+def _warm_start(above: Sequence[int], top_above: int, q_above: int,
+                q: int, top: int) -> list[int]:
+    """Credits at or below the least measure of the energy game at candidate
+    ``p/q``, from the least measure ``above`` (bound ``top_above``) of the
+    same arena's game at a larger candidate with denominator ``q_above``.
+
+    Least measures scale with the gains: ``above[s] / q_above`` is the
+    least real credit for the gains ``p_above/q_above - w``.  Those gains
+    exceed ``p/q - w``, whose least real credit, the sought credit over
+    ``q``, is therefore at least as large: each credit is at least
+    ``above[s] * q / q_above``, rounded up, and ``top`` where the coalition
+    already loses above.  No finite start reaches ``top``, so none needs a
+    cap: ``(top_above - 1) / q_above`` and ``(top - 1) / q`` are the sums of
+    the weights' excess over each candidate, and the first candidate is the
+    larger.
+    """
+    return [top if c == top_above else -(-c * q // q_above) for c in above]
+
+
+def punishment_values(game: Game, player: int,
+                      related: tuple[Sequence[int], PunishmentResult] | None = None,
+                      ) -> PunishmentResult:
     """Least mean payoff the rest of the players can impose on ``player``.
 
     The coalition commits a positional strategy first and the deviating
@@ -318,7 +362,17 @@ def punishment_values(game: Game, player: int) -> PunishmentResult:
     ``q <= n`` between the player's least and greatest weight.  The
     coalition holds the deviator to ``p/q`` or below from exactly the states
     where it wins the energy game with gains ``p - q*w``; a binary search
-    per state, over measures cached by candidate, finds each value.
+    per state, over measures cached by candidate, finds each value.  Each
+    energy game's lifting starts from the measure of the nearest solved
+    candidate above it, scaled to its own (:func:`_warm_start`).
+
+    ``related``, when given, is the weight row and the result of an earlier
+    solve for ``player`` on the same arena, with the row pointwise at or
+    below ``player``'s row here.  Values are monotone in the player's own
+    weights and rise by at most the largest weight increase ``d``, so each
+    state's value lies between its related value ``v`` and ``v + d``; its
+    search is kept to that range and probes its lower end first, where
+    most values stay.
 
     The witness commits, at each state, a class whose successors all have
     finite credit at that state's own value and whose lift does not raise
@@ -349,25 +403,54 @@ def punishment_values(game: Game, player: int) -> PunishmentResult:
         return (lo + t) * q + p, q
 
     solved: dict[int, tuple[list[int], int]] = {}
+    order: list[int] = []  # the solved candidates, ascending
 
     def credits(k: int) -> tuple[list[int], int]:
         if k not in solved:
             p, q = cand(k)
-            solved[k] = _coalition_credits(moves, preds, [p - q * w for w in weights])
+            gain = [p - q * w for w in weights]
+            start = None
+            above = bisect.bisect(order, k)
+            if above < len(order):
+                credit, top = solved[order[above]]
+                start = _warm_start(credit, top, cand(order[above])[1], q, _top(gain))
+            solved[k] = _coalition_credits(moves, preds, gain, start)
+            bisect.insort(order, k)
         return solved[k]
 
-    # The coalition wins at candidate k iff the value is at most cand(k);
-    # the greatest weight always bounds the value.
+    # Each state's range of candidate indices; the greatest weight always
+    # bounds the value.
+    ranges = [(0, last)] * n
+    if related is not None:
+        row, base = related
+        if base.player != player or len(row) != n or not all(map(operator.le, row, weights)):
+            raise ValueError("a related solve is the same player's on a row at or below this one")
+        rise = max(map(operator.sub, weights, row))
+        place = {pq: j for j, pq in enumerate(farey)}
+
+        def at(x: Fraction) -> int:
+            """Index of the candidate ``x``, or of the nearer end past the range."""
+            if x <= lo:
+                return 0
+            if x >= hi:
+                return last
+            t = x.numerator // x.denominator
+            return (t - lo) * len(farey) + place[x.numerator - t * x.denominator, x.denominator]
+
+        ranges = [(at(v), at(v + rise)) for v in base.values]
+
+    # The coalition wins at candidate k iff the value is at most cand(k).
     index = []
-    for s in range(n):
-        a, b = 0, last
+    for s, (a, b) in enumerate(ranges):
+        # Most values stay at the related value: it is probed first.
+        mid = a if related is not None else (a + b) // 2
         while a < b:
-            mid = (a + b) // 2
             credit, top = credits(mid)
             if credit[s] < top:
                 b = mid
             else:
                 a = mid + 1
+            mid = (a + b) // 2
         index.append(a)
 
     choice = []

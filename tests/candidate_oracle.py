@@ -44,7 +44,7 @@ def full_realize(solver: NashLassoSolver, rec: tuple) -> Lasso:
     """The lasso of ``rec`` traced back through the unpruned walk."""
     ci, anchor, length, sums, _ = rec
     cei = solver._ceilings[ci]
-    layers = [{anchor: {0}}, *solver._walk(cei.succs, anchor, length)]
+    layers = [{anchor: {0}}, *solver._walk(cei, anchor, length)]
     packed = _pack_sums(sums, solver._width)
     assert packed in layers[length][anchor]
     states: list[int] = []

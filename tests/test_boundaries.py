@@ -218,6 +218,12 @@ REFUSALS = {
     "strategy action id -1": (lambda: MealyStrategy(1, 0, ((0, 0, 0),), ((-1, 0, 0),))
                               .validate(pair(), 0), InvalidStrategyError,
                               "action id -1 not allowed for player 'p1' at 's0'"),
+    "strategy float action": (lambda: MealyStrategy(1, 0, ((0, 0, 0),), ((0.0, 0, 0),))
+                              .validate(pair(), 0), InvalidStrategyError,
+                              "action 0.0 for player 'p1' at 's0' is not an action id"),
+    "strategy float memory": (lambda: MealyStrategy(1, 0, ((0.0, 0, 0),), ((0, 0, 0),))
+                              .validate(pair(), 0), InvalidStrategyError,
+                              "memory update 0.0 is not a memory index"),
     "profile arity": (lambda: StrategyProfile((0, 1), ()), InvalidStrategyError,
                       "exactly one strategy per player"),
     "run of a partial profile": (lambda: run_profile(pair(), StrategyProfile(
@@ -228,6 +234,14 @@ REFUSALS = {
                           "cycle needs one realizing action per step"),
     "lasso start": (lambda: payoffs(robot(), Lasso((), (5,), (), ((0,),))), InvalidLassoError,
                     "states out of range"),
+    "lasso list joint": (lambda: payoffs(pair(), Lasso((), (0,), (), ([0, 0],))),
+                         InvalidLassoError, "joint action [0, 0] at 's0' is not a tuple"),
+    "lasso name state": (lambda: payoffs(pair(), Lasso((), ("s0",), (), ((0, 0),))),
+                         InvalidLassoError, "state 's0' is not a state index"),
+    "lasso float action": (lambda: payoffs(pair(), Lasso((), (0,), (), ((0.0, 0),))),
+                           InvalidLassoError, "action 0.0 at 's0' for 'p1' is not an action id"),
+    "lasso bool action": (lambda: payoffs(pair(), Lasso((), (0,), (), ((0, False),))),
+                          InvalidLassoError, "action False at 's0' for 'p2' is not an action id"),
     "machine without states": (lambda: RewardMachine((), 0, (), ()), RewardMachineError,
                                "machine needs states and a valid initial state"),
     "machine tables": (lambda: RewardMachine(("q",), 0, (), ()), RewardMachineError,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from eqdesign.design import (
     ImprovementQuery,
     _lasso_candidates,
     _search,
+    _solver,
     _subsidy_candidates,
     algorithm_trace,
     decide_improvement,
@@ -31,7 +33,7 @@ from eqdesign.design import (
     exact_worst_ne,
     synthesize_rm,
 )
-from eqdesign.equilibria import NashLassoSolver, is_ne_outcome
+from eqdesign.equilibria import NEG_INF, POS_INF, NashLassoSolver, ThresholdQuery, is_ne_outcome
 from eqdesign.games import _arena_tables, make_game
 from eqdesign.rewards import implement, is_beta_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
@@ -299,10 +301,10 @@ class TestPunishmentReuse:
         punishment unchanged: 38 distinct solves, 64 without sharing."""
         calls = []
 
-        def counting(game, player):
+        def counting(game, player, related=None):
             calls.append((game.protocol, frozenset(game.transitions.items()),
                           player, game.weights[player]))
-            return punishment_values(game, player)
+            return punishment_values(game, player, related)
 
         monkeypatch.setattr(eqdesign.design, "punishment_values", counting)
         monkeypatch.setattr(eqdesign.equilibria, "punishment_values", counting)
@@ -316,6 +318,82 @@ class TestPunishmentReuse:
             assert calls and len(calls) == len(set(calls))
             runs.append(list(calls))
         assert runs[0] == runs[1]
+
+
+class TestStructureReuse:
+    @staticmethod
+    def structure_key(solver):
+        return (solver.game.arena, solver.fixed,
+                tuple(None if i == solver.fixed else (solver.pun[i].ranks, solver.pun[i].levels)
+                      for i in range(solver.game.n_players)))
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("two_players", [False, True])
+    def test_each_structure_once_per_decision(self, example1, mode, two_players,
+                                              monkeypatch):
+        """A decision builds each distinct (arena, fixed player, punishment
+        ranks and levels) structure once, and keeps nothing for the next
+        decision, which builds them again."""
+        built, solvers = [], []
+        build, init = NashLassoSolver._build_classes, NashLassoSolver.__init__
+
+        def counting_build(solver):
+            built.append(self.structure_key(solver))
+            return build(solver)
+
+        def counting_init(solver, *args, **kwargs):
+            solvers.append(solver)
+            init(solver, *args, **kwargs)
+
+        monkeypatch.setattr(NashLassoSolver, "_build_classes", counting_build)
+        monkeypatch.setattr(NashLassoSolver, "__init__", counting_init)
+        game = gen_random_game(1, 2, 3) if two_players else example1[0]
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 10),
+                             mode=mode, method="certify")
+        runs = []
+        for _ in range(2):
+            built.clear()
+            solvers.clear()
+            decide_improvement(game, q)
+            assert built and len(built) == len(set(built))
+            assert set(built) == {self.structure_key(solver) for solver in solvers}
+            # The auxiliary arena is built anew by each decision: compare contents.
+            runs.append([(arena.protocol, arena.transitions, *rest)
+                         for arena, *rest in built])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("seed,n_players", [(0, 2), (1, 2), (2, 3), (5, 2)])
+    def test_shared_structure_answers_as_a_fresh_solver(self, seed, n_players):
+        """Solvers of one decision's subsidy products, built through its memo,
+        answer every query as solvers built alone: signatures, top
+        signatures, realized lassos, LP feasibility and LP witnesses."""
+        game = gen_random_game(seed, n_players, 3)
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1))
+        free = ThresholdQuery((NEG_INF,) * n_players, (POS_INF,) * n_players)
+
+        def answers(solver):
+            sigs = solver.signatures()
+            windows = [free] + [dataclasses.replace(free, global_lower=Fraction(s[-1], n))
+                                for _, _, n, s, _ in sigs[::3]]
+            try:
+                witness = solver.lp_witness(free)
+            except SolverLimitError as exc:
+                witness = str(exc)
+            return (sigs, solver.signatures(top=3), [solver.realize(rec) for rec in sigs],
+                    [solver.lp_feasible(w) for w in windows], witness)
+
+        solved: dict = {}
+        first: dict = {}  # structure key -> the solver that built it
+        for rm in _subsidy_candidates(game, q):
+            product = implement(game, rm)
+            solver = _solver(solved, product, None, 6)
+            key = self.structure_key(solver)
+            assert solver._ceilings is first.setdefault(key, solver)._ceilings
+            fresh = NashLassoSolver(product, None, 6)
+            assert solver.pun == fresh.pun
+            assert answers(solver) == answers(fresh)
+        # Most products take a structure an earlier one built.
+        assert 2 * len(first) < len(_subsidy_candidates(game, q))
 
 
 class TestOneSolverPerGame:

@@ -375,9 +375,9 @@ class TestFlooredSweep:
     def walks(solver, rec):
         """The plain walk of ``rec`` and the walk pruned at its value."""
         ci, anchor, length, sums, _ = rec
-        succs = solver._ceilings[ci].succs
-        plain = list(solver._walk(succs, anchor, length))
-        pruned = list(solver._walk(succs, anchor, length, lambda: (length, sums[-1])))
+        cei = solver._ceilings[ci]
+        plain = list(solver._walk(cei, anchor, length))
+        pruned = list(solver._walk(cei, anchor, length, lambda: (length, sums[-1])))
         return plain, pruned
 
     @pytest.mark.parametrize("seed", range(6))
@@ -574,6 +574,33 @@ class TestCeilingRecords:
         solver.lp_feasible(dataclasses.replace(free, global_lower=Fraction(sums[-1], length)))
         solver.lp_witness(free)
         assert built == [(solver, cei.ranks) for cei in solver._ceilings]
+
+    def test_components_searched_once_per_record_probed(self, monkeypatch):
+        """The LP reads a record's components and edges from the record: a
+        probe searches the components of the records it reaches for the
+        first time, and no others."""
+        searched = []
+        components = eqdesign.equilibria.strongly_connected_components
+
+        def counting(succs):
+            searched.append(succs)
+            return components(succs)
+
+        monkeypatch.setattr(eqdesign.equilibria, "strongly_connected_components", counting)
+        game = gen_random_game(3, n_players=3, n_states=4)
+        solver = NashLassoSolver(game, None, 6)
+        free = ThresholdQuery((NEG_INF,) * 3, (POS_INF,) * 3)
+        # The scan stops at the first record with a feasible polytope.
+        assert solver.lp_feasible(free)
+        assert searched == [cei.succs for cei in solver._ceilings[:len(searched)]]
+        assert len(searched) < len(solver._ceilings)
+        none = dataclasses.replace(free, global_lower=max(game.global_weights) + 1)
+        for _ in range(3):
+            assert not solver.lp_feasible(none)
+            assert solver.lp_feasible(free)
+        solver.lp_witness(free)
+        assert len(solver._ceilings) > 2
+        assert searched == [cei.succs for cei in solver._ceilings]
 
 
 class TestLpUnroll:

@@ -1,8 +1,10 @@
 """The scripts run end to end at their smallest settings."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +33,39 @@ def test_run_reductions():
                       "--skip-hamiltonian")
     assert proc.returncode == 0, proc.stderr
     assert "tour games: 1 instances, 3 cities" in proc.stdout
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
+                                                  ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_reductions_checks_hamiltonian_decisions():
+    proc = run_script("run_reductions.py", "--instances", "1", "--cities", "3",
+                      "--max-vertices", "3")
+    assert proc.returncode == 0, proc.stderr
+    decisions = [line.strip().split(" (")[0] for line in proc.stdout.splitlines()
+                 if line.startswith("  3-")]
+    assert decisions == ["3-cycle, strong: yes", "3-cycle, weak: no",
+                         "3-vertex fork, strong: no", "3-vertex fork, weak: yes"]
+    assert "MISMATCH" not in proc.stdout
+
+
+def test_run_reductions_exits_1_on_a_mismatch(monkeypatch, capsys):
+    script = load_script("run_reductions.py")
+    assert {name: script.has_hamiltonian_cycle(g) for name, g in script.GRAPHS.items()} == {
+        "3-cycle": True, "3-vertex fork": False, "4-cycle + chord": True,
+        "4-vertex fork": False, "4-vertex path": False, "two 2-cycles": False}
+    # Every decision "yes": the strong one on the fork is wrong.
+    monkeypatch.setattr(script, "decide_improvement",
+                        lambda game, query: types.SimpleNamespace(decision=True))
+    assert script.main(["--instances", "0", "--max-vertices", "3"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("MISMATCH") == 2
+    assert "3-vertex fork, strong: yes" in out and "3-cycle, weak: yes" in out
 
 
 def test_answer_digest():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import time
 from fractions import Fraction
@@ -20,11 +21,13 @@ from eqdesign.games import (
     mean_payoff,
     run_profile,
 )
+from eqdesign.rewards import from_subsidy_scheme, implement
 from eqdesign.zerosum import (
     PunishmentResult,
     SolverLimitError,
     _coalition_credits,
     _strict_dual,
+    _warm_start,
     best_response_value,
     max_mean_value_function,
     punishment_values,
@@ -393,3 +396,152 @@ class TestLifting:
         preds = predecessors(moves)
         assert _coalition_credits(moves, preds, gain) == one_sided_credits(moves, preds, gain)
         assert len(duals) == 1 and not duals[0].work
+
+
+def energy_arena(game, player):
+    """The coalition's classes and their predecessors, as the solver builds them."""
+    moves = [[sorted(set(rmap)) for rmap, _ in classes]
+             for classes in game.arena.response_classes(player)]
+    return moves, predecessors(moves)
+
+
+def candidates(game, player) -> list[tuple[int, int]]:
+    """Every candidate value ``p/q`` in lowest terms, ``q <= n``, between the
+    player's least and greatest weight, ascending."""
+    w = game.weights[player]
+    values = {Fraction(p, q) for q in range(1, game.n_states + 1)
+              for p in range(min(w) * q, max(w) * q + 1)}
+    return [(x.numerator, x.denominator) for x in sorted(values)]
+
+
+def seeded_game(seed):
+    """A seeded game of 2-4 players and 2-8 states, weights within +-5, and
+    one of its players."""
+    rng = random.Random(seed)
+    n_players = rng.randint(2, 4)
+    game = gen_random_game(seed, n_players, rng.randint(2, 8), weight_range=(-5, 5))
+    return game, rng.randrange(n_players)
+
+
+def lifted_candidates(monkeypatch, weights) -> list[tuple[int, int]]:
+    """Records each candidate ``p/q`` whose energy game a solve lifts, read
+    back from its gains ``p - q*w``."""
+    lo, hi = min(weights), max(weights)
+    lifted = []
+
+    def recording(moves, preds, gain, start=None):
+        q = (gain[weights.index(lo)] - gain[weights.index(hi)]) // (hi - lo) if hi > lo else 1
+        lifted.append((gain[weights.index(lo)] + q * lo, q))
+        return _coalition_credits(moves, preds, gain, start)
+
+    monkeypatch.setattr(zerosum, "_coalition_credits", recording)
+    return lifted
+
+
+class TestWarmStart:
+    """Least measures scale with the gains: the measure at a larger candidate,
+    scaled to a smaller one and rounded up, is a start at or below the
+    smaller one's, from which its lifting ends on its cold measure."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_scaled_credits_lift_to_the_cold_measure(self, seed, monkeypatch):
+        game, player = seeded_game(seed)
+        weights = game.weights[player]
+        solved = lifted_candidates(monkeypatch, weights)
+        punishment_values(game, player)
+        assert solved
+        moves, preds = energy_arena(game, player)
+
+        def cold(p, q):
+            return one_sided_credits(moves, preds, [p - q * w for w in weights])
+
+        measures = {pq: cold(*pq) for pq in solved}
+        for p, q in candidates(game, player):
+            credit, top = cold(p, q)
+            for (p_above, q_above), (above, top_above) in measures.items():
+                if p_above * q <= p * q_above:
+                    continue
+                start = _warm_start(above, top_above, q_above, q, top)
+                for c, a in zip(start, above):
+                    # Nothing is lost to rounding, and no finite start needs a cap.
+                    if a == top_above:
+                        assert c == top
+                    else:
+                        assert c * q_above >= a * q and c - 1 < Fraction(a * q, q_above)
+                        assert c < top
+                assert all(map(int.__le__, start, credit))
+                gain = [p - q * w for w in weights]
+                assert _coalition_credits(moves, preds, gain, start) == (credit, top)
+
+
+def subsidy_products(game):
+    """The product of the scheme paying nothing, then those of every unit
+    subsidy scheme on one state or on two: all one arena."""
+    units = [(s, tuple(int(j == i) for j in range(game.n_players)))
+             for s in range(game.n_states) for i in range(game.n_players)]
+    schemes = [{}] + [{s: v} for s, v in units]
+    schemes += [{s1: v1, s2: v2} for k, (s1, v1) in enumerate(units)
+                for s2, v2 in units[k + 1:] if s1 != s2]
+    return [implement(game, from_subsidy_scheme(game, kappa)) for kappa in schemes]
+
+
+def with_row(game, player, row):
+    weights = list(game.weights)
+    weights[player] = tuple(row)
+    return dataclasses.replace(game, weights=tuple(weights))
+
+
+class TestRelatedSolve:
+    """A solve given an earlier solve on a row pointwise below its own searches
+    each state between the earlier value and that value plus the largest
+    weight increase, and finds the cold solve's values and witness."""
+
+    @pytest.mark.parametrize("seed,n_players,n_states", [
+        (0, 2, 2), (1, 2, 3), (2, 3, 3), (3, 2, 4), (4, 3, 2)])
+    def test_every_subsidy_product(self, seed, n_players, n_states):
+        """Each product's solve, given each earlier product's solve of a row
+        at or below its own (the unsubsidised one's among them)."""
+        products = subsidy_products(gen_random_game(seed, n_players, n_states))
+        assert all(product.arena is products[0].arena for product in products)
+        for i in range(n_players):
+            solved = []
+            for product in products:
+                row, cold = product.weights[i], punishment_values(product, i)
+                below = [related for related in solved if all(map(int.__le__, related[0], row))]
+                assert below or not solved
+                for related in below:
+                    assert punishment_values(product, i, related) == cold
+                solved.append((row, cold))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_rows_below(self, seed):
+        rng = random.Random(seed)
+        game, player = seeded_game(seed)
+        slack = rng.randint(2, 6)
+        raised = with_row(game, player, [w + rng.randint(0, slack)
+                                         for w in game.weights[player]])
+        related = (game.weights[player], punishment_values(game, player))
+        assert (punishment_values(raised, player, related)
+                == punishment_values(raised, player))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_base_values_below_the_new_least_weight(self, seed, monkeypatch):
+        """The search starts at the least weight, not below it."""
+        game, player = seeded_game(seed)
+        base = punishment_values(game, player)
+        least = math.floor(max(base.values)) + 1
+        raised = with_row(game, player, [max(w, least) for w in game.weights[player]])
+        assert max(base.values) < min(raised.weights[player])
+        cold = punishment_values(raised, player)
+        lifted = lifted_candidates(monkeypatch, raised.weights[player])
+        assert punishment_values(raised, player, (game.weights[player], base)) == cold
+        assert lifted and all(p >= least * q for p, q in lifted)
+
+    def test_unrelated_solves_refused(self):
+        game = gen_random_game(1, 2, 3)
+        row = game.weights[0]
+        base = punishment_values(game, 0)
+        above = tuple(w + 1 for w in row)
+        for related in [(above, base), (row[:-1], base), (row, punishment_values(game, 1))]:
+            with pytest.raises(ValueError, match="related solve"):
+                punishment_values(game, 0, related)
