@@ -30,8 +30,9 @@ REWARD_VECTOR_LIMIT = 5000
 def reward_vectors(n_players: int, budget: int) -> tuple[tuple[int, ...], ...]:
     """All natural vectors with entry sum within the budget, lexicographic:
     each prefix, in order, is extended by every entry its remaining budget
-    allows, with no sort.  There are C(budget + n_players, n_players) of
-    them; an alphabet over the size limit is refused before any is listed.
+    allows, with no sort, so the zero vector comes first.  There are
+    C(budget + n_players, n_players) of them; an alphabet over the size
+    limit is refused before any is listed.
     """
     if budget < 0:
         raise ValueError("budget must be a natural number")
@@ -86,7 +87,6 @@ def build_auxiliary(game: Game, budget: int) -> AuxiliaryGame:
 
     pairs = [(s, vi) for s in src_states for vi in range(len(vectors))]
     pair_id = {p: k for k, p in enumerate(pairs)}
-    zero_vi = vec_index[(0,) * game.n_players]
 
     player_names = ("agent0",) + tuple(f"{p}" for p in game.player_names)
     if len(set(player_names)) != len(player_names):
@@ -126,7 +126,7 @@ def build_auxiliary(game: Game, budget: int) -> AuxiliaryGame:
         player_names=player_names,
         action_names=action_names,
         state_names=state_names,
-        arena=Arena(pair_id[(game.initial, zero_vi)],
+        arena=Arena(pair_id[(game.initial, 0)],  # vectors[0] is zero
                     tuple(tuple(row) for row in protocol), transitions),
         weights=tuple(tuple(row) for row in weights),
         global_weights=tuple(weights[0]),
@@ -174,7 +174,6 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
     # Vector actions are numbered consecutively, in vector order.
     first_action = aux.vector_action[0]
     src = aux.source
-    zero_vi = aux.vector_index((0,) * src.n_players)
 
     def cell(k: int, s: int) -> tuple[int, tuple[int, ...]]:
         # Machine state k stands for the pair (strategy memory t, vector vi).
@@ -183,15 +182,15 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
             aux_state = aux.state_id(s, vi)
         except KeyError:
             # Source state unreachable: pay nothing and move to the
-            # zero-vector twin so states keep tracking vectors.
-            return t * n_vec + zero_vi, (0,) * src.n_players
+            # zero-vector twin (vector 0) so states keep tracking vectors.
+            return t * n_vec, (0,) * src.n_players
         played = sigma0.act[t][aux_state] - first_action
         return sigma0.step[t][aux_state] * n_vec + played, aux.vectors[played]
 
     step, rewards = tabulate(sigma0.n_memory * n_vec, src.n_states, cell)
     return RewardMachine(
         state_names=tuple(f"t{t}_v{vi}" for t in range(sigma0.n_memory) for vi in range(n_vec)),
-        initial=sigma0.initial * n_vec + zero_vi,
+        initial=sigma0.initial * n_vec,
         step=step,
         rewards=rewards,
     )
@@ -236,9 +235,9 @@ def machine_state_vectors(aux: AuxiliaryGame, rm: RewardMachine) -> list[int]:
     into a state carries the reward vector the state stands for), which
     includes everything ``strategy_to_rm`` produces.
     """
-    zero_vi = aux.vector_index((0,) * aux.source.n_players)
+    # The initial state and states never entered stand for the zero vector, 0.
     vec_of: list[int | None] = [None] * rm.n_states
-    vec_of[rm.initial] = zero_vi
+    vec_of[rm.initial] = 0
     for q in range(rm.n_states):
         for s in range(aux.source.n_states):
             target = rm.step[q][s]
@@ -251,7 +250,7 @@ def machine_state_vectors(aux: AuxiliaryGame, rm: RewardMachine) -> list[int]:
                 raise RewardMachineError(
                     "machine states do not track reward vectors; cannot lower"
                 )
-    return [zero_vi if v is None else v for v in vec_of]
+    return [0 if v is None else v for v in vec_of]
 
 
 def lower_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,

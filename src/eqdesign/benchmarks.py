@@ -28,6 +28,10 @@ class CostDigraph:
     def __post_init__(self) -> None:
         if len(set(self.vertices)) != len(self.vertices):
             raise GameStructureError("duplicate vertices")
+        for v in self.vertices:
+            # ``>`` joins an edge's ends into its state name (_edge_state).
+            if not v or ">" in v:
+                raise GameStructureError(f"vertex name {v!r} is empty or contains '>'")
         if len(set(self.edges)) != len(self.edges):
             raise GameStructureError("parallel edges are not allowed")
         vs = set(self.vertices)
@@ -145,6 +149,8 @@ def _tour_arena(g: CostDigraph, extras: bool) -> dict:
     their actions match, to the absorbing triangle otherwise.  Returns the
     :func:`make_game` arguments but the global weights and the metadata.
     """
+    if not g.edges:
+        raise GameStructureError("tour games need a graph with at least one edge")
     n = len(g.vertices)
     players = list(g.vertices) + ([f"p{n + 1}", f"p{n + 2}"] if extras else [])
     edges = sorted(g.edges)
@@ -191,13 +197,14 @@ def gen_tsp_game(g: CostDigraph, negated: bool = False) -> Game:
     sink).  ``negated`` flips the global weights, turning the best-value
     variant into the same optimisation.
     """
+    arena = _tour_arena(g, extras=False)
     costs = g.cost_map()
     n = len(g.vertices)
     global_weights = {_edge_state(e): c * n for e, c in sorted(costs.items())}
     global_weights[SINK] = max(costs.values()) * n
     if negated:
         global_weights = {s: -w for s, w in global_weights.items()}
-    return make_game(**_tour_arena(g, extras=False), global_weights=global_weights,
+    return make_game(**arena, global_weights=global_weights,
                      meta={"family": "tsp", "epsilon": "1"})
 
 
@@ -251,6 +258,9 @@ def gen_hamiltonian_complement_game(g: CostDigraph) -> Game:
 def gen_random_game(seed: int, n_players: int = 2, n_states: int = 3,
                     n_actions: int = 2, weight_range: tuple[int, int] = (-2, 2)) -> Game:
     """Seeded random game; identical seeds and sizes yield identical games."""
+    for name, count in (("players", n_players), ("states", n_states), ("actions", n_actions)):
+        if count < 1:
+            raise ValueError(f"{name}: {count} is not a positive count")
     rng = _random.Random(("eqdesign", seed, n_players, n_states, n_actions, weight_range).__repr__())
     players = [f"p{i + 1}" for i in range(n_players)]
     states = [f"s{k}" for k in range(n_states)]

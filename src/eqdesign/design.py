@@ -20,7 +20,6 @@ may witness the answer.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,11 +29,12 @@ from .equilibria import (
     POS_INF,
     NashLassoSolver,
     NEWitness,
+    SolverMemo,
     ThresholdQuery,
 )
 from .games import Game, Lasso, MealyStrategy, tabulate
 from .rewards import RewardMachine, from_subsidy_scheme, implement
-from .zerosum import SolverLimitError, punishment_values
+from .zerosum import SolverLimitError
 
 # Certify's candidate family: grim replays of the MAX_LASSO_CANDIDATES most
 # valuable designer lassos of an auxiliary game with at most
@@ -211,9 +211,7 @@ def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:
     n_pre = len(lasso.prefix_states)
     length = len(states_at)
     absorb = length
-    zero_action = aux.vector_action[
-        aux.vector_index((0,) * aux.source.n_players)
-    ]
+    zero_action = aux.vector_action[0]  # vectors[0] is zero
 
     def cell(m: int, x: int) -> tuple[int, int]:
         if m < length and x == states_at[m]:
@@ -278,45 +276,6 @@ def _subsidy_candidates(game: Game, q: ImprovementQuery) -> list[RewardMachine]:
     return machines
 
 
-def _related(punished: dict, player: int, row: tuple[int, ...]) -> tuple | None:
-    """The solved row of ``player`` pointwise at or below ``row`` with the
-    greatest sum, and its result; None if there is none."""
-    best = None
-    for (i, other), result in punished.items():
-        if i == player and all(map(operator.le, other, row)) and (
-                best is None or sum(other) > sum(best[0])):
-            best = other, result
-    return best
-
-
-def _solver(solved: dict, game: Game, fixed: int | None,
-            bound: int) -> NashLassoSolver:
-    """Solver of a candidate product, sharing what the decision's earlier
-    products derived on its arena.
-
-    ``solved`` maps an :class:`Arena` object to two memos.  The first holds
-    punishment results by (player, weight row): the values and the witness
-    depend on nothing else.  A row not solved yet is solved from the solved
-    row of the same player below it (``punishment_values``' related
-    solve), which brackets each state's search.  The second is the
-    solver's structure memo (``NashLassoSolver``'s ``shared``): move
-    classes and ceiling records, by each punished player's ranks and
-    levels.  Most certify candidates are subsidy schemes, whose products
-    share one arena and raise one player's weights at one or two states,
-    so most solves and most structures of a decision are found here.
-    """
-    punished, structures = solved.setdefault(game.arena, ({}, {}))
-    pun = {}
-    for i in range(game.n_players):
-        if i != fixed:
-            key = (i, game.weights[i])
-            if key not in punished:
-                punished[key] = punishment_values(
-                    game, i, _related(punished, i, game.weights[i]))
-            pun[i] = punished[key]
-    return NashLassoSolver(game, fixed, bound, pun=pun, shared=structures)
-
-
 def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     """Can some budget-respecting machine raise the extreme value past delta?
 
@@ -333,14 +292,13 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     realizes the witness lasso.  What an arena derives (deviation moves,
     response classes, products) it keeps for its lifetime, across calls: all
     subsidy-scheme products of ``game`` share one arena.  Within one call,
-    and never across, the candidate products' solvers also share what they
-    derive on one arena (:func:`_solver`): each punishment solve, the solve
-    a raised weight row starts from, and the move classes and ceiling
-    records of each distinct set of punishment ranks and levels, with the
-    walk steps and LP polytopes the records keep.  The base and auxiliary
+    and never across, the candidate products' solvers also share one
+    :class:`SolverMemo`: most candidates are subsidy schemes, which raise
+    one player's weights at one or two states, so most punishment solves
+    and most structures of a call are found there.  The base and auxiliary
     games get solvers of their own, since no other game of the call has
     their arena; the auxiliary game is dropped before the products are
-    solved, and the memos when the call ends.
+    solved, and the memo when the call ends.
     """
     maximize = q.mode == "weak"
     base = _search(NashLassoSolver(game, None, q.bound), q.epsilon, maximize, "oracle")
@@ -366,11 +324,11 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     # Replay machines have two or more states and subsidy schemes one, and
     # each family is free of repeats, so no candidate is solved twice.
     candidates += _subsidy_candidates(game, q)
-    # Not read again: freed before the products' memos grow.
+    # Not read again: freed before the products' memo grows.
     del aux
-    solved: dict = {}
+    memo = SolverMemo()
     for rm in candidates:
-        solver = _solver(solved, implement(game, rm), None, q.bound)
+        solver = NashLassoSolver(implement(game, rm), None, q.bound, memo)
         val = _search(solver, q.epsilon, maximize, "oracle")
         if val.value > best_seen:
             best_seen = val.value

@@ -21,7 +21,8 @@ its floors, the classes it allows, their successors and its breadth-first
 tree, which the sweep, ``realize``, the LP and every witness's prefix read,
 plus its LP polytopes once first read.  None of it depends on the weights,
 so solvers of one arena whose punishments have the same ranks and levels
-can share the records, which then also keep their walk steps.
+can share the records (:class:`SolverMemo`), which then also keep their
+walk steps.
 
 Two backends answer threshold queries:
 
@@ -91,7 +92,7 @@ POS_INF = math.inf
 NEG_INF = -math.inf
 
 # Effort budgets: the size of the deviation-ceiling lattice, and the length
-# of a lasso unrolled from an LP frequency vertex.
+# of every lasso: a solver's bound and a lasso unrolled from an LP vertex.
 CEILING_LIMIT = 4096
 LASSO_LENGTH_CAP = 4096
 # A designer floor prunes the oracle walk only from the first layer holding
@@ -371,50 +372,71 @@ def _meets(rows: Sequence[tuple[int, int, int]], sums: Sequence, length: int) ->
     return all(sums[k] * q >= p * length for k, q, p in rows)
 
 
+class SolverMemo:
+    """What the solvers of one improvement decision share, as
+    ``NashLassoSolver``'s ``shared``.  Punishments are kept by arena, player
+    and weight row; a new row is solved from the same arena's solved row
+    pointwise below it with the greatest sum, the first on ties.  Move
+    classes and ceiling records are kept by arena and punishment ranks and
+    levels, which is all they depend on, and walk steps by successor lists.
+    """
+
+    def __init__(self) -> None:
+        self._punished: dict[tuple, dict[tuple[int, ...], PunishmentResult]] = {}
+        self._structures: dict[tuple, tuple[list, list[_Ceiling]]] = {}
+        self._steps: dict[tuple, dict[int, list]] = {}
+
+    def punishment(self, game: Game, player: int) -> PunishmentResult:
+        solved = self._punished.setdefault((game.arena, player), {})
+        row = game.weights[player]
+        if row not in solved:
+            below = [item for item in solved.items() if _vec_le(item[0], row)]
+            solved[row] = punishment_values(
+                game, player, max(below, key=lambda item: sum(item[0]), default=None))
+        return solved[row]
+
+    def structure(self, solver: NashLassoSolver) -> tuple[list, list[_Ceiling]]:
+        pun = solver.pun
+        key = (solver.game.arena, *((pun[i].ranks, pun[i].levels) if i in pun else None
+                                    for i in range(solver.game.n_players)))
+        found = self._structures.get(key)
+        if found is None:
+            found = self._structures[key] = solver._build_structure()
+            for cei in found[1]:
+                cei.kept_steps = self._steps.setdefault(tuple(map(tuple, cei.succs)), {})
+        return found
+
+
 class NashLassoSolver:
     """Threshold queries over one game, one fixed player, one length bound.
 
     Punishment tables, move classes and the lattice of deviation ceilings
     are computed once; oracle sweeps and LP queries share them.  Instances
     are cheap to build relative to the queries they answer and are meant to
-    be reused across a binary search.  ``pun``, when given, holds the
-    punishment of every player but ``fixed`` (as :func:`is_ne_outcome`
-    takes it), so callers that meet the same arena again need not re-solve.
-    ``shared``, when given, is a memo for the solvers of one arena.  The
-    move classes and the ceiling records (with what they keep) depend on
-    the arena, the fixed player and each punished player's ranks and
-    levels, not on the weights, so a solver that finds its key there takes
-    them instead of building them, and one that does not stores its own.
-    Its records then keep their walk steps for the solvers to come, in one
-    table per distinct successor lists, kept in ``shared`` under those
-    lists (a tuple of int tuples, which no structure key equals).
+    be reused across a binary search.  ``shared``, when given, is a
+    :class:`SolverMemo`: the solver takes its punishments and its structure
+    from there, solving or building only what no earlier solver of the memo
+    did, and its ceiling records keep their walk steps for the solvers to
+    come.  ``bound`` is at most ``LASSO_LENGTH_CAP``.
     """
 
     def __init__(self, game: Game, fixed: int | None = None, bound: int = 12,
-                 pun: Mapping[int, PunishmentResult] | None = None,
-                 shared: dict | None = None):
+                 shared: SolverMemo | None = None):
         if type(bound) is not int or bound < 1:
             raise ValueError(f"lasso length bound {bound!r} is not a positive int")
+        if bound > LASSO_LENGTH_CAP:
+            raise SolverLimitError(f"lasso length bound {bound} exceeds {LASSO_LENGTH_CAP}")
         _check_fixed(game, fixed)
         self.game = game
         self.fixed = fixed
         self.bound = bound
-        self.pun = _punishments(game, fixed) if pun is None else pun
+        self.pun = (_punishments(game, fixed) if shared is None else
+                    {i: shared.punishment(game, i) for i in range(game.n_players) if i != fixed})
         rows = (*game.weights, game.global_weights)
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
-        if shared is None:
-            self._build_structure()
-        else:
-            key = tuple(None if i == fixed else (self.pun[i].ranks, self.pun[i].levels)
-                        for i in range(game.n_players))
-            if key not in shared:
-                shared[key] = self._build_structure()
-                # Walk steps depend on a record's successors alone: records
-                # with equal successors, in any structure, keep one table.
-                for cei in self._ceilings:
-                    cei.kept_steps = shared.setdefault(tuple(map(tuple, cei.succs)), {})
-            self._classes, self._ceilings = shared[key]
+        self._classes, self._ceilings = (self._build_structure() if shared is None
+                                         else shared.structure(self))
         self._sweep_cache: list[tuple] | None = None
 
     # -- shared structure ---------------------------------------------------
@@ -888,7 +910,7 @@ class NashLassoSolver:
         circuit.reverse()
         lasso = self._lasso(tree, [start] + [s for s, _ in circuit[:-1]],
                             [cls.joint for _, cls in circuit])
-        if len(lasso.prefix_states) + total > max(LASSO_LENGTH_CAP, self.bound):
+        if len(lasso.prefix_states) + total > LASSO_LENGTH_CAP:
             return None
         return lasso
 

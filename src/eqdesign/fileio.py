@@ -5,9 +5,9 @@ per-state protocol, the transition table (joint actions joined with
 commas), per-player weight tables and the global table.  Serialization is
 canonical: sorted keys, no insignificant whitespace, trailing newline -
 parsing and re-serializing any accepted document is byte-stable, so a
-document with anything the game would not keep (an unknown key, player or
-state, a transition the protocol forbids, a protocol list out of action
-order or with a repeat, an empty ``meta``) is refused.
+document with anything the game would not keep (an unknown or repeated
+key, player or state, a transition the protocol forbids, a protocol list
+out of action order or with a repeat, an empty ``meta``) is refused.
 """
 
 from __future__ import annotations
@@ -27,8 +27,24 @@ _GAME_KEYS = ("players", "actions", "states", "initial", "protocol", "transition
              "weights", "global_weights", "meta")
 
 
-def _syntax_error(exc: json.JSONDecodeError) -> DocumentError:
-    return DocumentError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a repeated key, whose earlier values ``json``
+    would drop, is refused."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise DocumentError(f"{next(k for k in keys if keys.count(k) > 1)}: repeated key")
+    return doc
+
+
+def _load_object(text: str) -> dict:
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise DocumentError("top level: expected an object")
+    return doc
 
 
 def _require(doc: Mapping, key: str, kind, path: str):
@@ -49,12 +65,7 @@ def _names(doc: Mapping, key: str) -> list[str]:
 
 def parse_game(text: str) -> Game:
     """Parse and validate a game document; diagnostics name the key path."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _syntax_error(exc)
-    if not isinstance(doc, dict):
-        raise DocumentError("top level: expected an object")
+    doc = _load_object(text)
     for key in doc:
         if key not in _GAME_KEYS:
             raise DocumentError(f"{key}: unknown key")
@@ -172,16 +183,12 @@ def serialize_game(game: Game) -> str:
 def parse_rm(text: str, game: Game) -> RewardMachine:
     """Parse a reward machine document against its target game.
 
-    Anything the machine would not keep (an unknown key, a row for a machine
-    state not in ``states``, an entry for a state the game does not have) is
-    refused, so re-serializing an accepted document is byte-stable.
+    Anything the machine would not keep (an unknown or repeated key, a row
+    for a machine state not in ``states``, an entry for a state the game
+    does not have) is refused, so re-serializing an accepted document is
+    byte-stable.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _syntax_error(exc)
-    if not isinstance(doc, dict):
-        raise DocumentError("top level: expected an object")
+    doc = _load_object(text)
     for key in doc:
         if key not in ("states", "initial", "transitions", "rewards"):
             raise DocumentError(f"{key}: unknown key")

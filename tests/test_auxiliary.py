@@ -66,6 +66,11 @@ class TestBuildAuxiliary:
         assert reward_vectors(2, 1) == ((0, 0), (0, 1), (1, 0))
         assert len(reward_vectors(2, 2)) == 6  # C(budget+n, n)
 
+    def test_zero_vector_comes_first(self):
+        """Every reader of the zero vector takes it at index 0."""
+        for n_players, budget in itertools.product(range(1, 5), range(4)):
+            assert reward_vectors(n_players, budget)[0] == (0,) * n_players
+
     @pytest.mark.parametrize("n_players,budget", [(1, 4999), (2, 98), (3, 29), (5, 11)])
     def test_alphabet_at_the_limit(self, n_players, budget):
         vectors = reward_vectors(n_players, budget)

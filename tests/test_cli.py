@@ -262,6 +262,25 @@ class TestGen:
         code, _, _ = run_cli(["gen", "ham", "--edges", "v1v2", "--dest", str(tmp_path)])
         assert code == 2
 
+    # Small and invalid sizes only: joint actions grow exponentially in players.
+    @pytest.mark.parametrize("argv,message", [
+        (["random", "--players", "0"], "players: 0 is not a positive count"),
+        (["random", "--states", "0"], "states: 0 is not a positive count"),
+        (["random", "--states", "-1"], "states: -1 is not a positive count"),
+        (["random", "--actions", "0"], "actions: 0 is not a positive count"),
+        (["tsp", "--cities", "1"], "tour games need a graph with at least one edge"),
+        (["tsp", "--cities", "0"], "tour games need a graph with at least one edge"),
+        (["tsp", "--cities", "-3"], "tour games need a graph with at least one edge"),
+        (["ham", "--edges", "a>b>c"], "vertex name 'b>c' is empty or contains '>'"),
+        (["ham", "--edges", ">b"], "vertex name '' is empty or contains '>'"),
+        (["ham-co", "--edges", "a>"], "vertex name '' is empty or contains '>'"),
+    ])
+    def test_bad_sizes_and_graphs_refused_by_name(self, tmp_path, capsys, argv, message):
+        code, text, _ = run_cli(["gen", *argv, "--dest", str(tmp_path)])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestExitCodes:
     def test_parse_error_is_two(self, tmp_path):
@@ -320,6 +339,20 @@ class TestExitCodes:
         code, _, _ = run_cli(argv)
         assert code == 3
         assert "limit: deviation ceiling lattice too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", [eqdesign.equilibria.LASSO_LENGTH_CAP + 1,
+                                       99999999999999999999])
+    @pytest.mark.parametrize("command", [
+        ["compute", "--worst", "--epsilon", "1/4"],
+        ["check", "--mode", "strong", "--budget", "1", "--delta", "1/2", "--epsilon", "1"],
+        ["verify"],
+    ], ids=lambda argv: argv[0])
+    def test_lasso_length_cap_is_three(self, fixture_dir, capsys, command, bound):
+        code, text, _ = run_cli([*command, "--bound", str(bound),
+                                 str(fixture_dir / "example1.game")])
+        assert code == 3 and text == ""
+        cap = eqdesign.equilibria.LASSO_LENGTH_CAP
+        assert capsys.readouterr().err == f"limit: lasso length bound {bound} exceeds {cap}\n"
 
     def test_unknown_subcommand_is_two(self):
         code, _, _ = run_cli(["frobnicate"])

@@ -23,7 +23,6 @@ from eqdesign.design import (
     ImprovementQuery,
     _lasso_candidates,
     _search,
-    _solver,
     _subsidy_candidates,
     algorithm_trace,
     decide_improvement,
@@ -33,7 +32,14 @@ from eqdesign.design import (
     exact_worst_ne,
     synthesize_rm,
 )
-from eqdesign.equilibria import NEG_INF, POS_INF, NashLassoSolver, ThresholdQuery, is_ne_outcome
+from eqdesign.equilibria import (
+    NEG_INF,
+    POS_INF,
+    NashLassoSolver,
+    SolverMemo,
+    ThresholdQuery,
+    is_ne_outcome,
+)
 from eqdesign.games import _arena_tables, make_game
 from eqdesign.rewards import implement, is_beta_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
@@ -306,7 +312,6 @@ class TestPunishmentReuse:
                           player, game.weights[player]))
             return punishment_values(game, player, related)
 
-        monkeypatch.setattr(eqdesign.design, "punishment_values", counting)
         monkeypatch.setattr(eqdesign.equilibria, "punishment_values", counting)
         game = gen_random_game(1, 2, 3) if two_players else example1[0]
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 10),
@@ -382,11 +387,11 @@ class TestStructureReuse:
             return (sigs, solver.signatures(top=3), [solver.realize(rec) for rec in sigs],
                     [solver.lp_feasible(w) for w in windows], witness)
 
-        solved: dict = {}
+        memo = SolverMemo()
         first: dict = {}  # structure key -> the solver that built it
         for rm in _subsidy_candidates(game, q):
             product = implement(game, rm)
-            solver = _solver(solved, product, None, 6)
+            solver = NashLassoSolver(product, None, 6, memo)
             key = self.structure_key(solver)
             assert solver._ceilings is first.setdefault(key, solver)._ceilings
             fresh = NashLassoSolver(product, None, 6)
@@ -500,10 +505,8 @@ class TestFlooredCandidates:
 
     @staticmethod
     def both(aux, bound=12):
-        solver = NashLassoSolver(aux.game, 0, bound)
-        pun = solver.pun
-        return (_lasso_candidates(aux, solver),
-                full_candidates(aux, NashLassoSolver(aux.game, 0, bound, pun=pun)))
+        return (_lasso_candidates(aux, NashLassoSolver(aux.game, 0, bound)),
+                full_candidates(aux, NashLassoSolver(aux.game, 0, bound)))
 
     @pytest.mark.parametrize("make", [gen_hamiltonian_game, gen_hamiltonian_complement_game])
     @pytest.mark.parametrize("graph", ["WITH", "WITHOUT"])
@@ -522,7 +525,7 @@ class TestFlooredCandidates:
         aux = build_auxiliary(gen_hamiltonian_complement_game(self.WITHOUT), 1)
         solver = NashLassoSolver(aux.game, 0, 12)
         floored = solver.signatures(top=MAX_LASSO_CANDIDATES)
-        full = NashLassoSolver(aux.game, 0, 12, pun=solver.pun).signatures()
+        full = NashLassoSolver(aux.game, 0, 12).signatures()
         pairs = sorted({(Fraction(rec[3][-1], rec[2]), rec[2]) for rec in full}, reverse=True)
         assert pairs[MAX_LASSO_CANDIDATES - 1][0] == min(aux.game.global_weights)
         assert floored == full and len(full) == 20
@@ -553,7 +556,7 @@ class TestFlooredCandidates:
         floored = _lasso_candidates(aux, solver)
         passes = tops[:]
         by_memory = {}
-        full = full_candidates(aux, NashLassoSolver(aux.game, 0, 12, pun=solver.pun))
+        full = full_candidates(aux, NashLassoSolver(aux.game, 0, 12))
         assert keys(floored) == keys(full) and len(full) < MAX_LASSO_CANDIDATES
         # Each pass asks for twice the pairs read so far, until one lists them all.
         assert passes[0] == MAX_LASSO_CANDIDATES and len(passes) > 1

@@ -20,6 +20,7 @@ from eqdesign.equilibria import (
     NEG_INF,
     POS_INF,
     NashLassoSolver,
+    SolverMemo,
     ThresholdQuery,
     _field_width,
     grim_trigger_profile,
@@ -359,11 +360,11 @@ class TestFlooredSweep:
         pairs = sorted({(value(rec), rec[2]) for rec in full}, reverse=True)
         # Every designer value is the floor of the top pairs down to its first.
         assert {v for v, _ in pairs} == {pairs[top - 1][0] for top in range(1, len(pairs) + 1)}
-        pun = NashLassoSolver(game, fixed, bound).pun
+        memo = SolverMemo()
         for top in range(1, len(pairs) + 2):
             floor = pairs[top - 1][0] if top <= len(pairs) else min(game.global_weights)
             want = [rec for rec in full if value(rec) >= floor]
-            solver = NashLassoSolver(game, fixed, bound, pun=pun)
+            solver = NashLassoSolver(game, fixed, bound, memo)
             assert solver.signatures(top=top) == want
             for rec in want:
                 assert solver.realize(rec) == full_realize(solver, rec)
@@ -603,6 +604,54 @@ class TestCeilingRecords:
         assert searched == [cei.succs for cei in solver._ceilings]
 
 
+class TestSolverMemo:
+    def test_a_new_row_starts_from_the_greatest_solved_row_below(self, monkeypatch):
+        """Each (arena, player, weight row) is solved once, from the solved row
+        of that arena and player pointwise below it with the greatest sum, the
+        first such on ties."""
+        starts = []
+        solve = eqdesign.equilibria.punishment_values
+
+        def spy(game, player, related=None):
+            starts.append((player, game.weights[player], related and related[0]))
+            return solve(game, player, related)
+
+        def raised(game, *rise):
+            row = tuple(map(int.__add__, game.weights[0], rise))
+            return dataclasses.replace(game, weights=(row, *game.weights[1:]))
+
+        monkeypatch.setattr(eqdesign.equilibria, "punishment_values", spy)
+        game, other = gen_random_game(4, 2, 3), gen_random_game(5, 2, 3)
+        memo = SolverMemo()
+        rises = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0)]
+        for rise in rises:
+            memo.punishment(raised(game, *rise), 0)
+        memo.punishment(raised(other, 1, 1, 1), 0)
+        memo.punishment(game, 1)
+        row = {rise: raised(game, *rise).weights[0] for rise in rises}
+        assert starts == [
+            (0, row[0, 0, 0], None),
+            (0, row[1, 0, 0], row[0, 0, 0]),
+            (0, row[0, 1, 0], row[0, 0, 0]),
+            (0, row[1, 1, 0], row[1, 0, 0]),
+            (0, row[0, 0, 1], row[0, 0, 0]),
+            (0, raised(other, 1, 1, 1).weights[0], None),
+            (1, game.weights[1], None),
+        ]
+
+    def test_structures_are_kept_by_arena(self):
+        """Seeded games 3 and 7 have equal punishment ranks and levels on
+        different arenas: through one memo, each keeps its own structure."""
+        games = [gen_random_game(seed, 2, 2) for seed in (3, 7)]
+        memo = SolverMemo()
+        shared = [NashLassoSolver(game, None, 4, memo) for game in games]
+        fresh = [NashLassoSolver(game, None, 4) for game in games]
+        ranks = [[(pun.ranks, pun.levels) for pun in s.pun.values()] for s in fresh]
+        assert ranks[0] == ranks[1]
+        assert [s.signatures() for s in shared] == [s.signatures() for s in fresh]
+        assert fresh[0].signatures() != fresh[1].signatures()
+
+
 class TestLpUnroll:
     """The three stages of ``_lp_realize``: the vertex's own Euler circuit,
     the re-solve that forces every move, and the bounded oracle's lasso."""
@@ -656,7 +705,7 @@ class TestLpUnroll:
         self.certified_in_window(game, q, witness)
 
     def test_prefix_counts_toward_the_cap(self, monkeypatch):
-        """The cap bounds prefix plus cycle, unless the length bound is larger."""
+        """The cap bounds prefix plus cycle."""
         game = gen_random_game(7, 2, 3, 2)
         q = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2)
         solver = NashLassoSolver(game, None, 3)
@@ -665,10 +714,20 @@ class TestLpUnroll:
             if lasso.prefix_states:
                 break
         assert (len(lasso.prefix_states), len(lasso.cycle_states)) == (2, 2)
-        monkeypatch.setattr(eqdesign.equilibria, "LASSO_LENGTH_CAP", 2)
+        monkeypatch.setattr(eqdesign.equilibria, "LASSO_LENGTH_CAP", 3)
         assert solver._euler_lasso(tree, edges, point) is None
-        solver.bound = 4
+        monkeypatch.setattr(eqdesign.equilibria, "LASSO_LENGTH_CAP", 4)
         assert solver._euler_lasso(tree, edges, point) == lasso
+
+    def test_bound_above_the_cap_refused_before_any_solve(self, monkeypatch):
+        """The cap bounds the length bound too: a solver at the cap is built,
+        one above it is refused before any punishment is solved."""
+        game = gen_random_game(7, 2, 3, 2)
+        cap = eqdesign.equilibria.LASSO_LENGTH_CAP
+        assert NashLassoSolver(game, None, cap).bound == cap
+        monkeypatch.setattr(eqdesign.equilibria, "punishment_values", None)
+        with pytest.raises(SolverLimitError, match=f"^lasso length bound {cap + 1} exceeds {cap}$"):
+            NashLassoSolver(game, None, cap + 1)
 
     def test_witness_from_the_forced_resolve(self, monkeypatch):
         # The vertex's support is disconnected; forcing every move connects it.

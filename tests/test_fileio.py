@@ -87,6 +87,20 @@ class TestGameErrors:
         with pytest.raises(DocumentError, match="line 1"):
             parse_game("{not json")
 
+    @pytest.mark.parametrize("old,new,key", [
+        ('{', '{"initial":"l",', "initial"),
+        ('"global_weights":{', '"global_weights":{"l":99,', "l"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_rejected(self, old, new, key, tmp_path):
+        """json keeps a repeated key's last value; the document is refused."""
+        text = serialize_game(gen_example1()[0]).replace(old, new, 1)
+        assert json.loads(text) == json.loads(serialize_game(gen_example1()[0]))
+        with pytest.raises(DocumentError, match=f"^{key}: repeated key$"):
+            parse_game(text)
+        path = tmp_path / "bad.game"
+        path.write_text(text)
+        assert cli_main(["verify", str(path)], out=io.StringIO()) == 2
+
     def test_comma_in_action_name_rejected(self):
         game, _, _ = gen_example1()
         doc = json.loads(serialize_game(game))
@@ -242,6 +256,8 @@ RM_REFUSALS = {
     "unknown initial": (lambda doc: {**doc, "initial": "q9"},
                         "initial: unknown machine state 'q9'"),
     "unknown key": (lambda doc: {**doc, "meta": {}}, "meta: unknown key"),
+    "repeated key": (lambda doc: json.dumps(doc)[:-1] + ', "initial": "q0"}',
+                     "initial: repeated key"),
     "missing row": (lambda doc: {**doc, "transitions": {
         q: row for q, row in doc["transitions"].items() if q != "q1"}},
         r"transitions\.q1: missing"),
