@@ -34,7 +34,8 @@ def reward_vectors(n_players: int, budget: int) -> tuple[tuple[int, ...], ...]:
     C(budget + n_players, n_players) of them; an alphabet over the size
     limit is refused before any is listed.
     """
-    if budget < 0:
+    # bool is an int subclass; True is refused, not read as budget 1.
+    if type(budget) is not int or budget < 0:
         raise ValueError("budget must be a natural number")
     if math.comb(budget + n_players, n_players) > REWARD_VECTOR_LIMIT:
         raise SolverLimitError("reward vector alphabet exceeds the size limit")

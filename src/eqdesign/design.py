@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .auxiliary import AuxiliaryGame, build_auxiliary, strategy_to_rm
 from .equilibria import (
+    BACKENDS,
     NEG_INF,
     POS_INF,
     NashLassoSolver,
@@ -103,7 +104,8 @@ class ImprovementAnswer:
 
 def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
             backend: str) -> SearchResult:
-    """Binary search for the solver's extreme designer value; ``epsilon`` > 0."""
+    """Binary search for the solver's extreme designer value; ``epsilon`` > 0,
+    ``backend`` one of ``BACKENDS``."""
     game = solver.game
 
     def global_query(lo, hi) -> ThresholdQuery:
@@ -123,13 +125,11 @@ def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
             # best at or below its upper edge, so a window holds a value exactly
             # when its other edge admits the extreme.
             return extreme >= lo if maximize else extreme <= hi
-    elif backend == "lp":
+    else:
         exists = solver.lp_feasible(global_query(NEG_INF, POS_INF))
 
         def probe(lo: Fraction, hi: Fraction) -> bool:
             return solver.lp_feasible(global_query(lo, hi))
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
 
     min_w = Fraction(min(game.global_weights))
     max_w = Fraction(max(game.global_weights))
@@ -161,6 +161,8 @@ def algorithm_trace(game: Game, epsilon: Fraction, fixed0: bool = False,
     _exact(epsilon=epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     solver = NashLassoSolver(game, 0 if fixed0 else None, bound)
     return _search(solver, epsilon, maximize, backend)
 
@@ -296,9 +298,9 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     :class:`SolverMemo`: most candidates are subsidy schemes, which raise
     one player's weights at one or two states, so most punishment solves
     and most structures of a call are found there.  The base and auxiliary
-    games get solvers of their own, since no other game of the call has
-    their arena; the auxiliary game is dropped before the products are
-    solved, and the memo when the call ends.
+    games' solvers each build a memo of their own, since no other game of
+    the call has their arena; the auxiliary game is dropped before the
+    products are solved, and the products' memo when the call ends.
     """
     maximize = q.mode == "weak"
     base = _search(NashLassoSolver(game, None, q.bound), q.epsilon, maximize, "oracle")

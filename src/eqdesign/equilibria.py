@@ -16,13 +16,13 @@ where no deviation is observable (always for the fixed player).  The join
 is the elementwise max, domination the elementwise ``<=``.  A ceiling's
 floors and a query's window are payoff rows alike (:func:`_row`),
 which the sweep, the oracle's window test, the LP and its witness check read.
-Each ceiling's sub-arena is one record, built with the solver (``_Ceiling``):
-its floors, the classes it allows, their successors and its breadth-first
-tree, which the sweep, ``realize``, the LP and every witness's prefix read,
-plus its LP polytopes once first read.  None of it depends on the weights,
-so solvers of one arena whose punishments have the same ranks and levels
-can share the records (:class:`SolverMemo`), which then also keep their
-walk steps.
+Each ceiling's sub-arena is one record (``_Ceiling``): its floors, the
+classes it allows, their successors and its breadth-first tree, which the
+sweep, ``realize``, the LP and every witness's prefix read, plus its LP
+polytopes and walk steps once first read.  Every solver takes its
+punishments and records from a :class:`SolverMemo`, its own or a shared
+one; records depend on no weight, so solvers of one arena whose
+punishments have the same ranks and levels share them.
 
 Two backends answer threshold queries:
 
@@ -90,6 +90,8 @@ from .zerosum import (
 
 POS_INF = math.inf
 NEG_INF = -math.inf
+# The two ways a threshold query is answered (module docstring).
+BACKENDS = ("oracle", "lp")
 
 # Effort budgets: the size of the deviation-ceiling lattice, and the length
 # of every lasso: a solver's bound and a lasso unrolled from an LP vertex.
@@ -150,30 +152,26 @@ def _check_fixed(game: Game, fixed: int | None) -> None:
 
 
 def _punishments(game: Game, fixed: int | None) -> dict[int, PunishmentResult]:
-    return {
-        i: punishment_values(game, i)
-        for i in range(game.n_players)
-        if i != fixed
-    }
+    return {i: punishment_values(game, i) for i in range(game.n_players) if i != fixed}
 
 
-def is_ne_outcome(game: Game, lasso: Lasso, fixed: int | None = None,
-                  pun: Mapping[int, PunishmentResult] | None = None) -> bool:
+def is_ne_outcome(game: Game, lasso: Lasso, fixed: int | None = None) -> bool:
     """Folk-theorem check: no observable unilateral deviation beats the play."""
     _check_fixed(game, fixed)
     mp, _ = payoffs(game, lasso)
-    if pun is None:
-        pun = _punishments(game, fixed)
-    for s, joint, _ in lasso.steps():
-        for i, devs in enumerate(game.arena.deviations(s, joint)):
-            if i != fixed and any(mp[i] < pun[i].values[d] for d in devs):
-                return False
-    return True
+    return _unbeaten(game, lasso, fixed, mp, _punishments(game, fixed))
 
 
-def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
-                         pun: Mapping[int, PunishmentResult] | None = None,
-                         ) -> StrategyProfile:
+def _unbeaten(game: Game, lasso: Lasso, fixed: int | None, mp: Sequence[Fraction],
+              pun: Mapping[int, PunishmentResult]) -> bool:
+    """Whether no step of ``lasso`` lets a player force a state whose
+    punishment beats its payoff in ``mp``."""
+    return not any(i != fixed and any(mp[i] < pun[i].values[d] for d in devs)
+                   for s, joint, _ in lasso.steps()
+                   for i, devs in enumerate(game.arena.deviations(s, joint)))
+
+
+def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None) -> StrategyProfile:
     """Finite-memory realization of an equilibrium lasso.
 
     Everyone follows the lasso; at the first off-path state each player
@@ -185,9 +183,12 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None,
     reach.
     """
     _check_fixed(game, fixed)
-    if pun is None:
-        pun = _punishments(game, fixed)
-    if not is_ne_outcome(game, lasso, fixed, pun):
+    return _grim_trigger(game, lasso, fixed, _punishments(game, fixed))
+
+
+def _grim_trigger(game: Game, lasso: Lasso, fixed: int | None,
+                  pun: Mapping[int, PunishmentResult]) -> StrategyProfile:
+    if not _unbeaten(game, lasso, fixed, payoffs(game, lasso)[0], pun):
         raise InvalidLassoError("grim trigger requires an equilibrium lasso")
 
     states_at = list(lasso.prefix_states) + list(lasso.cycle_states)
@@ -256,15 +257,15 @@ class _Ceiling:
     parent, class)``: the parent is the first state of the previous layer,
     in layer order, with a class into it; the root's parent and class are
     None.  It keeps, built on first use, its LP polytopes
-    (:meth:`polytopes`) and, when shared (``kept_steps`` a dict), its
-    per-anchor walk steps (:meth:`steps`), which its solvers walk again."""
+    (:meth:`polytopes`) and its per-anchor walk steps (:meth:`steps`) in
+    ``kept_steps``, which its memo's records with the same ``succs`` share."""
 
     ranks: tuple[int, ...]
     floors: list[tuple[int, int, int]]
     allowed: list[list[_MoveClass]]
     succs: list[list[int]]
     tree: dict[int, tuple]
-    kept_steps: dict[int, list[list[tuple[int, int]] | None]] | None = None
+    kept_steps: dict[int, list[list[tuple[int, int]] | None]]
     _polytopes: list[tuple[set[int], list]] | None = None
 
     def steps(self, anchor: int) -> list[list[tuple[int, int]] | None]:
@@ -272,7 +273,7 @@ class _Ceiling:
         that can return to it over such states, the successors that can
         too, in ``succs`` order, each with its steps back to the anchor;
         None for every other state."""
-        steps = None if self.kept_steps is None else self.kept_steps.get(anchor)
+        steps = self.kept_steps.get(anchor)
         if steps is None:
             succs = self.succs
             preds: dict[int, list[int]] = {}
@@ -287,11 +288,10 @@ class _Ceiling:
                         back[s] = back[t] + 1
                         frontier.append(s)
             # A list by state, not a dict: kept for every anchor of every
-            # shared record, it is a decision's largest memo.
-            steps = [[(t, back[t]) for t in succs[s] if t in back] if s in back else None
-                     for s in range(len(succs))]
-            if self.kept_steps is not None:
-                self.kept_steps[anchor] = steps
+            # record, it is a memo's largest table.
+            steps = self.kept_steps[anchor] = [
+                [(t, back[t]) for t in succs[s] if t in back] if s in back else None
+                for s in range(len(succs))]
         return steps
 
     def polytopes(self) -> list[tuple[set[int], list[tuple[int, _MoveClass]]]]:
@@ -313,6 +313,73 @@ class _Ceiling:
 
 def _vec_le(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(map(operator.le, a, b))
+
+
+def _build_classes(game: Game, pun: Mapping[int, PunishmentResult]) -> list[list[_MoveClass]]:
+    """Per state, the move classes under the punishments ``pun``."""
+    # rank[i][d]: index of player i's punishment at d in its levels.
+    rank = [pun[i].ranks if i in pun else None for i in range(game.n_players)]
+    # peak(i, devs): the worst punishment rank player i can force, or -1.
+    peak = functools.cache(lambda i, devs: max([rank[i][d] for d in devs])
+                           if rank[i] and devs else -1)
+    per_state: list[list[_MoveClass]] = []
+    for moves, least in game.arena.deviation_moves:
+        # Moves come by least joint action, so the first is the least,
+        # and a stable sort by successor keeps that order.
+        by_key: dict[tuple, tuple[int, ...]] = {}
+        for (succ, devs), joint in zip(moves, least):
+            by_key.setdefault((succ, tuple(map(peak, range(len(rank)), devs))), joint)
+        # Drop classes dominated by a same-successor class with weaker
+        # deviation ceilings.
+        same: dict[int, list[tuple[int, ...]]] = {}
+        for succ, devmax in by_key:
+            same.setdefault(succ, []).append(devmax)
+        per_state.append([
+            _MoveClass(succ, devmax, joint)
+            for (succ, devmax), joint in sorted(by_key.items(), key=lambda kv: kv[0][0])
+            if not any(d != devmax and _vec_le(d, devmax) for d in same[succ])
+        ])
+    return per_state
+
+
+def _build_ceilings(game: Game, classes: list[list[_MoveClass]]) -> list[tuple[int, ...]]:
+    """The ceiling lattice of the move ``classes``, least first."""
+    # After each seed (a class ceiling), ``closed`` holds the join of every
+    # subset of the seeds read, the empty one being the bottom.
+    closed = {(-1,) * game.n_players}
+    for seed in {c.devmax for per_state in classes for c in per_state}:
+        closed |= {tuple(map(max, seed, u)) for u in closed}
+        # The set only grows, so the seeds alone count toward the limit.
+        if len(closed) > CEILING_LIMIT:
+            raise SolverLimitError("deviation ceiling lattice too large")
+    return sorted(closed)
+
+
+def _ceiling(game: Game, pun: Mapping[int, PunishmentResult],
+             classes: list[list[_MoveClass]], every: list[list[int]],
+             ranks: tuple[int, ...], step_tables: dict[tuple, dict]) -> _Ceiling:
+    """The record of the ceiling ``ranks`` over the move ``classes``, where
+    ``every`` lists each state's distinct class successors.  It keeps its
+    walk steps in ``step_tables``' table for its successor lists."""
+    allowed, succs = [], []
+    for per_state, full_succs in zip(classes, every):
+        kept = [c for c in per_state if _vec_le(c.devmax, ranks)]
+        # A state whose classes all lie under the ceiling shares its
+        # lists with every such ceiling.
+        full = len(kept) == len(per_state)
+        allowed.append(per_state if full else kept)
+        succs.append(full_succs if full else list(dict.fromkeys(c.succ for c in kept)))
+    tree: dict[int, tuple] = {game.initial: (0, None, None)}
+    # States are expanded in the order they enter the tree: layer by layer.
+    order = [game.initial]
+    for s in order:
+        for c in allowed[s]:
+            if c.succ not in tree:
+                tree[c.succ] = (tree[s][0] + 1, s, c)
+                order.append(c.succ)
+    floors = [_row(k, 1, pun[k].levels[r]) for k, r in enumerate(ranks) if r >= 0]
+    return _Ceiling(ranks, floors, allowed, succs, tree,
+                    step_tables.setdefault(tuple(map(tuple, succs)), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +440,11 @@ def _meets(rows: Sequence[tuple[int, int, int]], sums: Sequence, length: int) ->
 
 
 class SolverMemo:
-    """What the solvers of one improvement decision share, as
-    ``NashLassoSolver``'s ``shared``.  Punishments are kept by arena, player
-    and weight row; a new row is solved from the same arena's solved row
-    pointwise below it with the greatest sum, the first on ties.  Move
+    """Where solvers get their punishments, move classes, ceiling records
+    and walk steps: a solver builds its own memo unless it is given one,
+    as ``NashLassoSolver``'s ``shared``.  Punishments are kept by arena,
+    player and weight row; a new row is solved from the same arena's solved
+    row pointwise below it with the greatest sum, the first on ties.  Move
     classes and ceiling records are kept by arena and punishment ranks and
     levels, which is all they depend on, and walk steps by successor lists.
     """
@@ -395,15 +463,21 @@ class SolverMemo:
                 game, player, max(below, key=lambda item: sum(item[0]), default=None))
         return solved[row]
 
-    def structure(self, solver: NashLassoSolver) -> tuple[list, list[_Ceiling]]:
-        pun = solver.pun
-        key = (solver.game.arena, *((pun[i].ranks, pun[i].levels) if i in pun else None
-                                    for i in range(solver.game.n_players)))
+    def structure(self, game: Game, pun: Mapping[int, PunishmentResult],
+                  ) -> tuple[list[list[_MoveClass]], list[_Ceiling]]:
+        """The move classes and the ceiling records of ``game`` under the
+        punishments ``pun`` of every player but the fixed one."""
+        key = (game.arena, *((pun[i].ranks, pun[i].levels) if i in pun else None
+                             for i in range(game.n_players)))
         found = self._structures.get(key)
         if found is None:
-            found = self._structures[key] = solver._build_structure()
-            for cei in found[1]:
-                cei.kept_steps = self._steps.setdefault(tuple(map(tuple, cei.succs)), {})
+            classes = _build_classes(game, pun)
+            # Per state, its classes' distinct successors: the successor list
+            # of every ceiling that allows all of them.
+            every = [list(dict.fromkeys(c.succ for c in per_state)) for per_state in classes]
+            found = self._structures[key] = (classes, [
+                _ceiling(game, pun, classes, every, ranks, self._steps)
+                for ranks in _build_ceilings(game, classes)])
         return found
 
 
@@ -413,11 +487,11 @@ class NashLassoSolver:
     Punishment tables, move classes and the lattice of deviation ceilings
     are computed once; oracle sweeps and LP queries share them.  Instances
     are cheap to build relative to the queries they answer and are meant to
-    be reused across a binary search.  ``shared``, when given, is a
-    :class:`SolverMemo`: the solver takes its punishments and its structure
-    from there, solving or building only what no earlier solver of the memo
-    did, and its ceiling records keep their walk steps for the solvers to
-    come.  ``bound`` is at most ``LASSO_LENGTH_CAP``.
+    be reused across a binary search.  All of it comes from a
+    :class:`SolverMemo`: ``shared`` when given, else one of the solver's
+    own.  A shared memo solves or builds only what no earlier solver of
+    that memo did, and its ceiling records keep their walk steps for the
+    solvers to come.  ``bound`` is at most ``LASSO_LENGTH_CAP``.
     """
 
     def __init__(self, game: Game, fixed: int | None = None, bound: int = 12,
@@ -430,84 +504,13 @@ class NashLassoSolver:
         self.game = game
         self.fixed = fixed
         self.bound = bound
-        self.pun = (_punishments(game, fixed) if shared is None else
-                    {i: shared.punishment(game, i) for i in range(game.n_players) if i != fixed})
+        memo = shared or SolverMemo()
+        self.pun = {i: memo.punishment(game, i) for i in range(game.n_players) if i != fixed}
         rows = (*game.weights, game.global_weights)
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
-        self._classes, self._ceilings = (self._build_structure() if shared is None
-                                         else shared.structure(self))
+        self._classes, self._ceilings = memo.structure(game, self.pun)
         self._sweep_cache: list[tuple] | None = None
-
-    # -- shared structure ---------------------------------------------------
-
-    def _build_structure(self) -> tuple[list, list[_Ceiling]]:
-        """The move classes and the ceiling records, kept on the solver."""
-        self._classes = self._build_classes()
-        # Per state, its classes' distinct successors: the successor list of
-        # every ceiling that allows all of them.
-        self._class_succs = [list(dict.fromkeys(c.succ for c in classes))
-                             for classes in self._classes]
-        self._ceilings = [self._ceiling(ranks) for ranks in self._build_ceilings()]
-        return self._classes, self._ceilings
-
-    def _build_classes(self) -> list[list[_MoveClass]]:
-        # rank[i][d]: index of player i's punishment at d in its levels.
-        rank = [None if i == self.fixed else self.pun[i].ranks
-                for i in range(self.game.n_players)]
-        # peak(i, devs): the worst punishment rank player i can force, or -1.
-        peak = functools.cache(lambda i, devs: max([rank[i][d] for d in devs])
-                               if rank[i] and devs else -1)
-        per_state: list[list[_MoveClass]] = []
-        for moves, least in self.game.arena.deviation_moves:
-            # Moves come by least joint action, so the first is the least,
-            # and a stable sort by successor keeps that order.
-            by_key: dict[tuple, tuple[int, ...]] = {}
-            for (succ, devs), joint in zip(moves, least):
-                by_key.setdefault((succ, tuple(map(peak, range(len(rank)), devs))), joint)
-            # Drop classes dominated by a same-successor class with weaker
-            # deviation ceilings.
-            same: dict[int, list[tuple[int, ...]]] = {}
-            for succ, devmax in by_key:
-                same.setdefault(succ, []).append(devmax)
-            per_state.append([
-                _MoveClass(succ, devmax, joint)
-                for (succ, devmax), joint in sorted(by_key.items(), key=lambda kv: kv[0][0])
-                if not any(d != devmax and _vec_le(d, devmax) for d in same[succ])
-            ])
-        return per_state
-
-    def _build_ceilings(self) -> list[tuple[int, ...]]:
-        # After each seed (a class ceiling), ``closed`` holds the join of every
-        # subset of the seeds read, the empty one being the bottom.
-        closed = {(-1,) * self.game.n_players}
-        for seed in {c.devmax for classes in self._classes for c in classes}:
-            closed |= {tuple(map(max, seed, u)) for u in closed}
-            # The set only grows, so the seeds alone count toward the limit.
-            if len(closed) > CEILING_LIMIT:
-                raise SolverLimitError("deviation ceiling lattice too large")
-        return sorted(closed)
-
-    def _ceiling(self, ranks: tuple[int, ...]) -> _Ceiling:
-        """The record of the ceiling ``ranks``; every reader shares it."""
-        allowed, succs = [], []
-        for classes, every in zip(self._classes, self._class_succs):
-            kept = [c for c in classes if _vec_le(c.devmax, ranks)]
-            # A state whose classes all lie under the ceiling shares its
-            # lists with every such ceiling.
-            full = len(kept) == len(classes)
-            allowed.append(classes if full else kept)
-            succs.append(every if full else list(dict.fromkeys(c.succ for c in kept)))
-        tree: dict[int, tuple] = {self.game.initial: (0, None, None)}
-        # States are expanded in the order they enter the tree: layer by layer.
-        order = [self.game.initial]
-        for s in order:
-            for c in allowed[s]:
-                if c.succ not in tree:
-                    tree[c.succ] = (tree[s][0] + 1, s, c)
-                    order.append(c.succ)
-        floors = [_row(k, 1, self.pun[k].levels[r]) for k, r in enumerate(ranks) if r >= 0]
-        return _Ceiling(ranks, floors, allowed, succs, tree)
 
     # -- oracle sweep ---------------------------------------------------------
 
@@ -778,7 +781,7 @@ class NashLassoSolver:
 
     def _certify(self, lasso: Lasso) -> NEWitness:
         """Grim-trigger profile of ``lasso``, checked by exact best responses."""
-        profile = grim_trigger_profile(self.game, lasso, self.fixed, self.pun)
+        profile = _grim_trigger(self.game, lasso, self.fixed, self.pun)
         per = tuple(mean_payoff(w, lasso) for w in self.game.weights)
         glob = mean_payoff(self.game.global_weights, lasso)
         for i in range(self.game.n_players):
@@ -797,36 +800,31 @@ class NashLassoSolver:
         self._check_query(query)
         return any(
             self._lp_solve(query, cei, members, edges, normalized=True) is not None
-            for cei, members, edges in self._lp_polytopes()
+            for cei in self._ceilings for members, edges in cei.polytopes()
         )
 
     def lp_witness(self, query: ThresholdQuery) -> NEWitness | None:
         self._check_query(query)
         feasible_seen = False
-        for cei, members, edges in self._lp_polytopes():
-            point = self._lp_solve(query, cei, members, edges, normalized=True)
-            if point is None:
-                continue
-            feasible_seen = True
-            lasso = self._lp_realize(query, cei, members, edges, point)
-            if lasso is None:
-                continue
-            w = self._certify(lasso)
-            # A payoff is its own weight sum over one step.
-            if not _meets(_window(query), (*w.player_payoffs, w.global_payoff), 1):
-                raise SolverLimitError("lp realization drifted out of bounds")
-            return w
+        for cei in self._ceilings:
+            for members, edges in cei.polytopes():
+                point = self._lp_solve(query, cei, members, edges, normalized=True)
+                if point is None:
+                    continue
+                feasible_seen = True
+                lasso = self._lp_realize(query, cei, members, edges, point)
+                if lasso is None:
+                    continue
+                w = self._certify(lasso)
+                # A payoff is its own weight sum over one step.
+                if not _meets(_window(query), (*w.player_payoffs, w.global_payoff), 1):
+                    raise SolverLimitError("lp realization drifted out of bounds")
+                return w
         if feasible_seen:
             raise SolverLimitError(
                 "threshold query is feasible but no witness was realized"
             )
         return None
-
-    def _lp_polytopes(self) -> Iterator[tuple]:
-        """``(ceiling record, members, edges)`` per ceiling and reachable SCC with moves."""
-        for cei in self._ceilings:
-            for members, edges in cei.polytopes():
-                yield cei, members, edges
 
     def _lp_solve(self, query: ThresholdQuery, cei: _Ceiling,
                   members: set[int], edges: list, normalized: bool):
@@ -923,10 +921,10 @@ def ne_threshold(game: Game, query: ThresholdQuery, backend: str = "oracle",
     ``bound``; ``backend="lp"`` decides cycle-frequency feasibility without
     a length bound and unrolls a frequency vertex into a lasso.
     """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     solver = NashLassoSolver(game, query.fixed_player, bound)
-    if backend == "oracle":
-        rec = solver.query_oracle(query)
-        return solver.witness(rec) if rec is not None else None
     if backend == "lp":
         return solver.lp_witness(query)
-    raise ValueError(f"unknown backend {backend!r}")
+    rec = solver.query_oracle(query)
+    return solver.witness(rec) if rec is not None else None

@@ -86,7 +86,7 @@ class RewardMachine:
 
 def is_beta_rm(rm: RewardMachine, budget: int) -> bool:
     """True iff every reward vector's entry sum stays within the budget."""
-    if budget < 0:
+    if type(budget) is not int or budget < 0:
         raise RewardMachineError("budget must be a natural number")
     return rm.max_norm() <= budget
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqdesign.equilibria
 from eqdesign.auxiliary import (
     build_auxiliary,
     lift_strategy,
@@ -31,7 +32,13 @@ from eqdesign.benchmarks import (
     gen_random_game,
     gen_random_strategy,
 )
-from eqdesign.design import ImprovementQuery, epsilon_worst_ne, replay_strategy
+from eqdesign.design import (
+    ImprovementQuery,
+    algorithm_trace,
+    epsilon_best_ne,
+    epsilon_worst_ne,
+    replay_strategy,
+)
 from eqdesign.equilibria import (
     NEG_INF,
     POS_INF,
@@ -61,7 +68,7 @@ from eqdesign.rewards import (
     k_cycle_delivery_rm,
     zero_rm,
 )
-from eqdesign.zerosum import SolverLimitError, best_response_value
+from eqdesign.zerosum import SolverLimitError, best_response_value, punishment_values
 
 from conftest import constant_strategy
 
@@ -79,7 +86,7 @@ class TestBuiltObjectsValidate:
         for rec in extremes_and_middle(solver.signatures()):
             lasso = solver.realize(rec)
             lasso.validate(game)
-            grim_trigger_profile(game, lasso, None, solver.pun).validate(game)
+            grim_trigger_profile(game, lasso).validate(game)
             try:
                 witness = solver.witness(rec)
             except SolverLimitError:  # a grim profile may fail with three players
@@ -258,6 +265,8 @@ REFUSALS = {
                         RewardMachineError, "machine rewards 2 players, game has 1"),
     "machine budget": (lambda: is_beta_rm(zero_rm(robot()), -1), RewardMachineError,
                        "budget must be a natural number"),
+    "machine float budget": (lambda: is_beta_rm(zero_rm(robot()), 1.5), RewardMachineError,
+                             "budget must be a natural number"),
     "delivery states": (lambda: k_cycle_delivery_rm(pair(), 1), RewardMachineError,
                         "robot arena states t, l, m"),
     "delivery players": (lambda: k_cycle_delivery_rm(
@@ -288,6 +297,10 @@ REFUSALS = {
                           "unknown backend 'simplex'"),
     "alphabet budget": (lambda: build_auxiliary(robot(), -1), ValueError,
                         "budget must be a natural number"),
+    "alphabet bool budget": (lambda: build_auxiliary(pair(), True), ValueError,
+                             "budget must be a natural number"),
+    "alphabet float budget": (lambda: build_auxiliary(pair(), 1.5), ValueError,
+                              "budget must be a natural number"),
     "designer name": (lambda: build_auxiliary(
         dataclasses.replace(pair(), player_names=("agent0", "p2")), 0), GameStructureError,
         "may not name a player 'agent0'"),
@@ -295,6 +308,17 @@ REFUSALS = {
         (0,), (constant_strategy(pair(), 0),)), 0), ValueError, "must not appear in the committed profile"),
     "responder coalition": (lambda: best_response_value(pair(), StrategyProfile((), ()), 0),
                             ValueError, "must cover exactly the other players"),
+    "responder bool": (lambda: best_response_value(pair(), StrategyProfile(
+        (0,), (constant_strategy(pair(), 0),)), True), ValueError,
+        "player True is not a player index"),
+    "punished -1": (lambda: punishment_values(pair(), -1), ValueError,
+                    "player -1 is not a player index"),
+    "punished bool": (lambda: punishment_values(pair(), True), ValueError,
+                      "player True is not a player index"),
+    "punished past the players": (lambda: punishment_values(pair(), 2), ValueError,
+                                  "player 2 is not a player index"),
+    "punished float": (lambda: punishment_values(pair(), 1.0), ValueError,
+                       "player 1.0 is not a player index"),
     "document top level": (lambda: parse_game("[]"), DocumentError,
                            "top level: expected an object"),
 }
@@ -328,6 +352,19 @@ class TestBoundaryRefusals:
         lasso, message = BAD_LASSOS[kind]
         with pytest.raises(InvalidLassoError, match=re.escape(message)):
             entry(pair(), lasso)
+
+    @pytest.mark.parametrize("search", [
+        lambda: ne_threshold(pair(), FREE, backend="simplex"),
+        lambda: algorithm_trace(pair(), Fraction(1, 2), backend="simplex"),
+        lambda: epsilon_best_ne(pair(), Fraction(1, 2), backend="simplex"),
+    ], ids=["ne_threshold", "algorithm_trace", "epsilon_best_ne"])
+    def test_unknown_backend_refused_before_any_solve(self, search, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("punishment solved before the backend was read")
+
+        monkeypatch.setattr(eqdesign.equilibria, "punishment_values", solve)
+        with pytest.raises(ValueError, match="unknown backend 'simplex'"):
+            search()
 
     @pytest.mark.parametrize("case", sorted(REFUSALS))
     def test_malformed_input_refused(self, case):

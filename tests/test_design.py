@@ -327,10 +327,11 @@ class TestPunishmentReuse:
 
 class TestStructureReuse:
     @staticmethod
-    def structure_key(solver):
-        return (solver.game.arena, solver.fixed,
-                tuple(None if i == solver.fixed else (solver.pun[i].ranks, solver.pun[i].levels)
-                      for i in range(solver.game.n_players)))
+    def structure_key(game, pun):
+        """Arena and, per player, its punishment ranks and levels; None for
+        the fixed player."""
+        return (game.arena, tuple((pun[i].ranks, pun[i].levels) if i in pun else None
+                                  for i in range(game.n_players)))
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     @pytest.mark.parametrize("two_players", [False, True])
@@ -340,17 +341,17 @@ class TestStructureReuse:
         ranks and levels) structure once, and keeps nothing for the next
         decision, which builds them again."""
         built, solvers = [], []
-        build, init = NashLassoSolver._build_classes, NashLassoSolver.__init__
+        build, init = eqdesign.equilibria._build_classes, NashLassoSolver.__init__
 
-        def counting_build(solver):
-            built.append(self.structure_key(solver))
-            return build(solver)
+        def counting_build(game, pun):
+            built.append(self.structure_key(game, pun))
+            return build(game, pun)
 
         def counting_init(solver, *args, **kwargs):
             solvers.append(solver)
             init(solver, *args, **kwargs)
 
-        monkeypatch.setattr(NashLassoSolver, "_build_classes", counting_build)
+        monkeypatch.setattr(eqdesign.equilibria, "_build_classes", counting_build)
         monkeypatch.setattr(NashLassoSolver, "__init__", counting_init)
         game = gen_random_game(1, 2, 3) if two_players else example1[0]
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 10),
@@ -361,7 +362,8 @@ class TestStructureReuse:
             solvers.clear()
             decide_improvement(game, q)
             assert built and len(built) == len(set(built))
-            assert set(built) == {self.structure_key(solver) for solver in solvers}
+            assert set(built) == {self.structure_key(solver.game, solver.pun)
+                                  for solver in solvers}
             # The auxiliary arena is built anew by each decision: compare contents.
             runs.append([(arena.protocol, arena.transitions, *rest)
                          for arena, *rest in built])
@@ -392,7 +394,7 @@ class TestStructureReuse:
         for rm in _subsidy_candidates(game, q):
             product = implement(game, rm)
             solver = NashLassoSolver(product, None, 6, memo)
-            key = self.structure_key(solver)
+            key = self.structure_key(product, solver.pun)
             assert solver._ceilings is first.setdefault(key, solver)._ceilings
             fresh = NashLassoSolver(product, None, 6)
             assert solver.pun == fresh.pun

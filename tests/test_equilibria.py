@@ -446,7 +446,7 @@ def check_against_sweep_oracle(game, fixed, bound):
         per, glob = payoffs(game, lasso)
         assert per == tuple(Fraction(v, length) for v in sums[:-1])
         assert glob == Fraction(sums[-1], length)
-        assert is_ne_outcome(game, lasso, fixed, solver.pun)
+        assert is_ne_outcome(game, lasso, fixed)
     return sigs
 
 
@@ -556,13 +556,13 @@ class TestCeilingRecords:
 
     def test_one_record_per_ceiling_per_solver(self, monkeypatch):
         built = []
-        record = NashLassoSolver._ceiling
+        record = eqdesign.equilibria._ceiling
 
-        def spy(solver, ranks):
-            built.append((solver, ranks))
-            return record(solver, ranks)
+        def spy(game, pun, classes, every, ranks, step_tables):
+            built.append((game, ranks))
+            return record(game, pun, classes, every, ranks, step_tables)
 
-        monkeypatch.setattr(NashLassoSolver, "_ceiling", spy)
+        monkeypatch.setattr(eqdesign.equilibria, "_ceiling", spy)
         game = gen_random_game(3, n_players=3, n_states=4)
         solver = NashLassoSolver(game, None, 6)
         assert len(solver._ceilings) > 2
@@ -574,7 +574,7 @@ class TestCeilingRecords:
         _, _, length, sums, _ = sigs[-1]
         solver.lp_feasible(dataclasses.replace(free, global_lower=Fraction(sums[-1], length)))
         solver.lp_witness(free)
-        assert built == [(solver, cei.ranks) for cei in solver._ceilings]
+        assert built == [(game, cei.ranks) for cei in solver._ceilings]
 
     def test_components_searched_once_per_record_probed(self, monkeypatch):
         """The LP reads a record's components and edges from the record: a
@@ -651,6 +651,26 @@ class TestSolverMemo:
         assert [s.signatures() for s in shared] == [s.signatures() for s in fresh]
         assert fresh[0].signatures() != fresh[1].signatures()
 
+    @pytest.mark.parametrize("seed,n_players,fixed", [(0, 2, None), (3, 3, None), (5, 2, 0)])
+    def test_a_lone_solver_builds_its_own_memo(self, seed, n_players, fixed):
+        """A solver given no memo builds one of its own: it answers as a
+        solver given a fresh memo, and every record keeps the walk steps of
+        each anchor the sweep walked."""
+        game = gen_random_game(seed, n_players, 3)
+        lone = NashLassoSolver(game, fixed, 6)
+        given = NashLassoSolver(game, fixed, 6, SolverMemo())
+        free = ThresholdQuery((NEG_INF,) * n_players, (POS_INF,) * n_players,
+                              fixed_player=fixed)
+        sigs = lone.signatures()
+        assert sigs and sigs == given.signatures()
+        assert lone.pun == given.pun
+        assert lone.signatures(top=2) == given.signatures(top=2)
+        assert [lone.realize(rec) for rec in sigs] == [given.realize(rec) for rec in sigs]
+        assert lone.lp_feasible(free) == given.lp_feasible(free)
+        for cei in lone._ceilings:
+            walked = {anchor for anchor, (dist, _, _) in cei.tree.items() if dist < lone.bound}
+            assert walked <= set(cei.kept_steps)
+
 
 class TestLpUnroll:
     """The three stages of ``_lp_realize``: the vertex's own Euler circuit,
@@ -681,10 +701,11 @@ class TestLpUnroll:
     @staticmethod
     def vertices(solver, q):
         """``(tree, edges, vertex)`` of every feasible polytope, in scan order."""
-        for cei, members, edges in solver._lp_polytopes():
-            point = solver._lp_solve(q, cei, members, edges, normalized=True)
-            if point is not None:
-                yield cei.tree, edges, point
+        for cei in solver._ceilings:
+            for members, edges in cei.polytopes():
+                point = solver._lp_solve(q, cei, members, edges, normalized=True)
+                if point is not None:
+                    yield cei.tree, edges, point
 
     def test_vertex_too_long_to_unroll(self, monkeypatch):
         """A vertex whose circuit exceeds ``LASSO_LENGTH_CAP`` is not unrolled;

@@ -53,10 +53,10 @@ PARAMETERS = {
     "exact_best_ne": ("game", "fixed", "bound"),
     "exact_worst_ne": ("game", "fixed", "bound"),
     "from_subsidy_scheme": ("game", "kappa"),
-    "grim_trigger_profile": ("game", "lasso", "fixed", "pun"),
+    "grim_trigger_profile": ("game", "lasso", "fixed"),
     "implement": ("game", "rm"),
     "is_beta_rm": ("rm", "budget"),
-    "is_ne_outcome": ("game", "lasso", "fixed", "pun"),
+    "is_ne_outcome": ("game", "lasso", "fixed"),
     "k_cycle_delivery_rm": ("game", "k"),
     "lift_strategy": ("aux", "rm", "product", "sigma", "player"),
     "lower_strategy": ("aux", "rm", "product", "sigma_hat", "player"),

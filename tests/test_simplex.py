@@ -129,12 +129,13 @@ def check_lp_rows(seed, n_players, n_states, fixed, per_player, gl, gu):
     query = ThresholdQuery(tuple(lo for lo, _ in per_player),
                            tuple(hi for _, hi in per_player), gl, gu, fixed)
     solver = NashLassoSolver(game, fixed, bound=4)
-    for cei, members, edges in solver._lp_polytopes():
-        for normalized in (True, False):
-            got = solver._lp_solve(query, cei, members, edges, normalized)
-            want = fraction_feasible_point(*fraction_lp_rows(
-                solver, query, cei.ranks, members, edges, normalized))
-            assert got == want
+    for cei in solver._ceilings:
+        for members, edges in cei.polytopes():
+            for normalized in (True, False):
+                got = solver._lp_solve(query, cei, members, edges, normalized)
+                want = fraction_feasible_point(*fraction_lp_rows(
+                    solver, query, cei.ranks, members, edges, normalized))
+                assert got == want
 
 
 F, FREE = Fraction, (NEG_INF, POS_INF)
