@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .games import Arena, Game, GameStructureError, MealyStrategy, tabulate
+from .games import Arena, Game, GameStructureError, MealyStrategy, check_player, tabulate
 from .rewards import RewardMachine, RewardMachineError, is_beta_rm, product_arena
 from .zerosum import SolverLimitError
 
@@ -206,6 +206,7 @@ def lift_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
     ones.  ``player`` indexes the source game; the result plays for player
     ``player + 1`` of the auxiliary game.
     """
+    check_player(aux.source, player)
     sigma.validate(product, player)
     pairs, _ = product_arena(aux.source, rm)
     if len(pairs) != product.n_states:
@@ -263,6 +264,7 @@ def lower_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
     recovers the auxiliary state the strategy expects.  ``player`` indexes
     the source game; ``sigma_hat`` must play for player ``player + 1``.
     """
+    check_player(aux.source, player)
     sigma_hat.validate(aux.game, player + 1)
     rm.validate_for(aux.source)
     vec_of = machine_state_vectors(aux, rm)

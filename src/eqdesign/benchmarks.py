@@ -13,7 +13,7 @@ import random as _random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .games import Game, GameStructureError, make_game
+from .games import Game, GameStructureError, MealyStrategy, check_player, make_game
 from .rewards import RewardMachine, k_cycle_delivery_rm
 
 
@@ -320,10 +320,9 @@ def gen_random_rm(game: Game, seed: int, n_states: int = 2,
 
 
 def gen_random_strategy(game: Game, player: int, seed: int,
-                        n_memory: int = 2) -> "MealyStrategy":
+                        n_memory: int = 2) -> MealyStrategy:
     """Seeded random valid strategy for one player."""
-    from .games import MealyStrategy
-
+    check_player(game, player)
     rng = _random.Random(("eqdesign-strat", seed, player, n_memory).__repr__())
     step_rows = []
     act_rows = []

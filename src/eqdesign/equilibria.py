@@ -13,16 +13,15 @@ the punishment solver returns each player's distinct values ascending
 (``PunishmentResult.levels``) and each state's rank among them, and a
 ceiling holds per player the index of the worst punishment it admits, or -1
 where no deviation is observable (always for the fixed player).  The join
-is the elementwise max, domination the elementwise ``<=``.  A ceiling's
-floors and a query's window are payoff rows alike (:func:`_row`),
-which the sweep, the oracle's window test, the LP and its witness check read.
-Each ceiling's sub-arena is one record (``_Ceiling``): its floors, the
-classes it allows, their successors and its breadth-first tree, which the
-sweep, ``realize``, the LP and every witness's prefix read, plus its LP
-polytopes and walk steps once first read.  Every solver takes its
-punishments and records from a :class:`SolverMemo`, its own or a shared
-one; records depend on no weight, so solvers of one arena whose
-punishments have the same ranks and levels share them.
+is the elementwise max, domination the elementwise ``<=``.  Each ceiling's
+sub-arena is one record (``_Ceiling``): the classes it allows, their
+successors and its breadth-first tree, which the sweep, ``realize``, the LP
+and every witness's prefix read, plus its LP polytopes and walk steps once
+first read.  Records hold no weight and no punishment value, so solvers of
+one arena whose punishments have the same ranks share them through a
+:class:`SolverMemo`.  A solver reads its punishment values in one place: its
+floor rows, per ceiling one payoff row (:func:`_row`) per player it bounds,
+which the sweep and the LP read alongside a query's window.
 
 Two backends answer threshold queries:
 
@@ -52,11 +51,13 @@ Two backends answer threshold queries:
   to recover a concrete lasso; both backends reach its cycle by the tree
   path (``NashLassoSolver._lasso``).
 
-Both backends return a witness only through one certificate: its
-grim-trigger profile must survive every non-fixed player's exact best
-response, or the query is refused with ``SolverLimitError``.  A caller's
-lasso is validated where it enters (``is_ne_outcome``, ``payoffs``); the
-lassos and profiles built here are not re-checked.
+Both backends return a witness only through one certificate, the only
+check of a lasso built here: its grim-trigger profile must survive every
+non-fixed player's exact best response, or the query is refused with
+``SolverLimitError``.  With two players it refuses every lasso the
+folk-theorem test refuses; with more, whatever passes is an equilibrium.
+A caller's lasso is checked where it enters (``is_ne_outcome``,
+``grim_trigger_profile``, ``payoffs``).
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ LASSO_LENGTH_CAP = 4096
 PRUNE_LAYER_SUMS = 256
 
 Bound = object  # int, Fraction or +-inf
+Row = tuple[int, int, int]  # a payoff row (:func:`_row`)
 
 
 @dataclass(frozen=True)
@@ -183,14 +185,14 @@ def grim_trigger_profile(game: Game, lasso: Lasso, fixed: int | None = None) -> 
     reach.
     """
     _check_fixed(game, fixed)
-    return _grim_trigger(game, lasso, fixed, _punishments(game, fixed))
+    pun = _punishments(game, fixed)
+    if not _unbeaten(game, lasso, fixed, payoffs(game, lasso)[0], pun):
+        raise InvalidLassoError("grim trigger requires an equilibrium lasso")
+    return _grim_trigger(game, lasso, fixed, pun)
 
 
 def _grim_trigger(game: Game, lasso: Lasso, fixed: int | None,
                   pun: Mapping[int, PunishmentResult]) -> StrategyProfile:
-    if not _unbeaten(game, lasso, fixed, payoffs(game, lasso)[0], pun):
-        raise InvalidLassoError("grim trigger requires an equilibrium lasso")
-
     states_at = list(lasso.prefix_states) + list(lasso.cycle_states)
     moves_at = list(lasso.prefix_moves) + list(lasso.cycle_moves)
     n_pre = len(lasso.prefix_states)
@@ -249,19 +251,18 @@ class _MoveClass(NamedTuple):
 
 @dataclass(eq=False, slots=True)
 class _Ceiling:
-    """A deviation ceiling's sub-arena: its payoff rows (``floors``, one
-    :func:`_row` per player it bounds, in player order), the classes it
-    allows at each state (``allowed``, in class order), their distinct
-    successors in that order (``succs``), and the breadth-first ``tree``
-    from the initial state, mapping each reachable state to ``(distance,
-    parent, class)``: the parent is the first state of the previous layer,
-    in layer order, with a class into it; the root's parent and class are
-    None.  It keeps, built on first use, its LP polytopes
+    """A deviation ceiling's sub-arena, which holds no punishment value: the
+    worst punishment rank it admits per player (``ranks``, -1 for none),
+    the classes it allows at each state (``allowed``, in class order), their
+    distinct successors in that order (``succs``), and the breadth-first
+    ``tree`` from the initial state, mapping each reachable state to
+    ``(distance, parent, class)``: the parent is the first state of the
+    previous layer, in layer order, with a class into it; the root's parent
+    and class are None.  It keeps, built on first use, its LP polytopes
     (:meth:`polytopes`) and its per-anchor walk steps (:meth:`steps`) in
     ``kept_steps``, which its memo's records with the same ``succs`` share."""
 
     ranks: tuple[int, ...]
-    floors: list[tuple[int, int, int]]
     allowed: list[list[_MoveClass]]
     succs: list[list[int]]
     tree: dict[int, tuple]
@@ -315,10 +316,10 @@ def _vec_le(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(map(operator.le, a, b))
 
 
-def _build_classes(game: Game, pun: Mapping[int, PunishmentResult]) -> list[list[_MoveClass]]:
-    """Per state, the move classes under the punishments ``pun``."""
-    # rank[i][d]: index of player i's punishment at d in its levels.
-    rank = [pun[i].ranks if i in pun else None for i in range(game.n_players)]
+def _build_classes(game: Game, rank: Sequence[tuple[int, ...] | None]) -> list[list[_MoveClass]]:
+    """Per state, the move classes under the punishment ranks ``rank``:
+    ``rank[i][d]`` is the index of player i's punishment at d in its
+    levels, and ``rank[i]`` is None for the fixed player."""
     # peak(i, devs): the worst punishment rank player i can force, or -1.
     peak = functools.cache(lambda i, devs: max([rank[i][d] for d in devs])
                            if rank[i] and devs else -1)
@@ -355,20 +356,12 @@ def _build_ceilings(game: Game, classes: list[list[_MoveClass]]) -> list[tuple[i
     return sorted(closed)
 
 
-def _ceiling(game: Game, pun: Mapping[int, PunishmentResult],
-             classes: list[list[_MoveClass]], every: list[list[int]],
-             ranks: tuple[int, ...], step_tables: dict[tuple, dict]) -> _Ceiling:
-    """The record of the ceiling ``ranks`` over the move ``classes``, where
-    ``every`` lists each state's distinct class successors.  It keeps its
-    walk steps in ``step_tables``' table for its successor lists."""
-    allowed, succs = [], []
-    for per_state, full_succs in zip(classes, every):
-        kept = [c for c in per_state if _vec_le(c.devmax, ranks)]
-        # A state whose classes all lie under the ceiling shares its
-        # lists with every such ceiling.
-        full = len(kept) == len(per_state)
-        allowed.append(per_state if full else kept)
-        succs.append(full_succs if full else list(dict.fromkeys(c.succ for c in kept)))
+def _ceiling(game: Game, classes: list[list[_MoveClass]], ranks: tuple[int, ...],
+             step_tables: dict[tuple, dict]) -> _Ceiling:
+    """The record of the ceiling ``ranks`` over the move ``classes``.  It
+    keeps its walk steps in ``step_tables``' table for its successor lists."""
+    allowed = [[c for c in per_state if _vec_le(c.devmax, ranks)] for per_state in classes]
+    succs = [list(dict.fromkeys(c.succ for c in kept)) for kept in allowed]
     tree: dict[int, tuple] = {game.initial: (0, None, None)}
     # States are expanded in the order they enter the tree: layer by layer.
     order = [game.initial]
@@ -377,8 +370,7 @@ def _ceiling(game: Game, pun: Mapping[int, PunishmentResult],
             if c.succ not in tree:
                 tree[c.succ] = (tree[s][0] + 1, s, c)
                 order.append(c.succ)
-    floors = [_row(k, 1, pun[k].levels[r]) for k, r in enumerate(ranks) if r >= 0]
-    return _Ceiling(ranks, floors, allowed, succs, tree,
+    return _Ceiling(ranks, allowed, succs, tree,
                     step_tables.setdefault(tuple(map(tuple, succs)), {}))
 
 
@@ -415,13 +407,13 @@ def _unpack_sums(x: int, width: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _row(k: int, sign: int, bound) -> tuple[int, int, int]:
+def _row(k: int, sign: int, bound) -> Row:
     """Payoff row ``sign * payoff k >= sign * p/q`` (the designer's at ``k = n``),
     kept as the integers ``(k, sign*q, sign*p)``."""
     return k, sign * bound.denominator, sign * bound.numerator
 
 
-def _window(query: ThresholdQuery) -> list[tuple[int, int, int]]:
+def _window(query: ThresholdQuery) -> list[Row]:
     """Payoff rows of ``query``: per player its lower and upper bound, then
     the global bounds.  Infinite bounds make no row."""
     rows = []
@@ -434,7 +426,7 @@ def _window(query: ThresholdQuery) -> list[tuple[int, int, int]]:
     return rows
 
 
-def _meets(rows: Sequence[tuple[int, int, int]], sums: Sequence, length: int) -> bool:
+def _meets(rows: Sequence[Row], sums: Sequence, length: int) -> bool:
     """Whether weight ``sums`` over ``length`` steps pass every row."""
     return all(sums[k] * q >= p * length for k, q, p in rows)
 
@@ -444,14 +436,15 @@ class SolverMemo:
     and walk steps: a solver builds its own memo unless it is given one,
     as ``NashLassoSolver``'s ``shared``.  Punishments are kept by arena,
     player and weight row; a new row is solved from the same arena's solved
-    row pointwise below it with the greatest sum, the first on ties.  Move
-    classes and ceiling records are kept by arena and punishment ranks and
-    levels, which is all they depend on, and walk steps by successor lists.
+    row pointwise below it with the greatest sum, the first on ties.
+    Ceiling records are kept by arena and punishment ranks, which is all
+    they depend on, and walk steps by successor lists.  No record holds a
+    punishment value: each solver reads its own as floor rows.
     """
 
     def __init__(self) -> None:
         self._punished: dict[tuple, dict[tuple[int, ...], PunishmentResult]] = {}
-        self._structures: dict[tuple, tuple[list, list[_Ceiling]]] = {}
+        self._structures: dict[tuple, list[_Ceiling]] = {}
         self._steps: dict[tuple, dict[int, list]] = {}
 
     def punishment(self, game: Game, player: int) -> PunishmentResult:
@@ -463,35 +456,32 @@ class SolverMemo:
                 game, player, max(below, key=lambda item: sum(item[0]), default=None))
         return solved[row]
 
-    def structure(self, game: Game, pun: Mapping[int, PunishmentResult],
-                  ) -> tuple[list[list[_MoveClass]], list[_Ceiling]]:
-        """The move classes and the ceiling records of ``game`` under the
-        punishments ``pun`` of every player but the fixed one."""
-        key = (game.arena, *((pun[i].ranks, pun[i].levels) if i in pun else None
-                             for i in range(game.n_players)))
+    def structure(self, game: Game, rank: tuple[tuple[int, ...] | None, ...],
+                  ) -> list[_Ceiling]:
+        """The ceiling records of ``game`` under the punishment ranks
+        ``rank`` (:func:`_build_classes`), least ceiling first."""
+        key = (game.arena, rank)
         found = self._structures.get(key)
         if found is None:
-            classes = _build_classes(game, pun)
-            # Per state, its classes' distinct successors: the successor list
-            # of every ceiling that allows all of them.
-            every = [list(dict.fromkeys(c.succ for c in per_state)) for per_state in classes]
-            found = self._structures[key] = (classes, [
-                _ceiling(game, pun, classes, every, ranks, self._steps)
-                for ranks in _build_ceilings(game, classes)])
+            classes = _build_classes(game, rank)
+            found = self._structures[key] = [
+                _ceiling(game, classes, ranks, self._steps)
+                for ranks in _build_ceilings(game, classes)]
         return found
 
 
 class NashLassoSolver:
     """Threshold queries over one game, one fixed player, one length bound.
 
-    Punishment tables, move classes and the lattice of deviation ceilings
-    are computed once; oracle sweeps and LP queries share them.  Instances
-    are cheap to build relative to the queries they answer and are meant to
-    be reused across a binary search.  All of it comes from a
+    Punishment tables and the ceiling records come from a
     :class:`SolverMemo`: ``shared`` when given, else one of the solver's
     own.  A shared memo solves or builds only what no earlier solver of
     that memo did, and its ceiling records keep their walk steps for the
-    solvers to come.  ``bound`` is at most ``LASSO_LENGTH_CAP``.
+    solvers to come.  The solver reads its punishment values once, into
+    one list of floor rows per ceiling.  Oracle sweeps and LP queries share
+    all of it: instances are cheap to build relative to the queries they
+    answer and are meant to be reused across a binary search.  ``bound``
+    is at most ``LASSO_LENGTH_CAP``.
     """
 
     def __init__(self, game: Game, fixed: int | None = None, bound: int = 12,
@@ -509,7 +499,11 @@ class NashLassoSolver:
         rows = (*game.weights, game.global_weights)
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
-        self._classes, self._ceilings = memo.structure(game, self.pun)
+        self._ceilings = memo.structure(game, tuple(
+            self.pun[i].ranks if i in self.pun else None for i in range(game.n_players)))
+        # Per ceiling, one floor row per player it bounds, in player order.
+        self._floors = [[_row(k, 1, self.pun[k].levels[r]) for k, r in enumerate(cei.ranks)
+                         if r >= 0] for cei in self._ceilings]
         self._sweep_cache: list[tuple] | None = None
 
     # -- oracle sweep ---------------------------------------------------------
@@ -544,10 +538,9 @@ class NashLassoSolver:
         out: list[tuple] = []
         seen: set[tuple[int, int, int]] = set()
         designer = None if top is None else lambda: None if fs is None else (scale, fs)
-        for ci, cei in enumerate(self._ceilings):
-            floors, tree = cei.floors, cei.tree
-            for anchor in sorted(tree):
-                prefix_len = tree[anchor][0]
+        for ci, (cei, floors) in enumerate(zip(self._ceilings, self._floors)):
+            for anchor in sorted(cei.tree):
+                prefix_len = cei.tree[anchor][0]
                 budget = self.bound - prefix_len
                 if budget < 1:
                     continue
@@ -694,7 +687,9 @@ class NashLassoSolver:
     def query_oracle(self, query: ThresholdQuery) -> tuple | None:
         """Least signature satisfying the query, or None."""
         self._check_query(query)
-        window = _window(query)
+        return self._least_meeting(_window(query))
+
+    def _least_meeting(self, window: list[Row]) -> tuple | None:
         return next((rec for rec in self._sweep() if _meets(window, rec[3], rec[2])), None)
 
     def extreme_signature(self, maximize: bool = False) -> tuple | None:
@@ -798,26 +793,29 @@ class NashLassoSolver:
 
     def lp_feasible(self, query: ThresholdQuery) -> bool:
         self._check_query(query)
+        window = _window(query)
         return any(
-            self._lp_solve(query, cei, members, edges, normalized=True) is not None
-            for cei in self._ceilings for members, edges in cei.polytopes()
+            self._lp_solve(window, floors, members, edges, normalized=True) is not None
+            for cei, floors in zip(self._ceilings, self._floors)
+            for members, edges in cei.polytopes()
         )
 
     def lp_witness(self, query: ThresholdQuery) -> NEWitness | None:
         self._check_query(query)
+        window = _window(query)
         feasible_seen = False
-        for cei in self._ceilings:
+        for cei, floors in zip(self._ceilings, self._floors):
             for members, edges in cei.polytopes():
-                point = self._lp_solve(query, cei, members, edges, normalized=True)
+                point = self._lp_solve(window, floors, members, edges, normalized=True)
                 if point is None:
                     continue
                 feasible_seen = True
-                lasso = self._lp_realize(query, cei, members, edges, point)
+                lasso = self._lp_realize(window, floors, cei.tree, members, edges, point)
                 if lasso is None:
                     continue
                 w = self._certify(lasso)
                 # A payoff is its own weight sum over one step.
-                if not _meets(_window(query), (*w.player_payoffs, w.global_payoff), 1):
+                if not _meets(window, (*w.player_payoffs, w.global_payoff), 1):
                     raise SolverLimitError("lp realization drifted out of bounds")
                 return w
         if feasible_seen:
@@ -826,8 +824,8 @@ class NashLassoSolver:
             )
         return None
 
-    def _lp_solve(self, query: ThresholdQuery, cei: _Ceiling,
-                  members: set[int], edges: list, normalized: bool):
+    def _lp_solve(self, window: list[Row], floors: list[Row], members: set[int],
+                  edges: list, normalized: bool):
         n_vars = len(edges)
         # Every row is scaled by one common L, the lcm of the denominators of
         # the bounds this LP uses: the phase-1 objective is then L times the
@@ -836,7 +834,7 @@ class NashLassoSolver:
         # artificial sum and can change the vertex.
         # Per payoff, the ceiling's floor, then the query's lower and upper
         # bound: the LP keeps this order, and Bland's rule follows it.
-        rows = sorted([*cei.floors, *_window(query)], key=operator.itemgetter(0))
+        rows = sorted([*floors, *window], key=operator.itemgetter(0))
         scale = math.lcm(1, *(abs(q) for _, q, _ in rows))
         cons: list[Constraint] = []
         if normalized:
@@ -852,20 +850,20 @@ class NashLassoSolver:
         lbs = None if normalized else [1] * n_vars
         return feasible_point(n_vars, cons, lbs)
 
-    def _lp_realize(self, query: ThresholdQuery, cei: _Ceiling,
+    def _lp_realize(self, window: list[Row], floors: list[Row], tree: dict[int, tuple],
                     members: set[int], edges: list, point) -> Lasso | None:
-        lasso = self._euler_lasso(cei.tree, edges, point)
+        lasso = self._euler_lasso(tree, edges, point)
         if lasso is not None:
             return lasso
         # Vertex support was disconnected: force every sub-arena move to be
         # used at least once, which restores connectivity if still feasible.
-        forced = self._lp_solve(query, cei, members, edges, normalized=False)
+        forced = self._lp_solve(window, floors, members, edges, normalized=False)
         if forced is not None:
-            lasso = self._euler_lasso(cei.tree, edges, forced)
+            lasso = self._euler_lasso(tree, edges, forced)
             if lasso is not None:
                 return lasso
         # Bounded fallback: look for any in-bounds signature of the sweep.
-        rec = self.query_oracle(query)
+        rec = self._least_meeting(window)
         if rec is not None:
             return self.realize(rec)
         return None

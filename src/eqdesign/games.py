@@ -238,6 +238,12 @@ class Game:
         return tuple(self.action_names[a] for a in joint)
 
 
+def check_player(game: Game, player: int) -> None:
+    # bool is an int subclass; True is refused, not read as player 1.
+    if type(player) is not int or player not in range(game.n_players):
+        raise ValueError(f"player {player!r} is not a player index")
+
+
 def _weight(value: object, path: str) -> int:
     # bool is an int subclass; it and non-integral numbers are refused, not cast.
     if isinstance(value, bool) or not isinstance(value, int):

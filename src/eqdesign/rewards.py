@@ -148,6 +148,10 @@ def from_subsidy_scheme(game: Game, kappa: dict[int, tuple[int, ...]]) -> Reward
     Subsidy schemes are exactly the single-state reward machines; states
     absent from ``kappa`` pay nothing.
     """
+    for s in kappa:
+        # bool is an int subclass; a key True is refused, not read as state 1.
+        if type(s) is not int or s not in range(game.n_states):
+            raise RewardMachineError(f"subsidy key {s!r} is not a state index")
     rows = []
     for s in range(game.n_states):
         vec = kappa.get(s, (0,) * game.n_players)
@@ -173,8 +177,8 @@ def k_cycle_delivery_rm(game: Game, k: int) -> RewardMachine:
     single player at the m completing the k-th loop, and falls back to the
     longest matching pattern prefix on any other observation.
     """
-    if k < 1:
-        raise RewardMachineError("k must be a positive integer")
+    if type(k) is not int or k < 1:
+        raise RewardMachineError(f"k must be a positive integer, got {k!r}")
     try:
         t = game.state_names.index("t")
         l = game.state_names.index("l")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .games import Game, StrategyProfile
+from .games import Game, StrategyProfile, check_player
 
 
 class SolverLimitError(RuntimeError):
@@ -149,12 +149,6 @@ def max_mean_value_function(succs: Sequence[Sequence[int]],
     return [values[comp_of[v]] for v in range(n)]
 
 
-def _check_player(game: Game, player: int) -> None:
-    # bool is an int subclass; True is refused, not read as player 1.
-    if type(player) is not int or player not in range(game.n_players):
-        raise ValueError(f"player {player!r} is not a player index")
-
-
 def best_response_value(game: Game, others: StrategyProfile, player: int) -> Fraction:
     """Exact supremum of ``player``'s mean payoff against a committed profile.
 
@@ -162,7 +156,7 @@ def best_response_value(game: Game, others: StrategyProfile, player: int) -> Fra
     single-player mean-payoff optima are positional, the supremum over all
     responses (finite or infinite memory) is the best reachable cycle mean.
     """
-    _check_player(game, player)
+    check_player(game, player)
     if player in others.players:
         raise ValueError("responding player must not appear in the committed profile")
     expected = [i for i in range(game.n_players) if i != player]
@@ -386,7 +380,7 @@ def punishment_values(game: Game, player: int,
     the credit.  It is checked against the deviator's exact best response
     before it is returned; a mismatch raises :class:`SolverLimitError`.
     """
-    _check_player(game, player)
+    check_player(game, player)
     per_state = game.arena.response_classes(player)
     n = game.n_states
     moves = [[sorted(set(rmap)) for rmap, _ in classes] for classes in per_state]

@@ -63,6 +63,7 @@ from eqdesign.games import (
 from eqdesign.rewards import (
     RewardMachine,
     RewardMachineError,
+    from_subsidy_scheme,
     implement,
     is_beta_rm,
     k_cycle_delivery_rm,
@@ -201,6 +202,17 @@ def robot():
     return gen_example1()[0]
 
 
+def translate(direction, player):
+    """``lift_strategy`` or ``lower_strategy`` on Example 1, its budget-1
+    auxiliary game and delivery machine M1, of a valid strategy, for
+    ``player``."""
+    game, m1, _ = gen_example1()
+    aux, product = build_auxiliary(game, 1), implement(game, m1)
+    if direction == "lift":
+        return lift_strategy(aux, m1, product, gen_random_strategy(product, 0, 0), player)
+    return lower_strategy(aux, m1, product, gen_random_strategy(aux.game, 1, 0), player)
+
+
 FREE = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2)
 
 # case -> (build the malformed input, error class, message fragment)
@@ -267,6 +279,20 @@ REFUSALS = {
                        "budget must be a natural number"),
     "machine float budget": (lambda: is_beta_rm(zero_rm(robot()), 1.5), RewardMachineError,
                              "budget must be a natural number"),
+    "subsidy key past the states": (lambda: from_subsidy_scheme(pair(), {99: (1, 0)}),
+                                    RewardMachineError, "subsidy key 99 is not a state index"),
+    "subsidy key -1": (lambda: from_subsidy_scheme(pair(), {-1: (1, 0)}), RewardMachineError,
+                       "subsidy key -1 is not a state index"),
+    "subsidy key name": (lambda: from_subsidy_scheme(pair(), {"s0": (1, 0)}),
+                         RewardMachineError, "subsidy key 's0' is not a state index"),
+    "subsidy key bool": (lambda: from_subsidy_scheme(pair(), {True: (1, 0)}),
+                         RewardMachineError, "subsidy key True is not a state index"),
+    "subsidy key float": (lambda: from_subsidy_scheme(pair(), {1.0: (1, 0)}),
+                          RewardMachineError, "subsidy key 1.0 is not a state index"),
+    "delivery bool k": (lambda: k_cycle_delivery_rm(robot(), True), RewardMachineError,
+                        "k must be a positive integer, got True"),
+    "delivery float k": (lambda: k_cycle_delivery_rm(robot(), 1.5), RewardMachineError,
+                         "k must be a positive integer, got 1.5"),
     "delivery states": (lambda: k_cycle_delivery_rm(pair(), 1), RewardMachineError,
                         "robot arena states t, l, m"),
     "delivery players": (lambda: k_cycle_delivery_rm(
@@ -319,6 +345,19 @@ REFUSALS = {
                                   "player 2 is not a player index"),
     "punished float": (lambda: punishment_values(pair(), 1.0), ValueError,
                        "player 1.0 is not a player index"),
+    "lifted -1": (lambda: translate("lift", -1), ValueError, "player -1 is not a player index"),
+    "lifted bool": (lambda: translate("lift", True), ValueError,
+                    "player True is not a player index"),
+    "lifted past the players": (lambda: translate("lift", 1), ValueError,
+                                "player 1 is not a player index"),
+    "lifted float": (lambda: translate("lift", 1.0), ValueError,
+                     "player 1.0 is not a player index"),
+    "lowered -1": (lambda: translate("lower", -1), ValueError,
+                   "player -1 is not a player index"),
+    "random strategy bool": (lambda: gen_random_strategy(pair(), True, 0), ValueError,
+                             "player True is not a player index"),
+    "random strategy -1": (lambda: gen_random_strategy(pair(), -1, 0), ValueError,
+                           "player -1 is not a player index"),
     "document top level": (lambda: parse_game("[]"), DocumentError,
                            "top level: expected an object"),
 }

@@ -328,9 +328,9 @@ class TestPunishmentReuse:
 class TestStructureReuse:
     @staticmethod
     def structure_key(game, pun):
-        """Arena and, per player, its punishment ranks and levels; None for
-        the fixed player."""
-        return (game.arena, tuple((pun[i].ranks, pun[i].levels) if i in pun else None
+        """Arena and, per player, its punishment ranks; None for the fixed
+        player."""
+        return (game.arena, tuple(pun[i].ranks if i in pun else None
                                   for i in range(game.n_players)))
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
@@ -338,14 +338,14 @@ class TestStructureReuse:
     def test_each_structure_once_per_decision(self, example1, mode, two_players,
                                               monkeypatch):
         """A decision builds each distinct (arena, fixed player, punishment
-        ranks and levels) structure once, and keeps nothing for the next
-        decision, which builds them again."""
+        ranks) structure once, and keeps nothing for the next decision,
+        which builds them again."""
         built, solvers = [], []
         build, init = eqdesign.equilibria._build_classes, NashLassoSolver.__init__
 
-        def counting_build(game, pun):
-            built.append(self.structure_key(game, pun))
-            return build(game, pun)
+        def counting_build(game, rank):
+            built.append((game.arena, rank))
+            return build(game, rank)
 
         def counting_init(solver, *args, **kwargs):
             solvers.append(solver)

@@ -14,6 +14,7 @@ from eqdesign.benchmarks import (
     gen_example1,
     gen_hamiltonian_game,
     gen_random_game,
+    gen_random_strategy,
     gen_tsp_game,
 )
 from eqdesign.equilibria import (
@@ -22,7 +23,9 @@ from eqdesign.equilibria import (
     NashLassoSolver,
     SolverMemo,
     ThresholdQuery,
+    _build_classes,
     _field_width,
+    _window,
     grim_trigger_profile,
     is_ne_outcome,
     ne_threshold,
@@ -37,6 +40,7 @@ from eqdesign.games import (
     payoffs,
     run_profile,
 )
+from eqdesign.rewards import from_subsidy_scheme, implement
 from eqdesign.zerosum import SolverLimitError, best_response_value
 
 from conftest import lasso_by_names
@@ -57,8 +61,6 @@ class TestIsNeOutcome:
     def test_all_zero_weights_everything_is_ne(self):
         game = gen_random_game(5, n_players=2, n_states=3, weight_range=(0, 0))
         for seed in range(4):
-            from eqdesign.benchmarks import gen_random_strategy
-
             profile = StrategyProfile(
                 (0, 1),
                 (gen_random_strategy(game, 0, seed),
@@ -122,6 +124,57 @@ class TestGrimTrigger:
         assert not is_ne_outcome(product, lasso)
         with pytest.raises(InvalidLassoError):
             grim_trigger_profile(product, lasso)
+
+    @pytest.mark.parametrize("fixed", [None, 0, 1])
+    def test_two_player_certificate_is_the_folk_check(self, fixed):
+        """With two players a lasso's grim profile passes the exact
+        best-response certificate exactly when the lasso passes the
+        folk-theorem test, so a solver checks its own lassos by the
+        certificate alone."""
+        verdicts = []
+        for seed in range(12):
+            game = gen_random_game(seed, 2, 3, 2)
+            solver = NashLassoSolver(game, fixed, 4)
+            for k in range(6):
+                profile = StrategyProfile((0, 1), (gen_random_strategy(game, 0, 2 * k),
+                                                   gen_random_strategy(game, 1, 2 * k + 1)))
+                lasso = run_profile(game, profile)
+                verdicts.append(is_ne_outcome(game, lasso, fixed))
+                if verdicts[-1]:
+                    assert solver._certify(lasso).lasso == lasso
+                else:
+                    with pytest.raises(SolverLimitError, match="best-response certificate"):
+                        solver._certify(lasso)
+        assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+    @pytest.mark.parametrize("seed,n_players", [(0, 2), (3, 2), (5, 3)])
+    def test_witness_evaluates_no_folk_check(self, seed, n_players, monkeypatch):
+        """A solver's witnesses are checked by their certificate alone:
+        neither backend calls ``payoffs`` or the folk-theorem test."""
+        calls = []
+
+        def counting(name, real):
+            def spy(*args):
+                calls.append(name)
+                return real(*args)
+            return spy
+
+        for name in ("payoffs", "_unbeaten"):
+            monkeypatch.setattr(eqdesign.equilibria, name,
+                                counting(name, getattr(eqdesign.equilibria, name)))
+        game = gen_random_game(seed, n_players, 3)
+        solver = NashLassoSolver(game, None, 6)
+        sigs = solver.signatures()
+        assert sigs
+        witnesses = [solver.witness(rec) for rec in sigs[:4]]
+        free = ThresholdQuery((NEG_INF,) * n_players, (POS_INF,) * n_players)
+        witnesses.append(solver.lp_witness(free))
+        assert calls == []
+        for w in witnesses:
+            # The spy is live: the module's own call would have been seen.
+            assert eqdesign.equilibria.payoffs(game, w.lasso) == (w.player_payoffs,
+                                                                  w.global_payoff)
+        assert calls == ["payoffs"] * len(witnesses)
 
 
 class TestNeThreshold:
@@ -471,6 +524,14 @@ def moved(rec, offset, global_factor):
     return ci, anchor, length, sums, prefix_len
 
 
+def solver_classes(solver):
+    """The move classes under ``solver``'s punishment ranks, as its memo
+    builds them: the ceiling records keep only the classes each allows."""
+    game = solver.game
+    return _build_classes(game, tuple(solver.pun[i].ranks if i in solver.pun else None
+                                      for i in range(game.n_players)))
+
+
 class TestCeilingRanks:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 5),
@@ -486,7 +547,7 @@ class TestCeilingRanks:
 
         classes = build_classes(solver)
         assert [[(c.succ, values(c.devmax), c.joint) for c in per_state]
-                for per_state in solver._classes] == classes
+                for per_state in solver_classes(solver)] == classes
         assert [values(c.ranks) for c in solver._ceilings] == build_ceilings(classes, n_players)
 
     @settings(deadline=None, max_examples=60)
@@ -497,7 +558,7 @@ class TestCeilingRanks:
         """The LP unroll reads each state's classes in this order."""
         game = gen_random_game(seed, n_players, n_states, n_actions)
         solver = NashLassoSolver(game, fixed, 4)
-        for per_state in solver._classes:
+        for per_state in solver_classes(solver):
             keys = [(c.succ, c.joint) for c in per_state]
             assert keys == sorted(set(keys))
 
@@ -528,13 +589,15 @@ class TestCeilingRecords:
     def test_record_is_the_ceilings_sub_arena(self, seed, n_players, n_states, fixed):
         game = gen_random_game(seed, n_players=n_players, n_states=n_states)
         solver = NashLassoSolver(game, fixed, 4)
-        for cei in solver._ceilings:
-            assert cei.floors == [(k, v.denominator, v.numerator)
-                                  for k, v in enumerate(ceiling_values(solver, cei.ranks))
-                                  if v is not None]
+        classes = solver_classes(solver)
+        assert len(solver._floors) == len(solver._ceilings)
+        for cei, floors in zip(solver._ceilings, solver._floors):
+            assert floors == [(k, v.denominator, v.numerator)
+                              for k, v in enumerate(ceiling_values(solver, cei.ranks))
+                              if v is not None]
             assert cei.allowed == [[c for c in per_state
                                     if all(d <= r for d, r in zip(c.devmax, cei.ranks))]
-                                   for per_state in solver._classes]
+                                   for per_state in classes]
             for per_state, succs in zip(cei.allowed, cei.succs):
                 order = [c.succ for c in per_state]
                 assert succs == sorted(set(order), key=order.index)
@@ -558,9 +621,9 @@ class TestCeilingRecords:
         built = []
         record = eqdesign.equilibria._ceiling
 
-        def spy(game, pun, classes, every, ranks, step_tables):
+        def spy(game, classes, ranks, step_tables):
             built.append((game, ranks))
-            return record(game, pun, classes, every, ranks, step_tables)
+            return record(game, classes, ranks, step_tables)
 
         monkeypatch.setattr(eqdesign.equilibria, "_ceiling", spy)
         game = gen_random_game(3, n_players=3, n_states=4)
@@ -651,6 +714,31 @@ class TestSolverMemo:
         assert [s.signatures() for s in shared] == [s.signatures() for s in fresh]
         assert fresh[0].signatures() != fresh[1].signatures()
 
+    @pytest.mark.parametrize("seed,n_players", [(5, 2), (7, 2), (6, 3)])
+    def test_records_are_shared_across_punishment_levels(self, seed, n_players):
+        """A product paying player 0 one unit everywhere raises each of its
+        punishment levels by one and keeps their ranks: on one memo it shares
+        the zero product's ceiling records and sweeps with its own floors."""
+        game = gen_random_game(seed, n_players, 3)
+        zero, paid = (implement(game, from_subsidy_scheme(game, kappa)) for kappa in (
+            {}, {s: (1,) + (0,) * (n_players - 1) for s in range(game.n_states)}))
+        memo = SolverMemo()
+        a, b = (NashLassoSolver(product, None, 6, memo) for product in (zero, paid))
+        assert [pun.ranks for pun in a.pun.values()] == [pun.ranks for pun in b.pun.values()]
+        assert b.pun[0].levels == tuple(v + 1 for v in a.pun[0].levels)
+        assert b._ceilings is a._ceilings
+        # Player 0's floors rise by one, every other row stays.
+        assert b._floors == [[(k, q, p + q * (k == 0)) for k, q, p in rows]
+                             for rows in a._floors] != a._floors
+        # Each payment also charges the designer one unit per step.
+        sigs = a.signatures()
+        assert sigs
+        assert b.signatures() == [
+            (ci, anchor, n, (sums[0] + n, *sums[1:-1], sums[-1] - n), prefix)
+            for ci, anchor, n, sums, prefix in sigs]
+        for solver, product in ((a, zero), (b, paid)):
+            assert solver.signatures() == NashLassoSolver(product, None, 6).signatures()
+
     @pytest.mark.parametrize("seed,n_players,fixed", [(0, 2, None), (3, 3, None), (5, 2, 0)])
     def test_a_lone_solver_builds_its_own_memo(self, seed, n_players, fixed):
         """A solver given no memo builds one of its own: it answers as a
@@ -701,9 +789,9 @@ class TestLpUnroll:
     @staticmethod
     def vertices(solver, q):
         """``(tree, edges, vertex)`` of every feasible polytope, in scan order."""
-        for cei in solver._ceilings:
+        for cei, floors in zip(solver._ceilings, solver._floors):
             for members, edges in cei.polytopes():
-                point = solver._lp_solve(q, cei, members, edges, normalized=True)
+                point = solver._lp_solve(_window(q), floors, members, edges, normalized=True)
                 if point is not None:
                     yield cei.tree, edges, point
 

@@ -10,8 +10,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+def run_script(name: str, *args: str, **env_vars: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -92,3 +92,16 @@ def test_answer_digest():
     assert len(machines) == 2 * 2 * 2
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in machines)
     assert sum(line.startswith("delivery machines 1-4: ") for line in lines) == 1
+
+
+def test_answer_digest_is_pinned():
+    """The 8-seed digest matches the committed one line by line; its header
+    names the command that regenerates it."""
+    pinned = [line for line in (ROOT / "tests" / "answer_digest_seeds8.txt")
+              .read_text().splitlines() if not line.startswith("#")]
+    proc = run_script("answer_digest.py", "--seeds", "8", PYTHONHASHSEED="0")
+    assert proc.returncode == 0, proc.stderr
+    fresh = proc.stdout.splitlines()
+    for k, (want, got) in enumerate(zip(pinned, fresh), 1):
+        assert got == want, f"digest line {k} moved:\n  pinned: {want}\n  fresh:  {got}"
+    assert len(fresh) == len(pinned), f"digest has {len(fresh)} lines, pinned {len(pinned)}"

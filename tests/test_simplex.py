@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqdesign.benchmarks import gen_random_game
-from eqdesign.equilibria import NEG_INF, POS_INF, NashLassoSolver, ThresholdQuery
+from eqdesign.equilibria import NEG_INF, POS_INF, NashLassoSolver, ThresholdQuery, _window
 from eqdesign.simplex import Constraint, feasible_point
 
 from simplex_oracle import fraction_feasible_point, fraction_lp_rows
@@ -129,10 +129,10 @@ def check_lp_rows(seed, n_players, n_states, fixed, per_player, gl, gu):
     query = ThresholdQuery(tuple(lo for lo, _ in per_player),
                            tuple(hi for _, hi in per_player), gl, gu, fixed)
     solver = NashLassoSolver(game, fixed, bound=4)
-    for cei in solver._ceilings:
+    for cei, floors in zip(solver._ceilings, solver._floors):
         for members, edges in cei.polytopes():
             for normalized in (True, False):
-                got = solver._lp_solve(query, cei, members, edges, normalized)
+                got = solver._lp_solve(_window(query), floors, members, edges, normalized)
                 want = fraction_feasible_point(*fraction_lp_rows(
                     solver, query, cei.ranks, members, edges, normalized))
                 assert got == want
