@@ -264,6 +264,8 @@ def _verify_extremes(game: Game, name: str, bound: int, doc: dict, summary: dict
     """Record ``game``'s certified worst and best equilibrium values, both
     from one solver; return the worst witness."""
     solver = NashLassoSolver(game, None, bound)
+    # One exhaustive sweep serves both ends: two floored sweeps cost more.
+    solver.signatures()
     worst, best = [None if rec is None else solver.witness(rec)
                    for rec in map(solver.extreme_signature, (False, True))]
     doc[f"{name}_worst_ne"] = None if worst is None else str(worst.global_payoff)

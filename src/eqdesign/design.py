@@ -14,7 +14,8 @@ game verbatim.  ``certify`` (the default for strong mode, and sound for a
 "yes" in both modes) tests concrete budget-respecting machines: grim
 replays of the most valuable designer lassos of the auxiliary game, plus
 small-support subsidy schemes, each re-verified on its product before it
-may witness the answer.
+may witness the answer.  A candidate whose product's largest reachable
+cycle mean shows that its search could not change the answer is skipped.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .auxiliary import AuxiliaryGame, build_auxiliary, strategy_to_rm
 from .equilibria import (
@@ -33,9 +35,9 @@ from .equilibria import (
     SolverMemo,
     ThresholdQuery,
 )
-from .games import Game, Lasso, MealyStrategy, tabulate
+from .games import Arena, Game, Lasso, MealyStrategy, tabulate
 from .rewards import RewardMachine, from_subsidy_scheme, implement
-from .zerosum import SolverLimitError
+from .zerosum import SolverLimitError, max_mean_value_function
 
 # Certify's candidate family: grim replays of the MAX_LASSO_CANDIDATES most
 # valuable designer lassos of an auxiliary game with at most
@@ -90,7 +92,12 @@ class ImprovementQuery:
 class ImprovementAnswer:
     """``witness_lasso`` is a certified play of ``witness_game``: the product
     ``implement(game, witness_rm)`` in certify mode, the auxiliary game
-    ``build_auxiliary(game, budget).game`` in paper mode."""
+    ``build_auxiliary(game, budget).game`` in paper mode.
+
+    ``improved_value`` is the compared search value: the winner's for a
+    "yes", the auxiliary game's in paper mode, and for a certify "no" the
+    largest of the baseline and the solved candidates' search values, which
+    no skipped candidate's search value exceeds."""
 
     decision: bool
     baseline_value: Fraction
@@ -117,26 +124,33 @@ def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
 
     if backend == "oracle":
         rec = solver.extreme_signature(maximize)
-        exists = rec is not None
-        extreme = Fraction(rec[3][-1], rec[2]) if exists else None
+        if rec is not None:
+            return SearchResult(*_bracket(game, epsilon, maximize,
+                                          Fraction(rec[3][-1], rec[2])), True)
+    elif solver.lp_feasible(global_query(NEG_INF, POS_INF)):
+        return SearchResult(*_bisect(game, epsilon, maximize,
+                                     lambda lo, hi: solver.lp_feasible(global_query(lo, hi))),
+                            True)
+    return SearchResult(Fraction(min(game.global_weights)), 0, False)
 
-        def probe(lo: Fraction, hi: Fraction) -> bool:
-            # The worst value stays at or above the bracket's lower edge, the
-            # best at or below its upper edge, so a window holds a value exactly
-            # when its other edge admits the extreme.
-            return extreme >= lo if maximize else extreme <= hi
-    else:
-        exists = solver.lp_feasible(global_query(NEG_INF, POS_INF))
 
-        def probe(lo: Fraction, hi: Fraction) -> bool:
-            return solver.lp_feasible(global_query(lo, hi))
+def _bracket(game: Game, epsilon: Fraction, maximize: bool,
+             extreme: Fraction) -> tuple[Fraction, int]:
+    """The oracle search's value and iteration count on ``game`` when its
+    extreme designer value is ``extreme``.  The value rises with
+    ``extreme`` and is never below the least global weight."""
+    # The worst value stays at or above the bracket's lower edge, the best at
+    # or below its upper edge, so a window holds a value exactly when its
+    # other edge admits the extreme.
+    return _bisect(game, epsilon, maximize,
+                   lambda lo, hi: extreme >= lo if maximize else extreme <= hi)
 
-    min_w = Fraction(min(game.global_weights))
-    max_w = Fraction(max(game.global_weights))
-    if not exists:
-        return SearchResult(min_w, 0, False)
 
-    a1, a2 = min_w, max_w
+def _bisect(game: Game, epsilon: Fraction, maximize: bool,
+            probe: Callable[[Fraction, Fraction], bool]) -> tuple[Fraction, int]:
+    """Halve ``game``'s global weight range until it is narrower than
+    ``epsilon``, keeping the half whose window ``probe`` admits."""
+    a1, a2 = Fraction(min(game.global_weights)), Fraction(max(game.global_weights))
     iterations = 0
     while a2 - a1 >= epsilon:
         iterations += 1
@@ -151,7 +165,7 @@ def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
                 a2 = mid
             else:
                 a1 = mid
-    return SearchResult(a1 if maximize else a2, iterations, True)
+    return (a1 if maximize else a2), iterations
 
 
 def algorithm_trace(game: Game, epsilon: Fraction, fixed0: bool = False,
@@ -291,7 +305,11 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     and documented, so a negative answer means no candidate improved, not
     that none exists.  Each game searched
     (base, auxiliary, each candidate product) gets one solver, which also
-    realizes the witness lasso.  What an arena derives (deviation moves,
+    realizes the witness lasso.  A candidate is skipped, with no solver and
+    no arena tables, when the search value its product's largest reachable
+    cycle mean would give, which bounds the search's, neither beats the
+    best value seen nor clears the threshold: the answer is that of
+    solving it.  What an arena derives (deviation moves,
     response classes, products) it keeps for its lifetime, across calls: all
     subsidy-scheme products of ``game`` share one arena.  Within one call,
     and never across, the candidate products' solvers also share one
@@ -329,8 +347,24 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     # Not read again: freed before the products' memo grows.
     del aux
     memo = SolverMemo()
+    # Per (arena, global row), the bracket of the largest reachable cycle mean:
+    # every equilibrium value is a reachable cycle's mean, so no search on such
+    # a product returns more.  Successor lists are kept by arena.
+    most: dict[tuple, Fraction] = {}
+    succs: dict[Arena, list[list[int]]] = {}
     for rm in candidates:
-        solver = NashLassoSolver(implement(game, rm), None, q.bound, memo)
+        product = implement(game, rm)
+        arena, row = product.arena, product.global_weights
+        if (arena, row) not in most:
+            if arena not in succs:
+                succs[arena] = [list({t for _, t in arena.moves(s)})
+                                for s in range(arena.n_states)]
+            ub = max_mean_value_function(succs[arena], row)[arena.initial]
+            most[arena, row] = _bracket(product, q.epsilon, maximize, ub)[0]
+        # Such a candidate can neither raise the best value seen nor win.
+        if most[arena, row] <= best_seen and most[arena, row] - base.value <= q.delta:
+            continue
+        solver = NashLassoSolver(product, None, q.bound, memo)
         val = _search(solver, q.epsilon, maximize, "oracle")
         if val.value > best_seen:
             best_seen = val.value

@@ -34,13 +34,17 @@ Two backends answer threshold queries:
   closed cycle is checked against each row as a least value of one field,
   and only a cycle that passes is decoded.  ``realize`` replays the same
   walk and follows a signature's packed sums back to a concrete lasso.
-  A designer floor (``signatures(top=...)``, which certify's candidate
-  loop reads) prunes the walk, once a layer holds more than
-  ``PRUNE_LAYER_SUMS`` sums: a partial cycle is dropped when even the
-  best designer return to its anchor cannot reach the floor.  The floor
-  filters whole cycles and pruning drops no state from a layer, so the
-  records kept, their first ceiling, prefix length and order, and every
-  realized lasso, are those of the exhaustive sweep.
+  A designer bound prunes the walk, once a layer holds more than
+  ``PRUNE_LAYER_SUMS`` sums.  A floor (``signatures(top=...)``, which
+  certify's candidate loop reads, and the best extreme's sweep) drops a
+  partial cycle when even the best designer return to its anchor cannot
+  lift it to the floor.  Its mirror, the worst extreme's ceiling, drops
+  one when even the least return cannot bring it down to the ceiling; that
+  walk packs the designer's weights negated, so one table builder and one
+  row test serve both.  The bound filters whole cycles and pruning drops no
+  state from a layer, so the records kept, their first ceiling, prefix
+  length and order, and every realized lasso, are those of the exhaustive
+  sweep.
 * ``lp`` - unbounded cycle-frequency feasibility: for every deviation
   ceiling and every strongly connected sub-arena, an exact LP over move
   frequencies decides whether a cycle with the requested payoffs exists.
@@ -505,10 +509,12 @@ class NashLassoSolver:
         self._floors = [[_row(k, 1, self.pun[k].levels[r]) for k, r in enumerate(cei.ranks)
                          if r >= 0] for cei in self._ceilings]
         self._sweep_cache: list[tuple] | None = None
+        # Per direction (``maximize``), the floored sweep its extreme came from.
+        self._extremes: dict[bool, list[tuple]] = {}
 
     # -- oracle sweep ---------------------------------------------------------
 
-    def _sweep(self, top: int | None = None) -> list[tuple]:
+    def _sweep(self, top: int | None = None, sign: int = 1) -> list[tuple]:
         """Equilibrium cycle signatures within the length bound, least first.
 
         A signature is ``(ceiling index, anchor state, cycle length, weight
@@ -522,6 +528,12 @@ class NashLassoSolver:
         pairs.  The walk then keeps a designer floor, the value of the
         ``top``-th pair recorded so far, and drops every partial cycle that
         can no longer reach it.  Only the exhaustive list is kept.
+
+        With ``sign`` -1 the floor is mirrored: ``top`` keeps the signatures
+        worth at most the ``top``-th least (value, length) pair, and the walk
+        drops every partial cycle that can no longer come down to it.  That
+        walk packs the designer's weights negated, so that the floor's tables
+        and row test serve both directions; the records keep their true sums.
         """
         if top is None and self._sweep_cache is not None:
             return self._sweep_cache
@@ -529,6 +541,12 @@ class NashLassoSolver:
         # Designer values sums/length are exact ints in units of 1/scale.
         scale = math.lcm(*range(1, self.bound + 1))
         width, n_sums = self._width, game.n_players + 1
+        # The walk's packed weights and designer table.
+        weights = self._wpack, game.global_weights
+        if sign < 0:
+            # Packing is linear: negating a field subtracts twice its entry.
+            g = [-w for w in game.global_weights]
+            weights = [w + (2 * v << (n_sums - 1) * width) for w, v in zip(self._wpack, g)], g
         # Offset by ``half``, every field of a packed sum lies in [0, 2**width),
         # so each row reads its own field with one shift and mask.
         half, mask = 1 << (width - 1), (1 << width) - 1
@@ -544,7 +562,7 @@ class NashLassoSolver:
                 budget = self.bound - prefix_len
                 if budget < 1:
                     continue
-                walk = self._walk(cei, anchor, budget, designer)
+                walk = self._walk(cei, anchor, budget, designer, weights)
                 for length, layer in enumerate(walk, 1):
                     closed = layer.get(anchor)
                     if not closed:
@@ -565,17 +583,19 @@ class NashLassoSolver:
                                 continue
                             seen.add(key)
                             sums = _unpack_sums(packed, width, n_sums)
+                            if sign < 0:
+                                sums = (*sums[:-1], -sums[-1])
                             out.append((ci, anchor, length, sums, prefix_len))
                             if top is None:
                                 continue
-                            pair = (sums[-1] * (scale // length), length)
+                            pair = (sign * sums[-1] * (scale // length), sign * length)
                             if pair not in best and (len(best) < top or pair > best[0]):
                                 insort(best, pair)
                                 del best[:-top]
                                 if len(best) == top:
                                     fs = best[0][0]
         if fs is not None:
-            out = [rec for rec in out if rec[3][-1] * (scale // rec[2]) >= fs]
+            out = [rec for rec in out if sign * rec[3][-1] * (scale // rec[2]) >= fs]
         out.sort(key=lambda rec: (rec[3][-1] * (scale // rec[2]), rec[2], rec[1], rec[3]))
         if top is None:
             self._sweep_cache = out
@@ -583,6 +603,7 @@ class NashLassoSolver:
 
     def _walk(self, cei: _Ceiling, anchor: int, horizon: int,
               designer: Callable[[], tuple[int, int] | None] | None = None,
+              weights: tuple[list[int], Sequence[int]] | None = None,
               ) -> Iterator[dict[int, set[int]]]:
         """Layered reachability of packed weight sums on cycles at ``anchor``.
 
@@ -603,10 +624,14 @@ class NashLassoSolver:
         order are those of the unpruned walk.  Pruning starts at the first
         layer holding more than ``PRUNE_LAYER_SUMS`` sums, and a floor at or
         below the least global weight prunes nothing and is ignored.
+
+        ``weights``, the packed weights and the designer's table, default
+        to the game's; the least-first sweep passes them with the designer's
+        negated.
         """
-        wpack = self._wpack
+        wpack, g = weights or (self._wpack, self.game.global_weights)
         steps = cei.steps(anchor)
-        least = min(self.game.global_weights)
+        least = min(g)
         floor = limits = None
         layer: dict[int, set[int]] = {anchor: {0}}
         for k in range(1, horizon + 1):
@@ -627,11 +652,13 @@ class NashLassoSolver:
                         bucket |= shifted
             if not nxt:
                 return
-            if designer is not None and designer() != floor and (
-                    limits is not None or sum(map(len, nxt.values())) > PRUNE_LAYER_SUMS):
+            # The layer size first: most walks never reach the gate.
+            if designer is not None and (
+                    limits is not None or sum(map(len, nxt.values())) > PRUNE_LAYER_SUMS
+            ) and designer() != floor:
                 floor = designer()
                 limits = (None if floor is None or floor[1] <= least * floor[0]
-                          else self._designer_limits(steps, anchor, horizon, *floor))
+                          else self._designer_limits(steps, anchor, horizon, *floor, g))
             if limits is not None:
                 for t, xs in nxt.items():
                     lim = limits[k][t]
@@ -641,17 +668,17 @@ class NashLassoSolver:
             layer = nxt
 
     def _designer_limits(self, steps: list[list[tuple[int, int]] | None], anchor: int,
-                         horizon: int, q: int, p: int) -> list[dict[int, int]]:
+                         horizon: int, q: int, p: int, g: Sequence[int],
+                         ) -> list[dict[int, int]]:
         """Per step k <= ``horizon`` and state t, the least packed sums a k-step
         walk at t may carry and still close a cycle within ``horizon`` steps
-        whose designer value reaches p/q.
+        whose designer value, by the designer's table ``g``, reaches p/q.
 
         Offset by ``half``, every field below the designer's is nonnegative,
         so packed sums order by their top field, the designer's: its value
         is at least d exactly when the packed sums are at least
         ``(d << shift) - offset``.
         """
-        g = self.game.global_weights
         n, width = self.game.n_players, self._width
         shift, offset = n * width, _pack_sums((1 << (width - 1),) * n, width)
         limits: list[dict[int, int]] = [{}] * (horizon + 1)
@@ -693,7 +720,18 @@ class NashLassoSolver:
         return next((rec for rec in self._sweep() if _meets(window, rec[3], rec[2])), None)
 
     def extreme_signature(self, maximize: bool = False) -> tuple | None:
-        sweep = self._sweep()
+        """The least (or greatest) signature of the exhaustive list.
+
+        Unless that list is already swept, a sweep floored toward the
+        extreme finds it (``top`` 1, mirrored for the least), and lists the
+        exhaustive list cut at the extreme's value: the same record, so the
+        same ceiling, prefix and realized lasso.  Each direction sweeps once.
+        """
+        sweep = self._sweep_cache
+        if sweep is None:
+            if maximize not in self._extremes:
+                self._extremes[maximize] = self._sweep(1, 1 if maximize else -1)
+            sweep = self._extremes[maximize]
         if not sweep:
             return None
         return sweep[-1] if maximize else sweep[0]

@@ -5,6 +5,11 @@ valuable first, one per (value, length) pair, and replays each with
 ``full_realize``, which walks without a designer floor.  The floored loop
 in ``eqdesign.design._lasso_candidates`` must build the same machines in
 the same order.
+
+``unbounded_decision`` is the certify decision with no candidate skipped:
+every candidate product is solved, by the exhaustive sweep and a search
+bisecting every designer value, and the bounded loop of
+``eqdesign.design.decide_improvement`` must give the same answer.
 """
 
 from __future__ import annotations
@@ -12,10 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import eqdesign.design as design
-from eqdesign.auxiliary import AuxiliaryGame
-from eqdesign.equilibria import NashLassoSolver, _pack_sums
-from eqdesign.games import Lasso
-from eqdesign.rewards import RewardMachine
+from eqdesign.auxiliary import AuxiliaryGame, build_auxiliary
+from eqdesign.equilibria import NashLassoSolver, SolverMemo, _pack_sums
+from eqdesign.games import Game, Lasso
+from eqdesign.rewards import RewardMachine, implement
+
+from sweep_oracle import bisect_search
 
 
 def full_candidates(aux: AuxiliaryGame, solver: NashLassoSolver) -> list[RewardMachine]:
@@ -60,3 +67,29 @@ def full_realize(solver: NashLassoSolver, rec: tuple) -> Lasso:
         moves.append(cls.joint)
         cur, packed = s, prev
     return solver._lasso(cei.tree, states[::-1], moves[::-1])
+
+
+def unbounded_decision(game: Game, q: design.ImprovementQuery) -> design.ImprovementAnswer:
+    """Certify's answer from solving every candidate in order."""
+    maximize = q.mode == "weak"
+    base = bisect_search(NashLassoSolver(game, None, q.bound), q.epsilon, maximize)
+    aux = build_auxiliary(game, q.budget)
+    candidates = []
+    if aux.game.n_states <= design.AUX_CANDIDATE_STATE_LIMIT:
+        candidates = full_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
+    candidates += design._subsidy_candidates(game, q)
+    best_seen = base.value
+    memo = SolverMemo()
+    for rm in candidates:
+        solver = NashLassoSolver(implement(game, rm), None, q.bound, memo)
+        val = bisect_search(solver, q.epsilon, maximize)
+        best_seen = max(best_seen, val.value)
+        if val.value - base.value > q.delta:
+            lasso = owner = None
+            if val.ne_exists:
+                lasso = solver.witness(solver.extreme_signature(maximize)).lasso
+                owner = solver.game
+            return design.ImprovementAnswer(True, base.value, val.value, rm, lasso, owner,
+                                            "certify", q.mode)
+    return design.ImprovementAnswer(False, base.value, best_seen, None, None, None,
+                                    "certify", q.mode)

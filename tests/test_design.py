@@ -12,6 +12,7 @@ import eqdesign.games
 from eqdesign.auxiliary import build_auxiliary
 from eqdesign.benchmarks import (
     CostDigraph,
+    complete_digraph,
     gen_example1,
     gen_hamiltonian_complement_game,
     gen_hamiltonian_game,
@@ -21,6 +22,7 @@ from eqdesign.design import (
     AUX_CANDIDATE_STATE_LIMIT,
     MAX_LASSO_CANDIDATES,
     ImprovementQuery,
+    _bracket,
     _lasso_candidates,
     _search,
     _subsidy_candidates,
@@ -44,7 +46,8 @@ from eqdesign.games import _arena_tables, make_game
 from eqdesign.rewards import implement, is_beta_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
 
-from candidate_oracle import full_candidates
+from candidate_oracle import full_candidates, unbounded_decision
+from max_mean_oracle import brute_force_max_mean
 from sweep_oracle import bisect_search
 
 
@@ -403,10 +406,17 @@ class TestStructureReuse:
         assert 2 * len(first) < len(_subsidy_candidates(game, q))
 
 
+def subsequence(part, whole) -> bool:
+    """Whether ``part`` is ``whole`` with some items left out, by identity."""
+    rest = iter(whole)
+    return all(any(x is y for y in rest) for x in part)
+
+
 class TestOneSolverPerGame:
     """A decision builds one solver per game it searches: the base game, the
-    auxiliary game and each candidate product; the witness lasso comes from
-    the solver that found the value."""
+    auxiliary game and each solved candidate product; the witness lasso
+    comes from the solver that found the value.  A skipped product gets no
+    solver."""
 
     @staticmethod
     def count(monkeypatch):
@@ -426,16 +436,29 @@ class TestOneSolverPerGame:
         monkeypatch.setattr(eqdesign.design, "implement", counting_implement)
         return built, tried
 
-    @pytest.mark.parametrize("mode", ["strong", "weak"])
-    def test_certify(self, example1, mode, monkeypatch):
+    @pytest.mark.parametrize("seed,mode,delta,decision,n_tried,n_skipped", [
+        # Nothing skipped: every tried product gets a solver.
+        pytest.param(None, "strong", Fraction(1, 2), True, 5, 0, id="strong"),
+        pytest.param(3, "strong", Fraction(1, 2), False, 20, 0, id="seed3-strong"),
+        pytest.param(3, "weak", Fraction(1, 2), False, 20, 0, id="seed3-weak"),
+        # Some or all skipped.
+        pytest.param(None, "strong", Fraction(2), False, 22, 9, id="strong-delta2"),
+        pytest.param(None, "weak", Fraction(1, 2), False, 22, 22, id="weak"),
+    ])
+    def test_certify(self, example1, seed, mode, delta, decision, n_tried, n_skipped,
+                     monkeypatch):
         built, tried = self.count(monkeypatch)
-        game = example1[0]
-        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 10),
+        game = example1[0] if seed is None else gen_random_game(seed, 2, 2)
+        q = ImprovementQuery(budget=1, delta=delta, epsilon=Fraction(1, 10),
                              mode=mode, method="certify")
         ans = decide_improvement(game, q)
-        assert ans.decision == (mode == "strong")
-        assert tried and built[0] is game and built[2:] == tried
+        assert ans.decision == decision and len(tried) == n_tried
+        assert built[0] is game
         assert built[1].n_states == build_auxiliary(game, 1).game.n_states
+        solved = built[2:]
+        assert subsequence(solved, tried) and len(tried) - len(solved) == n_skipped
+        if not n_skipped:
+            assert solved == tried
 
     @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-2)])
     def test_paper(self, example1, delta, monkeypatch):
@@ -451,34 +474,116 @@ class TestOneSolverPerGame:
 class TestArenaSharing:
     """Every subsidy scheme's product of a game is on one arena object, and
     each arena's tables (its deviation moves and every player's response
-    classes, from one pass) are built once, however many games share it."""
+    classes, from one pass) are built at most once, however many games share
+    it: for the base and auxiliary games and each solved product, never for
+    a product that was skipped."""
 
-    @pytest.mark.parametrize("mode", ["strong", "weak"])
-    def test_certify(self, mode, monkeypatch):
+    @pytest.mark.parametrize("seed,mode,n_arenas,n_skipped", [
+        # Example 1: 22 products on 8 arenas, 10 subsidy schemes on one.
+        pytest.param(None, "strong", 8, 9, id="strong"),
+        pytest.param(None, "weak", 8, 22, id="weak"),
+        # Nothing skipped: every product arena gets its tables.
+        pytest.param(3, "strong", 13, 0, id="seed3-strong"),
+        pytest.param(3, "weak", 13, 0, id="seed3-weak"),
+    ])
+    def test_certify(self, seed, mode, n_arenas, n_skipped, monkeypatch):
         built, products = [], []
 
         def counting_tables(arena):
             built.append(arena)
             return _arena_tables(arena)
 
-        def counting_implement(game, rm):
-            products.append((rm, implement(game, rm)))
-            return products[-1][1]
-
         monkeypatch.setattr(eqdesign.games, "_arena_tables", counting_tables)
-        monkeypatch.setattr(eqdesign.design, "implement", counting_implement)
-        game = gen_example1()[0]  # fresh, so no tables come from other tests
+        solved, tried = TestOneSolverPerGame.count(monkeypatch)
+        # Fresh, so no tables come from other tests.
+        game = gen_example1()[0] if seed is None else gen_random_game(seed, 2, 2)
         q = ImprovementQuery(budget=1, delta=Fraction(10), epsilon=Fraction(1, 10),
                              mode=mode, method="certify")
         assert not decide_improvement(game, q).decision
-        subsidy = [product.arena for rm, product in products if rm.n_states == 1]
-        assert len(subsidy) == 10 and all(a is subsidy[0] for a in subsidy)
-        # The 12 lasso replays walk out 7 distinct product arenas.
-        arenas = {id(product.arena): product.arena for _, product in products}
-        assert len(products) == 22 and len(arenas) == 8
-        # Base game, auxiliary game, and each product arena: once each.
-        assert len(built) == len({id(a) for a in built}) == 10
-        assert game.arena in built and all(a in built for a in arenas.values())
+        n_subsidy = len(_subsidy_candidates(game, q))
+        subsidy = [product.arena for product in tried[-n_subsidy:]]
+        assert all(a is subsidy[0] for a in subsidy)
+        arenas = {id(product.arena): product.arena for product in tried}
+        assert len(tried) == MAX_LASSO_CANDIDATES + n_subsidy and len(arenas) == n_arenas
+        assert len(tried) - len(solved[2:]) == n_skipped
+        # Base game, auxiliary game, and each solved product's arena: once each.
+        want = {id(game.arena), id(solved[1].arena), *(id(p.arena) for p in solved[2:])}
+        assert len(built) == len({id(a) for a in built}) and {id(a) for a in built} == want
+        if not n_skipped:
+            assert len(built) == 2 + n_arenas
+
+
+def answer_key(ans) -> tuple:
+    """An answer's fields, its machine by canonical key and its product by
+    arena and tables: products are built anew by each decision."""
+    g = ans.witness_game
+    return (ans.decision, ans.baseline_value, ans.improved_value,
+            None if ans.witness_rm is None else ans.witness_rm.canonical_key(),
+            ans.witness_lasso,
+            None if g is None else (g.arena, g.state_names, g.weights, g.global_weights),
+            ans.method, ans.mode)
+
+
+class TestCandidateBound:
+    """Certify skips a candidate only when the bracket of its product's
+    largest reachable cycle mean shows that its search can neither raise
+    the best value seen nor win: every answer is that of solving every
+    candidate."""
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("seed,n_players,n_states",
+                             [(None, 1, 4), (0, 2, 2), (0, 2, 3), (1, 2, 2), (3, 2, 3),
+                              (0, 3, 2)])
+    def test_answers_as_the_unbounded_loop(self, seed, n_players, n_states, mode):
+        game = (gen_example1()[0] if seed is None
+                else gen_random_game(seed, n_players, n_states, 2))
+        for delta in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)):
+            for epsilon in (Fraction(1, 8), Fraction(1)):
+                q = ImprovementQuery(budget=1, delta=delta, epsilon=epsilon, mode=mode)
+                assert (answer_key(decide_improvement(game, q))
+                        == answer_key(unbounded_decision(game, q)))
+
+    @pytest.mark.parametrize("make,mode", [(gen_hamiltonian_game, "strong"),
+                                           (gen_hamiltonian_complement_game, "weak")])
+    @pytest.mark.parametrize("graph", ["WITH", "WITHOUT"])
+    def test_criterion_5_decisions(self, make, mode, graph):
+        game = make(getattr(TestFlooredCandidates, graph))
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1), mode=mode)
+        ans = decide_improvement(game, q)
+        # Strong improves exactly with a Hamiltonian cycle, weak exactly without.
+        assert ans.decision == ((graph == "WITH") == (mode == "strong"))
+        assert answer_key(ans) == answer_key(unbounded_decision(game, q))
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4), st.booleans(),
+           st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 8)]), st.data())
+    def test_bracket_bounds_the_search(self, seed, n_players, n_states, maximize, epsilon,
+                                       data):
+        game = gen_random_game(seed, n_players, n_states, weight_range=(-5, 7))
+        least, most = min(game.global_weights), max(game.global_weights)
+        values = st.fractions(least - 1, most + 1, max_denominator=12)
+        a, b = sorted([data.draw(values), data.draw(values)])
+
+        def bracket(x):
+            return _bracket(game, epsilon, maximize, x)[0]
+
+        assert least <= bracket(a) <= bracket(b)
+        succs = [[t for _, t in game.arena.moves(s)] for s in range(game.n_states)]
+        ub = brute_force_max_mean(succs, game.global_weights)[game.initial]
+        for fixed in (None, 0):
+            searched = _search(NashLassoSolver(game, fixed, 6), epsilon, maximize, "oracle")
+            assert searched.value <= bracket(ub)
+
+    def test_k4_weak_no_builds_no_product_solver(self, monkeypatch):
+        built, tried = TestOneSolverPerGame.count(monkeypatch)
+        game = gen_hamiltonian_complement_game(complete_digraph(4))
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1), mode="weak")
+        ans = decide_improvement(game, q)
+        assert (ans.decision, ans.baseline_value, ans.improved_value) == (
+            False, Fraction(7, 2), Fraction(7, 2))
+        # The 105-state auxiliary game is past AUX_CANDIDATE_STATE_LIMIT, so
+        # only the 3,870 subsidy schemes are tried, and every one is skipped.
+        assert len(tried) == 3870 and built == [game]
 
 
 def keys(machines) -> list[tuple]:

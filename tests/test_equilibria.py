@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -483,6 +484,90 @@ class TestFlooredSweep:
         solver = NashLassoSolver(gen_example1()[0], None, 4)
         with pytest.raises(ValueError, match="top"):
             solver.signatures(top=bad)
+
+
+class TestFlooredExtremes:
+    """An extreme read before the exhaustive list comes from a sweep floored
+    toward it, the worst's floor mirrored: the same record as the
+    exhaustive list's end, so the same realized lasso and witness."""
+
+    @staticmethod
+    def check(game, fixed, bound):
+        full = NashLassoSolver(game, fixed, bound)
+        sigs = full.signatures()
+        for maximize in (False, True):
+            want = (sigs[-1] if maximize else sigs[0]) if sigs else None
+            solver = NashLassoSolver(game, fixed, bound)
+            got = solver.extreme_signature(maximize)
+            assert got == want
+            if want is not None:
+                assert solver.realize(got) == full.realize(want) == full_realize(full, want)
+                assert solver._extremes[maximize][-1 if maximize else 0] is got
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4),
+           st.sampled_from([None, 0]), st.integers(2, 8),
+           st.sampled_from([0, eqdesign.equilibria.PRUNE_LAYER_SUMS]),
+           st.sampled_from([(-2, 2), (-5, 7)]))
+    def test_seeded_games(self, seed, n_players, n_states, fixed, bound, gate, weights):
+        # Gate 0 prunes every layer of these small walks; the default, few.
+        with mock.patch.object(eqdesign.equilibria, "PRUNE_LAYER_SUMS", gate):
+            self.check(gen_random_game(seed, n_players, n_states, weight_range=weights),
+                       fixed, bound)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_no_equilibrium(self, pennies_game, maximize):
+        solver = NashLassoSolver(pennies_game)
+        assert solver.extreme_signature(maximize) is None
+        assert solver._extremes == {maximize: []} and solver._sweep_cache is None
+        self.check(pennies_game, None, 12)
+
+    def test_tour_walks_prune_both_ways(self, monkeypatch):
+        # The 4-city tour's walks at bound 12 outgrow PRUNE_LAYER_SUMS, so
+        # each direction builds designer tables: by the true designer weights
+        # toward the best, by the negated ones toward the worst.
+        rng = random.Random(4)
+        costs = {e: rng.randint(1, 9) for e in complete_digraph(4).edges}
+        game = gen_tsp_game(complete_digraph(4, costs))
+        tables = []
+        limits = NashLassoSolver._designer_limits
+
+        def spy(solver, steps, anchor, horizon, q, p, g):
+            tables.append(list(g))
+            return limits(solver, steps, anchor, horizon, q, p, g)
+
+        monkeypatch.setattr(NashLassoSolver, "_designer_limits", spy)
+        for maximize in (False, True):
+            tables.clear()
+            NashLassoSolver(game, None, 12).extreme_signature(maximize)
+            sign = 1 if maximize else -1
+            assert tables and all(g == [sign * w for w in game.global_weights] for g in tables)
+        self.check(game, None, 12)
+
+    def test_one_floored_sweep_per_direction(self, monkeypatch):
+        calls = []
+        sweep = NashLassoSolver._sweep
+
+        def counting(solver, top=None, sign=1):
+            calls.append((top, sign))
+            return sweep(solver, top, sign)
+
+        monkeypatch.setattr(NashLassoSolver, "_sweep", counting)
+        game = gen_random_game(1, 2, 3, 2)
+        solver = NashLassoSolver(game, None, 8)
+        for _ in range(2):
+            worst, best = solver.extreme_signature(False), solver.extreme_signature(True)
+        assert calls == [(1, -1), (1, 1)]
+        # The threshold oracle reads the exhaustive list, which then serves
+        # the extremes too.
+        free = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2)
+        assert solver.query_oracle(free) == worst
+        assert calls == [(1, -1), (1, 1), (None, 1)]
+        sigs = solver._sweep_cache
+        assert (sigs[0], sigs[-1]) == (worst, best)
+        assert solver.extreme_signature(False) is sigs[0]
+        assert solver.extreme_signature(True) is sigs[-1]
+        assert len(calls) == 3
 
 
 def check_against_sweep_oracle(game, fixed, bound):
