@@ -439,26 +439,23 @@ class SolverMemo:
     """Where solvers get their punishments, move classes, ceiling records
     and walk steps: a solver builds its own memo unless it is given one,
     as ``NashLassoSolver``'s ``shared``.  Punishments are kept by arena,
-    player and weight row; a new row is solved from the same arena's solved
-    row pointwise below it with the greatest sum, the first on ties.
-    Ceiling records are kept by arena and punishment ranks, which is all
-    they depend on, and walk steps by successor lists.  No record holds a
-    punishment value: each solver reads its own as floor rows.
+    player and weight row, ceiling records by arena and punishment ranks,
+    which is all they depend on, and walk steps by successor lists.  No
+    record holds a punishment value: each solver reads its own as floor
+    rows.
     """
 
     def __init__(self) -> None:
-        self._punished: dict[tuple, dict[tuple[int, ...], PunishmentResult]] = {}
+        self._punished: dict[tuple, PunishmentResult] = {}
         self._structures: dict[tuple, list[_Ceiling]] = {}
         self._steps: dict[tuple, dict[int, list]] = {}
 
     def punishment(self, game: Game, player: int) -> PunishmentResult:
-        solved = self._punished.setdefault((game.arena, player), {})
-        row = game.weights[player]
-        if row not in solved:
-            below = [item for item in solved.items() if _vec_le(item[0], row)]
-            solved[row] = punishment_values(
-                game, player, max(below, key=lambda item: sum(item[0]), default=None))
-        return solved[row]
+        key = (game.arena, player, game.weights[player])
+        found = self._punished.get(key)
+        if found is None:
+            found = self._punished[key] = punishment_values(game, player)
+        return found
 
     def structure(self, game: Game, rank: tuple[tuple[int, ...] | None, ...],
                   ) -> list[_Ceiling]:

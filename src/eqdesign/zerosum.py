@@ -8,33 +8,21 @@ Three layers live here:
   mean cycle in the committed product).
 * Punishment values: the least mean payoff a coalition can impose on one
   player.  The information order is coalition-commits-first, so the game
-  collapses to a turn-based game.  One exact solver handles it in integer
-  arithmetic: values are rationals with denominator at most the state
-  count (Zwick-Paterson), each candidate is decided by an energy game
-  solved with progress measures (Brim, Chaloupka, Doyen, Gentilini,
-  Raskin), and the positional coalition witness read off the measures is
-  checked against the deviator's exact best response before it is returned.
-  A progress measure climbs slowly where its player loses by a small
-  margin, so a lifting that runs long is paired with a strict dual game for
-  the deviator, exact because the denominators are bounded: the two are
-  lifted in lockstep and the first to finish decides the losing states.
-  Lifting from any start at or below the least measure ends on it, which
-  two shortcuts use, each exact for that reason or by monotonicity:
-
-  - a warm start: least measures scale with the gains, and a larger
-    candidate has larger gains, so the measure of the nearest solved
-    candidate above, scaled to the new denominator and rounded up, starts
-    each energy game (in the spirit of Comin and Rizzi's reuse of
-    progress measures across energy games, Algorithmica 2017);
-  - a bracket from a related solve: values are monotone in the player's
-    own weights and rise by at most the largest weight increase, so a
-    solve of a row at or below this one bounds each state's search.
+  collapses to a turn-based game: at each state the coalition picks a
+  response class and the deviator a successor in it.  Values are solved by
+  strategy improvement for the coalition (Bjorklund and Vorobyov, Discrete
+  Applied Mathematics 2007): the deviator's exact best response to a
+  positional commitment is a one-player graph whose values (Karp) and
+  potentials, normalised on its zero cycles as in Cochet-Terrasson and
+  Gaubert (C. R. Acad. Sci. 2006), show which classes improve.  When none
+  does, the potentials also give the deviator a positional answer to every
+  class, and one Karp call per side proves each value from both sides.
 """
 
 from __future__ import annotations
 
-import bisect
-import operator
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -100,7 +88,7 @@ def _karp_max_mean(preds: Sequence[Sequence[int]], gain: Sequence[int]) -> Fract
     Node ``v`` gains ``gain[v]`` on each step it starts, and ``preds[u]``
     lists the nodes that step to ``u``.  Every node has a predecessor, so a
     walk of every length ends at every node: the walk table holds plain
-    ints, and only the candidate means are ``Fraction``s.
+    ints, means are compared as int pairs, and only the answer is a ``Fraction``.
     """
     n = len(gain)
     # F[k][v] = max weight of a k-edge walk from the pseudo-source.
@@ -108,8 +96,18 @@ def _karp_max_mean(preds: Sequence[Sequence[int]], gain: Sequence[int]) -> Fract
     for _ in range(n):
         step = [f + g for f, g in zip(table[-1], gain)]
         table.append([max(map(step.__getitem__, p)) for p in preds])
-    return max(min(Fraction(table[n][v] - table[k][v], n - k) for k in range(n))
-               for v in range(n))
+    last = table[n]
+    best = None
+    for v in range(n):
+        # Karp: max over v of min over k of (F[n][v] - F[k][v]) / (n - k).
+        num, den = last[v], n
+        for k in range(1, n):
+            a, b = last[v] - table[k][v], n - k
+            if a * den < num * b:
+                num, den = a, b
+        if best is None or num * best[1] > best[0] * den:
+            best = num, den
+    return Fraction(*best)
 
 
 def max_mean_value_function(succs: Sequence[Sequence[int]],
@@ -201,9 +199,9 @@ class PunishmentResult:
 
     ``levels`` are the distinct values, ascending, ``ranks[s]`` the index of
     state ``s``'s value in them, and ``values[s]`` is ``levels[ranks[s]]``
-    (the same object).  ``coalition[s]`` is the joint action the punishing
-    players commit at ``s`` under an optimal punishment of ``player``: entry
-    ``j`` is player ``j``'s action, and the punished player's entry is unused.
+    (the same object), each proved from both sides.  ``coalition[s]`` is the
+    least joint action of the class the punishers commit at ``s``: entry
+    ``j`` is player ``j``'s action, and the punished player's is unused.
     """
 
     player: int
@@ -213,263 +211,118 @@ class PunishmentResult:
     coalition: tuple[tuple[int, ...], ...]
 
 
-def _farey(n: int) -> list[tuple[int, int]]:
-    """Fractions ``p/q`` in [0, 1) with ``q <= n``, ascending, as pairs."""
-    out = []
-    a, b, c, d = 0, 1, 1, n
-    while a < b:
-        out.append((a, b))
-        k = (n + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    return out
+def _longest(level: Sequence[Sequence[int]], r: Sequence[int], start: list) -> list:
+    """Per state, the longest walk over the edges ``s -> t in level[s]``,
+    gaining ``r[s]`` per step from ``s``, that stops at some ``t`` and gains
+    ``start[t]`` (``-inf`` where it may not stop).  No cycle may gain."""
+    preds: list[list[int]] = [[] for _ in level]
+    for s, ts in enumerate(level):
+        for t in ts:
+            preds[t].append(s)
+    h = list(start)
+    queued = [x != -math.inf for x in h]
+    work = deque(t for t in range(len(h)) if queued[t])
+    while work:
+        t = work.popleft()
+        queued[t] = False
+        for s in preds[t]:
+            if r[s] + h[t] > h[s]:
+                h[s] = r[s] + h[t]
+                if not queued[s]:
+                    queued[s] = True
+                    work.append(s)
+    return h
 
 
-def _top(gain: Sequence[int]) -> int:
-    """One more than the sum of the negative gains: no winning credit reaches it."""
-    return 1 + sum(-g for g in gain if g < 0)
+def _evaluate(committed: Sequence[Sequence[int]], weights: Sequence[int],
+              old_values: Sequence, old_h: Sequence | None) -> tuple:
+    """The deviator's best response to the committed classes: per state its
+    value, the distinct values ascending, its value's rank and its potential.
 
-
-class _Lifting:
-    """Worklist lifting towards the least progress measure of an energy game.
-
-    At ``s`` one side picks a class ``moves[s][c]``, the other a successor
-    in it, and the energy player's energy changes by ``gain[s]``.  With
-    ``outer, inner = min, max`` the energy player picks the class; with
-    ``max, min`` it picks the successor.  ``credit[s]`` only rises, and a
-    credit of ``top`` (one more than the sum of the negative gains, which
-    bounds every winning credit) means no credit keeps the energy
-    nonnegative forever.
+    At value ``p/q`` state ``s`` gains ``r[s] = q*w[s] - p``, and a level
+    edge goes to a committed successor of equal value.  The zero cycles are
+    the non-trivial components of the level edges tight under ``pi``, the
+    longest level walk that may stop anywhere.  Each one's least state is a
+    reference, with its potential in ``old_h`` if its value did not change,
+    else 0.  ``h`` is the longest level walk to a reference plus its potential.
     """
-
-    def __init__(self, moves, preds, gain: Sequence[int], outer, inner,
-                 credit: list[int] | None = None):
-        self.moves, self.preds, self.gain = moves, preds, gain
-        self.outer, self.inner = outer, inner
-        self.top = _top(gain)
-        # A start at or below the least measure ends on it, like zero does.
-        self.credit = [0] * len(moves) if credit is None else credit
-        self.work = list(range(len(moves)))
-        self.queued = [True] * len(moves)
-
-    def run(self, pops: int = -1) -> bool:
-        """Lift at most ``pops`` states (all, if negative); True once final."""
-        moves, preds, gain, top = self.moves, self.preds, self.gain, self.top
-        outer, inner = self.outer, self.inner
-        credit, work, queued = self.credit, self.work, self.queued
-        at = credit.__getitem__
-        while work and pops:
-            pops -= 1
-            s = work.pop()
-            queued[s] = False
-            need = outer([inner(map(at, cls)) for cls in moves[s]])
-            need = top if need == top else min(top, need - gain[s])
-            if need > credit[s]:
-                credit[s] = need
-                for t in preds[s]:
-                    if not queued[t]:
-                        queued[t] = True
-                        work.append(t)
-        return not work
-
-    def raise_to_top(self, states: Iterable[int]) -> None:
-        """Give ``states`` credit ``top`` and requeue their predecessors."""
-        credit, work, queued = self.credit, self.work, self.queued
-        for s in states:
-            if credit[s] != self.top:
-                credit[s] = self.top
-                for t in self.preds[s]:
-                    if not queued[t]:
-                        queued[t] = True
-                        work.append(t)
+    n = len(committed)
+    values = max_mean_value_function(committed, weights)
+    order = sorted(range(n), key=values.__getitem__)
+    levels, rank = [values[order[0]]], [0] * n
+    for s in order:
+        if values[s] != levels[-1]:
+            levels.append(values[s])
+        rank[s] = len(levels) - 1
+    r = [levels[k].denominator * w - levels[k].numerator for k, w in zip(rank, weights)]
+    level = [[t for t in ts if rank[t] == rank[s]] for s, ts in enumerate(committed)]
+    pi = _longest(level, r, [0] * n)
+    tight = [[t for t in ts if pi[s] == r[s] + pi[t]] for s, ts in enumerate(level)]
+    start = [-math.inf] * n
+    for comp in strongly_connected_components(tight):
+        z = min(comp)
+        if len(comp) > 1 or z in tight[z]:
+            start[z] = old_h[z] if old_values[z] == values[z] else 0
+    return values, levels, rank, _longest(level, r, start)
 
 
-def _strict_dual(moves: Sequence[Sequence[Sequence[int]]],
-                 preds: Sequence[Iterable[int]], gain: Sequence[int]) -> _Lifting:
-    """The deviator's energy game on the coalition's arena, with gains
-    ``-n*gain[s] - 1``: the deviator wins exactly where the coalition loses.
-
-    Optimal play on both sides is positional, so it ends in a cycle of at
-    most ``n`` states.  The coalition loses where that cycle's integer gain
-    sum is negative, so at most -1, and its mean gain at most ``-1/n``:
-    exactly where the mean dual gain is at least 0.
-    """
-    n = len(moves)
-    return _Lifting(moves, preds, [-n * g - 1 for g in gain], max, min)
-
-
-def _coalition_credits(moves: Sequence[Sequence[Sequence[int]]],
-                       preds: Sequence[Iterable[int]], gain: Sequence[int],
-                       start: list[int] | None = None) -> tuple[list[int], int]:
-    """Least progress measure of the coalition's energy game.
-
-    At ``s`` the coalition picks a class ``moves[s][c]``, the deviator picks
-    a successor in it, and the coalition's energy changes by ``gain[s]``.
-    Returns each state's least initial credit and the bound ``top``: a
-    credit of ``top`` means no credit keeps the energy nonnegative forever.
-
-    Where the coalition loses, its credits climb to ``top`` one cycle
-    deficit at a time, as many lifts as the gains are wide; where it wins,
-    the dual's credits do.  So once the lifting has run four pops per
-    state (most liftings of small games end sooner, and would only pay for
-    a dual), the strict dual (:func:`_strict_dual`) is lifted in lockstep
-    with it, one pop each.  If the dual finishes first, its winners get
-    credit ``top`` and the coalition's lifting finishes on the rest.  Every
-    credit stays at or below the least measure all along, and lifting from
-    below it ends on it, so the result is the one-sided lifting's.  So is
-    the result of a ``start`` at or below the least measure, which the
-    coalition's lifting then starts from instead of zero.
-    """
-    n = len(moves)
-    coalition = _Lifting(moves, preds, gain, min, max, start)
-    if coalition.run(4 * n):
-        return coalition.credit, coalition.top
-    deviator = _strict_dual(moves, preds, gain)
-    while not coalition.run(1):
-        if deviator.run(1):
-            coalition.raise_to_top(
-                s for s in range(n) if deviator.credit[s] < deviator.top)
-            coalition.run()
-            break
-    return coalition.credit, coalition.top
+def _improve(moves: Sequence[Sequence[Sequence[int]]], choice: list[int],
+             weights: Sequence[int], levels: list[Fraction], rank: list[int],
+             h: list) -> bool:
+    """Switch each state whose best class beats its committed one, worth
+    ``(rank[s], h[s])``, to that class; True if any state switched.  A
+    class is worth what the deviator gets by answering it: its successors'
+    greatest rank and, at that rank's value ``p/q``, ``q*w[s] - p`` plus
+    their greatest potential at that rank."""
+    switched = False
+    for s, classes in enumerate(moves):
+        worth = []
+        for cls in classes:
+            top = max(rank[t] for t in cls)
+            x = levels[top]
+            worth.append((top, x.denominator * weights[s] - x.numerator
+                          + max(h[t] for t in cls if rank[t] == top)))
+        best = min(range(len(classes)), key=worth.__getitem__)
+        if worth[best] < (rank[s], h[s]):
+            choice[s] = best
+            switched = True
+    return switched
 
 
-def _warm_start(above: Sequence[int], top_above: int, q_above: int,
-                q: int, top: int) -> list[int]:
-    """Credits at or below the least measure of the energy game at candidate
-    ``p/q``, from the least measure ``above`` (bound ``top_above``) of the
-    same arena's game at a larger candidate with denominator ``q_above``.
-
-    Least measures scale with the gains: ``above[s] / q_above`` is the
-    least real credit for the gains ``p_above/q_above - w``.  Those gains
-    exceed ``p/q - w``, whose least real credit, the sought credit over
-    ``q``, is therefore at least as large: each credit is at least
-    ``above[s] * q / q_above``, rounded up, and ``top`` where the coalition
-    already loses above.  No finite start reaches ``top``, so none needs a
-    cap: ``(top_above - 1) / q_above`` and ``(top - 1) / q`` are the sums of
-    the weights' excess over each candidate, and the first candidate is the
-    larger.
-    """
-    return [top if c == top_above else -(-c * q // q_above) for c in above]
-
-
-def punishment_values(game: Game, player: int,
-                      related: tuple[Sequence[int], PunishmentResult] | None = None,
-                      ) -> PunishmentResult:
+def punishment_values(game: Game, player: int) -> PunishmentResult:
     """Least mean payoff the rest of the players can impose on ``player``.
 
-    The coalition commits a positional strategy first and the deviating
-    player best-responds knowing it.  Every value is the mean of a cycle of
-    at most ``n`` states, so it is one of the candidates ``p/q`` with
-    ``q <= n`` between the player's least and greatest weight.  The
-    coalition holds the deviator to ``p/q`` or below from exactly the states
-    where it wins the energy game with gains ``p - q*w``; a binary search
-    per state, over measures cached by candidate, finds each value.  Each
-    energy game's lifting starts from the measure of the nearest solved
-    candidate above it, scaled to its own (:func:`_warm_start`).
+    The coalition commits a positional class choice first and the deviating
+    player best-responds knowing it.  Strategy improvement for the
+    coalition starts every state at class 0, then evaluates the commitment
+    (:func:`_evaluate`) and switches classes (:func:`_improve`) until no
+    state switches.  It terminates: while values stay, no new zero cycle
+    can appear, since it would be tight under the old potentials and a
+    switched state is strictly slack, and the potentials on the zero cycles
+    that remain are kept.  So between losses of zero cycles the potentials
+    are a function of the commitment and strictly fall; values, also a
+    function of the commitment, only fall.
 
-    ``related``, when given, is the weight row and the result of an earlier
-    solve for ``player`` on the same arena, with the row pointwise at or
-    below ``player``'s row here.  Values are monotone in the player's own
-    weights and rise by at most the largest weight increase ``d``, so each
-    state's value lies between its related value ``v`` and ``v + d``; its
-    search is kept to that range and probes its lower end first, where
-    most values stay.
-
-    The witness commits, at each state, a class whose successors all have
-    finite credit at that state's own value and whose lift does not raise
-    the credit.  It is checked against the deviator's exact best response
-    before it is returned; a mismatch raises :class:`SolverLimitError`.
+    Both sides are proved: the last evaluation holds the deviator to the
+    values, and one Karp call, with weights negated, on the deviator's
+    answer to each class, its successor of greatest ``(rank, h)``, must
+    give exactly the negated values, so no commitment holds it lower.
+    Otherwise :class:`SolverLimitError` is raised.
     """
     check_player(game, player)
     per_state = game.arena.response_classes(player)
-    n = game.n_states
     moves = [[sorted(set(rmap)) for rmap, _ in classes] for classes in per_state]
-    preds: list[set[int]] = [set() for _ in range(n)]
-    for s in range(n):
-        for cls in moves[s]:
-            for u in cls:
-                preds[u].add(s)
-    weights = game.weights[player]
-    lo, hi = min(weights), max(weights)
-    # Candidate k is t + p/q with t = lo + k // F and p/q the (k % F)-th
-    # Farey fraction, ascending; the last one is hi.  Computed on demand:
-    # the list would grow with the weight range.
-    farey = _farey(n)
-    last = (hi - lo) * len(farey)
-
-    def cand(k: int) -> tuple[int, int]:
-        if k == last:
-            return hi, 1
-        t, j = divmod(k, len(farey))
-        p, q = farey[j]
-        return (lo + t) * q + p, q
-
-    solved: dict[int, tuple[list[int], int]] = {}
-    order: list[int] = []  # the solved candidates, ascending
-
-    def credits(k: int) -> tuple[list[int], int]:
-        if k not in solved:
-            p, q = cand(k)
-            gain = [p - q * w for w in weights]
-            start = None
-            above = bisect.bisect(order, k)
-            if above < len(order):
-                credit, top = solved[order[above]]
-                start = _warm_start(credit, top, cand(order[above])[1], q, _top(gain))
-            solved[k] = _coalition_credits(moves, preds, gain, start)
-            bisect.insort(order, k)
-        return solved[k]
-
-    # Each state's range of candidate indices; the greatest weight always
-    # bounds the value.
-    ranges = [(0, last)] * n
-    if related is not None:
-        row, base = related
-        if base.player != player or len(row) != n or not all(map(operator.le, row, weights)):
-            raise ValueError("a related solve is the same player's on a row at or below this one")
-        rise = max(map(operator.sub, weights, row))
-        place = {pq: j for j, pq in enumerate(farey)}
-
-        def at(x: Fraction) -> int:
-            """Index of the candidate ``x``, or of the nearer end past the range."""
-            if x <= lo:
-                return 0
-            if x >= hi:
-                return last
-            t = x.numerator // x.denominator
-            return (t - lo) * len(farey) + place[x.numerator - t * x.denominator, x.denominator]
-
-        ranges = [(at(v), at(v + rise)) for v in base.values]
-
-    # The coalition wins at candidate k iff the value is at most cand(k).
-    index = []
-    for s, (a, b) in enumerate(ranges):
-        # Most values stay at the related value: it is probed first.
-        mid = a if related is not None else (a + b) // 2
-        while a < b:
-            credit, top = credits(mid)
-            if credit[s] < top:
-                b = mid
-            else:
-                a = mid + 1
-            mid = (a + b) // 2
-        index.append(a)
-
-    choice = []
-    for s, k in enumerate(index):
-        credit, _ = credits(k)
-        choice.append(min(range(len(moves[s])),
-                          key=lambda c: max(credit[u] for u in moves[s][c])))
-    # Candidates ascend with their index, so the distinct indices rank the values.
-    distinct = sorted(set(index))
-    levels = tuple(Fraction(*cand(k)) for k in distinct)
-    ranks = tuple(map({k: r for r, k in enumerate(distinct)}.get, index))
-    values = tuple(levels[r] for r in ranks)
-    committed = [moves[s][c] for s, c in enumerate(choice)]
-    if tuple(max_mean_value_function(committed, weights)) != values:
+    weights, n = game.weights[player], game.n_states
+    choice, values, h = [0] * n, [None] * n, None
+    while True:
+        values, levels, rank, h = _evaluate(
+            [moves[s][c] for s, c in enumerate(choice)], weights, values, h)
+        if not _improve(moves, choice, weights, levels, rank, h):
+            break
+    answers = [[max(cls, key=lambda t: (rank[t], h[t])) for cls in cs] for cs in moves]
+    if max_mean_value_function(answers, [-w for w in weights]) != [-v for v in values]:
         raise SolverLimitError(
-            f"punishment witness for player {game.player_names[player]!r} "
-            "does not hold the deviator to the computed values"
-        )
-    return PunishmentResult(player, levels, ranks, values,
+            f"punishment strategies for player {game.player_names[player]!r} "
+            "do not meet at the computed values")
+    return PunishmentResult(player, tuple(levels), tuple(rank), tuple(levels[k] for k in rank),
                             tuple(per_state[s][c][1] for s, c in enumerate(choice)))

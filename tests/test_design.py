@@ -310,10 +310,10 @@ class TestPunishmentReuse:
         punishment unchanged: 38 distinct solves, 64 without sharing."""
         calls = []
 
-        def counting(game, player, related=None):
+        def counting(game, player):
             calls.append((game.protocol, frozenset(game.transitions.items()),
                           player, game.weights[player]))
-            return punishment_values(game, player, related)
+            return punishment_values(game, player)
 
         monkeypatch.setattr(eqdesign.equilibria, "punishment_values", counting)
         game = gen_random_game(1, 2, 3) if two_players else example1[0]

@@ -753,16 +753,15 @@ class TestCeilingRecords:
 
 
 class TestSolverMemo:
-    def test_a_new_row_starts_from_the_greatest_solved_row_below(self, monkeypatch):
-        """Each (arena, player, weight row) is solved once, from the solved row
-        of that arena and player pointwise below it with the greatest sum, the
-        first such on ties."""
-        starts = []
+    def test_each_arena_player_row_solved_once(self, monkeypatch):
+        """Each (arena, player, weight row) is solved once, and on its own:
+        the same row on another arena is solved again."""
+        solves = []
         solve = eqdesign.equilibria.punishment_values
 
-        def spy(game, player, related=None):
-            starts.append((player, game.weights[player], related and related[0]))
-            return solve(game, player, related)
+        def spy(game, player):
+            solves.append((game.arena, player, game.weights[player]))
+            return solve(game, player)
 
         def raised(game, *rise):
             row = tuple(map(int.__add__, game.weights[0], rise))
@@ -770,22 +769,16 @@ class TestSolverMemo:
 
         monkeypatch.setattr(eqdesign.equilibria, "punishment_values", spy)
         game, other = gen_random_game(4, 2, 3), gen_random_game(5, 2, 3)
+        same_rows = dataclasses.replace(other, weights=game.weights)
         memo = SolverMemo()
         rises = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0)]
-        for rise in rises:
-            memo.punishment(raised(game, *rise), 0)
-        memo.punishment(raised(other, 1, 1, 1), 0)
-        memo.punishment(game, 1)
-        row = {rise: raised(game, *rise).weights[0] for rise in rises}
-        assert starts == [
-            (0, row[0, 0, 0], None),
-            (0, row[1, 0, 0], row[0, 0, 0]),
-            (0, row[0, 1, 0], row[0, 0, 0]),
-            (0, row[1, 1, 0], row[1, 0, 0]),
-            (0, row[0, 0, 1], row[0, 0, 0]),
-            (0, raised(other, 1, 1, 1).weights[0], None),
-            (1, game.weights[1], None),
-        ]
+        for _ in range(2):
+            for rise in rises:
+                assert memo.punishment(raised(game, *rise), 0) == solve(raised(game, *rise), 0)
+            memo.punishment(same_rows, 0)
+            memo.punishment(game, 1)
+        assert solves == [(game.arena, 0, raised(game, *rise).weights[0]) for rise in rises[:5]] \
+            + [(other.arena, 0, game.weights[0]), (game.arena, 1, game.weights[1])]
 
     def test_structures_are_kept_by_arena(self):
         """Seeded games 3 and 7 have equal punishment ranks and levels on

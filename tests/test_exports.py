@@ -65,7 +65,7 @@ PARAMETERS = {
     "mean_payoff": ("weight_table", "lasso"),
     "ne_threshold": ("game", "query", "backend", "bound"),
     "payoffs": ("game", "lasso"),
-    "punishment_values": ("game", "player", "related"),
+    "punishment_values": ("game", "player"),
     "rm_to_strategy": ("aux", "rm"),
     "run_profile": ("game", "profile"),
     "strategy_to_rm": ("aux", "sigma0"),

@@ -95,13 +95,15 @@ def test_answer_digest():
 
 
 def test_answer_digest_is_pinned():
-    """The 8-seed digest matches the committed one line by line; its header
-    names the command that regenerates it."""
+    """The 8-seed digest matches the committed one line by line, and a
+    failure names every moved line; its header names the command that
+    regenerates it."""
     pinned = [line for line in (ROOT / "tests" / "answer_digest_seeds8.txt")
               .read_text().splitlines() if not line.startswith("#")]
     proc = run_script("answer_digest.py", "--seeds", "8", PYTHONHASHSEED="0")
     assert proc.returncode == 0, proc.stderr
     fresh = proc.stdout.splitlines()
-    for k, (want, got) in enumerate(zip(pinned, fresh), 1):
-        assert got == want, f"digest line {k} moved:\n  pinned: {want}\n  fresh:  {got}"
+    moved = [f"digest line {k} moved:\n  pinned: {want}\n  fresh:  {got}"
+             for k, (want, got) in enumerate(zip(pinned, fresh), 1) if got != want]
+    assert not moved, f"{len(moved)} lines moved\n" + "\n".join(moved)
     assert len(fresh) == len(pinned), f"digest has {len(fresh)} lines, pinned {len(pinned)}"
