@@ -12,13 +12,14 @@ The lines cover the four criterion-5 improvement decisions, the serialized
 Hamiltonian constructions, certify decisions on the running example and on
 seeded two-player games, the k-loop delivery machines, and, on seeded
 random games with two and three players: every equilibrium signature (as a
-digest), the extreme witnesses, the machines built from them (as a digest),
-oracle and LP answers on point and half-line designer windows and on player
-windows, binary-search runs, and the zero-sum engine read directly: each
-non-fixed player's punishment values (levels, ranks and coalition witness)
-and each player's exact best response against seeded strategies of the
-others (both as digests).  Only public names are used, so the script runs
-unchanged against older checkouts.
+digest), the extreme witnesses (each extreme signature is asserted to be
+the matching end of the signature list), the machines built from them (as
+a digest), oracle and LP answers on point and half-line designer windows
+and on player windows, binary-search runs, and the zero-sum engine read
+directly: each non-fixed player's punishment values (levels, ranks and
+coalition witness) and each player's exact best response against seeded
+strategies of the others (both as digests).  Only public names are used,
+so the script runs unchanged against older checkouts.
 """
 
 import argparse
@@ -172,6 +173,8 @@ def random_game(seed: int, n_players: int, fixed) -> None:
     built = []
     for maximize in (False, True):
         rec = solver.extreme_signature(maximize)
+        # The sweep toward the extreme cross-checks the exhaustive one.
+        assert rec == ((sigs[-1] if maximize else sigs[0]) if sigs else None), tag
         w = answer(lambda: None if rec is None else solver.witness(rec), witness_line)
         print(f"{tag} extreme {maximize}: {rec!r} {w}")
         built.append(answer(lambda: None if rec is None else solver.witness(rec).profile))

@@ -261,13 +261,12 @@ def _cmd_verify(args, out) -> int:
 
 
 def _verify_extremes(game: Game, name: str, bound: int, doc: dict, summary: dict):
-    """Record ``game``'s certified worst and best equilibrium values, both
-    from one solver; return the worst witness."""
+    """Record ``game``'s certified worst and best equilibrium values, the
+    two ends of one solver's signature list; return the worst witness."""
     solver = NashLassoSolver(game, None, bound)
     # One exhaustive sweep serves both ends: two floored sweeps cost more.
-    solver.signatures()
-    worst, best = [None if rec is None else solver.witness(rec)
-                   for rec in map(solver.extreme_signature, (False, True))]
+    sigs = solver.signatures()
+    worst, best = map(solver.witness, (sigs[0], sigs[-1])) if sigs else (None, None)
     doc[f"{name}_worst_ne"] = None if worst is None else str(worst.global_payoff)
     doc[f"{name}_best_ne"] = None if best is None else str(best.global_payoff)
     summary[f"{name}_worst_ne"] = "none" if worst is None else worst.global_payoff

@@ -30,21 +30,21 @@ Two backends answer threshold queries:
   with the per-player deviation ceiling fixed up front, so the sweep
   enumerates achievable weight-sum vectors rather than raw walks.  Each
   vector (every player, then the global table) is packed into one int of
-  fixed-width signed fields, so a step of the walk is one int addition; a
-  closed cycle is checked against each row as a least value of one field,
-  and only a cycle that passes is decoded.  ``realize`` replays the same
-  walk and follows a signature's packed sums back to a concrete lasso.
-  A designer bound prunes the walk, once a layer holds more than
-  ``PRUNE_LAYER_SUMS`` sums.  A floor (``signatures(top=...)``, which
-  certify's candidate loop reads, and the best extreme's sweep) drops a
-  partial cycle when even the best designer return to its anchor cannot
-  lift it to the floor.  Its mirror, the worst extreme's ceiling, drops
-  one when even the least return cannot bring it down to the ceiling; that
-  walk packs the designer's weights negated, so one table builder and one
-  row test serve both.  The bound filters whole cycles and pruning drops no
-  state from a layer, so the records kept, their first ceiling, prefix
-  length and order, and every realized lasso, are those of the exhaustive
-  sweep.
+  fixed-width signed fields, so a step of the walk is one int addition.
+  Every bound a closed cycle must meet, a ceiling's floors, a query's
+  window and a designer bound, is a payoff row, tested as a least or
+  greatest value of one field, and only a cycle that passes every row is
+  decoded.  ``realize`` replays the same walk and follows a signature's
+  packed sums back to a concrete lasso.  A designer row also prunes the
+  walk, once a layer holds more than ``PRUNE_LAYER_SUMS`` sums: a floor
+  (``signatures(top=...)``, which certify's candidate loop reads, and the
+  best extreme's sweep) drops a partial cycle when even the best designer
+  return to its anchor cannot lift it to the floor, and a ceiling (the
+  worst extreme's sweep) drops one when even the least return cannot
+  bring it down to the ceiling.  Rows filter whole cycles and pruning
+  drops no state from a layer, so the records kept, their first ceiling,
+  prefix length and order, and every realized lasso, are those of the
+  exhaustive sweep.
 * ``lp`` - unbounded cycle-frequency feasibility: for every deviation
   ceiling and every strongly connected sub-arena, an exact LP over move
   frequencies decides whether a cycle with the requested payoffs exists.
@@ -88,7 +88,7 @@ from .simplex import Constraint, feasible_point
 from .zerosum import (
     PunishmentResult,
     SolverLimitError,
-    best_response_value,
+    best_response_unchecked,
     punishment_values,
     strongly_connected_components,
 )
@@ -481,7 +481,8 @@ class NashLassoSolver:
     solvers to come.  The solver reads its punishment values once, into
     one list of floor rows per ceiling.  Oracle sweeps and LP queries share
     all of it: instances are cheap to build relative to the queries they
-    answer and are meant to be reused across a binary search.  ``bound``
+    answer and are meant to be reused across a binary search.  No sweep
+    is kept: each oracle query sweeps with its own rows.  ``bound``
     is at most ``LASSO_LENGTH_CAP``.
     """
 
@@ -505,74 +506,68 @@ class NashLassoSolver:
         # Per ceiling, one floor row per player it bounds, in player order.
         self._floors = [[_row(k, 1, self.pun[k].levels[r]) for k, r in enumerate(cei.ranks)
                          if r >= 0] for cei in self._ceilings]
-        self._sweep_cache: list[tuple] | None = None
-        # Per direction (``maximize``), the floored sweep its extreme came from.
-        self._extremes: dict[bool, list[tuple]] = {}
 
     # -- oracle sweep ---------------------------------------------------------
 
-    def _sweep(self, top: int | None = None, sign: int = 1) -> list[tuple]:
-        """Equilibrium cycle signatures within the length bound, least first.
+    def _sweep(self, rows: Sequence[Row] = (), top: int | None = None,
+               sign: int = 1) -> list[tuple]:
+        """Equilibrium cycle signatures within the length bound that pass the
+        payoff ``rows``, least first.
 
         A signature is ``(ceiling index, anchor state, cycle length, weight
         sums, prefix length)``; the anchor is the least state on the cycle,
-        weight sums run over all players plus the global table.  Without
-        ``top`` the sweep is exhaustive: every equilibrium lasso with
-        prefix + cycle within the bound projects onto exactly one signature.
+        weight sums run over all players plus the global table.  With
+        neither ``rows`` nor ``top`` the sweep is exhaustive: every
+        equilibrium lasso with prefix + cycle within the bound projects onto
+        exactly one signature.
 
         ``top`` keeps only the signatures worth at least its ``top``-th most
         valuable (value, length) pair, all of them when there are fewer
-        pairs.  The walk then keeps a designer floor, the value of the
-        ``top``-th pair recorded so far, and drops every partial cycle that
-        can no longer reach it.  Only the exhaustive list is kept.
+        pairs; with ``sign`` -1, those worth at most its ``top``-th least
+        pair.  The sweep keeps that bound as the designer row, the value of
+        the ``top``-th pair recorded so far: a floor that rises or, with
+        ``sign`` -1, a ceiling that falls, and the walk drops every partial
+        cycle that can no longer meet it.
 
-        With ``sign`` -1 the floor is mirrored: ``top`` keeps the signatures
-        worth at most the ``top``-th least (value, length) pair, and the walk
-        drops every partial cycle that can no longer come down to it.  That
-        walk packs the designer's weights negated, so that the floor's tables
-        and row test serve both directions; the records keep their true sums.
+        When a cycle closes, its packed sums are tested against the
+        ceiling's floor rows, ``rows`` and the designer row, each as
+        ``lo <= field <= hi`` on one packed field; only a cycle that passes
+        is decoded.
         """
-        if top is None and self._sweep_cache is not None:
-            return self._sweep_cache
         game = self.game
         # Designer values sums/length are exact ints in units of 1/scale.
         scale = math.lcm(*range(1, self.bound + 1))
         width, n_sums = self._width, game.n_players + 1
-        # The walk's packed weights and designer table.
-        weights = self._wpack, game.global_weights
-        if sign < 0:
-            # Packing is linear: negating a field subtracts twice its entry.
-            g = [-w for w in game.global_weights]
-            weights = [w + (2 * v << (n_sums - 1) * width) for w, v in zip(self._wpack, g)], g
         # Offset by ``half``, every field of a packed sum lies in [0, 2**width),
         # so each row reads its own field with one shift and mask.
         half, mask = 1 << (width - 1), (1 << width) - 1
         offset = _pack_sums((half,) * n_sums, width)
-        fs = None  # the designer floor, in units of 1/scale
-        best: list[tuple[int, int]] = []  # the top (value * scale, length) pairs, least first
+        designer: Row | None = None  # (n, sign * scale, best[0][0]) once set
+        # The top (sign * value * scale, sign * length) pairs, least first.
+        best: list[tuple[int, int]] = []
         out: list[tuple] = []
         seen: set[tuple[int, int, int]] = set()
-        designer = None if top is None else lambda: None if fs is None else (scale, fs)
+        read = None if top is None else lambda: designer
         for ci, (cei, floors) in enumerate(zip(self._ceilings, self._floors)):
             for anchor in sorted(cei.tree):
                 prefix_len = cei.tree[anchor][0]
                 budget = self.bound - prefix_len
                 if budget < 1:
                     continue
-                walk = self._walk(cei, anchor, budget, designer, weights)
-                for length, layer in enumerate(walk, 1):
+                for length, layer in enumerate(self._walk(cei, anchor, budget, read), 1):
                     closed = layer.get(anchor)
                     if not closed:
                         continue
-                    # Ceiling floors are lower bounds (q > 0), as is the
-                    # designer floor, as raised so far: each is a least value
-                    # of one field.
-                    rows = floors if fs is None else [*floors, (n_sums - 1, scale, fs)]
-                    bounds = [(k * width, half - (-p * length // q)) for k, q, p in rows]
+                    # A lower bound (q > 0) is a least field, an upper bound
+                    # (q < 0) a greatest one.
+                    tested = (*floors, *rows) if designer is None else (*floors, *rows, designer)
+                    bounds = [(k * width, half - (-p * length // q), mask) if q > 0
+                              else (k * width, 0, half + p * length // q)
+                              for k, q, p in tested]
                     for packed in closed:
                         fields = packed + offset
-                        for shift, least_field in bounds:
-                            if (fields >> shift) & mask < least_field:
+                        for shift, lo, hi in bounds:
+                            if not lo <= (fields >> shift) & mask <= hi:
                                 break
                         else:
                             key = (anchor, length, packed)
@@ -580,8 +575,6 @@ class NashLassoSolver:
                                 continue
                             seen.add(key)
                             sums = _unpack_sums(packed, width, n_sums)
-                            if sign < 0:
-                                sums = (*sums[:-1], -sums[-1])
                             out.append((ci, anchor, length, sums, prefix_len))
                             if top is None:
                                 continue
@@ -590,17 +583,14 @@ class NashLassoSolver:
                                 insort(best, pair)
                                 del best[:-top]
                                 if len(best) == top:
-                                    fs = best[0][0]
-        if fs is not None:
-            out = [rec for rec in out if sign * rec[3][-1] * (scale // rec[2]) >= fs]
+                                    designer = (n_sums - 1, sign * scale, best[0][0])
+        if designer is not None:
+            out = [rec for rec in out if _meets((designer,), rec[3], rec[2])]
         out.sort(key=lambda rec: (rec[3][-1] * (scale // rec[2]), rec[2], rec[1], rec[3]))
-        if top is None:
-            self._sweep_cache = out
         return out
 
     def _walk(self, cei: _Ceiling, anchor: int, horizon: int,
-              designer: Callable[[], tuple[int, int] | None] | None = None,
-              weights: tuple[list[int], Sequence[int]] | None = None,
+              designer: Callable[[], Row | None] | None = None,
               ) -> Iterator[dict[int, set[int]]]:
         """Layered reachability of packed weight sums on cycles at ``anchor``.
 
@@ -612,24 +602,20 @@ class NashLassoSolver:
         predecessor's successors in the ceiling's ``succs`` (class) order;
         ``realize`` relies on it.
 
-        ``designer()``, read before each layer, may return a designer floor
-        ``(q, p)``, q > 0: the layer then keeps only the sums that can still
-        close a cycle worth at least p/q to the designer, by the best
-        designer return to the anchor (:meth:`_designer_limits`), so a floor
-        raised during the walk prunes the layers after it.  A state whose
-        sums are all dropped keeps its place, empty, so the states and their
-        order are those of the unpruned walk.  Pruning starts at the first
-        layer holding more than ``PRUNE_LAYER_SUMS`` sums, and a floor at or
-        below the least global weight prunes nothing and is ignored.
-
-        ``weights``, the packed weights and the designer's table, default
-        to the game's; the least-first sweep passes them with the designer's
-        negated.
+        ``designer()``, read before each layer, may return a designer row
+        (:func:`_row`, at ``k = n``): a floor (q > 0) or a ceiling (q < 0).
+        The layer then keeps only the sums that can still close a cycle
+        meeting it, by the best designer return to the anchor
+        (:meth:`_designer_limits`), so a row moved during the walk prunes
+        the layers after it.  A state whose sums are all dropped keeps its
+        place, empty, so the states and their order are those of the
+        unpruned walk.  Pruning starts at the first layer holding more than
+        ``PRUNE_LAYER_SUMS`` sums, and a row that every designer weight
+        meets prunes nothing and is ignored.
         """
-        wpack, g = weights or (self._wpack, self.game.global_weights)
+        wpack, g = self._wpack, self.game.global_weights
         steps = cei.steps(anchor)
-        least = min(g)
-        floor = limits = None
+        row = limits = None
         layer: dict[int, set[int]] = {anchor: {0}}
         for k in range(1, horizon + 1):
             rem = horizon - k
@@ -652,58 +638,64 @@ class NashLassoSolver:
             # The layer size first: most walks never reach the gate.
             if designer is not None and (
                     limits is not None or sum(map(len, nxt.values())) > PRUNE_LAYER_SUMS
-            ) and designer() != floor:
-                floor = designer()
-                limits = (None if floor is None or floor[1] <= least * floor[0]
-                          else self._designer_limits(steps, anchor, horizon, *floor, g))
+            ) and designer() != row:
+                row = designer()
+                limits = (None if row is None or row[2] <= min(row[1] * w for w in g)
+                          else self._designer_limits(steps, anchor, horizon, row))
             if limits is not None:
+                up = row[1] > 0
                 for t, xs in nxt.items():
                     lim = limits[k][t]
-                    if xs and min(xs) < lim:
-                        nxt[t] = {x for x in xs if x >= lim}
+                    if xs and (min(xs) < lim if up else max(xs) > lim):
+                        nxt[t] = {x for x in xs if x >= lim} if up else {x for x in xs if x <= lim}
             yield nxt
             layer = nxt
 
     def _designer_limits(self, steps: list[list[tuple[int, int]] | None], anchor: int,
-                         horizon: int, q: int, p: int, g: Sequence[int],
-                         ) -> list[dict[int, int]]:
-        """Per step k <= ``horizon`` and state t, the least packed sums a k-step
-        walk at t may carry and still close a cycle within ``horizon`` steps
-        whose designer value, by the designer's table ``g``, reaches p/q.
+                         horizon: int, row: Row) -> list[dict[int, int]]:
+        """Per step k <= ``horizon`` and state t, the bound on the packed sums
+        a k-step walk at t may carry and still close a cycle within
+        ``horizon`` steps that meets the designer ``row``: the least sums
+        for a floor (q > 0), the greatest for a ceiling (q < 0).
 
         Offset by ``half``, every field below the designer's is nonnegative,
         so packed sums order by their top field, the designer's: its value
         is at least d exactly when the packed sums are at least
-        ``(d << shift) - offset``.
+        ``(d << shift) - offset``, and at most d exactly when they are below
+        ``((d + 1) << shift) - offset``.
         """
+        _, q, p = row
         n, width = self.game.n_players, self._width
         shift, offset = n * width, _pack_sums((1 << (width - 1),) * n, width)
+        qg = [q * w for w in self.game.global_weights]
         limits: list[dict[int, int]] = [{}] * (horizon + 1)
-        # best[s]: the greatest designer sum of a j-step walk from s to the
-        # anchor; gain[s]: the greatest best*q - p*j over the j seen so far.
+        # best[s]: the greatest q times the designer sum of a j-step walk from
+        # s to the anchor; gain[s]: the greatest best - p*j over the j seen so far.
         best = {anchor: 0}
         gain: dict[int, int] = {}
         for j in range(horizon):
             for s, b in best.items():
-                v = b * q - p * j
+                v = b - p * j
                 if s not in gain or v > gain[s]:
                     gain[s] = v
             # After k steps, with j left, the designer sum D needs D*q + gain >= p*k.
             k = horizon - j
-            limits[k] = {t: (-((v - p * k) // q) << shift) - offset for t, v in gain.items()}
+            limits[k] = ({t: (-((v - p * k) // q) << shift) - offset for t, v in gain.items()}
+                         if q > 0 else
+                         {t: (((p * k - v) // q + 1) << shift) - offset - 1
+                          for t, v in gain.items()})
             nxt = {}
             for s, ts in enumerate(steps):
                 most = None if ts is None else max(
                     [best[t] for t, _ in ts if t in best], default=None)
                 if most is not None:
-                    nxt[s] = g[s] + most
+                    nxt[s] = qg[s] + most
             best = nxt
         return limits
 
     def global_values(self) -> list[Fraction]:
         """Sorted distinct designer values over all equilibrium signatures."""
-        vals = {Fraction(rec[3][-1], rec[2]) for rec in self._sweep()}
-        return sorted(vals)
+        return sorted({Fraction(rec[3][-1], rec[2]) for rec in self._sweep()})
 
     def has_equilibrium(self) -> bool:
         return bool(self._sweep())
@@ -711,27 +703,20 @@ class NashLassoSolver:
     def query_oracle(self, query: ThresholdQuery) -> tuple | None:
         """Least signature satisfying the query, or None."""
         self._check_query(query)
-        return self._least_meeting(_window(query))
-
-    def _least_meeting(self, window: list[Row]) -> tuple | None:
-        return next((rec for rec in self._sweep() if _meets(window, rec[3], rec[2])), None)
+        return next(iter(self._sweep(_window(query))), None)
 
     def extreme_signature(self, maximize: bool = False) -> tuple | None:
         """The least (or greatest) signature of the exhaustive list.
 
-        Unless that list is already swept, a sweep floored toward the
-        extreme finds it (``top`` 1, mirrored for the least), and lists the
-        exhaustive list cut at the extreme's value: the same record, so the
-        same ceiling, prefix and realized lasso.  Each direction sweeps once.
+        A sweep whose designer row moves toward the extreme finds it
+        (``top`` 1: a floor for the greatest, a ceiling for the least), and
+        lists the exhaustive list cut at the extreme's value: the same
+        record, so the same ceiling, prefix and realized lasso.
         """
-        sweep = self._sweep_cache
-        if sweep is None:
-            if maximize not in self._extremes:
-                self._extremes[maximize] = self._sweep(1, 1 if maximize else -1)
-            sweep = self._extremes[maximize]
-        if not sweep:
+        found = self._sweep((), 1, 1 if maximize else -1)
+        if not found:
             return None
-        return sweep[-1] if maximize else sweep[0]
+        return found[-1] if maximize else found[0]
 
     def signatures(self, top: int | None = None) -> list[tuple]:
         """Equilibrium signatures, least designer value first.
@@ -741,7 +726,7 @@ class NashLassoSolver:
         """
         if top is not None and (type(top) is not int or top < 1):
             raise ValueError(f"top {top!r} is not a positive int")
-        return list(self._sweep(top))
+        return self._sweep((), top)
 
     def _check_query(self, query: ThresholdQuery) -> None:
         if len(query.lower) != self.game.n_players:
@@ -756,17 +741,18 @@ class NashLassoSolver:
     def realize(self, rec: tuple) -> Lasso:
         """Rebuild a concrete lasso from a sweep signature.
 
-        Replays the sweep's walk with horizon ``length``, pruned at the
-        signature's own designer value, and follows each packed sum back to
-        its first parent: the first state of the previous layer, in layer
-        order, whose first class into the current state carries a sum that
-        explains it.  Every step of that path reaches the value, so pruning
+        Replays the sweep's walk with horizon ``length``, pruned by the
+        signature's own designer value as a floor row, and follows each
+        packed sum back to its first parent: the first state of the previous
+        layer, in layer order, whose first class into the current state
+        carries a sum that explains it.  Every step of that path reaches the value, so pruning
         keeps it, and keeps the layer order: the lasso is the unpruned walk's.
         Walks whose layers stay small are not pruned (``PRUNE_LAYER_SUMS``).
         """
         ci, anchor, length, sums, _ = rec
         cei = self._ceilings[ci]
-        walk = self._walk(cei, anchor, length, lambda: (length, sums[-1]))
+        floor = (self.game.n_players, length, sums[-1])
+        walk = self._walk(cei, anchor, length, lambda: floor)
         layers = [{anchor: {0}}, *walk]
         packed = _pack_sums(sums, self._width)
         if (_unpack_sums(packed, self._width, self.game.n_players + 1) != tuple(sums)
@@ -817,7 +803,7 @@ class NashLassoSolver:
         for i in range(self.game.n_players):
             if i == self.fixed:
                 continue
-            br = best_response_value(self.game, profile.without(i), i)
+            br = best_response_unchecked(self.game, profile.without(i), i)
             if br > per[i]:
                 raise SolverLimitError(
                     "grim profile failed its exact best-response certificate"
@@ -897,11 +883,9 @@ class NashLassoSolver:
             lasso = self._euler_lasso(tree, edges, forced)
             if lasso is not None:
                 return lasso
-        # Bounded fallback: look for any in-bounds signature of the sweep.
-        rec = self._least_meeting(window)
-        if rec is not None:
-            return self.realize(rec)
-        return None
+        # Bounded fallback: the least in-bounds signature of the sweep.
+        rec = next(iter(self._sweep(window)), None)
+        return None if rec is None else self.realize(rec)
 
     def _euler_lasso(self, tree: dict[int, tuple], edges: list, point) -> Lasso | None:
         """Unroll a frequency vertex over ``edges`` into a lasso whose prefix

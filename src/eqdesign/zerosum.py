@@ -162,7 +162,12 @@ def best_response_value(game: Game, others: StrategyProfile, player: int) -> Fra
         raise ValueError("committed profile must cover exactly the other players")
     for p, st in zip(others.players, others.strategies):
         st.validate(game, p)
+    return best_response_unchecked(game, others, player)
 
+
+def best_response_unchecked(game: Game, others: StrategyProfile, player: int) -> Fraction:
+    """:func:`best_response_value` without its checks, for a profile this
+    library built for ``game``: a certificate's grim profile."""
     coalition = sorted(others.players)
     strat = {p: others.strategy_for(p) for p in coalition}
     root = (game.initial, tuple(strat[p].initial for p in coalition))

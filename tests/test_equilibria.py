@@ -26,6 +26,7 @@ from eqdesign.equilibria import (
     ThresholdQuery,
     _build_classes,
     _field_width,
+    _meets,
     _window,
     grim_trigger_profile,
     is_ne_outcome,
@@ -36,6 +37,7 @@ from eqdesign.equilibria import (
 from eqdesign.games import (
     InvalidLassoError,
     Lasso,
+    MealyStrategy,
     StrategyProfile,
     make_game,
     payoffs,
@@ -176,6 +178,29 @@ class TestGrimTrigger:
             assert eqdesign.equilibria.payoffs(game, w.lasso) == (w.player_payoffs,
                                                                   w.global_payoff)
         assert calls == ["payoffs"] * len(witnesses)
+
+    @pytest.mark.parametrize("seed,n_players", [(0, 2), (5, 3)])
+    def test_certificate_validates_no_strategy(self, seed, n_players, monkeypatch):
+        """A certificate's grim profile is the solver's own, so its best
+        responses check no strategy; the public ``best_response_value``
+        still checks each committed one."""
+        calls = []
+        validate = MealyStrategy.validate
+
+        def counting(strategy, game, player):
+            calls.append(player)
+            return validate(strategy, game, player)
+
+        monkeypatch.setattr(MealyStrategy, "validate", counting)
+        game = gen_random_game(seed, n_players, 3)
+        solver = NashLassoSolver(game, None, 6)
+        witnesses = [solver.witness(rec) for rec in solver.signatures()[:4]]
+        free = ThresholdQuery((NEG_INF,) * n_players, (POS_INF,) * n_players)
+        witnesses.append(solver.lp_witness(free))
+        assert calls == []
+        for w in witnesses:
+            assert best_response_value(game, w.profile.without(0), 0) <= w.player_payoffs[0]
+        assert calls == list(range(1, n_players)) * len(witnesses)
 
 
 class TestNeThreshold:
@@ -368,14 +393,22 @@ def payoff_windows(draw, attained):
 
 
 class TestPayoffRows:
-    """The oracle's window test reads the query's payoff rows by integer
-    cross-multiplication and agrees with one ``Fraction`` per payoff."""
+    """The oracle tests the query's payoff rows inside its sweep, by integer
+    cross-multiplication, and returns the first signature of the exhaustive
+    list that passes them: the one a scan of that list by ``_meets`` finds,
+    and the one a test by one ``Fraction`` per payoff finds."""
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4),
-           st.sampled_from([None, 0]), st.data())
+           st.sampled_from([None, 0]), st.data(),
+           st.sampled_from([0, eqdesign.equilibria.PRUNE_LAYER_SUMS]))
     def test_query_oracle_is_first_signature_in_the_window(self, seed, n_players, n_states,
-                                                           fixed, data):
+                                                           fixed, data, gate):
+        with mock.patch.object(eqdesign.equilibria, "PRUNE_LAYER_SUMS", gate):
+            self.check_first_in_window(seed, n_players, n_states, fixed, data)
+
+    @staticmethod
+    def check_first_in_window(seed, n_players, n_states, fixed, data):
         game = gen_random_game(seed, n_players, n_states)
         solver = NashLassoSolver(game, fixed, bound=5)
         sigs = solver.signatures()
@@ -387,6 +420,8 @@ class TestPayoffRows:
         query = ThresholdQuery(tuple(lo for lo, _ in per_player),
                                tuple(hi for _, hi in per_player), gl, gu, fixed)
         want = next((rec for rec in sigs if fraction_window_test(query, rec[3], rec[2])), None)
+        window = _window(query)
+        assert next((rec for rec in sigs if _meets(window, rec[3], rec[2])), None) == want
         assert solver.query_oracle(query) == want
 
 
@@ -422,17 +457,19 @@ class TestFlooredSweep:
             assert solver.signatures(top=top) == want
             for rec in want:
                 assert solver.realize(rec) == full_realize(solver, rec)
-            # A full sweep kept on the solver changes nothing.
+            # An exhaustive sweep before it changes nothing: no sweep is kept.
             solver.signatures()
             assert solver.signatures(top=top) == want
 
     @staticmethod
-    def walks(solver, rec):
-        """The plain walk of ``rec`` and the walk pruned at its value."""
+    def walks(solver, rec, sign=1):
+        """The plain walk of ``rec`` and the walk pruned by the designer row
+        at its value: a floor, or with ``sign`` -1 a ceiling."""
         ci, anchor, length, sums, _ = rec
         cei = solver._ceilings[ci]
         plain = list(solver._walk(cei, anchor, length))
-        pruned = list(solver._walk(cei, anchor, length, lambda: (length, sums[-1])))
+        row = (solver.game.n_players, sign * length, sign * sums[-1])
+        pruned = list(solver._walk(cei, anchor, length, lambda: row))
         return plain, pruned
 
     @pytest.mark.parametrize("seed", range(6))
@@ -442,11 +479,12 @@ class TestFlooredSweep:
         solver = NashLassoSolver(game, None, 8)
         for rec in solver.signatures():
             _, anchor, _, sums, _ = rec
-            plain, pruned = self.walks(solver, rec)
-            assert [list(layer) for layer in pruned] == [list(layer) for layer in plain]
-            assert all(xs <= plain[k][t] for k, layer in enumerate(pruned)
-                       for t, xs in layer.items())
-            assert _pack_sums(sums, solver._width) in pruned[-1][anchor]
+            for sign in (1, -1):
+                plain, pruned = self.walks(solver, rec, sign)
+                assert [list(layer) for layer in pruned] == [list(layer) for layer in plain]
+                assert all(xs <= plain[k][t] for k, layer in enumerate(pruned)
+                           for t, xs in layer.items())
+                assert _pack_sums(sums, solver._width) in pruned[-1][anchor]
 
     def test_small_walks_are_not_pruned(self):
         # Every layer of these walks holds at most PRUNE_LAYER_SUMS sums, so
@@ -487,8 +525,8 @@ class TestFlooredSweep:
 
 
 class TestFlooredExtremes:
-    """An extreme read before the exhaustive list comes from a sweep floored
-    toward it, the worst's floor mirrored: the same record as the
+    """An extreme comes from a sweep whose designer row moves toward it, a
+    floor for the best and a ceiling for the worst: the same record as the
     exhaustive list's end, so the same realized lasso and witness."""
 
     @staticmethod
@@ -502,7 +540,6 @@ class TestFlooredExtremes:
             assert got == want
             if want is not None:
                 assert solver.realize(got) == full.realize(want) == full_realize(full, want)
-                assert solver._extremes[maximize][-1 if maximize else 0] is got
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4),
@@ -519,55 +556,29 @@ class TestFlooredExtremes:
     def test_no_equilibrium(self, pennies_game, maximize):
         solver = NashLassoSolver(pennies_game)
         assert solver.extreme_signature(maximize) is None
-        assert solver._extremes == {maximize: []} and solver._sweep_cache is None
         self.check(pennies_game, None, 12)
 
     def test_tour_walks_prune_both_ways(self, monkeypatch):
         # The 4-city tour's walks at bound 12 outgrow PRUNE_LAYER_SUMS, so
-        # each direction builds designer tables: by the true designer weights
-        # toward the best, by the negated ones toward the worst.
+        # each direction builds designer tables: from a ceiling row toward
+        # the worst, from a floor row toward the best.
         rng = random.Random(4)
         costs = {e: rng.randint(1, 9) for e in complete_digraph(4).edges}
         game = gen_tsp_game(complete_digraph(4, costs))
-        tables = []
+        rows = []
         limits = NashLassoSolver._designer_limits
 
-        def spy(solver, steps, anchor, horizon, q, p, g):
-            tables.append(list(g))
-            return limits(solver, steps, anchor, horizon, q, p, g)
+        def spy(solver, steps, anchor, horizon, row):
+            rows.append(row)
+            return limits(solver, steps, anchor, horizon, row)
 
         monkeypatch.setattr(NashLassoSolver, "_designer_limits", spy)
         for maximize in (False, True):
-            tables.clear()
+            rows.clear()
             NashLassoSolver(game, None, 12).extreme_signature(maximize)
             sign = 1 if maximize else -1
-            assert tables and all(g == [sign * w for w in game.global_weights] for g in tables)
+            assert rows and all(k == game.n_players and sign * q > 0 for k, q, _ in rows)
         self.check(game, None, 12)
-
-    def test_one_floored_sweep_per_direction(self, monkeypatch):
-        calls = []
-        sweep = NashLassoSolver._sweep
-
-        def counting(solver, top=None, sign=1):
-            calls.append((top, sign))
-            return sweep(solver, top, sign)
-
-        monkeypatch.setattr(NashLassoSolver, "_sweep", counting)
-        game = gen_random_game(1, 2, 3, 2)
-        solver = NashLassoSolver(game, None, 8)
-        for _ in range(2):
-            worst, best = solver.extreme_signature(False), solver.extreme_signature(True)
-        assert calls == [(1, -1), (1, 1)]
-        # The threshold oracle reads the exhaustive list, which then serves
-        # the extremes too.
-        free = ThresholdQuery((NEG_INF,) * 2, (POS_INF,) * 2)
-        assert solver.query_oracle(free) == worst
-        assert calls == [(1, -1), (1, 1), (None, 1)]
-        sigs = solver._sweep_cache
-        assert (sigs[0], sigs[-1]) == (worst, best)
-        assert solver.extreme_signature(False) is sigs[0]
-        assert solver.extreme_signature(True) is sigs[-1]
-        assert len(calls) == 3
 
 
 def check_against_sweep_oracle(game, fixed, bound):
