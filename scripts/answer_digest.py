@@ -14,7 +14,7 @@ seeded two-player games, the k-loop delivery machines, and, on seeded
 random games with two and three players: every equilibrium signature (as a
 digest), the extreme witnesses (each extreme signature is asserted to be
 the matching end of the signature list), the machines built from them (as
-a digest), oracle and LP answers on point and half-line designer windows
+a digest; distinct top lassos are asserted to replay as distinct machines), oracle and LP answers on point and half-line designer windows
 and on player windows, binary-search runs, and the zero-sum engine read
 directly: each non-fixed player's punishment values (levels, ranks and
 coalition witness) and each player's exact best response against seeded
@@ -42,6 +42,7 @@ from eqdesign.benchmarks import (
     gen_random_strategy,
 )
 from eqdesign.design import (
+    MAX_LASSO_CANDIDATES,
     ImprovementQuery,
     algorithm_trace,
     decide_improvement,
@@ -123,10 +124,17 @@ def translations(game, bound: int) -> list:
     The designer's worst and best lassos are replayed as agent-0 strategies,
     turned into reward machines and back; on each machine's product, one
     seeded strategy per player is lifted into the auxiliary game and lowered
-    again.
+    again.  The replays of the distinct (value, length) pairs of the top
+    sweep, the lassos certify replays, are asserted to be distinct machines.
     """
     aux = build_auxiliary(game, 1)
     solver = NashLassoSolver(aux.game, 0, bound)
+    pairs = {}
+    for rec in solver.signatures(top=MAX_LASSO_CANDIDATES):
+        pairs.setdefault((rec[3][-1], rec[2]), rec)
+    replays = {strategy_to_rm(aux, replay_strategy(aux, solver.realize(rec))).canonical_key()
+               for rec in pairs.values()}
+    assert len(replays) == len(pairs), "two (value, length) pairs replay as one machine"
     out = []
     for maximize in (False, True):
         rec = solver.extreme_signature(maximize)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .auxiliary import AuxiliaryGame, build_auxiliary, strategy_to_rm
 from .equilibria import (
@@ -110,9 +110,11 @@ class ImprovementAnswer:
 
 
 def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
-            backend: str) -> SearchResult:
+            backend: str) -> tuple[SearchResult, tuple | None]:
     """Binary search for the solver's extreme designer value; ``epsilon`` > 0,
-    ``backend`` one of ``BACKENDS``."""
+    ``backend`` one of ``BACKENDS``.  Also returns the extreme signature the
+    oracle read, from which a witness is realized without a second sweep;
+    None for the LP backend and when there is no equilibrium."""
     game = solver.game
 
     def global_query(lo, hi) -> ThresholdQuery:
@@ -126,12 +128,12 @@ def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
         rec = solver.extreme_signature(maximize)
         if rec is not None:
             return SearchResult(*_bracket(game, epsilon, maximize,
-                                          Fraction(rec[3][-1], rec[2])), True)
+                                          Fraction(rec[3][-1], rec[2])), True), rec
     elif solver.lp_feasible(global_query(NEG_INF, POS_INF)):
         return SearchResult(*_bisect(game, epsilon, maximize,
                                      lambda lo, hi: solver.lp_feasible(global_query(lo, hi))),
-                            True)
-    return SearchResult(Fraction(min(game.global_weights)), 0, False)
+                            True), None
+    return SearchResult(Fraction(min(game.global_weights)), 0, False), None
 
 
 def _bracket(game: Game, epsilon: Fraction, maximize: bool,
@@ -178,7 +180,7 @@ def algorithm_trace(game: Game, epsilon: Fraction, fixed0: bool = False,
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     solver = NashLassoSolver(game, 0 if fixed0 else None, bound)
-    return _search(solver, epsilon, maximize, backend)
+    return _search(solver, epsilon, maximize, backend)[0]
 
 
 def epsilon_worst_ne(game: Game, epsilon: Fraction, fixed0: bool = False,
@@ -241,55 +243,42 @@ def _lasso_candidates(aux: AuxiliaryGame,
                       solver: NashLassoSolver) -> list[RewardMachine]:
     """Machines replaying the most valuable designer lassos of ``solver``.
 
-    Signatures are read from the most valuable down, one per (value,
-    length) pair, until ``MAX_LASSO_CANDIDATES`` distinct machines are
-    found.  The sweep lists only the signatures at or above the value of
-    the ``top``-th pair and prunes the walks that cannot reach it; its list
-    is the top of the full sorted list, in the same order, so the machines
-    are those of a full sweep.  When repeated machines use up the pairs,
-    the next sweep asks for twice the pairs read so far; one that lists
-    fewer pairs than asked has listed them all.
+    One sweep lists the signatures worth at least the
+    ``MAX_LASSO_CANDIDATES``-th most valuable (value, length) pair, and
+    prunes the walks that cannot reach it: the top of the full sorted list,
+    in the same order.  Read most valuable first, the first signature of
+    each pair is replayed, up to ``MAX_LASSO_CANDIDATES`` machines.
+
+    No two pairs give one machine, so no machine is dropped as a repeat.
+    A replay machine has one memory block per lasso position, and at each
+    position exactly one (source state, vector), the lasso's auxiliary
+    state there, advances to the next block.  The machine thus fixes the
+    lasso's auxiliary states and where its cycle starts, and with them the
+    cycle's length and designer sum.
     """
-    machines: list[RewardMachine] = []
-    seen_keys: set[tuple] = set()
-    seen_sig: set[tuple[int, int]] = set()
-    top = MAX_LASSO_CANDIDATES
-    while True:
-        for rec in reversed(solver.signatures(top=top)):
-            _, _, length, sums, _ = rec
-            # (designer sum, length) names the same pair as (value, length).
-            sig_key = (sums[-1], length)
-            if sig_key in seen_sig:
-                continue
-            seen_sig.add(sig_key)
-            lasso = solver.realize(rec)
-            rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
-            key = rm.canonical_key()
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            machines.append(rm)
-            if len(machines) >= MAX_LASSO_CANDIDATES:
-                return machines
-        if len(seen_sig) < top:
-            return machines
-        top = 2 * len(seen_sig)
+    pairs: dict[tuple[int, int], tuple] = {}
+    for rec in reversed(solver.signatures(top=MAX_LASSO_CANDIDATES)):
+        # (designer sum, length) names the same pair as (value, length).
+        pairs.setdefault((rec[3][-1], rec[2]), rec)
+    return [strategy_to_rm(aux, replay_strategy(aux, solver.realize(rec)))
+            for rec in itertools.islice(pairs.values(), MAX_LASSO_CANDIDATES)]
 
 
-def _subsidy_candidates(game: Game, q: ImprovementQuery) -> list[RewardMachine]:
-    """Unit-entry subsidy schemes on one state or on two distinct states."""
+def _subsidy_candidates(game: Game, q: ImprovementQuery) -> Iterator[RewardMachine]:
+    """Unit-entry subsidy schemes on one state, then on two distinct states,
+    each built when it is read."""
     if q.budget < 1:
-        return []
+        return
     n = game.n_players
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     singles = [
         (s, vec) for s in range(game.n_states) for vec in units
     ]
-    machines = [from_subsidy_scheme(game, {s: vec}) for s, vec in singles]
+    for s, vec in singles:
+        yield from_subsidy_scheme(game, {s: vec})
     for (s1, v1), (s2, v2) in itertools.combinations(singles, 2):
         if s1 != s2:
-            machines.append(from_subsidy_scheme(game, {s1: v1, s2: v2}))
-    return machines
+            yield from_subsidy_scheme(game, {s1: v1, s2: v2})
 
 
 def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
@@ -303,13 +292,15 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     :class:`SolverLimitError` is raised), so certify's positive answers
     are self-certifying; its candidate family is finite
     and documented, so a negative answer means no candidate improved, not
-    that none exists.  Each game searched
-    (base, auxiliary, each candidate product) gets one solver, which also
-    realizes the witness lasso.  A candidate is skipped, with no solver and
-    no arena tables, when the search value its product's largest reachable
-    cycle mean would give, which bounds the search's, neither beats the
-    best value seen nor clears the threshold: the answer is that of
-    solving it.  What an arena derives (deviation moves,
+    that none exists.  Each game searched (base, auxiliary, each candidate
+    product) gets one solver, and the witness lasso is realized from the
+    extreme signature the winner's search read, with no second sweep.  The
+    replay machines are built before the loop, each subsidy scheme only
+    when the loop reaches it.  A candidate is skipped, with no solver and no arena
+    tables, when the search value its product's largest reachable cycle
+    mean would give, which bounds the search's, neither beats the best
+    value seen nor clears the threshold: the answer is that of solving it.
+    What an arena derives (deviation moves,
     response classes, products) it keeps for its lifetime, across calls: all
     subsidy-scheme products of ``game`` share one arena.  Within one call,
     and never across, the candidate products' solvers also share one
@@ -321,29 +312,26 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     products are solved, and the products' memo when the call ends.
     """
     maximize = q.mode == "weak"
-    base = _search(NashLassoSolver(game, None, q.bound), q.epsilon, maximize, "oracle")
+    base, _ = _search(NashLassoSolver(game, None, q.bound), q.epsilon, maximize, "oracle")
     aux = build_auxiliary(game, q.budget)
 
     if q.method == "paper":
         aux_solver = NashLassoSolver(aux.game, 0, q.bound)
-        aux_search = _search(aux_solver, q.epsilon, maximize, "oracle")
+        aux_search, rec = _search(aux_solver, q.epsilon, maximize, "oracle")
         decision = aux_search.value - base.value > q.delta
         rm = lasso = owner = None
-        if decision and aux_search.ne_exists:
-            lasso = aux_solver.witness(aux_solver.extreme_signature(maximize)).lasso
+        if decision and rec is not None:
+            lasso = aux_solver.witness(rec).lasso
             rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
             owner = aux.game
         return ImprovementAnswer(decision, base.value, aux_search.value, rm, lasso,
                                  owner, "paper", q.mode)
 
     best_seen = base.value
-    candidates = []
+    replays = []
     # Larger auxiliary games are left to the subsidy schemes.
     if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
-        candidates = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
-    # Replay machines have two or more states and subsidy schemes one, and
-    # each family is free of repeats, so no candidate is solved twice.
-    candidates += _subsidy_candidates(game, q)
+        replays = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
     # Not read again: freed before the products' memo grows.
     del aux
     memo = SolverMemo()
@@ -352,7 +340,9 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     # a product returns more.  Successor lists are kept by arena.
     most: dict[tuple, Fraction] = {}
     succs: dict[Arena, list[list[int]]] = {}
-    for rm in candidates:
+    # Replay machines have two or more states and subsidy schemes one, and
+    # each family is free of repeats, so no candidate is solved twice.
+    for rm in itertools.chain(replays, _subsidy_candidates(game, q)):
         product = implement(game, rm)
         arena, row = product.arena, product.global_weights
         if (arena, row) not in most:
@@ -365,13 +355,13 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         if most[arena, row] <= best_seen and most[arena, row] - base.value <= q.delta:
             continue
         solver = NashLassoSolver(product, None, q.bound, memo)
-        val = _search(solver, q.epsilon, maximize, "oracle")
+        val, rec = _search(solver, q.epsilon, maximize, "oracle")
         if val.value > best_seen:
             best_seen = val.value
         if val.value - base.value > q.delta:
             lasso = owner = None
-            if val.ne_exists:
-                lasso = solver.witness(solver.extreme_signature(maximize)).lasso
+            if rec is not None:
+                lasso = solver.witness(rec).lasso
                 owner = solver.game
             return ImprovementAnswer(True, base.value, val.value, rm, lasso,
                                      owner, "certify", q.mode)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import eqdesign.design
 import eqdesign.equilibria
 import eqdesign.games
-from eqdesign.auxiliary import build_auxiliary
+from eqdesign.auxiliary import build_auxiliary, strategy_to_rm
 from eqdesign.benchmarks import (
     CostDigraph,
     complete_digraph,
@@ -32,6 +32,7 @@ from eqdesign.design import (
     epsilon_worst_ne,
     exact_best_ne,
     exact_worst_ne,
+    replay_strategy,
     synthesize_rm,
 )
 from eqdesign.equilibria import (
@@ -134,7 +135,8 @@ class TestEpsilonBest:
 
 class TestExtremeProbes:
     """The oracle search reads only the extreme signature: every probe window
-    has the extreme's side of the bracket as one edge."""
+    has the extreme's side of the bracket as one edge.  It returns that
+    signature with its result."""
 
     @settings(deadline=None, max_examples=120)
     @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4),
@@ -145,21 +147,23 @@ class TestExtremeProbes:
                                          epsilon, weights):
         game = gen_random_game(seed, n_players, n_states, weight_range=weights)
         solver = NashLassoSolver(game, fixed, bound=5)
-        assert _search(solver, epsilon, maximize, "oracle") == bisect_search(
-            solver, epsilon, maximize)
+        got, rec = _search(solver, epsilon, maximize, "oracle")
+        assert got == bisect_search(solver, epsilon, maximize)
+        assert rec == solver.extreme_signature(maximize)
 
     @pytest.mark.parametrize("maximize", [False, True])
     def test_no_equilibrium(self, pennies_game, maximize):
         solver = NashLassoSolver(pennies_game)
-        got = _search(solver, Fraction(1, 8), maximize, "oracle")
+        got, rec = _search(solver, Fraction(1, 8), maximize, "oracle")
         assert got == bisect_search(solver, Fraction(1, 8), maximize)
-        assert not got.ne_exists
+        assert not got.ne_exists and rec is None
 
 
 class TestLpSearch:
     """The LP binary search against the bounded oracle's: the LP has no
     length bound, so it finds every equilibrium the oracle does and may
-    reach further, while both run the same number of halvings."""
+    reach further, while both run the same number of halvings.  The LP
+    search returns no signature."""
 
     @pytest.mark.parametrize("case", ["example1", *range(30)], ids=str)
     def test_matches_or_extends_the_oracle(self, case):
@@ -171,9 +175,9 @@ class TestLpSearch:
             solver = NashLassoSolver(game, fixed, bound)
             for maximize in (False, True):
                 for eps in (Fraction(1), Fraction(1, 8)):
-                    want = _search(solver, eps, maximize, "oracle")
-                    got = _search(solver, eps, maximize, "lp")
-                    assert got.iterations == want.iterations
+                    want, _ = _search(solver, eps, maximize, "oracle")
+                    got, rec = _search(solver, eps, maximize, "lp")
+                    assert rec is None and got.iterations == want.iterations
                     assert got.ne_exists or not want.ne_exists
                     if maximize:
                         assert got.value >= want.value
@@ -394,7 +398,8 @@ class TestStructureReuse:
 
         memo = SolverMemo()
         first: dict = {}  # structure key -> the solver that built it
-        for rm in _subsidy_candidates(game, q):
+        schemes = list(_subsidy_candidates(game, q))
+        for rm in schemes:
             product = implement(game, rm)
             solver = NashLassoSolver(product, None, 6, memo)
             key = self.structure_key(product, solver.pun)
@@ -403,7 +408,7 @@ class TestStructureReuse:
             assert solver.pun == fresh.pun
             assert answers(solver) == answers(fresh)
         # Most products take a structure an earlier one built.
-        assert 2 * len(first) < len(_subsidy_candidates(game, q))
+        assert 2 * len(first) < len(schemes)
 
 
 def subsequence(part, whole) -> bool:
@@ -470,6 +475,40 @@ class TestOneSolverPerGame:
         assert (ans.witness_lasso is not None) == ans.decision == (delta < 0)
         assert len(built) == 2 and built[0] is game and not tried
 
+    @pytest.mark.parametrize("method", ["certify", "paper"])
+    def test_witness_from_its_own_search(self, example1, method, monkeypatch):
+        """A "yes" realizes its witness from the extreme signature its search
+        read: one extreme sweep on the solver it witnesses from."""
+        swept = []
+        extreme = NashLassoSolver.extreme_signature
+
+        def counting(solver, maximize=False):
+            swept.append(solver.game)
+            return extreme(solver, maximize)
+
+        monkeypatch.setattr(NashLassoSolver, "extreme_signature", counting)
+        delta = Fraction(1, 2) if method == "certify" else Fraction(-2)
+        q = ImprovementQuery(budget=1, delta=delta, epsilon=Fraction(1, 10), method=method)
+        ans = decide_improvement(example1[0], q)
+        assert ans.decision and ans.witness_lasso is not None
+        assert sum(g is ans.witness_game for g in swept) == 1
+
+    def test_weak_yes_builds_no_subsidy_scheme(self, monkeypatch):
+        """Subsidy schemes are built when tried: the criterion-5 weak "yes"
+        on the fork's complement is won by a replay machine, first."""
+        schemes = []
+        build = eqdesign.design.from_subsidy_scheme
+
+        def counting(game, kappa):
+            schemes.append(kappa)
+            return build(game, kappa)
+
+        monkeypatch.setattr(eqdesign.design, "from_subsidy_scheme", counting)
+        game = gen_hamiltonian_complement_game(TestFlooredCandidates.WITHOUT)
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1), mode="weak")
+        ans = decide_improvement(game, q)
+        assert ans.decision and ans.witness_rm.n_states > 1 and not schemes
+
 
 class TestArenaSharing:
     """Every subsidy scheme's product of a game is on one arena object, and
@@ -500,7 +539,7 @@ class TestArenaSharing:
         q = ImprovementQuery(budget=1, delta=Fraction(10), epsilon=Fraction(1, 10),
                              mode=mode, method="certify")
         assert not decide_improvement(game, q).decision
-        n_subsidy = len(_subsidy_candidates(game, q))
+        n_subsidy = len(list(_subsidy_candidates(game, q)))
         subsidy = [product.arena for product in tried[-n_subsidy:]]
         assert all(a is subsidy[0] for a in subsidy)
         arenas = {id(product.arena): product.arena for product in tried}
@@ -571,7 +610,7 @@ class TestCandidateBound:
         succs = [[t for _, t in game.arena.moves(s)] for s in range(game.n_states)]
         ub = brute_force_max_mean(succs, game.global_weights)[game.initial]
         for fixed in (None, 0):
-            searched = _search(NashLassoSolver(game, fixed, 6), epsilon, maximize, "oracle")
+            searched, _ = _search(NashLassoSolver(game, fixed, 6), epsilon, maximize, "oracle")
             assert searched.value <= bracket(ub)
 
     def test_k4_weak_no_builds_no_product_solver(self, monkeypatch):
@@ -647,34 +686,14 @@ class TestFlooredCandidates:
         floored, full = self.both(aux, 4 + seed % 5)
         assert keys(floored) == keys(full)
 
-    def test_duplicate_machines_lower_the_floor(self, monkeypatch):
-        # Replays of equal length are made to give one machine, so the first
-        # pass over the top 12 pairs finds too few and the floor is lowered.
-        real = eqdesign.design.strategy_to_rm
-
-        def collapsing(aux, sigma0):
-            return by_memory.setdefault(sigma0.n_memory, real(aux, sigma0))
-
-        monkeypatch.setattr(eqdesign.design, "strategy_to_rm", collapsing)
-        tops = self.count_sweeps(monkeypatch)
-        aux = build_auxiliary(gen_example1()[0], 1)
-        by_memory = {}
-        solver = NashLassoSolver(aux.game, 0, 12)
-        floored = _lasso_candidates(aux, solver)
-        passes = tops[:]
-        by_memory = {}
-        full = full_candidates(aux, NashLassoSolver(aux.game, 0, 12))
-        assert keys(floored) == keys(full) and len(full) < MAX_LASSO_CANDIDATES
-        # Each pass asks for twice the pairs read so far, until one lists them all.
-        assert passes[0] == MAX_LASSO_CANDIDATES and len(passes) > 1
-        assert all(b >= 2 * a for a, b in zip(passes, passes[1:]))
-
 
 class TestDistinctCandidates:
     """Certify solves each candidate once, without a dedupe: the replay
     machines are distinct among themselves, the subsidy schemes too, and
     the two families never meet.  A new family that overlaps an old one
-    fails here."""
+    fails here.  Distinct (value, length) pairs of an auxiliary game's top
+    sweep replay as distinct machines, all listed pairs and not only those
+    certify reads, since ``_lasso_candidates`` drops no repeat."""
 
     @staticmethod
     def candidates(game):
@@ -684,20 +703,42 @@ class TestDistinctCandidates:
         if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
             found = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, 12))
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1))
-        return found + _subsidy_candidates(game, q)
+        return [*found, *_subsidy_candidates(game, q)]
+
+    @staticmethod
+    def assert_pairs_replay_apart(game, budget, bound):
+        aux = build_auxiliary(game, budget)
+        solver = NashLassoSolver(aux.game, 0, bound)
+        pairs = {}
+        for rec in solver.signatures(top=MAX_LASSO_CANDIDATES):
+            pairs.setdefault((rec[3][-1], rec[2]), rec)
+        replays = [strategy_to_rm(aux, replay_strategy(aux, solver.realize(rec)))
+                   for rec in pairs.values()]
+        assert len(set(keys(replays))) == len(replays)
 
     @pytest.mark.parametrize("make", [gen_hamiltonian_game, gen_hamiltonian_complement_game])
     @pytest.mark.parametrize("graph", ["WITH", "WITHOUT"])
     def test_criterion_5_games(self, make, graph):
-        found = self.candidates(make(getattr(TestFlooredCandidates, graph)))
+        game = make(getattr(TestFlooredCandidates, graph))
+        found = self.candidates(game)
         assert len(found) > MAX_LASSO_CANDIDATES
         assert len(set(keys(found))) == len(found)
+        self.assert_pairs_replay_apart(game, 1, 12)
 
     @pytest.mark.parametrize("seed", [None, *range(10)])
     def test_example1_and_seeded_games(self, seed):
         game = gen_example1()[0] if seed is None else gen_random_game(seed, 2, 3, 2)
         found = self.candidates(game)
         assert len(set(keys(found))) == len(found)
+        # The replays alone, at budgets 1-2, with 2-4 states and bounds 4-8.
+        if seed is None:
+            for budget, bound in ((1, 4), (2, 8)):
+                self.assert_pairs_replay_apart(game, budget, bound)
+            return
+        for n_players in (2, 3):
+            for budget in (1, 2):
+                self.assert_pairs_replay_apart(
+                    gen_random_game(seed, n_players, 2 + seed % 3), budget, 4 + seed % 5)
 
 
 class TestSynthesizeRm:
@@ -718,8 +759,6 @@ class TestSynthesizeRm:
             synthesize_rm(game, q)
 
     def test_zero_vector_witness_is_payoff_identity(self, example1):
-        from eqdesign.design import replay_strategy
-        from eqdesign.auxiliary import strategy_to_rm
         from lasso_walks import lasso_from_states
 
         game, _, _ = example1
@@ -737,8 +776,6 @@ class TestSynthesizeRm:
     def test_six_step_replay_matches_two_cycle_machine(self, example1):
         """Replaying (0),(0),(0),(0),(0),(1) along two delivery loops is
         reward-equivalent to the two-cycle machine: product worst 5/6."""
-        from eqdesign.design import replay_strategy
-        from eqdesign.auxiliary import strategy_to_rm
         from lasso_walks import lasso_from_states
 
         game, _, _ = example1

@@ -970,6 +970,34 @@ class TestLpUnroll:
         with pytest.raises(SolverLimitError, match=refusal):
             ne_threshold(game, q, backend="lp", bound=12)
 
+    def test_realization_outside_the_window_is_refused(self, monkeypatch):
+        """A realized lasso is certified, then checked against the window: an
+        equilibrium lasso outside it is refused, never returned."""
+        game = gen_example1()[0]
+        solver = NashLassoSolver(game, None, 12)
+        q = query1(Fraction(1), POS_INF)
+        worst = solver.extreme_signature(False)
+        assert solver.lp_feasible(q) and solver.witness(worst).global_payoff < 1
+        outside = solver.realize(worst)
+        monkeypatch.setattr(NashLassoSolver, "_lp_realize", lambda *args: outside)
+        with pytest.raises(SolverLimitError, match="lp realization drifted out of bounds"):
+            solver.lp_witness(q)
+
+    def test_cycle_outside_the_tree_is_refused(self):
+        """A cycle whose first state the record's breadth-first tree does not
+        reach has no prefix there: a refusal, not a lasso of another record."""
+        game = gen_example1()[0]
+        solver = NashLassoSolver(game, None, 3)
+        tree = solver._ceilings[0].tree
+        assert sorted(tree) == [0]  # the first record reaches t alone
+        # The t-l-m delivery loop, entered at l.
+        lasso = solver.realize(solver.extreme_signature(True))
+        assert lasso.cycle_states == (0, 1, 2)
+        states, moves = lasso.cycle_states, lasso.cycle_moves
+        with pytest.raises(SolverLimitError,
+                           match="anchor unreachable while rebuilding the prefix"):
+            solver._lasso(tree, states[1:] + states[:1], moves[1:] + moves[:1])
+
 
 class TestDeviationMoves:
     """The arena's move table and response classes against one joint action
