@@ -70,11 +70,12 @@ import functools
 import math
 import operator
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .games import (
+    Arena,
     Game,
     InvalidLassoError,
     Lasso,
@@ -263,14 +264,14 @@ class _Ceiling:
     ``(distance, parent, class)``: the parent is the first state of the
     previous layer, in layer order, with a class into it; the root's parent
     and class are None.  It keeps, built on first use, its LP polytopes
-    (:meth:`polytopes`) and its per-anchor walk steps (:meth:`steps`) in
-    ``kept_steps``, which its memo's records with the same ``succs`` share."""
+    (:meth:`polytopes`) and its own per-anchor walk steps (:meth:`steps`) in
+    ``kept_steps``."""
 
     ranks: tuple[int, ...]
     allowed: list[list[_MoveClass]]
     succs: list[list[int]]
     tree: dict[int, tuple]
-    kept_steps: dict[int, list[list[tuple[int, int]] | None]]
+    kept_steps: dict[int, list[list[tuple[int, int]] | None]] = field(default_factory=dict)
     _polytopes: list[tuple[set[int], list]] | None = None
 
     def steps(self, anchor: int) -> list[list[tuple[int, int]] | None]:
@@ -320,7 +321,7 @@ def _vec_le(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(map(operator.le, a, b))
 
 
-def _build_classes(game: Game, rank: Sequence[tuple[int, ...] | None]) -> list[list[_MoveClass]]:
+def _build_classes(arena: Arena, rank: Sequence[tuple[int, ...] | None]) -> list[list[_MoveClass]]:
     """Per state, the move classes under the punishment ranks ``rank``:
     ``rank[i][d]`` is the index of player i's punishment at d in its
     levels, and ``rank[i]`` is None for the fixed player."""
@@ -328,7 +329,7 @@ def _build_classes(game: Game, rank: Sequence[tuple[int, ...] | None]) -> list[l
     peak = functools.cache(lambda i, devs: max([rank[i][d] for d in devs])
                            if rank[i] and devs else -1)
     per_state: list[list[_MoveClass]] = []
-    for moves, least in game.arena.deviation_moves:
+    for moves, least in arena.deviation_moves:
         # Moves come by least joint action, so the first is the least,
         # and a stable sort by successor keeps that order.
         by_key: dict[tuple, tuple[int, ...]] = {}
@@ -347,11 +348,11 @@ def _build_classes(game: Game, rank: Sequence[tuple[int, ...] | None]) -> list[l
     return per_state
 
 
-def _build_ceilings(game: Game, classes: list[list[_MoveClass]]) -> list[tuple[int, ...]]:
+def _build_ceilings(arena: Arena, classes: list[list[_MoveClass]]) -> list[tuple[int, ...]]:
     """The ceiling lattice of the move ``classes``, least first."""
     # After each seed (a class ceiling), ``closed`` holds the join of every
     # subset of the seeds read, the empty one being the bottom.
-    closed = {(-1,) * game.n_players}
+    closed = {(-1,) * len(arena.protocol)}
     for seed in {c.devmax for per_state in classes for c in per_state}:
         closed |= {tuple(map(max, seed, u)) for u in closed}
         # The set only grows, so the seeds alone count toward the limit.
@@ -360,22 +361,19 @@ def _build_ceilings(game: Game, classes: list[list[_MoveClass]]) -> list[tuple[i
     return sorted(closed)
 
 
-def _ceiling(game: Game, classes: list[list[_MoveClass]], ranks: tuple[int, ...],
-             step_tables: dict[tuple, dict]) -> _Ceiling:
-    """The record of the ceiling ``ranks`` over the move ``classes``.  It
-    keeps its walk steps in ``step_tables``' table for its successor lists."""
+def _ceiling(arena: Arena, classes: list[list[_MoveClass]], ranks: tuple[int, ...]) -> _Ceiling:
+    """The record of the ceiling ``ranks`` over the move ``classes`` of ``arena``."""
     allowed = [[c for c in per_state if _vec_le(c.devmax, ranks)] for per_state in classes]
     succs = [list(dict.fromkeys(c.succ for c in kept)) for kept in allowed]
-    tree: dict[int, tuple] = {game.initial: (0, None, None)}
+    tree: dict[int, tuple] = {arena.initial: (0, None, None)}
     # States are expanded in the order they enter the tree: layer by layer.
-    order = [game.initial]
+    order = [arena.initial]
     for s in order:
         for c in allowed[s]:
             if c.succ not in tree:
                 tree[c.succ] = (tree[s][0] + 1, s, c)
                 order.append(c.succ)
-    return _Ceiling(ranks, allowed, succs, tree,
-                    step_tables.setdefault(tuple(map(tuple, succs)), {}))
+    return _Ceiling(ranks, allowed, succs, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +434,17 @@ def _meets(rows: Sequence[Row], sums: Sequence, length: int) -> bool:
 
 
 class SolverMemo:
-    """Where solvers get their punishments, move classes, ceiling records
-    and walk steps: a solver builds its own memo unless it is given one,
-    as ``NashLassoSolver``'s ``shared``.  Punishments are kept by arena,
-    player and weight row, ceiling records by arena and punishment ranks,
-    which is all they depend on, and walk steps by successor lists.  No
-    record holds a punishment value: each solver reads its own as floor
-    rows.
+    """Where solvers get their punishments and ceiling records: a solver
+    builds its own memo unless it is given one, as ``NashLassoSolver``'s
+    ``shared``.  Punishments are kept by arena, player and weight row,
+    ceiling records by arena and punishment ranks, which is all they are
+    built from; each record keeps its own walk steps.  No record holds a
+    punishment value: each solver reads its own as floor rows.
     """
 
     def __init__(self) -> None:
         self._punished: dict[tuple, PunishmentResult] = {}
         self._structures: dict[tuple, list[_Ceiling]] = {}
-        self._steps: dict[tuple, dict[int, list]] = {}
 
     def punishment(self, game: Game, player: int) -> PunishmentResult:
         key = (game.arena, player, game.weights[player])
@@ -457,28 +453,27 @@ class SolverMemo:
             found = self._punished[key] = punishment_values(game, player)
         return found
 
-    def structure(self, game: Game, rank: tuple[tuple[int, ...] | None, ...],
+    def structure(self, arena: Arena, rank: tuple[tuple[int, ...] | None, ...],
                   ) -> list[_Ceiling]:
-        """The ceiling records of ``game`` under the punishment ranks
+        """The ceiling records of ``arena`` under the punishment ranks
         ``rank`` (:func:`_build_classes`), least ceiling first."""
-        key = (game.arena, rank)
+        key = (arena, rank)
         found = self._structures.get(key)
         if found is None:
-            classes = _build_classes(game, rank)
+            classes = _build_classes(arena, rank)
             found = self._structures[key] = [
-                _ceiling(game, classes, ranks, self._steps)
-                for ranks in _build_ceilings(game, classes)]
+                _ceiling(arena, classes, ranks) for ranks in _build_ceilings(arena, classes)]
         return found
 
 
 class NashLassoSolver:
     """Threshold queries over one game, one fixed player, one length bound.
 
-    Punishment tables and the ceiling records come from a
+    Punishment tables and the arena's ceiling records come from a
     :class:`SolverMemo`: ``shared`` when given, else one of the solver's
     own.  A shared memo solves or builds only what no earlier solver of
-    that memo did, and its ceiling records keep their walk steps for the
-    solvers to come.  The solver reads its punishment values once, into
+    that memo did, and each ceiling record keeps its own walk steps for
+    the solvers to come.  The solver reads its punishment values once, into
     one list of floor rows per ceiling.  Oracle sweeps and LP queries share
     all of it: instances are cheap to build relative to the queries they
     answer and are meant to be reused across a binary search.  No sweep
@@ -501,7 +496,7 @@ class NashLassoSolver:
         rows = (*game.weights, game.global_weights)
         self._width = _field_width(max(abs(w) for row in rows for w in row), bound)
         self._wpack = [_pack_sums(col, self._width) for col in zip(*rows)]
-        self._ceilings = memo.structure(game, tuple(
+        self._ceilings = memo.structure(game.arena, tuple(
             self.pun[i].ranks if i in self.pun else None for i in range(game.n_players)))
         # Per ceiling, one floor row per player it bounds, in player order.
         self._floors = [[_row(k, 1, self.pun[k].levels[r]) for k, r in enumerate(cei.ranks)
@@ -847,6 +842,8 @@ class NashLassoSolver:
 
     def _lp_solve(self, window: list[Row], floors: list[Row], members: set[int],
                   edges: list, normalized: bool):
+        """A frequency vertex, or None: of sum 1 when ``normalized``, else
+        forced to use every move at least once, solved as ``x = y + 1``."""
         n_vars = len(edges)
         # Every row is scaled by one common L, the lcm of the denominators of
         # the bounds this LP uses: the phase-1 objective is then L times the
@@ -868,8 +865,11 @@ class NashLassoSolver:
         for k, q, p in rows:
             cons.append(Constraint(
                 tuple(scale // abs(q) * (q * tables[k][src] - p) for src, _ in edges), ">=", 0))
-        lbs = None if normalized else [1] * n_vars
-        return feasible_point(n_vars, cons, lbs)
+        if normalized:
+            return feasible_point(n_vars, cons)
+        point = feasible_point(n_vars, [Constraint(c.coeffs, c.rel, c.rhs - sum(c.coeffs))
+                                        for c in cons])
+        return None if point is None else [x + 1 for x in point]
 
     def _lp_realize(self, window: list[Row], floors: list[Row], tree: dict[int, tuple],
                     members: set[int], edges: list, point) -> Lasso | None:

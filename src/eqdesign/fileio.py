@@ -16,7 +16,7 @@ import json
 from typing import Mapping
 
 from .games import Game, GameStructureError, make_game
-from .rewards import RewardMachine, RewardMachineError
+from .rewards import RewardMachine
 
 
 class DocumentError(ValueError):
@@ -242,15 +242,12 @@ def parse_rm(text: str, game: Game) -> RewardMachine:
             reward_row.append(tuple(vec))
         step_rows.append(tuple(step_row))
         reward_rows.append(tuple(reward_row))
-    try:
-        return RewardMachine(
-            state_names=tuple(states),
-            initial=qid[initial],
-            step=tuple(step_rows),
-            rewards=tuple(reward_rows),
-        )
-    except RewardMachineError as exc:
-        raise DocumentError(str(exc))
+    return RewardMachine(
+        state_names=tuple(states),
+        initial=qid[initial],
+        step=tuple(step_rows),
+        rewards=tuple(reward_rows),
+    )
 
 
 def rm_to_doc(rm: RewardMachine, game: Game) -> dict:

@@ -1,4 +1,4 @@
-"""Exact feasibility solver for small linear programs with integer rows.
+"""Exact feasibility solver for small integer-row LPs in nonnegative variables.
 
 Phase-1 simplex with Bland's rule on an integer tableau, fraction-free as
 in Bareiss ("Sylvester's identity and multistep integer-preserving Gaussian
@@ -41,26 +41,17 @@ def _pivot(table: list[list[int]], r: int, col: int) -> None:
             table[i] = [a // g for a in row] if g > 1 else row
 
 
-def feasible_point(n_vars: int, constraints: Sequence[Constraint],
-                   lower_bounds: Sequence[int] | None = None) -> list[Fraction] | None:
+def feasible_point(n_vars: int, constraints: Sequence[Constraint]) -> list[Fraction] | None:
     """A rational point satisfying all constraints, or None if infeasible.
 
-    Coefficients, right-hand sides and lower bounds must be ``int``; any
-    other type, ``bool`` included, raises :class:`ValueError` naming the
-    constraint or variable.  Variables are bounded below by
-    ``lower_bounds`` (default 0) and unbounded above.  The returned point is
-    a basic feasible solution of the slack form, so its support is as small
-    as the constraint system allows.
+    Coefficients and right-hand sides must be ``int``; any other type,
+    ``bool`` included, raises :class:`ValueError` naming the constraint.
+    Variables are nonnegative and unbounded above; a caller wanting
+    ``x >= lb`` substitutes ``x = y + lb`` into its rows.  The returned point
+    is a basic feasible solution of the slack form, so its support is as
+    small as the constraint system allows.
     """
-    lbs = list(lower_bounds) if lower_bounds is not None else [0] * n_vars
-    if len(lbs) != n_vars:
-        raise ValueError("one lower bound per variable required")
-    for k, lb in enumerate(lbs):
-        if type(lb) is not int:
-            raise ValueError(f"lower bound {k} is not an int: {lb!r}")
-
-    # Slack form with x = y + lb, y >= 0; one slack per inequality, and every
-    # right-hand side made nonnegative.
+    # Slack form: one slack per inequality, every right-hand side nonnegative.
     n_slack = sum(1 for c in constraints if c.rel != "==")
     width = n_vars + n_slack
     table: list[list[int]] = []
@@ -72,15 +63,13 @@ def feasible_point(n_vars: int, constraints: Sequence[Constraint],
             raise ValueError(
                 f"constraint {k}: coefficients and right-hand side must be ints"
             )
-        row = list(c.coeffs) + [0] * n_slack
+        row = list(c.coeffs) + [0] * n_slack + [c.rhs]
         if c.rel in ("<=", ">="):
             row[si] = 1 if c.rel == "<=" else -1
             si += 1
         elif c.rel != "==":
             raise ValueError(f"constraint {k}: unknown relation {c.rel!r}")
-        rhs = c.rhs - sum(a * lb for a, lb in zip(c.coeffs, lbs))
-        row.append(rhs)
-        table.append([-a for a in row] if rhs < 0 else row)
+        table.append([-a for a in row] if c.rhs < 0 else row)
 
     # Phase 1 from an artificial basis, minimising the artificial sum.  The
     # artificial columns are never read, so only their basis indices exist.
@@ -112,8 +101,8 @@ def feasible_point(n_vars: int, constraints: Sequence[Constraint],
 
     if table[m][width] != 0:
         return None
-    point = [Fraction(lb) for lb in lbs]
+    point = [Fraction(0)] * n_vars
     for r, b in enumerate(basis):
         if b < n_vars:
-            point[b] += Fraction(table[r][width], table[r][b])
+            point[b] = Fraction(table[r][width], table[r][b])
     return point

@@ -49,6 +49,7 @@ from eqdesign.zerosum import SolverLimitError, punishment_values
 
 from candidate_oracle import full_candidates, unbounded_decision
 from max_mean_oracle import brute_force_max_mean
+from memoryless_oracle import memoryless_equilibrium_values
 from sweep_oracle import bisect_search
 
 
@@ -350,9 +351,9 @@ class TestStructureReuse:
         built, solvers = [], []
         build, init = eqdesign.equilibria._build_classes, NashLassoSolver.__init__
 
-        def counting_build(game, rank):
-            built.append((game.arena, rank))
-            return build(game, rank)
+        def counting_build(arena, rank):
+            built.append((arena, rank))
+            return build(arena, rank)
 
         def counting_init(solver, *args, **kwargs):
             solvers.append(solver)
@@ -818,3 +819,46 @@ class TestWorstValueContract:
         a = epsilon_worst_ne(game, eps)
         assert any(v <= a for v in values)
         assert all(v > a - eps for v in values)
+
+
+class TestMemorylessEquilibria:
+    @pytest.mark.parametrize("which,worst,best", [
+        (0, Fraction(0), Fraction(1)),
+        (1, Fraction(2, 3), Fraction(2, 3)),
+        (2, Fraction(5, 6), Fraction(5, 6)),
+    ])
+    def test_example1_extremes_are_memoryless(self, example1, example1_products, which,
+                                              worst, best):
+        """On example1 and its two delivery products, the exact extremes are
+        the least and greatest memoryless equilibrium values."""
+        game = (example1[0], *example1_products)[which]
+        values = memoryless_equilibrium_values(game)
+        assert (min(values), max(values)) == (worst, best)
+        assert exact_worst_ne(game).global_payoff == worst
+        assert exact_best_ne(game).global_payoff == best
+
+    def test_no_memoryless_equilibrium_in_pennies(self, pennies_game):
+        assert memoryless_equilibrium_values(pennies_game) == set()
+        assert exact_worst_ne(pennies_game) is None and exact_best_ne(pennies_game) is None
+
+    @pytest.mark.parametrize("n_players", [2, 3])
+    def test_extremes_bracket_every_memoryless_equilibrium(self, n_players):
+        """Every memoryless equilibrium's value lies between the exact worst
+        and best extremes, and neither extreme is None while one exists.  An
+        extreme refused with ``SolverLimitError`` is not checked."""
+        checked = 0
+        for seed in range(120):
+            game = gen_random_game(seed, n_players, 2 + seed % 3, 2)
+            values = memoryless_equilibrium_values(game)
+            if not values:
+                continue
+            for extreme, holds in ((exact_worst_ne, lambda v: v <= min(values)),
+                                   (exact_best_ne, lambda v: v >= max(values))):
+                try:
+                    witness = extreme(game, bound=8)
+                except SolverLimitError:
+                    continue
+                assert witness is not None, (seed, extreme.__name__)
+                assert holds(witness.global_payoff), (seed, extreme.__name__, values)
+                checked += 1
+        assert checked > 200

@@ -624,8 +624,8 @@ def solver_classes(solver):
     """The move classes under ``solver``'s punishment ranks, as its memo
     builds them: the ceiling records keep only the classes each allows."""
     game = solver.game
-    return _build_classes(game, tuple(solver.pun[i].ranks if i in solver.pun else None
-                                      for i in range(game.n_players)))
+    return _build_classes(game.arena, tuple(solver.pun[i].ranks if i in solver.pun else None
+                                            for i in range(game.n_players)))
 
 
 class TestCeilingRanks:
@@ -717,9 +717,9 @@ class TestCeilingRecords:
         built = []
         record = eqdesign.equilibria._ceiling
 
-        def spy(game, classes, ranks, step_tables):
-            built.append((game, ranks))
-            return record(game, classes, ranks, step_tables)
+        def spy(arena, classes, ranks):
+            built.append((arena, ranks))
+            return record(arena, classes, ranks)
 
         monkeypatch.setattr(eqdesign.equilibria, "_ceiling", spy)
         game = gen_random_game(3, n_players=3, n_states=4)
@@ -733,7 +733,7 @@ class TestCeilingRecords:
         _, _, length, sums, _ = sigs[-1]
         solver.lp_feasible(dataclasses.replace(free, global_lower=Fraction(sums[-1], length)))
         solver.lp_witness(free)
-        assert built == [(game, cei.ranks) for cei in solver._ceilings]
+        assert built == [(game.arena, cei.ranks) for cei in solver._ceilings]
 
     def test_components_searched_once_per_record_probed(self, monkeypatch):
         """The LP reads a record's components and edges from the record: a
