@@ -5,9 +5,11 @@ Part one samples tour games and compares the approximated worst
 equilibrium value against the brute-force optimal tour; part two runs the
 strong/weak improvement decisions on digraphs of three and four vertices
 with and without a Hamiltonian cycle, and checks each decision against a
-brute-force Hamiltonian-cycle test.  Instances where equal-share multi-lap
-walks undercut every tour are reported rather than hidden; a decision that
-disagrees with the brute force makes the script exit with status 1.
+brute-force Hamiltonian-cycle test.  With ``--complete N`` it also decides
+both reductions on the complete digraphs K3 ... KN, timing each decision.
+Instances where equal-share multi-lap walks undercut every tour are
+reported rather than hidden; a decision that disagrees with the brute
+force makes the script exit with status 1.
 """
 
 import argparse
@@ -75,31 +77,44 @@ def has_hamiltonian_cycle(graph: CostDigraph) -> bool:
                for tour in ((first, *perm) for perm in itertools.permutations(rest)))
 
 
+def decide_reductions(name: str, graph: CostDigraph) -> int:
+    """Decide the strong and weak reductions of ``graph``, print each
+    decision with its time, and return the number of decisions that
+    disagree with the brute-force Hamiltonian-cycle test."""
+    cycle = has_hamiltonian_cycle(graph)
+    mismatches = 0
+    # Strong improvement is possible exactly when a Hamiltonian cycle
+    # exists; the complement construction flips the weak answer.
+    for mode, make, expected in (("strong", gen_hamiltonian_game, cycle),
+                                 ("weak", gen_hamiltonian_complement_game, not cycle)):
+        query = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1),
+                                 mode=mode)
+        start = time.monotonic()
+        decision = decide_improvement(make(graph), query).decision
+        elapsed = time.monotonic() - start
+        note = ""
+        if decision != expected:
+            mismatches += 1
+            note = f"  <- MISMATCH: the graph {'has' if cycle else 'has no'} Hamiltonian cycle"
+        print(f"  {name}, {mode}: {'yes' if decision else 'no'} ({elapsed:.2f} s){note}",
+              flush=True)
+    return mismatches
+
+
 def hamiltonian_experiment(max_vertices: int) -> int:
     """Decide both reductions on every graph of at most ``max_vertices``
-    vertices, check each decision against the brute-force Hamiltonian-cycle
-    test, and return the number of mismatches."""
+    vertices and return the number of mismatches."""
     print("hamiltonian reductions (budget 1, delta 1/2, eps 1):")
-    mismatches = 0
-    for name, graph in GRAPHS.items():
-        if len(graph.vertices) > max_vertices:
-            continue
-        cycle = has_hamiltonian_cycle(graph)
-        # Strong improvement is possible exactly when a Hamiltonian cycle
-        # exists; the complement construction flips the weak answer.
-        for mode, make, expected in (("strong", gen_hamiltonian_game, cycle),
-                                     ("weak", gen_hamiltonian_complement_game, not cycle)):
-            query = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1),
-                                     mode=mode)
-            start = time.monotonic()
-            decision = decide_improvement(make(graph), query).decision
-            elapsed = time.monotonic() - start
-            note = ""
-            if decision != expected:
-                mismatches += 1
-                note = f"  <- MISMATCH: the graph {'has' if cycle else 'has no'} Hamiltonian cycle"
-            print(f"  {name}, {mode}: {'yes' if decision else 'no'} ({elapsed:.2f} s){note}")
-    return mismatches
+    return sum(decide_reductions(name, graph) for name, graph in GRAPHS.items()
+               if len(graph.vertices) <= max_vertices)
+
+
+def complete_experiment(max_vertices: int) -> int:
+    """Decide both reductions on the complete digraphs K3 ... K``max_vertices``
+    and return the number of mismatches."""
+    print("complete digraphs (budget 1, delta 1/2, eps 1):")
+    return sum(decide_reductions(f"K{n}", complete_digraph(n))
+               for n in range(3, max_vertices + 1))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -110,11 +125,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--skip-hamiltonian", action="store_true")
     parser.add_argument("--max-vertices", type=int, default=4,
                         help="decide the reductions only on graphs this small")
+    parser.add_argument("--complete", type=int, default=0, metavar="N",
+                        help="also decide both reductions on K3 ... KN (default: none)")
     args = parser.parse_args(argv)
     tour_experiment(args.seed, args.instances, args.cities)
-    if not args.skip_hamiltonian and hamiltonian_experiment(args.max_vertices):
-        return 1
-    return 0
+    mismatches = 0
+    if not args.skip_hamiltonian:
+        mismatches += hamiltonian_experiment(args.max_vertices)
+    if args.complete:
+        mismatches += complete_experiment(args.complete)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -10,12 +10,15 @@ the convention the rest of the toolkit uses.
 
 The improvement decision comes in two flavours.  ``paper`` compares the
 approximated designer-fixed extreme of the auxiliary game against the base
-game verbatim.  ``certify`` (the default for strong mode, and sound for a
-"yes" in both modes) tests concrete budget-respecting machines: grim
-replays of the most valuable designer lassos of the auxiliary game, plus
-small-support subsidy schemes, each re-verified on its product before it
-may witness the answer.  A candidate whose product's largest reachable
-cycle mean shows that its search could not change the answer is skipped.
+game verbatim.  ``certify`` (the default, and sound for a "yes" in both
+modes) asks exact threshold questions of concrete budget-respecting
+machines: grim replays of the most valuable designer lassos of the
+auxiliary game, plus small-support subsidy schemes.  Against the base
+game's exact, certified extreme ``b``, each candidate's sweep stops at the
+first signature that decides whether its extreme clears ``b + delta``,
+and a winner is certified on its product before it may witness the
+answer.  A candidate whose product's largest reachable cycle mean is at
+most ``b + delta`` is skipped.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .auxiliary import AuxiliaryGame, build_auxiliary, strategy_to_rm
+from .auxiliary import AuxiliaryGame, build_auxiliary, reward_vectors, strategy_to_rm
 from .equilibria import (
     BACKENDS,
     NEG_INF,
@@ -65,7 +68,11 @@ def _exact(**values: object) -> None:
 
 @dataclass(frozen=True)
 class ImprovementQuery:
-    """Parameters of an improvement decision."""
+    """Parameters of an improvement decision.
+
+    ``epsilon`` is the tolerance of ``paper`` mode's binary searches;
+    ``certify`` mode compares exact values and does not read it.
+    """
 
     budget: int
     delta: Fraction
@@ -94,10 +101,13 @@ class ImprovementAnswer:
     ``implement(game, witness_rm)`` in certify mode, the auxiliary game
     ``build_auxiliary(game, budget).game`` in paper mode.
 
-    ``improved_value`` is the compared search value: the winner's for a
-    "yes", the auxiliary game's in paper mode, and for a certify "no" the
-    largest of the baseline and the solved candidates' search values, which
-    no skipped candidate's search value exceeds."""
+    In certify mode both values are exact.  ``baseline_value`` is the base
+    game's certified extreme; ``improved_value`` is, for a "yes", the
+    value of the certified witness (the winner's worst equilibrium in
+    strong mode, the first signature found above ``baseline + delta`` in
+    weak mode), and for a "no" the baseline itself, since nothing above it
+    was established.  In paper mode both are ``epsilon`` search values, of
+    the base game and of the auxiliary game."""
 
     decision: bool
     baseline_value: Fraction
@@ -127,25 +137,18 @@ def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
     if backend == "oracle":
         rec = solver.extreme_signature(maximize)
         if rec is not None:
-            return SearchResult(*_bracket(game, epsilon, maximize,
-                                          Fraction(rec[3][-1], rec[2])), True), rec
+            extreme = Fraction(rec[3][-1], rec[2])
+            # The worst value stays at or above the bracket's lower edge, the
+            # best at or below its upper edge, so a window holds a value
+            # exactly when its other edge admits the extreme.
+            return SearchResult(*_bisect(
+                game, epsilon, maximize,
+                lambda lo, hi: extreme >= lo if maximize else extreme <= hi), True), rec
     elif solver.lp_feasible(global_query(NEG_INF, POS_INF)):
         return SearchResult(*_bisect(game, epsilon, maximize,
                                      lambda lo, hi: solver.lp_feasible(global_query(lo, hi))),
                             True), None
     return SearchResult(Fraction(min(game.global_weights)), 0, False), None
-
-
-def _bracket(game: Game, epsilon: Fraction, maximize: bool,
-             extreme: Fraction) -> tuple[Fraction, int]:
-    """The oracle search's value and iteration count on ``game`` when its
-    extreme designer value is ``extreme``.  The value rises with
-    ``extreme`` and is never below the least global weight."""
-    # The worst value stays at or above the bracket's lower edge, the best at
-    # or below its upper edge, so a window holds a value exactly when its
-    # other edge admits the extreme.
-    return _bisect(game, epsilon, maximize,
-                   lambda lo, hi: extreme >= lo if maximize else extreme <= hi)
 
 
 def _bisect(game: Game, epsilon: Fraction, maximize: bool,
@@ -198,6 +201,12 @@ def epsilon_best_ne(game: Game, epsilon: Fraction, fixed0: bool = False,
                     backend: str = "oracle", bound: int = 12) -> Fraction:
     """Best-equilibrium designer value, approached within epsilon from below."""
     return algorithm_trace(game, epsilon, fixed0, True, backend, bound).value
+
+
+def _value(game: Game, witness: NEWitness | None) -> Fraction:
+    """The designer value of ``witness``, or with none the least global
+    weight of ``game``: the toolkit's value of an empty equilibrium set."""
+    return Fraction(min(game.global_weights)) if witness is None else witness.global_payoff
 
 
 def _extreme_witness(solver: NashLassoSolver, maximize: bool) -> NEWitness | None:
@@ -285,37 +294,47 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     """Can some budget-respecting machine raise the extreme value past delta?
 
     ``paper`` mode runs the three-step auxiliary-game comparison verbatim
-    (quantifying over every designer strategy, frugal or not).  ``certify``
-    mode only answers yes with a machine whose product has been re-solved
-    and beats the threshold.  In both modes the witness lasso passes the
-    exact best-response certificate on its game (else
-    :class:`SolverLimitError` is raised), so certify's positive answers
-    are self-certifying; its candidate family is finite
-    and documented, so a negative answer means no candidate improved, not
-    that none exists.  Each game searched (base, auxiliary, each candidate
-    product) gets one solver, and the witness lasso is realized from the
-    extreme signature the winner's search read, with no second sweep.  The
-    replay machines are built before the loop, each subsidy scheme only
-    when the loop reaches it.  A candidate is skipped, with no solver and no arena
-    tables, when the search value its product's largest reachable cycle
-    mean would give, which bounds the search's, neither beats the best
-    value seen nor clears the threshold: the answer is that of solving it.
-    What an arena derives (deviation moves,
-    response classes, products) it keeps for its lifetime, across calls: all
-    subsidy-scheme products of ``game`` share one arena.  Within one call,
-    and never across, the candidate products' solvers also share one
-    :class:`SolverMemo`: most candidates are subsidy schemes, which raise
-    one player's weights at one or two states, so most punishment solves
-    and most structures of a call are found there.  The base and auxiliary
-    games' solvers each build a memo of their own, since no other game of
-    the call has their arena; the auxiliary game is dropped before the
-    products are solved, and the products' memo when the call ends.
+    (quantifying over every designer strategy, frugal or not), between two
+    ``epsilon`` binary searches.  ``certify`` mode asks exact threshold
+    questions, and ``epsilon`` plays no part in it.  Its baseline ``b`` is
+    the base game's exact extreme (the worst in strong mode, the best in
+    weak mode), read from the extreme signature and certified; with no
+    equilibrium it is the least global weight.  It then tries a finite,
+    documented candidate family in order, and answers yes with the first
+    candidate whose product's extreme exceeds ``b + delta``:
+
+    * strong mode: a candidate loses at the first equilibrium signature
+      worth at most ``b + delta`` (:meth:`NashLassoSolver.threshold_signature`);
+      one with none wins, and its worst extreme is read and certified;
+    * weak mode: a candidate wins at the first signature worth strictly
+      more than ``b + delta``, which is certified.
+
+    A product with no equilibrium is worth its least global weight, as the
+    base game.  Every reported witness lasso passes the exact best-response
+    certificate on its game, else :class:`SolverLimitError` is raised, so a
+    "yes" is self-certifying; a "no" means no candidate improved, not that
+    no machine does, and its losers' signatures are not certified.
+
+    A candidate is skipped, with no solver and no arena tables, when its
+    product's largest reachable cycle mean ``ub`` is at most ``b + delta``:
+    every equilibrium value is a reachable cycle's mean, so its extreme
+    cannot clear the threshold.  The replay machines are built before the
+    loop, each subsidy scheme only when the loop reaches it.  What an arena
+    derives (deviation moves, response classes, products) it keeps for its
+    lifetime, across calls: all subsidy-scheme products of ``game`` share
+    one arena.  Within one call, and never across, the candidate products'
+    solvers also share one :class:`SolverMemo`: most candidates are subsidy
+    schemes, which raise one player's weights at one or two states, so most
+    punishment solves and most structures of a call are found there.  The
+    base and auxiliary games' solvers each build a memo of their own, since
+    no other game of the call has their arena; the auxiliary game is
+    dropped before the products are solved, and the products' memo when the
+    call ends.
     """
     maximize = q.mode == "weak"
-    base, _ = _search(NashLassoSolver(game, None, q.bound), q.epsilon, maximize, "oracle")
-    aux = build_auxiliary(game, q.budget)
-
     if q.method == "paper":
+        base, _ = _search(NashLassoSolver(game, None, q.bound), q.epsilon, maximize, "oracle")
+        aux = build_auxiliary(game, q.budget)
         aux_solver = NashLassoSolver(aux.game, 0, q.bound)
         aux_search, rec = _search(aux_solver, q.epsilon, maximize, "oracle")
         decision = aux_search.value - base.value > q.delta
@@ -327,17 +346,21 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         return ImprovementAnswer(decision, base.value, aux_search.value, rm, lasso,
                                  owner, "paper", q.mode)
 
-    best_seen = base.value
+    baseline = _value(game, _extreme_witness(NashLassoSolver(game, None, q.bound), maximize))
+    threshold = baseline + q.delta
     replays = []
-    # Larger auxiliary games are left to the subsidy schemes.
-    if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
+    # Larger auxiliary games, one state per reachable state and reward
+    # vector, are left to the subsidy schemes and never built.
+    if (len(game.arena.reachable_states()) * len(reward_vectors(game.n_players, q.budget))
+            <= AUX_CANDIDATE_STATE_LIMIT):
+        aux = build_auxiliary(game, q.budget)
         replays = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
-    # Not read again: freed before the products' memo grows.
-    del aux
+        # Not read again: freed before the products' memo grows.
+        del aux
     memo = SolverMemo()
-    # Per (arena, global row), the bracket of the largest reachable cycle mean:
-    # every equilibrium value is a reachable cycle's mean, so no search on such
-    # a product returns more.  Successor lists are kept by arena.
+    # Per (arena, global row), the largest reachable cycle mean, which bounds
+    # every equilibrium value of such a product.  Successor lists are kept by
+    # arena.
     most: dict[tuple, Fraction] = {}
     succs: dict[Arena, list[list[int]]] = {}
     # Replay machines have two or more states and subsidy schemes one, and
@@ -349,26 +372,25 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
             if arena not in succs:
                 succs[arena] = [list({t for _, t in arena.moves(s)})
                                 for s in range(arena.n_states)]
-            ub = max_mean_value_function(succs[arena], row)[arena.initial]
-            most[arena, row] = _bracket(product, q.epsilon, maximize, ub)[0]
-        # Such a candidate can neither raise the best value seen nor win.
-        if most[arena, row] <= best_seen and most[arena, row] - base.value <= q.delta:
+            most[arena, row] = max_mean_value_function(succs[arena], row)[arena.initial]
+        if most[arena, row] <= threshold:
             continue
         solver = NashLassoSolver(product, None, q.bound, memo)
-        val, rec = _search(solver, q.epsilon, maximize, "oracle")
-        if val.value > best_seen:
-            best_seen = val.value
-        if val.value - base.value > q.delta:
-            lasso = owner = None
-            if rec is not None:
-                lasso = solver.witness(rec).lasso
-                owner = solver.game
-            return ImprovementAnswer(True, base.value, val.value, rm, lasso,
-                                     owner, "certify", q.mode)
+        found = solver.threshold_signature(threshold, maximize)
+        if maximize:
+            witness = None if found is None else solver.witness(found)
+        else:
+            # No signature at or below the threshold: the worst lies above it.
+            witness = None if found is not None else _extreme_witness(solver, False)
+        # With no equilibrium, the product is worth its least global weight.
+        if witness is not None or (found is None and min(row) > threshold):
+            lasso, owner = (None, None) if witness is None else (witness.lasso, product)
+            return ImprovementAnswer(True, baseline, _value(product, witness), rm,
+                                     lasso, owner, "certify", q.mode)
         # Freed before the next product is built, which then reuses its
         # memory: kept alive, the criterion-5 decisions ran ~2% slower.
         del solver
-    return ImprovementAnswer(False, base.value, best_seen, None, None, None,
+    return ImprovementAnswer(False, baseline, baseline, None, None, None,
                              "certify", q.mode)
 
 

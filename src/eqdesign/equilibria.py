@@ -37,14 +37,17 @@ Two backends answer threshold queries:
   decoded.  ``realize`` replays the same walk and follows a signature's
   packed sums back to a concrete lasso.  A designer row also prunes the
   walk, once a layer holds more than ``PRUNE_LAYER_SUMS`` sums: a floor
-  (``signatures(top=...)``, which certify's candidate loop reads, and the
-  best extreme's sweep) drops a partial cycle when even the best designer
-  return to its anchor cannot lift it to the floor, and a ceiling (the
-  worst extreme's sweep) drops one when even the least return cannot
-  bring it down to the ceiling.  Rows filter whole cycles and pruning
-  drops no state from a layer, so the records kept, their first ceiling,
-  prefix length and order, and every realized lasso, are those of the
-  exhaustive sweep.
+  (``signatures(top=...)``, which certify's replay candidates read, the
+  best extreme's sweep and a threshold question from above) drops a
+  partial cycle when even the best designer return to its anchor cannot
+  lift it to the floor, and a ceiling (the worst extreme's sweep and a
+  threshold question from below) drops one when even the least return
+  cannot bring it down to the ceiling.  A threshold question
+  (``threshold_signature``) fixes its row from the first layer and stops
+  at the first signature that meets it.  Rows filter whole cycles and
+  pruning drops no state from a layer, so the records kept, their first
+  ceiling, prefix length and order, and every realized lasso, are those of
+  the exhaustive sweep.
 * ``lp`` - unbounded cycle-frequency feasibility: for every deviation
   ceiling and every strongly connected sub-arena, an exact LP over move
   frequencies decides whether a cycle with the requested payoffs exists.
@@ -505,14 +508,15 @@ class NashLassoSolver:
     # -- oracle sweep ---------------------------------------------------------
 
     def _sweep(self, rows: Sequence[Row] = (), top: int | None = None,
-               sign: int = 1) -> list[tuple]:
+               sign: int = 1, designer: Row | None = None,
+               first: bool = False) -> list[tuple]:
         """Equilibrium cycle signatures within the length bound that pass the
         payoff ``rows``, least first.
 
         A signature is ``(ceiling index, anchor state, cycle length, weight
         sums, prefix length)``; the anchor is the least state on the cycle,
-        weight sums run over all players plus the global table.  With
-        neither ``rows`` nor ``top`` the sweep is exhaustive: every
+        weight sums run over all players plus the global table.  With no
+        ``rows``, ``top`` or ``designer`` the sweep is exhaustive: every
         equilibrium lasso with prefix + cycle within the bound projects onto
         exactly one signature.
 
@@ -523,6 +527,11 @@ class NashLassoSolver:
         the ``top``-th pair recorded so far: a floor that rises or, with
         ``sign`` -1, a ceiling that falls, and the walk drops every partial
         cycle that can no longer meet it.
+
+        ``designer``, in place of ``top``, is a designer row fixed by the
+        caller: the walk prunes by it as by ``top``'s, from the first layer
+        on.  With ``first`` the sweep stops at the first signature that
+        passes, in walk order, and lists it alone, unsorted.
 
         When a cycle closes, its packed sums are tested against the
         ceiling's floor rows, ``rows`` and the designer row, each as
@@ -537,12 +546,12 @@ class NashLassoSolver:
         # so each row reads its own field with one shift and mask.
         half, mask = 1 << (width - 1), (1 << width) - 1
         offset = _pack_sums((half,) * n_sums, width)
-        designer: Row | None = None  # (n, sign * scale, best[0][0]) once set
+        # With ``top``, ``designer`` becomes (n, sign * scale, best[0][0]) once set.
         # The top (sign * value * scale, sign * length) pairs, least first.
         best: list[tuple[int, int]] = []
         out: list[tuple] = []
         seen: set[tuple[int, int, int]] = set()
-        read = None if top is None else lambda: designer
+        read = None if top is None and designer is None else lambda: designer
         for ci, (cei, floors) in enumerate(zip(self._ceilings, self._floors)):
             for anchor in sorted(cei.tree):
                 prefix_len = cei.tree[anchor][0]
@@ -571,6 +580,8 @@ class NashLassoSolver:
                             seen.add(key)
                             sums = _unpack_sums(packed, width, n_sums)
                             out.append((ci, anchor, length, sums, prefix_len))
+                            if first:
+                                return out
                             if top is None:
                                 continue
                             pair = (sign * sums[-1] * (scale // length), sign * length)
@@ -712,6 +723,28 @@ class NashLassoSolver:
         if not found:
             return None
         return found[-1] if maximize else found[0]
+
+    def threshold_signature(self, threshold: Fraction,
+                            maximize: bool = False) -> tuple | None:
+        """The first signature the sweep meets worth at most ``threshold``
+        (or, ``maximize``, strictly more), or None when there is none.
+
+        The threshold is the sweep's designer row from the first layer, so
+        the walk drops what cannot meet it, and the sweep stops at the first
+        signature that does.  Every designer value is a multiple of
+        ``1/scale``, ``scale`` the lcm of the lengths up to the bound, so
+        "strictly more" is "at least the next multiple above ``threshold``".
+        """
+        # bool is an int subclass; it and floats are refused, not converted.
+        if type(threshold) not in (int, Fraction):
+            raise ValueError(f"threshold {threshold!r} is not an int or a Fraction")
+        n = self.game.n_players
+        if maximize:
+            scale = math.lcm(*range(1, self.bound + 1))
+            row = _row(n, 1, Fraction(math.floor(threshold * scale) + 1, scale))
+        else:
+            row = _row(n, -1, threshold)
+        return next(iter(self._sweep(designer=row, first=True)), None)
 
     def signatures(self, top: int | None = None) -> list[tuple]:
         """Equilibrium signatures, least designer value first.

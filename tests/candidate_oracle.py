@@ -6,10 +6,11 @@ valuable first, one per (value, length) pair, and replays each with
 in ``eqdesign.design._lasso_candidates`` must build the same machines in
 the same order.
 
-``unbounded_decision`` is the certify decision with no candidate skipped:
-every candidate product is solved, by the exhaustive sweep and a search
-bisecting every designer value, and the bounded loop of
-``eqdesign.design.decide_improvement`` must give the same answer.
+``unbounded_decision`` is the certify decision with no candidate skipped
+and no early exit: the base game and every candidate product are solved
+through the full ``signatures()`` list, their exact extremes read off its
+ends and compared with ``baseline + delta``.  ``exact_extremes`` lists
+those extremes, so a caller can ask several deltas of one game.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from eqdesign.auxiliary import AuxiliaryGame, build_auxiliary
 from eqdesign.equilibria import NashLassoSolver, SolverMemo, _pack_sums
 from eqdesign.games import Game, Lasso
 from eqdesign.rewards import RewardMachine, implement
-
-from sweep_oracle import bisect_search
 
 
 def full_candidates(aux: AuxiliaryGame, solver: NashLassoSolver) -> list[RewardMachine]:
@@ -69,27 +68,56 @@ def full_realize(solver: NashLassoSolver, rec: tuple) -> Lasso:
     return solver._lasso(cei.tree, states[::-1], moves[::-1])
 
 
-def unbounded_decision(game: Game, q: design.ImprovementQuery) -> design.ImprovementAnswer:
-    """Certify's answer from solving every candidate in order."""
+def exact_extreme(solver: NashLassoSolver, maximize: bool) -> tuple | None:
+    """The least (or greatest) signature of the full sorted list, or None."""
+    sigs = solver.signatures()
+    return (sigs[-1] if maximize else sigs[0]) if sigs else None
+
+
+def extreme_value(solver: NashLassoSolver, rec: tuple | None) -> Fraction:
+    """The designer value of ``rec``; with none, the least global weight."""
+    if rec is None:
+        return Fraction(min(solver.game.global_weights))
+    return Fraction(rec[3][-1], rec[2])
+
+
+def exact_extremes(game: Game, q: design.ImprovementQuery) -> tuple[Fraction, list[tuple]]:
+    """The certified exact baseline of ``game`` and, per candidate in the
+    certify loop's order, ``(machine, product solver, extreme signature)``,
+    the signature None when the product has no equilibrium."""
     maximize = q.mode == "weak"
-    base = bisect_search(NashLassoSolver(game, None, q.bound), q.epsilon, maximize)
+    base_solver = NashLassoSolver(game, None, q.bound)
+    rec = exact_extreme(base_solver, maximize)
+    if rec is not None:
+        base_solver.witness(rec)
     aux = build_auxiliary(game, q.budget)
     candidates = []
     if aux.game.n_states <= design.AUX_CANDIDATE_STATE_LIMIT:
         candidates = full_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
     candidates += design._subsidy_candidates(game, q)
-    best_seen = base.value
     memo = SolverMemo()
+    solved = []
     for rm in candidates:
         solver = NashLassoSolver(implement(game, rm), None, q.bound, memo)
-        val = bisect_search(solver, q.epsilon, maximize)
-        best_seen = max(best_seen, val.value)
-        if val.value - base.value > q.delta:
+        solved.append((rm, solver, exact_extreme(solver, maximize)))
+    return extreme_value(base_solver, rec), solved
+
+
+def unbounded_decision(game: Game, q: design.ImprovementQuery,
+                       extremes: tuple[Fraction, list[tuple]] | None = None,
+                       ) -> design.ImprovementAnswer:
+    """Certify's answer from the exact extreme of every candidate, in order:
+    the first whose extreme exceeds ``baseline + delta`` wins, witnessed by
+    that extreme.  ``extremes`` is ``exact_extremes(game, q)``, computed
+    when not given."""
+    baseline, solved = extremes or exact_extremes(game, q)
+    for rm, solver, rec in solved:
+        value = extreme_value(solver, rec)
+        if value - baseline > q.delta:
             lasso = owner = None
-            if val.ne_exists:
-                lasso = solver.witness(solver.extreme_signature(maximize)).lasso
-                owner = solver.game
-            return design.ImprovementAnswer(True, base.value, val.value, rm, lasso, owner,
+            if rec is not None:
+                lasso, owner = solver.witness(rec).lasso, solver.game
+            return design.ImprovementAnswer(True, baseline, value, rm, lasso, owner,
                                             "certify", q.mode)
-    return design.ImprovementAnswer(False, base.value, best_seen, None, None, None,
+    return design.ImprovementAnswer(False, baseline, baseline, None, None, None,
                                     "certify", q.mode)

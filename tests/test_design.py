@@ -22,7 +22,6 @@ from eqdesign.design import (
     AUX_CANDIDATE_STATE_LIMIT,
     MAX_LASSO_CANDIDATES,
     ImprovementQuery,
-    _bracket,
     _lasso_candidates,
     _search,
     _subsidy_candidates,
@@ -47,8 +46,12 @@ from eqdesign.games import _arena_tables, make_game
 from eqdesign.rewards import implement, is_beta_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
 
-from candidate_oracle import full_candidates, unbounded_decision
-from max_mean_oracle import brute_force_max_mean
+from candidate_oracle import (
+    exact_extremes,
+    extreme_value,
+    full_candidates,
+    unbounded_decision,
+)
 from memoryless_oracle import memoryless_equilibrium_values
 from sweep_oracle import bisect_search
 
@@ -445,10 +448,11 @@ class TestOneSolverPerGame:
     @pytest.mark.parametrize("seed,mode,delta,decision,n_tried,n_skipped", [
         # Nothing skipped: every tried product gets a solver.
         pytest.param(None, "strong", Fraction(1, 2), True, 5, 0, id="strong"),
-        pytest.param(3, "strong", Fraction(1, 2), False, 20, 0, id="seed3-strong"),
-        pytest.param(3, "weak", Fraction(1, 2), False, 20, 0, id="seed3-weak"),
+        pytest.param(3, "strong", Fraction(0), False, 20, 0, id="seed3-strong"),
+        pytest.param(3, "weak", Fraction(0), False, 20, 0, id="seed3-weak"),
         # Some or all skipped.
-        pytest.param(None, "strong", Fraction(2), False, 22, 9, id="strong-delta2"),
+        pytest.param(3, "strong", Fraction(1, 2), False, 20, 4, id="seed3-strong-half"),
+        pytest.param(None, "strong", Fraction(2), False, 22, 22, id="strong-delta2"),
         pytest.param(None, "weak", Fraction(1, 2), False, 22, 22, id="weak"),
     ])
     def test_certify(self, example1, seed, mode, delta, decision, n_tried, n_skipped,
@@ -518,15 +522,15 @@ class TestArenaSharing:
     it: for the base and auxiliary games and each solved product, never for
     a product that was skipped."""
 
-    @pytest.mark.parametrize("seed,mode,n_arenas,n_skipped", [
+    @pytest.mark.parametrize("seed,mode,delta,n_arenas,n_skipped", [
         # Example 1: 22 products on 8 arenas, 10 subsidy schemes on one.
-        pytest.param(None, "strong", 8, 9, id="strong"),
-        pytest.param(None, "weak", 8, 22, id="weak"),
+        pytest.param(None, "strong", Fraction(10), 8, 22, id="strong"),
+        pytest.param(None, "weak", Fraction(10), 8, 22, id="weak"),
         # Nothing skipped: every product arena gets its tables.
-        pytest.param(3, "strong", 13, 0, id="seed3-strong"),
-        pytest.param(3, "weak", 13, 0, id="seed3-weak"),
+        pytest.param(3, "strong", Fraction(0), 13, 0, id="seed3-strong"),
+        pytest.param(3, "weak", Fraction(0), 13, 0, id="seed3-weak"),
     ])
-    def test_certify(self, seed, mode, n_arenas, n_skipped, monkeypatch):
+    def test_certify(self, seed, mode, delta, n_arenas, n_skipped, monkeypatch):
         built, products = [], []
 
         def counting_tables(arena):
@@ -537,7 +541,7 @@ class TestArenaSharing:
         solved, tried = TestOneSolverPerGame.count(monkeypatch)
         # Fresh, so no tables come from other tests.
         game = gen_example1()[0] if seed is None else gen_random_game(seed, 2, 2)
-        q = ImprovementQuery(budget=1, delta=Fraction(10), epsilon=Fraction(1, 10),
+        q = ImprovementQuery(budget=1, delta=delta, epsilon=Fraction(1, 10),
                              mode=mode, method="certify")
         assert not decide_improvement(game, q).decision
         n_subsidy = len(list(_subsidy_candidates(game, q)))
@@ -564,11 +568,29 @@ def answer_key(ans) -> tuple:
             ans.method, ans.mode)
 
 
+def assert_answers_as_reference(ans, ref, q: ImprovementQuery) -> None:
+    """``ans`` is the exhaustive reference's answer ``ref``, but for a weak
+    "yes": the early exit certifies the first signature of the winner worth
+    more than the threshold, so its value lies above the threshold and at
+    most at the winner's best extreme, the reference's value."""
+    if not (ans.decision and ans.mode == "weak" and ans.witness_lasso is not None):
+        assert answer_key(ans) == answer_key(ref)
+        return
+    assert answer_key(dataclasses.replace(ans, improved_value=None, witness_lasso=None)) == (
+        answer_key(dataclasses.replace(ref, improved_value=None, witness_lasso=None)))
+    assert ans.baseline_value + q.delta < ans.improved_value <= ref.improved_value
+    game = ans.witness_game
+    assert eqdesign.games.mean_payoff(game.global_weights, ans.witness_lasso) == (
+        ans.improved_value)
+    assert is_ne_outcome(game, ans.witness_lasso)
+
+
 class TestCandidateBound:
-    """Certify skips a candidate only when the bracket of its product's
-    largest reachable cycle mean shows that its search can neither raise
-    the best value seen nor win: every answer is that of solving every
-    candidate."""
+    """Certify's early-exit decision is that of the exhaustive reference,
+    which solves every candidate to its exact extreme: skipping candidates
+    whose largest reachable cycle mean is at most the threshold, and
+    stopping each sweep at its first deciding signature, changes no
+    answer.  Certify's answer does not depend on ``epsilon``."""
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     @pytest.mark.parametrize("seed,n_players,n_states",
@@ -577,11 +599,14 @@ class TestCandidateBound:
     def test_answers_as_the_unbounded_loop(self, seed, n_players, n_states, mode):
         game = (gen_example1()[0] if seed is None
                 else gen_random_game(seed, n_players, n_states, 2))
+        q = ImprovementQuery(budget=1, delta=Fraction(0), epsilon=Fraction(1), mode=mode)
+        extremes = exact_extremes(game, q)
         for delta in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)):
+            q = dataclasses.replace(q, delta=delta)
+            ref = unbounded_decision(game, q, extremes)
             for epsilon in (Fraction(1, 8), Fraction(1)):
-                q = ImprovementQuery(budget=1, delta=delta, epsilon=epsilon, mode=mode)
-                assert (answer_key(decide_improvement(game, q))
-                        == answer_key(unbounded_decision(game, q)))
+                ans = decide_improvement(game, dataclasses.replace(q, epsilon=epsilon))
+                assert_answers_as_reference(ans, ref, q)
 
     @pytest.mark.parametrize("make,mode", [(gen_hamiltonian_game, "strong"),
                                            (gen_hamiltonian_complement_game, "weak")])
@@ -592,27 +617,28 @@ class TestCandidateBound:
         ans = decide_improvement(game, q)
         # Strong improves exactly with a Hamiltonian cycle, weak exactly without.
         assert ans.decision == ((graph == "WITH") == (mode == "strong"))
-        assert answer_key(ans) == answer_key(unbounded_decision(game, q))
+        assert_answers_as_reference(ans, unbounded_decision(game, q), q)
 
-    @settings(deadline=None, max_examples=80)
-    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4), st.booleans(),
-           st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 8)]), st.data())
-    def test_bracket_bounds_the_search(self, seed, n_players, n_states, maximize, epsilon,
-                                       data):
-        game = gen_random_game(seed, n_players, n_states, weight_range=(-5, 7))
-        least, most = min(game.global_weights), max(game.global_weights)
-        values = st.fractions(least - 1, most + 1, max_denominator=12)
-        a, b = sorted([data.draw(values), data.draw(values)])
-
-        def bracket(x):
-            return _bracket(game, epsilon, maximize, x)[0]
-
-        assert least <= bracket(a) <= bracket(b)
-        succs = [[t for _, t in game.arena.moves(s)] for s in range(game.n_states)]
-        ub = brute_force_max_mean(succs, game.global_weights)[game.initial]
-        for fixed in (None, 0):
-            searched, _ = _search(NashLassoSolver(game, fixed, 6), epsilon, maximize, "oracle")
-            assert searched.value <= bracket(ub)
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.sampled_from(["strong", "weak"]),
+           st.data())
+    def test_early_exit_decides_as_the_reference(self, seed, n_states, mode, data):
+        """On seeded two-player games, at deltas that put some candidate's
+        extreme exactly on the threshold, a candidate wins only strictly
+        above it: at most ``b + delta`` loses in strong mode, and only a
+        signature worth more wins in weak mode."""
+        game = gen_random_game(seed, 2, n_states, 2)
+        q = ImprovementQuery(budget=1, delta=Fraction(0), epsilon=Fraction(1), mode=mode,
+                             bound=6)
+        extremes = exact_extremes(game, q)
+        baseline, solved = extremes
+        values = sorted({extreme_value(solver, rec) for _, solver, rec in solved})
+        # At the greatest extreme no candidate clears the threshold.
+        for on_threshold in (values[-1], data.draw(st.sampled_from(values)), None):
+            delta = Fraction(1, 2) if on_threshold is None else on_threshold - baseline
+            q = dataclasses.replace(q, delta=delta)
+            assert_answers_as_reference(decide_improvement(game, q),
+                                        unbounded_decision(game, q, extremes), q)
 
     def test_k4_weak_no_builds_no_product_solver(self, monkeypatch):
         built, tried = TestOneSolverPerGame.count(monkeypatch)
@@ -620,10 +646,62 @@ class TestCandidateBound:
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1), mode="weak")
         ans = decide_improvement(game, q)
         assert (ans.decision, ans.baseline_value, ans.improved_value) == (
-            False, Fraction(7, 2), Fraction(7, 2))
+            False, Fraction(4), Fraction(4))
         # The 105-state auxiliary game is past AUX_CANDIDATE_STATE_LIMIT, so
         # only the 3,870 subsidy schemes are tried, and every one is skipped.
         assert len(tried) == 3870 and built == [game]
+
+
+class TestExactThreshold:
+    """Certify reads one exact, certified baseline and asks each candidate
+    an exact threshold question, so ``epsilon`` cannot move its answer and
+    a baseline whose witness fails its certificate is refused."""
+
+    @pytest.mark.parametrize("seed,mode,baseline,improved", [
+        # With bracketed search values both said "no" at epsilon 1, "yes" at 1/8.
+        (16, "strong", Fraction(-1), Fraction(0)),
+        (24, "weak", Fraction(-2), Fraction(-1)),
+    ])
+    def test_epsilon_does_not_move_the_answer(self, seed, mode, baseline, improved):
+        game = gen_random_game(seed, 2, 3, 2)
+        for epsilon in (Fraction(1), Fraction(1, 8)):
+            q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=epsilon, mode=mode)
+            ans = decide_improvement(game, q)
+            assert (ans.decision, ans.baseline_value, ans.improved_value) == (
+                True, baseline, improved)
+            extreme = (exact_best_ne if mode == "weak" else exact_worst_ne)(game)
+            assert extreme.global_payoff == baseline
+
+    @pytest.mark.parametrize("seed,mode", [
+        (32, "strong"), (51, "strong"), (69, "strong"), (75, "strong"), (98, "strong"),
+        (87, "weak"),
+    ])
+    def test_uncertified_baseline_is_refused(self, seed, mode):
+        """Three-player games whose base extreme fails its certificate, as
+        ``exact_worst_ne`` or ``exact_best_ne`` refuses it."""
+        game = gen_random_game(seed, 3, 3, 2)
+        extreme = exact_best_ne if mode == "weak" else exact_worst_ne
+        with pytest.raises(SolverLimitError, match="certificate"):
+            extreme(game, bound=8)
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 8),
+                             mode=mode, bound=8)
+        with pytest.raises(SolverLimitError, match="certificate"):
+            decide_improvement(game, q)
+
+    def test_k4_strong_yes(self, monkeypatch):
+        """On the complete digraph of four vertices (15 states, 6 players)
+        no candidate is skipped, and the 3,864th, the last, wins with worst
+        value 4: one solver for the base game and one per candidate, since
+        the 105-state auxiliary game is past AUX_CANDIDATE_STATE_LIMIT."""
+        built, tried = TestOneSolverPerGame.count(monkeypatch)
+        game = gen_hamiltonian_game(complete_digraph(4))
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1))
+        ans = decide_improvement(game, q)
+        assert (ans.decision, ans.baseline_value, ans.improved_value) == (
+            True, Fraction(0), Fraction(4))
+        assert len(tried) == 3864 and ans.witness_game is tried[-1]
+        assert built[0] is game and built[1:] == tried
+        assert exact_worst_ne(ans.witness_game).global_payoff == 4
 
 
 def keys(machines) -> list[tuple]:
@@ -743,15 +821,14 @@ class TestDistinctCandidates:
 
 
 class TestSynthesizeRm:
-    def test_witness_reverifies_within_epsilon(self, example1):
+    def test_witness_reverifies_exactly(self, example1):
         game, _, _ = example1
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1, 10))
         ans = decide_improvement(game, q)
         rm = synthesize_rm(game, q)
         assert rm.canonical_key() == ans.witness_rm.canonical_key()
         product = implement(game, rm)
-        v = epsilon_worst_ne(product, q.epsilon)
-        assert v == ans.improved_value
+        assert exact_worst_ne(product).global_payoff == ans.improved_value
 
     def test_no_witness_raises(self, example1):
         game, _, _ = example1

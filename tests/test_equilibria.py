@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -579,6 +580,67 @@ class TestFlooredExtremes:
             sign = 1 if maximize else -1
             assert rows and all(k == game.n_players and sign * q > 0 for k, q, _ in rows)
         self.check(game, None, 12)
+
+
+class TestThresholdSignature:
+    """A threshold question returns a record of the exhaustive list on the
+    asked side of the threshold, at most it or strictly above it, and None
+    exactly when the list holds no such record."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(2, 3), st.integers(2, 4),
+           st.sampled_from([None, 0]), st.integers(2, 8),
+           st.sampled_from([0, eqdesign.equilibria.PRUNE_LAYER_SUMS]))
+    def test_seeded_games(self, seed, n_players, n_states, fixed, bound, gate):
+        # Gate 0 prunes every layer of these small walks; the default, few.
+        with mock.patch.object(eqdesign.equilibria, "PRUNE_LAYER_SUMS", gate):
+            game = gen_random_game(seed, n_players, n_states, weight_range=(-5, 7))
+            full = NashLassoSolver(game, fixed, bound).signatures()
+            solver = NashLassoSolver(game, fixed, bound)
+            values = sorted({value(rec) for rec in full})
+            # Every value, and a point just off each side of it.
+            eps = Fraction(1, 2 * math.lcm(*range(1, bound + 1)))
+            for t in {v + d for v in values for d in (-eps, 0, eps)} | {Fraction(-9)}:
+                for maximize in (False, True):
+                    def meets(rec):
+                        return value(rec) > t if maximize else value(rec) <= t
+                    got = solver.threshold_signature(t, maximize)
+                    if got is None:
+                        assert not any(map(meets, full))
+                    else:
+                        assert got in full and meets(got)
+                        lasso = solver.realize(got)
+                        assert payoffs(game, lasso)[1] == value(got)
+
+    def test_no_equilibrium(self, pennies_game):
+        solver = NashLassoSolver(pennies_game)
+        for maximize in (False, True):
+            assert solver.threshold_signature(Fraction(0), maximize) is None
+
+    def test_stops_at_the_first_record(self, monkeypatch):
+        """The sweep decodes the one record it returns and closes no cycle
+        after it."""
+        game = gen_random_game(3, n_players=3, n_states=4)
+        full = NashLassoSolver(game, None, 8).signatures()
+        decoded = []
+        unpack = eqdesign.equilibria._unpack_sums
+
+        def counting(*args):
+            decoded.append(args)
+            return unpack(*args)
+
+        monkeypatch.setattr(eqdesign.equilibria, "_unpack_sums", counting)
+        solver = NashLassoSolver(game, None, 8)
+        for t, maximize in ((value(full[-1]), False), (value(full[0]), True)):
+            decoded.clear()
+            assert solver.threshold_signature(t, maximize) is not None
+            assert len(decoded) == 1 < len(full)
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1/2"])
+    def test_threshold_must_be_exact(self, bad):
+        solver = NashLassoSolver(gen_example1()[0], None, 4)
+        with pytest.raises(ValueError, match="threshold"):
+            solver.threshold_signature(bad)
 
 
 def check_against_sweep_oracle(game, fixed, bound):

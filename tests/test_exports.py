@@ -79,6 +79,7 @@ PARAMETERS = {
     "NashLassoSolver.query_oracle": ("self", "query"),
     "NashLassoSolver.realize": ("self", "rec"),
     "NashLassoSolver.signatures": ("self", "top"),
+    "NashLassoSolver.threshold_signature": ("self", "threshold", "maximize"),
     "NashLassoSolver.witness": ("self", "rec"),
 }
 

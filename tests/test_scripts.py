@@ -54,6 +54,16 @@ def test_run_reductions_checks_hamiltonian_decisions():
     assert "MISMATCH" not in proc.stdout
 
 
+def test_run_reductions_decides_complete_digraphs():
+    proc = run_script("run_reductions.py", "--instances", "0", "--skip-hamiltonian",
+                      "--complete", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.strip() for line in proc.stdout.splitlines() if line.startswith("  K")]
+    assert [line.split(" (")[0] for line in lines] == ["K3, strong: yes", "K3, weak: no"]
+    # Each decision is printed with its time.
+    assert all(line.endswith(" s)") for line in lines)
+
+
 def test_run_reductions_exits_1_on_a_mismatch(monkeypatch, capsys):
     script = load_script("run_reductions.py")
     assert {name: script.has_hamiltonian_cycle(g) for name, g in script.GRAPHS.items()} == {
@@ -81,7 +91,7 @@ def test_answer_digest():
         for mode in ("strong", "weak")]
     assert [ans.split()[0] for _, ans in certify] == ["yes", "no", "no", "no", "no", "no"]
     # A yes names its witness machine's key and lasso; a no names neither.
-    assert certify[0][1].startswith("yes 1/16 31/32 (0, ")
+    assert certify[0][1].startswith("yes 0 11/12 (0, ")
     assert " Lasso(prefix_states=" in certify[0][1]
     assert all(ans.endswith(" None None") for _, ans in certify[1:])
     assert sum(line.startswith("serialized ") for line in lines) == 4
