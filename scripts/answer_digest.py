@@ -14,12 +14,14 @@ seeded two-player games, the k-loop delivery machines, and, on seeded
 random games with two and three players: every equilibrium signature (as a
 digest), the extreme witnesses (each extreme signature is asserted to be
 the matching end of the signature list), the machines built from them (as
-a digest; distinct top lassos are asserted to replay as distinct machines), oracle and LP answers on point and half-line designer windows
-and on player windows, binary-search runs, and the zero-sum engine read
-directly: each non-fixed player's punishment values (levels, ranks and
-coalition witness) and each player's exact best response against seeded
-strategies of the others (both as digests).  Only public names are used,
-so the script runs unchanged against older checkouts.
+a digest; distinct top lassos are asserted to replay as distinct machines),
+oracle and LP answers on point and half-line designer windows and on
+player windows, binary-search runs, and the zero-sum engine read directly:
+each non-fixed player's punishment values (levels, ranks and coalition
+witness) and each player's exact best response against seeded strategies
+of the others (both as digests).  Apart from ``design.replay_machine``,
+only public names are used, so the script runs unchanged against older
+checkouts that have that function.
 """
 
 import argparse
@@ -31,7 +33,6 @@ from eqdesign.auxiliary import (
     lift_strategy,
     lower_strategy,
     rm_to_strategy,
-    strategy_to_rm,
 )
 from eqdesign.benchmarks import (
     CostDigraph,
@@ -46,7 +47,7 @@ from eqdesign.design import (
     ImprovementQuery,
     algorithm_trace,
     decide_improvement,
-    replay_strategy,
+    replay_machine,
 )
 from eqdesign.equilibria import NEG_INF, POS_INF, NashLassoSolver, ThresholdQuery
 from eqdesign.fileio import serialize_game
@@ -121,8 +122,8 @@ def delivery_machines() -> None:
 def translations(game, bound: int) -> list:
     """Machines and strategies built from the budget-1 auxiliary game.
 
-    The designer's worst and best lassos are replayed as agent-0 strategies,
-    turned into reward machines and back; on each machine's product, one
+    The designer's worst and best lassos are replayed as reward machines
+    and turned into agent-0 strategies; on each machine's product, one
     seeded strategy per player is lifted into the auxiliary game and lowered
     again.  The replays of the distinct (value, length) pairs of the top
     sweep, the lassos certify replays, are asserted to be distinct machines.
@@ -132,7 +133,7 @@ def translations(game, bound: int) -> list:
     pairs = {}
     for rec in solver.signatures(top=MAX_LASSO_CANDIDATES):
         pairs.setdefault((rec[3][-1], rec[2]), rec)
-    replays = {strategy_to_rm(aux, replay_strategy(aux, solver.realize(rec))).canonical_key()
+    replays = {replay_machine(aux, solver.realize(rec)).canonical_key()
                for rec in pairs.values()}
     assert len(replays) == len(pairs), "two (value, length) pairs replay as one machine"
     out = []
@@ -141,10 +142,9 @@ def translations(game, bound: int) -> list:
         if rec is None:
             out.append(None)
             continue
-        sigma0 = replay_strategy(aux, solver.realize(rec))
-        rm = strategy_to_rm(aux, sigma0)
+        rm = replay_machine(aux, solver.realize(rec))
         product = implement(game, rm)
-        out += [sigma0, rm, rm_to_strategy(aux, rm)]
+        out += [rm, rm_to_strategy(aux, rm)]
         for player in range(game.n_players):
             lifted = lift_strategy(aux, rm, product,
                                    gen_random_strategy(product, player, bound), player)

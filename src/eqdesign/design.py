@@ -5,20 +5,22 @@ search: each probe asks whether some equilibrium has its designer payoff
 inside one half of the current bracket.  The worst value is approached from
 above, the best from below, each within the requested tolerance; the
 bounded oracle answers every probe from the one extreme signature.  Games
-with no equilibrium at all fall back to the least global weight, matching
-the convention the rest of the toolkit uses.
+with no equilibrium at all fall back to the least global weight over the
+states play can visit, matching the convention the rest of the toolkit
+uses.
 
 The improvement decision comes in two flavours.  ``paper`` compares the
 approximated designer-fixed extreme of the auxiliary game against the base
 game verbatim.  ``certify`` (the default, and sound for a "yes" in both
 modes) asks exact threshold questions of concrete budget-respecting
-machines: grim replays of the most valuable designer lassos of the
-auxiliary game, plus small-support subsidy schemes.  Against the base
-game's exact, certified extreme ``b``, each candidate's sweep stops at the
-first signature that decides whether its extreme clears ``b + delta``,
-and a winner is certified on its product before it may witness the
-answer.  A candidate whose product's largest reachable cycle mean is at
-most ``b + delta`` is skipped.
+machines: first the machine paying nothing, then the paying replays of
+the most valuable designer lassos of the auxiliary game (one machine
+state per lasso position), then small-support subsidy schemes.  Against
+the base game's exact, certified extreme ``b``, each candidate's sweep
+stops at the first signature that decides whether its extreme clears
+``b + delta``, and a winner is certified on its product before it may
+witness the answer.  A candidate whose product's largest reachable cycle
+mean is at most ``b + delta`` is skipped.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .auxiliary import AuxiliaryGame, build_auxiliary, reward_vectors, strategy_to_rm
+from .auxiliary import AuxiliaryGame, build_auxiliary, reward_vectors
 from .equilibria import (
     BACKENDS,
     NEG_INF,
@@ -38,14 +40,14 @@ from .equilibria import (
     SolverMemo,
     ThresholdQuery,
 )
-from .games import Arena, Game, Lasso, MealyStrategy, tabulate
-from .rewards import RewardMachine, from_subsidy_scheme, implement
+from .games import Arena, Game, Lasso, tabulate
+from .rewards import RewardMachine, from_subsidy_scheme, implement, zero_rm
 from .zerosum import SolverLimitError, max_mean_value_function
 
-# Certify's candidate family: grim replays of the MAX_LASSO_CANDIDATES most
-# valuable designer lassos of an auxiliary game with at most
-# AUX_CANDIDATE_STATE_LIMIT states, then every unit subsidy scheme on one or
-# two states.
+# Certify's candidate family: the machine paying nothing, replays of the
+# MAX_LASSO_CANDIDATES most valuable designer lassos of an auxiliary game
+# with at most AUX_CANDIDATE_STATE_LIMIT states, less those paying nothing,
+# then every unit subsidy scheme on one or two states.
 MAX_LASSO_CANDIDATES = 12
 AUX_CANDIDATE_STATE_LIMIT = 40
 
@@ -148,7 +150,7 @@ def _search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool,
         return SearchResult(*_bisect(game, epsilon, maximize,
                                      lambda lo, hi: solver.lp_feasible(global_query(lo, hi))),
                             True), None
-    return SearchResult(Fraction(min(game.global_weights)), 0, False), None
+    return SearchResult(_value(game, None), 0, False), None
 
 
 def _bisect(game: Game, epsilon: Fraction, maximize: bool,
@@ -192,7 +194,7 @@ def epsilon_worst_ne(game: Game, epsilon: Fraction, fixed0: bool = False,
 
     With ``fixed0`` the search reads the designer-fixed equilibria of an
     auxiliary game (whose global table is agent 0's weight).  Empty
-    equilibrium sets collapse to the least global weight.
+    equilibrium sets collapse to the least global weight play can visit.
     """
     return algorithm_trace(game, epsilon, fixed0, False, backend, bound).value
 
@@ -205,8 +207,11 @@ def epsilon_best_ne(game: Game, epsilon: Fraction, fixed0: bool = False,
 
 def _value(game: Game, witness: NEWitness | None) -> Fraction:
     """The designer value of ``witness``, or with none the least global
-    weight of ``game``: the toolkit's value of an empty equilibrium set."""
-    return Fraction(min(game.global_weights)) if witness is None else witness.global_payoff
+    weight over the states of ``game`` that play can visit: the toolkit's
+    value of an empty equilibrium set."""
+    if witness is None:
+        return Fraction(min(game.global_weights[s] for s in game.arena.reachable_states()))
+    return witness.global_payoff
 
 
 def _extreme_witness(solver: NashLassoSolver, maximize: bool) -> NEWitness | None:
@@ -226,26 +231,26 @@ def exact_best_ne(game: Game, fixed: int | None = None,
     return _extreme_witness(NashLassoSolver(game, fixed, bound), True)
 
 
-def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:
-    """Agent-0 strategy following a designer lasso, inert once it derails.
+def replay_machine(aux: AuxiliaryGame, lasso: Lasso) -> RewardMachine:
+    """Machine replaying a designer lasso, inert once the play derails.
 
-    Memory tracks the position along the lasso; while the observed states
-    match, the recorded agent-0 actions are replayed, and the first
-    mismatch drops to an absorbing mode paying nothing forever.
+    State ``m`` is lasso position ``m``: reading the source state of the
+    lasso's ``m``-th auxiliary state, it pays the vector agent 0 played
+    there and moves on, from the last position back to the cycle start.
+    Any other state drops to an absorbing last state paying nothing.
     """
-    states_at = list(lasso.prefix_states) + list(lasso.cycle_states)
-    moves_at = list(lasso.prefix_moves) + list(lasso.cycle_moves)
-    n_pre = len(lasso.prefix_states)
-    length = len(states_at)
-    absorb = length
-    zero_action = aux.vector_action[0]  # vectors[0] is zero
+    sources = [aux.pair_of_state[x][0] for x in (*lasso.prefix_states, *lasso.cycle_states)]
+    paid = [aux.vectors[joint[0] - aux.vector_action[0]]  # actions in vector order
+            for joint in (*lasso.prefix_moves, *lasso.cycle_moves)]
+    length = len(sources)
 
-    def cell(m: int, x: int) -> tuple[int, int]:
-        if m < length and x == states_at[m]:
-            return (m + 1 if m + 1 < length else n_pre), moves_at[m][0]
-        return absorb, zero_action
+    def cell(m: int, s: int) -> tuple[int, tuple[int, ...]]:
+        if m < length and s == sources[m]:
+            return (m + 1 if m + 1 < length else len(lasso.prefix_states)), paid[m]
+        return length, aux.vectors[0]  # vectors[0] is zero
 
-    return MealyStrategy(length + 1, 0, *tabulate(length + 1, aux.game.n_states, cell))
+    return RewardMachine(tuple(f"q{m}" for m in range(length + 1)), 0,
+                         *tabulate(length + 1, aux.source.n_states, cell))
 
 
 def _lasso_candidates(aux: AuxiliaryGame,
@@ -256,21 +261,25 @@ def _lasso_candidates(aux: AuxiliaryGame,
     ``MAX_LASSO_CANDIDATES``-th most valuable (value, length) pair, and
     prunes the walks that cannot reach it: the top of the full sorted list,
     in the same order.  Read most valuable first, the first signature of
-    each pair is replayed, up to ``MAX_LASSO_CANDIDATES`` machines.
+    each pair is replayed, up to ``MAX_LASSO_CANDIDATES`` machines, and the
+    replays that pay nothing are dropped: such a machine is the base game,
+    which the machine paying nothing already is.
 
     No two pairs give one machine, so no machine is dropped as a repeat.
-    A replay machine has one memory block per lasso position, and at each
-    position exactly one (source state, vector), the lasso's auxiliary
-    state there, advances to the next block.  The machine thus fixes the
-    lasso's auxiliary states and where its cycle starts, and with them the
-    cycle's length and designer sum.
+    A replay machine has one state per lasso position, and at each position
+    exactly one source state advances, paying the vector agent 0 played
+    there.  The machine thus fixes the lasso's source states and vectors,
+    so its auxiliary states (each records the vector paid on the way in),
+    and where its cycle starts, and with them the cycle's length and
+    designer sum.
     """
     pairs: dict[tuple[int, int], tuple] = {}
     for rec in reversed(solver.signatures(top=MAX_LASSO_CANDIDATES)):
         # (designer sum, length) names the same pair as (value, length).
         pairs.setdefault((rec[3][-1], rec[2]), rec)
-    return [strategy_to_rm(aux, replay_strategy(aux, solver.realize(rec)))
-            for rec in itertools.islice(pairs.values(), MAX_LASSO_CANDIDATES)]
+    replays = [replay_machine(aux, solver.realize(rec))
+               for rec in itertools.islice(pairs.values(), MAX_LASSO_CANDIDATES)]
+    return [rm for rm in replays if rm.max_norm() > 0]
 
 
 def _subsidy_candidates(game: Game, q: ImprovementQuery) -> Iterator[RewardMachine]:
@@ -299,9 +308,14 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     questions, and ``epsilon`` plays no part in it.  Its baseline ``b`` is
     the base game's exact extreme (the worst in strong mode, the best in
     weak mode), read from the extreme signature and certified; with no
-    equilibrium it is the least global weight.  It then tries a finite,
-    documented candidate family in order, and answers yes with the first
-    candidate whose product's extreme exceeds ``b + delta``:
+    equilibrium it is the least global weight play can visit.  It then
+    tries a finite, documented candidate family in order, and answers yes
+    with the first candidate whose product's extreme exceeds ``b + delta``.
+    Candidate 0 is :func:`zero_rm`: its product is the base game, so it
+    answers every ``delta < 0`` with yes, budget 0 included.  At budget 0
+    it is the only candidate: every replay would pay nothing and no
+    auxiliary game is built.  Replays that pay nothing are dropped, as the
+    base game again.
 
     * strong mode: a candidate loses at the first equilibrium signature
       worth at most ``b + delta`` (:meth:`NashLassoSolver.threshold_signature`);
@@ -310,10 +324,11 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
       more than ``b + delta``, which is certified.
 
     A product with no equilibrium is worth its least global weight, as the
-    base game.  Every reported witness lasso passes the exact best-response
-    certificate on its game, else :class:`SolverLimitError` is raised, so a
-    "yes" is self-certifying; a "no" means no candidate improved, not that
-    no machine does, and its losers' signatures are not certified.
+    base game: play can visit every product state.  Every reported witness
+    lasso passes the exact best-response certificate on its game, else
+    :class:`SolverLimitError` is raised, so a "yes" is self-certifying; a
+    "no" means no candidate improved, not that no machine does, and its
+    losers' signatures are not certified.
 
     A candidate is skipped, with no solver and no arena tables, when its
     product's largest reachable cycle mean ``ub`` is at most ``b + delta``:
@@ -341,7 +356,7 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         rm = lasso = owner = None
         if decision and rec is not None:
             lasso = aux_solver.witness(rec).lasso
-            rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
+            rm = replay_machine(aux, lasso)
             owner = aux.game
         return ImprovementAnswer(decision, base.value, aux_search.value, rm, lasso,
                                  owner, "paper", q.mode)
@@ -349,10 +364,12 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     baseline = _value(game, _extreme_witness(NashLassoSolver(game, None, q.bound), maximize))
     threshold = baseline + q.delta
     replays = []
-    # Larger auxiliary games, one state per reachable state and reward
-    # vector, are left to the subsidy schemes and never built.
-    if (len(game.arena.reachable_states()) * len(reward_vectors(game.n_players, q.budget))
-            <= AUX_CANDIDATE_STATE_LIMIT):
+    # At budget 0 every replay pays nothing.  Larger auxiliary games, one
+    # state per reachable state and reward vector, are left to the subsidy
+    # schemes.  Neither is built.
+    if q.budget > 0 and (len(game.arena.reachable_states())
+                         * len(reward_vectors(game.n_players, q.budget))
+                         <= AUX_CANDIDATE_STATE_LIMIT):
         aux = build_auxiliary(game, q.budget)
         replays = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
         # Not read again: freed before the products' memo grows.
@@ -363,9 +380,10 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     # arena.
     most: dict[tuple, Fraction] = {}
     succs: dict[Arena, list[list[int]]] = {}
-    # Replay machines have two or more states and subsidy schemes one, and
-    # each family is free of repeats, so no candidate is solved twice.
-    for rm in itertools.chain(replays, _subsidy_candidates(game, q)):
+    # Replay machines have two or more states, the machine paying nothing and
+    # the subsidy schemes one, every subsidy scheme pays, and each family is
+    # free of repeats, so no candidate is solved twice.
+    for rm in itertools.chain((zero_rm(game),), replays, _subsidy_candidates(game, q)):
         product = implement(game, rm)
         arena, row = product.arena, product.global_weights
         if (arena, row) not in most:

@@ -146,21 +146,22 @@ def from_subsidy_scheme(game: Game, kappa: dict[int, tuple[int, ...]]) -> Reward
     """Memoryless machine paying ``kappa[s]`` whenever the play visits ``s``.
 
     Subsidy schemes are exactly the single-state reward machines; states
-    absent from ``kappa`` pay nothing.
+    absent from ``kappa`` pay nothing.  Only the given entries are checked.
     """
     for s in kappa:
         # bool is an int subclass; a key True is refused, not read as state 1.
         if type(s) is not int or s not in range(game.n_states):
             raise RewardMachineError(f"subsidy key {s!r} is not a state index")
-    rows = []
-    for s in range(game.n_states):
-        vec = kappa.get(s, (0,) * game.n_players)
+    rows = [(0,) * game.n_players] * game.n_states
+    # In state order, so the least offending state is the one named.
+    for s in sorted(kappa):
+        vec = kappa[s]
         if len(vec) != game.n_players:
             raise RewardMachineError(f"subsidy vector at state {s} has wrong arity")
         # bool is an int subclass; it and non-integral numbers are refused, not cast.
         if any(isinstance(r, bool) or not isinstance(r, int) or r < 0 for r in vec):
             raise RewardMachineError(f"subsidy vector at state {s}: expected naturals")
-        rows.append(tuple(vec))
+        rows[s] = tuple(vec)
     return RewardMachine(
         state_names=("q0",),
         initial=0,

@@ -2,14 +2,19 @@
 
 ``full_candidates`` reads every signature of the exhaustive sweep, most
 valuable first, one per (value, length) pair, and replays each with
-``full_realize``, which walks without a designer floor.  The floored loop
-in ``eqdesign.design._lasso_candidates`` must build the same machines in
-the same order.
+``full_realize``, which walks without a designer floor, dropping the
+replays that pay nothing.  The floored loop in
+``eqdesign.design._lasso_candidates`` must build the same machines in the
+same order.  ``replay_strategy`` is the paper's route to a replay: an
+agent-0 strategy that ``strategy_to_rm`` turns into a machine with one
+state per (memory, vector) pair; ``design.replay_machine`` must give the
+same products from one state per lasso position.
 
 ``unbounded_decision`` is the certify decision with no candidate skipped
-and no early exit: the base game and every candidate product are solved
-through the full ``signatures()`` list, their exact extremes read off its
-ends and compared with ``baseline + delta``.  ``exact_extremes`` lists
+and no early exit: the base game and every candidate product, from the
+machine paying nothing on, are solved through the full ``signatures()``
+list, their exact extremes read off its ends and compared with
+``baseline + delta``.  ``exact_extremes`` lists
 those extremes, so a caller can ask several deltas of one game.
 """
 
@@ -20,8 +25,30 @@ from fractions import Fraction
 import eqdesign.design as design
 from eqdesign.auxiliary import AuxiliaryGame, build_auxiliary
 from eqdesign.equilibria import NashLassoSolver, SolverMemo, _pack_sums
-from eqdesign.games import Game, Lasso
-from eqdesign.rewards import RewardMachine, implement
+from eqdesign.games import Game, Lasso, MealyStrategy, tabulate
+from eqdesign.rewards import RewardMachine, implement, zero_rm
+
+
+def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:
+    """Agent-0 strategy following a designer lasso, inert once it derails.
+
+    Memory tracks the position along the lasso; while the observed states
+    match, the recorded agent-0 actions are replayed, and the first
+    mismatch drops to an absorbing mode paying nothing forever.
+    """
+    states_at = list(lasso.prefix_states) + list(lasso.cycle_states)
+    moves_at = list(lasso.prefix_moves) + list(lasso.cycle_moves)
+    n_pre = len(lasso.prefix_states)
+    length = len(states_at)
+    absorb = length
+    zero_action = aux.vector_action[0]  # vectors[0] is zero
+
+    def cell(m: int, x: int) -> tuple[int, int]:
+        if m < length and x == states_at[m]:
+            return (m + 1 if m + 1 < length else n_pre), moves_at[m][0]
+        return absorb, zero_action
+
+    return MealyStrategy(length + 1, 0, *tabulate(length + 1, aux.game.n_states, cell))
 
 
 def full_candidates(aux: AuxiliaryGame, solver: NashLassoSolver) -> list[RewardMachine]:
@@ -35,7 +62,7 @@ def full_candidates(aux: AuxiliaryGame, solver: NashLassoSolver) -> list[RewardM
             continue
         seen_sig.add(sig_key)
         # Looked up at call time, as the loop under test does.
-        rm = design.strategy_to_rm(aux, design.replay_strategy(aux, full_realize(solver, rec)))
+        rm = design.replay_machine(aux, full_realize(solver, rec))
         key = rm.canonical_key()
         if key in seen_keys:
             continue
@@ -43,7 +70,7 @@ def full_candidates(aux: AuxiliaryGame, solver: NashLassoSolver) -> list[RewardM
         machines.append(rm)
         if len(machines) >= design.MAX_LASSO_CANDIDATES:
             break
-    return machines
+    return [rm for rm in machines if rm.max_norm() > 0]
 
 
 def full_realize(solver: NashLassoSolver, rec: tuple) -> Lasso:
@@ -75,9 +102,11 @@ def exact_extreme(solver: NashLassoSolver, maximize: bool) -> tuple | None:
 
 
 def extreme_value(solver: NashLassoSolver, rec: tuple | None) -> Fraction:
-    """The designer value of ``rec``; with none, the least global weight."""
+    """The designer value of ``rec``; with none, the least global weight
+    over the states play can visit."""
     if rec is None:
-        return Fraction(min(solver.game.global_weights))
+        game = solver.game
+        return Fraction(min(game.global_weights[s] for s in game.arena.reachable_states()))
     return Fraction(rec[3][-1], rec[2])
 
 
@@ -90,10 +119,11 @@ def exact_extremes(game: Game, q: design.ImprovementQuery) -> tuple[Fraction, li
     rec = exact_extreme(base_solver, maximize)
     if rec is not None:
         base_solver.witness(rec)
-    aux = build_auxiliary(game, q.budget)
-    candidates = []
-    if aux.game.n_states <= design.AUX_CANDIDATE_STATE_LIMIT:
-        candidates = full_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
+    candidates = [zero_rm(game)]
+    if q.budget > 0:
+        aux = build_auxiliary(game, q.budget)
+        if aux.game.n_states <= design.AUX_CANDIDATE_STATE_LIMIT:
+            candidates += full_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
     candidates += design._subsidy_candidates(game, q)
     memo = SolverMemo()
     solved = []

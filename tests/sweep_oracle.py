@@ -129,7 +129,9 @@ def bisect_search(solver: NashLassoSolver, epsilon: Fraction, maximize: bool) ->
     min_w = Fraction(min(game.global_weights))
     max_w = Fraction(max(game.global_weights))
     if not values:
-        return SearchResult(min_w, 0, False)
+        # An empty equilibrium set is worth the least weight play can visit.
+        reach = game.arena.reachable_states()
+        return SearchResult(Fraction(min(game.global_weights[s] for s in reach)), 0, False)
     a1, a2 = min_w, max_w
     iterations = 0
     while a2 - a1 >= epsilon:

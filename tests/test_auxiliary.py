@@ -176,8 +176,10 @@ class TestStrategyToRm:
 
     def test_replaying_delivery_rewards_recovers_two_thirds(self, example1):
         """Replaying the designer lasso with rewards (0),(0),(1) gives a
-        machine whose product matches the one-cycle delivery value."""
-        from eqdesign.design import replay_strategy
+        machine whose product matches the one-cycle delivery value, the
+        product of the direct replay machine."""
+        from candidate_oracle import replay_strategy
+        from eqdesign.design import replay_machine
         from lasso_walks import lasso_from_states
 
         game, _, _ = example1
@@ -192,6 +194,7 @@ class TestStrategyToRm:
         rm = strategy_to_rm(aux, sigma0)
         product = implement(game, rm)
         assert exact_worst_ne(product).global_payoff == Fraction(2, 3)
+        assert implement(game, replay_machine(aux, lasso)).arena is product.arena
 
     @pytest.mark.parametrize("seed", range(8))
     def test_path_equivalence_for_strategies(self, seed):

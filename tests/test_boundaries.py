@@ -37,7 +37,7 @@ from eqdesign.design import (
     algorithm_trace,
     epsilon_best_ne,
     epsilon_worst_ne,
-    replay_strategy,
+    replay_machine,
 )
 from eqdesign.equilibria import (
     NEG_INF,
@@ -113,9 +113,9 @@ class TestBuiltObjectsValidate:
             tuple(gen_random_strategy(aux.game, i, seed + i) for i in range(n_players + 1))))
         for lasso in [*designer_lassos, free_run]:
             lasso.validate(aux.game)
-            sigma0 = replay_strategy(aux, lasso)
-            sigma0.validate(aux.game, 0)
-            rm = strategy_to_rm(aux, sigma0)
+            rm = replay_machine(aux, lasso)
+            rm.validate_for(game)
+            assert is_beta_rm(rm, 1)
             back = rm_to_strategy(aux, rm)
             back.validate(aux.game, 0)
             product = implement(game, rm)

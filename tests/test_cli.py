@@ -155,7 +155,8 @@ class TestCheckAndSynth:
         assert code == 0
         game = parse_game((fixture_dir / "example1.game").read_text())
         rm = parse_rm(out_path.read_text(), game)
-        assert is_beta_rm(rm, 1)
+        # One state per position of the replayed 12-state lasso, one absorbing.
+        assert is_beta_rm(rm, 1) and rm.n_states == 13
         vcode, _, vdoc = run_cli([
             "verify", str(fixture_dir / "example1.game"), str(out_path),
             "--budget", "1",

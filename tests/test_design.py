@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import eqdesign.design
 import eqdesign.equilibria
 import eqdesign.games
-from eqdesign.auxiliary import build_auxiliary, strategy_to_rm
+from eqdesign.auxiliary import build_auxiliary, machine_state_vectors, strategy_to_rm
 from eqdesign.benchmarks import (
     CostDigraph,
     complete_digraph,
@@ -31,7 +31,7 @@ from eqdesign.design import (
     epsilon_worst_ne,
     exact_best_ne,
     exact_worst_ne,
-    replay_strategy,
+    replay_machine,
     synthesize_rm,
 )
 from eqdesign.equilibria import (
@@ -43,13 +43,14 @@ from eqdesign.equilibria import (
     is_ne_outcome,
 )
 from eqdesign.games import _arena_tables, make_game
-from eqdesign.rewards import implement, is_beta_rm
+from eqdesign.rewards import implement, is_beta_rm, zero_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
 
 from candidate_oracle import (
     exact_extremes,
     extreme_value,
     full_candidates,
+    replay_strategy,
     unbounded_decision,
 )
 from memoryless_oracle import memoryless_equilibrium_values
@@ -113,7 +114,8 @@ class TestEpsilonWorst:
         eps = Fraction(1, 3)
         approx = epsilon_worst_ne(game, eps)
         if witness is None:
-            assert approx == min(game.global_weights)
+            reach = game.arena.reachable_states()
+            assert approx == min(game.global_weights[s] for s in reach)
         else:
             assert witness.global_payoff <= approx < witness.global_payoff + eps
 
@@ -447,13 +449,13 @@ class TestOneSolverPerGame:
 
     @pytest.mark.parametrize("seed,mode,delta,decision,n_tried,n_skipped", [
         # Nothing skipped: every tried product gets a solver.
-        pytest.param(None, "strong", Fraction(1, 2), True, 5, 0, id="strong"),
-        pytest.param(3, "strong", Fraction(0), False, 20, 0, id="seed3-strong"),
-        pytest.param(3, "weak", Fraction(0), False, 20, 0, id="seed3-weak"),
+        pytest.param(None, "strong", Fraction(1, 2), True, 2, 0, id="strong"),
+        pytest.param(3, "strong", Fraction(0), False, 19, 0, id="seed3-strong"),
+        pytest.param(3, "weak", Fraction(0), False, 19, 0, id="seed3-weak"),
         # Some or all skipped.
-        pytest.param(3, "strong", Fraction(1, 2), False, 20, 4, id="seed3-strong-half"),
-        pytest.param(None, "strong", Fraction(2), False, 22, 22, id="strong-delta2"),
-        pytest.param(None, "weak", Fraction(1, 2), False, 22, 22, id="weak"),
+        pytest.param(3, "strong", Fraction(1, 2), False, 19, 4, id="seed3-strong-half"),
+        pytest.param(None, "strong", Fraction(2), False, 16, 16, id="strong-delta2"),
+        pytest.param(None, "weak", Fraction(1, 2), False, 16, 16, id="weak"),
     ])
     def test_certify(self, example1, seed, mode, delta, decision, n_tried, n_skipped,
                      monkeypatch):
@@ -516,21 +518,23 @@ class TestOneSolverPerGame:
 
 
 class TestArenaSharing:
-    """Every subsidy scheme's product of a game is on one arena object, and
+    """The products of the machine paying nothing and of every subsidy scheme
+    of a game are on one arena object, and
     each arena's tables (its deviation moves and every player's response
     classes, from one pass) are built at most once, however many games share
     it: for the base and auxiliary games and each solved product, never for
     a product that was skipped."""
 
-    @pytest.mark.parametrize("seed,mode,delta,n_arenas,n_skipped", [
-        # Example 1: 22 products on 8 arenas, 10 subsidy schemes on one.
-        pytest.param(None, "strong", Fraction(10), 8, 22, id="strong"),
-        pytest.param(None, "weak", Fraction(10), 8, 22, id="weak"),
+    @pytest.mark.parametrize("seed,mode,delta,n_tried,n_arenas,n_skipped", [
+        # Example 1: 16 products on 5 arenas, the machine paying nothing and
+        # 10 subsidy schemes on one, 5 paying replays on the other 4.
+        pytest.param(None, "strong", Fraction(10), 16, 5, 16, id="strong"),
+        pytest.param(None, "weak", Fraction(10), 16, 5, 16, id="weak"),
         # Nothing skipped: every product arena gets its tables.
-        pytest.param(3, "strong", Fraction(0), 13, 0, id="seed3-strong"),
-        pytest.param(3, "weak", Fraction(0), 13, 0, id="seed3-weak"),
+        pytest.param(3, "strong", Fraction(0), 19, 11, 0, id="seed3-strong"),
+        pytest.param(3, "weak", Fraction(0), 19, 11, 0, id="seed3-weak"),
     ])
-    def test_certify(self, seed, mode, delta, n_arenas, n_skipped, monkeypatch):
+    def test_certify(self, seed, mode, delta, n_tried, n_arenas, n_skipped, monkeypatch):
         built, products = [], []
 
         def counting_tables(arena):
@@ -545,10 +549,10 @@ class TestArenaSharing:
                              mode=mode, method="certify")
         assert not decide_improvement(game, q).decision
         n_subsidy = len(list(_subsidy_candidates(game, q)))
-        subsidy = [product.arena for product in tried[-n_subsidy:]]
+        subsidy = [product.arena for product in (tried[0], *tried[-n_subsidy:])]
         assert all(a is subsidy[0] for a in subsidy)
         arenas = {id(product.arena): product.arena for product in tried}
-        assert len(tried) == MAX_LASSO_CANDIDATES + n_subsidy and len(arenas) == n_arenas
+        assert len(tried) == n_tried and len(arenas) == n_arenas
         assert len(tried) - len(solved[2:]) == n_skipped
         # Base game, auxiliary game, and each solved product's arena: once each.
         want = {id(game.arena), id(solved[1].arena), *(id(p.arena) for p in solved[2:])}
@@ -648,8 +652,9 @@ class TestCandidateBound:
         assert (ans.decision, ans.baseline_value, ans.improved_value) == (
             False, Fraction(4), Fraction(4))
         # The 105-state auxiliary game is past AUX_CANDIDATE_STATE_LIMIT, so
-        # only the 3,870 subsidy schemes are tried, and every one is skipped.
-        assert len(tried) == 3870 and built == [game]
+        # only the machine paying nothing and the 3,870 subsidy schemes are
+        # tried, and every one is skipped.
+        assert len(tried) == 3871 and built == [game]
 
 
 class TestExactThreshold:
@@ -690,16 +695,17 @@ class TestExactThreshold:
 
     def test_k4_strong_yes(self, monkeypatch):
         """On the complete digraph of four vertices (15 states, 6 players)
-        no candidate is skipped, and the 3,864th, the last, wins with worst
-        value 4: one solver for the base game and one per candidate, since
-        the 105-state auxiliary game is past AUX_CANDIDATE_STATE_LIMIT."""
+        no candidate is skipped, and the 3,865th, the last, wins with worst
+        value 4: one solver for the base game and one per candidate (the
+        machine paying nothing, then subsidy schemes), since the 105-state
+        auxiliary game is past AUX_CANDIDATE_STATE_LIMIT."""
         built, tried = TestOneSolverPerGame.count(monkeypatch)
         game = gen_hamiltonian_game(complete_digraph(4))
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1))
         ans = decide_improvement(game, q)
         assert (ans.decision, ans.baseline_value, ans.improved_value) == (
             True, Fraction(0), Fraction(4))
-        assert len(tried) == 3864 and ans.witness_game is tried[-1]
+        assert len(tried) == 3865 and ans.witness_game is tried[-1]
         assert built[0] is game and built[1:] == tried
         assert exact_worst_ne(ans.witness_game).global_payoff == 4
 
@@ -733,13 +739,18 @@ class TestFlooredCandidates:
         return (_lasso_candidates(aux, NashLassoSolver(aux.game, 0, bound)),
                 full_candidates(aux, NashLassoSolver(aux.game, 0, bound)))
 
-    @pytest.mark.parametrize("make", [gen_hamiltonian_game, gen_hamiltonian_complement_game])
-    @pytest.mark.parametrize("graph", ["WITH", "WITHOUT"])
-    def test_criterion_5_auxiliary_games(self, make, graph, monkeypatch):
+    @pytest.mark.parametrize("make,graph,n_paying", [
+        pytest.param(make, graph, n, id=f"{graph}-{make.__name__}")
+        for make, graph, n in ((gen_hamiltonian_game, "WITH", 8),
+                               (gen_hamiltonian_complement_game, "WITH", 8),
+                               (gen_hamiltonian_game, "WITHOUT", 2),
+                               (gen_hamiltonian_complement_game, "WITHOUT", 12))])
+    def test_criterion_5_auxiliary_games(self, make, graph, n_paying, monkeypatch):
+        # Of the MAX_LASSO_CANDIDATES replays, those paying nothing are dropped.
         aux = build_auxiliary(make(getattr(self, graph)), 1)
         tops = self.count_sweeps(monkeypatch)
         floored, full = self.both(aux)
-        assert keys(floored) == keys(full) and len(full) == MAX_LASSO_CANDIDATES
+        assert keys(floored) == keys(full) and len(full) == n_paying
         # One floored pass, then the reference's full sweep.
         assert tops == [MAX_LASSO_CANDIDATES, None]
 
@@ -768,9 +779,9 @@ class TestFlooredCandidates:
 
 class TestDistinctCandidates:
     """Certify solves each candidate once, without a dedupe: the replay
-    machines are distinct among themselves, the subsidy schemes too, and
-    the two families never meet.  A new family that overlaps an old one
-    fails here.  Distinct (value, length) pairs of an auxiliary game's top
+    machines are distinct among themselves, the subsidy schemes too, the
+    two families never meet, and the machine paying nothing is none of
+    them.  A new family that overlaps an old one fails here.  Distinct (value, length) pairs of an auxiliary game's top
     sweep replay as distinct machines, all listed pairs and not only those
     certify reads, since ``_lasso_candidates`` drops no repeat."""
 
@@ -778,9 +789,9 @@ class TestDistinctCandidates:
     def candidates(game):
         """The certify loop's candidates at budget 1 and bound 12, in order."""
         aux = build_auxiliary(game, 1)
-        found = []
+        found = [zero_rm(game)]
         if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
-            found = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, 12))
+            found += _lasso_candidates(aux, NashLassoSolver(aux.game, 0, 12))
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1))
         return [*found, *_subsidy_candidates(game, q)]
 
@@ -791,8 +802,7 @@ class TestDistinctCandidates:
         pairs = {}
         for rec in solver.signatures(top=MAX_LASSO_CANDIDATES):
             pairs.setdefault((rec[3][-1], rec[2]), rec)
-        replays = [strategy_to_rm(aux, replay_strategy(aux, solver.realize(rec)))
-                   for rec in pairs.values()]
+        replays = [replay_machine(aux, solver.realize(rec)) for rec in pairs.values()]
         assert len(set(keys(replays))) == len(replays)
 
     @pytest.mark.parametrize("make", [gen_hamiltonian_game, gen_hamiltonian_complement_game])
@@ -820,6 +830,120 @@ class TestDistinctCandidates:
                     gen_random_game(seed, n_players, 2 + seed % 3), budget, 4 + seed % 5)
 
 
+class TestReplayMachine:
+    """A replay machine has one state per lasso position and one absorbing
+    state, tracks reward vectors, and gives the product of the paper's
+    route, the agent-0 replay strategy through ``strategy_to_rm``: the same
+    arena object with the same weight tables."""
+
+    @staticmethod
+    def auxiliary_games():
+        """Every auxiliary game of at most AUX_CANDIDATE_STATE_LIMIT states of
+        example1 at budgets 1-3, the criterion-5 games at budget 1, and
+        seeded two- and three-player games at budgets 1-2."""
+        games = [(gen_example1()[0], budget) for budget in (1, 2, 3)]
+        games += [(make(getattr(TestFlooredCandidates, graph)), 1)
+                  for make in (gen_hamiltonian_game, gen_hamiltonian_complement_game)
+                  for graph in ("WITH", "WITHOUT")]
+        games += [(gen_random_game(seed, n_players, 2 + seed % 3, 2), 1 + seed % 2)
+                  for seed in range(30) for n_players in (2, 3)]
+        for game, budget in games:
+            aux = build_auxiliary(game, budget)
+            if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
+                yield game, aux
+
+    def test_products_are_the_strategy_routes(self):
+        checked = 0
+        for game, aux in self.auxiliary_games():
+            solver = NashLassoSolver(aux.game, 0, 8)
+            for rec in solver.signatures(top=MAX_LASSO_CANDIDATES):
+                lasso = solver.realize(rec)
+                rm = replay_machine(aux, lasso)
+                assert rm.n_states == len(lasso.prefix_states) + len(lasso.cycle_states) + 1
+                machine_state_vectors(aux, rm)
+                product = implement(game, rm)
+                paper = implement(game, strategy_to_rm(aux, replay_strategy(aux, lasso)))
+                assert product.arena is paper.arena
+                assert (product.weights, product.global_weights) == (
+                    paper.weights, paper.global_weights)
+                checked += 1
+        assert checked == 3238
+
+
+class TestEmptyEquilibriumSet:
+    """A game with no equilibrium is worth the least global weight over the
+    states play can visit, as its products are."""
+
+    def test_unreachable_weight_is_no_value(self):
+        """``gen_random_game(26, 2, 3, 2)`` has no equilibrium, and its one
+        unreachable state weighs -1, the other two 1.  Read over every
+        state, the base was worth -1, and a subsidy whose product has no
+        equilibrium either "raised" it to 0 while the designer paid."""
+        game = gen_random_game(26, 2, 3, 2)
+        assert game.arena.reachable_states() == [0, 2] and game.global_weights == (1, -1, 1)
+        assert exact_worst_ne(game) is None and epsilon_worst_ne(game, Fraction(1, 8)) == 1
+        for method in ("certify", "paper"):
+            for mode in ("strong", "weak"):
+                for delta in (Fraction(1, 2), Fraction(0)):
+                    ans = decide_improvement(game, ImprovementQuery(
+                        1, delta, Fraction(1, 8), mode, method))
+                    assert (ans.decision, ans.baseline_value) == (False, 1)
+                q = ImprovementQuery(1, Fraction(-1), Fraction(1, 8), mode, method)
+                # Doing nothing clears a negative delta; paper mode's
+                # auxiliary game is worth 0.
+                assert decide_improvement(game, q).decision == (method == "certify")
+
+
+class TestMachinePayingNothing:
+    """Candidate 0 is the machine paying nothing, whose product is the base
+    game; no other candidate pays nothing, and budget 0 builds no
+    auxiliary game, since all its replays would pay nothing."""
+
+    @staticmethod
+    def no_auxiliary(monkeypatch):
+        def refused(game, budget):
+            raise AssertionError("auxiliary game built")
+
+        monkeypatch.setattr(eqdesign.design, "build_auxiliary", refused)
+
+    @pytest.mark.parametrize("seed,budget,improved", [
+        (14, 0, None), (14, 1, Fraction(1, 2)), (14, 2, Fraction(1, 2)),
+        (24, 0, None), (24, 1, None), (24, 2, None),
+    ])
+    def test_no_witness_pays_nothing(self, seed, budget, improved):
+        """A replay paying nothing once "raised" these strong values, 1/12
+        to 1/9 and -7/6 to -10/9, by unrolling the base game, not by design."""
+        game = gen_random_game(seed, 3, 3, 2)
+        ans = decide_improvement(game, ImprovementQuery(budget, Fraction(0), Fraction(1, 8)))
+        assert ans.decision == (improved is not None)
+        if ans.decision:
+            assert ans.improved_value == improved and ans.witness_rm.max_norm() > 0
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("seed", [None, 26])
+    def test_negative_delta_at_budget_0_is_doing_nothing(self, example1, mode, seed,
+                                                         monkeypatch):
+        self.no_auxiliary(monkeypatch)
+        game = example1[0] if seed is None else gen_random_game(seed, 2, 3, 2)
+        ans = decide_improvement(game, ImprovementQuery(0, Fraction(-1), Fraction(1, 8), mode))
+        assert ans.decision and ans.witness_rm.canonical_key() == zero_rm(game).canonical_key()
+        # Strong mode reads the worst value, the baseline; weak mode the
+        # first signature above the threshold, at most the best, the baseline.
+        assert ans.baseline_value - 1 < ans.improved_value <= ans.baseline_value
+        assert mode == "weak" or ans.improved_value == ans.baseline_value
+
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 4)])
+    def test_budget_0_builds_no_auxiliary_game(self, example1, delta, monkeypatch):
+        """Example1 at budget 0 once built 14 solvers: the base game, the
+        auxiliary game and 12 replay products.  Now: the base game and the
+        machine paying nothing."""
+        self.no_auxiliary(monkeypatch)
+        built, tried = TestOneSolverPerGame.count(monkeypatch)
+        game = example1[0]
+        assert not decide_improvement(game, ImprovementQuery(0, delta, Fraction(1, 8))).decision
+        assert len(tried) == 1 and built == [game, *tried]
+
+
 class TestSynthesizeRm:
     def test_witness_reverifies_exactly(self, example1):
         game, _, _ = example1
@@ -844,8 +968,7 @@ class TestSynthesizeRm:
         zero_vi = aux.vector_index((0,))
         t, r = game.state_names.index("t"), game.state_names.index("r")
         cycle = [aux.state_id(t, zero_vi), aux.state_id(r, zero_vi)]
-        rm = strategy_to_rm(aux, replay_strategy(
-            aux, lasso_from_states(aux.game, cycle, 0)))
+        rm = replay_machine(aux, lasso_from_states(aux.game, cycle, 0))
         assert rm.max_norm() == 0
         product = implement(game, rm)
         assert exact_worst_ne(product).global_payoff == exact_worst_ne(game).global_payoff
@@ -877,7 +1000,7 @@ class TestSynthesizeRm:
                     moves.append(joint)
                     break
         lasso = Lasso((), tuple(cycle), (), tuple(moves))
-        rm = strategy_to_rm(aux, replay_strategy(aux, lasso))
+        rm = replay_machine(aux, lasso)
         product = implement(game, rm)
         assert exact_worst_ne(product).global_payoff == Fraction(5, 6)
 
