@@ -13,9 +13,10 @@ The improvement decision comes in two flavours.  ``paper`` compares the
 approximated designer-fixed extreme of the auxiliary game against the base
 game verbatim.  ``certify`` (the default, and sound for a "yes" in both
 modes) asks exact threshold questions of concrete budget-respecting
-machines: first the machine paying nothing, then the paying replays of
-the most valuable designer lassos of the auxiliary game (one machine
-state per lasso position), then small-support subsidy schemes.  Against
+machines: first the machine paying nothing, then, once it has lost, the
+paying replays of the most valuable designer lassos of the auxiliary game
+(one machine state per lasso position), then unit subsidy schemes on one
+or two reachable states.  Against
 the base game's exact, certified extreme ``b``, each candidate's sweep
 stops at the first signature that decides whether its extreme clears
 ``b + delta``, and a winner is certified on its product before it may
@@ -26,11 +27,12 @@ mean is at most ``b + delta`` is skipped.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .auxiliary import AuxiliaryGame, build_auxiliary, reward_vectors
+from .auxiliary import AuxiliaryGame, build_auxiliary
 from .equilibria import (
     BACKENDS,
     NEG_INF,
@@ -44,10 +46,8 @@ from .games import Arena, Game, Lasso, tabulate
 from .rewards import RewardMachine, from_subsidy_scheme, implement, zero_rm
 from .zerosum import SolverLimitError, max_mean_value_function
 
-# Certify's candidate family: the machine paying nothing, replays of the
-# MAX_LASSO_CANDIDATES most valuable designer lassos of an auxiliary game
-# with at most AUX_CANDIDATE_STATE_LIMIT states, less those paying nothing,
-# then every unit subsidy scheme on one or two states.
+# Certify's replays (_candidates): the MAX_LASSO_CANDIDATES most valuable
+# designer lassos of an auxiliary game of at most AUX_CANDIDATE_STATE_LIMIT states.
 MAX_LASSO_CANDIDATES = 12
 AUX_CANDIDATE_STATE_LIMIT = 40
 
@@ -282,16 +282,35 @@ def _lasso_candidates(aux: AuxiliaryGame,
     return [rm for rm in replays if rm.max_norm() > 0]
 
 
-def _subsidy_candidates(game: Game, q: ImprovementQuery) -> Iterator[RewardMachine]:
-    """Unit-entry subsidy schemes on one state, then on two distinct states,
-    each built when it is read."""
+def _candidates(game: Game, q: ImprovementQuery) -> Iterator[RewardMachine]:
+    """Certify's candidate machines, in order, each built when it is read.
+
+    First :func:`zero_rm`, whose product is the base game.  Then, at a
+    positive budget and when the auxiliary game (one state per reachable
+    state and reward vector) has at most ``AUX_CANDIDATE_STATE_LIMIT``
+    states, the paying replays of :func:`_lasso_candidates`: that game is
+    built only once candidate 0 has lost, and freed before any replay is
+    tried.  Last, unit subsidy schemes on one reachable state, then on two.
+
+    No two candidates are one machine: replays are distinct machines of two
+    or more states (:func:`_lasso_candidates`), the others have one.  Nor do
+    two one-state candidates give one product: they share the arena over
+    the reachable states, and their rows differ where they pay.  A scheme
+    paying at an unreachable state would repeat the product of candidate 0,
+    or of the earlier scheme on its other state, so none is listed.
+    """
+    yield zero_rm(game)
     if q.budget < 1:
         return
+    reachable = game.arena.reachable_states()
     n = game.n_players
+    if len(reachable) * math.comb(q.budget + n, n) <= AUX_CANDIDATE_STATE_LIMIT:
+        aux = build_auxiliary(game, q.budget)
+        replays = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
+        del aux  # freed before the products' memo grows
+        yield from replays
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    singles = [
-        (s, vec) for s in range(game.n_states) for vec in units
-    ]
+    singles = [(s, vec) for s in reachable for vec in units]
     for s, vec in singles:
         yield from_subsidy_scheme(game, {s: vec})
     for (s1, v1), (s2, v2) in itertools.combinations(singles, 2):
@@ -309,13 +328,9 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     the base game's exact extreme (the worst in strong mode, the best in
     weak mode), read from the extreme signature and certified; with no
     equilibrium it is the least global weight play can visit.  It then
-    tries a finite, documented candidate family in order, and answers yes
-    with the first candidate whose product's extreme exceeds ``b + delta``.
-    Candidate 0 is :func:`zero_rm`: its product is the base game, so it
-    answers every ``delta < 0`` with yes, budget 0 included.  At budget 0
-    it is the only candidate: every replay would pay nothing and no
-    auxiliary game is built.  Replays that pay nothing are dropped, as the
-    base game again.
+    tries the candidates of :func:`_candidates` in order, and answers yes
+    with the first whose product's extreme exceeds ``b + delta``; candidate
+    0, the base game, answers every ``delta < 0``, budget 0 included.
 
     * strong mode: a candidate loses at the first equilibrium signature
       worth at most ``b + delta`` (:meth:`NashLassoSolver.threshold_signature`);
@@ -333,18 +348,15 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     A candidate is skipped, with no solver and no arena tables, when its
     product's largest reachable cycle mean ``ub`` is at most ``b + delta``:
     every equilibrium value is a reachable cycle's mean, so its extreme
-    cannot clear the threshold.  The replay machines are built before the
-    loop, each subsidy scheme only when the loop reaches it.  What an arena
-    derives (deviation moves, response classes, products) it keeps for its
-    lifetime, across calls: all subsidy-scheme products of ``game`` share
-    one arena.  Within one call, and never across, the candidate products'
-    solvers also share one :class:`SolverMemo`: most candidates are subsidy
-    schemes, which raise one player's weights at one or two states, so most
-    punishment solves and most structures of a call are found there.  The
-    base and auxiliary games' solvers each build a memo of their own, since
-    no other game of the call has their arena; the auxiliary game is
-    dropped before the products are solved, and the products' memo when the
-    call ends.
+    cannot clear the threshold.  What an arena derives (deviation moves,
+    response classes, products) it keeps for its lifetime, across calls:
+    all subsidy-scheme products of ``game`` share one arena.  Within one
+    call, and never across, the candidate products' solvers also share one
+    :class:`SolverMemo`: most candidates are subsidy schemes, which raise
+    one player's weights at one or two states, so most punishment solves
+    and most structures of a call are found there.  The base and auxiliary
+    games' solvers each build a memo of their own, since no other game of
+    the call has their arena; the products' memo goes when the call ends.
     """
     maximize = q.mode == "weak"
     if q.method == "paper":
@@ -363,27 +375,13 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
 
     baseline = _value(game, _extreme_witness(NashLassoSolver(game, None, q.bound), maximize))
     threshold = baseline + q.delta
-    replays = []
-    # At budget 0 every replay pays nothing.  Larger auxiliary games, one
-    # state per reachable state and reward vector, are left to the subsidy
-    # schemes.  Neither is built.
-    if q.budget > 0 and (len(game.arena.reachable_states())
-                         * len(reward_vectors(game.n_players, q.budget))
-                         <= AUX_CANDIDATE_STATE_LIMIT):
-        aux = build_auxiliary(game, q.budget)
-        replays = _lasso_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
-        # Not read again: freed before the products' memo grows.
-        del aux
     memo = SolverMemo()
     # Per (arena, global row), the largest reachable cycle mean, which bounds
     # every equilibrium value of such a product.  Successor lists are kept by
     # arena.
     most: dict[tuple, Fraction] = {}
     succs: dict[Arena, list[list[int]]] = {}
-    # Replay machines have two or more states, the machine paying nothing and
-    # the subsidy schemes one, every subsidy scheme pays, and each family is
-    # free of repeats, so no candidate is solved twice.
-    for rm in itertools.chain((zero_rm(game),), replays, _subsidy_candidates(game, q)):
+    for rm in _candidates(game, q):
         product = implement(game, rm)
         arena, row = product.arena, product.global_weights
         if (arena, row) not in most:

@@ -129,10 +129,11 @@ class Arena:
         machine moving from ``q`` to ``step[q][s]`` when play leaves ``s``.
         Pair ``k`` is product state ``k``, numbered in the order a depth-first
         walk from ``(initial, start)`` (product state 0) first meets it.  Kept
-        by ``(step, start)``; equal arenas of different machines are one object.
+        by ``(step, start)``, so machines with one transition table, such as
+        every single-state machine, share one arena object.
         """
-        by_step, by_hash = self._products
-        if (step, start) not in by_step:
+        products = self._products
+        if (step, start) not in products:
             pairs = [(self.initial, start)]
             index = {pairs[0]: 0}
             frontier = [0]
@@ -147,18 +148,12 @@ class Arena:
                         frontier.append(pt)
                     transitions[ps, joint] = pt
             protocol = tuple(tuple(row[s] for s, _ in pairs) for row in self.protocol)
-            # Equal transitions have equal joint actions, so equal protocols.
-            same = by_hash.setdefault(hash(frozenset(transitions.items())), [])
-            arena = next((a for a in same if a.transitions == transitions), None)
-            if arena is None:
-                arena = Arena(0, protocol, transitions)
-                same.append(arena)
-            by_step[step, start] = tuple(pairs), arena
-        return by_step[step, start]
+            products[step, start] = tuple(pairs), Arena(0, protocol, transitions)
+        return products[step, start]
 
     @cached_property
-    def _products(self) -> tuple[dict, dict]:
-        return {}, {}
+    def _products(self) -> dict:
+        return {}
 
 
 def _arena_tables(arena: Arena):

@@ -10,6 +10,9 @@ agent-0 strategy that ``strategy_to_rm`` turns into a machine with one
 state per (memory, vector) pair; ``design.replay_machine`` must give the
 same products from one state per lasso position.
 
+``subsidy_schemes`` lists the unit subsidy schemes on one reachable
+state, then on two, in certify's order.
+
 ``unbounded_decision`` is the certify decision with no candidate skipped
 and no early exit: the base game and every candidate product, from the
 machine paying nothing on, are solved through the full ``signatures()``
@@ -26,7 +29,7 @@ import eqdesign.design as design
 from eqdesign.auxiliary import AuxiliaryGame, build_auxiliary
 from eqdesign.equilibria import NashLassoSolver, SolverMemo, _pack_sums
 from eqdesign.games import Game, Lasso, MealyStrategy, tabulate
-from eqdesign.rewards import RewardMachine, implement, zero_rm
+from eqdesign.rewards import RewardMachine, from_subsidy_scheme, implement, zero_rm
 
 
 def replay_strategy(aux: AuxiliaryGame, lasso: Lasso) -> MealyStrategy:
@@ -95,6 +98,18 @@ def full_realize(solver: NashLassoSolver, rec: tuple) -> Lasso:
     return solver._lasso(cei.tree, states[::-1], moves[::-1])
 
 
+def subsidy_schemes(game: Game, budget: int) -> list[RewardMachine]:
+    if budget < 1:
+        return []
+    n = game.n_players
+    entries = [(s, tuple(int(j == i) for j in range(n)))
+               for s in game.arena.reachable_states() for i in range(n)]
+    schemes = [{s: vec} for s, vec in entries]
+    for k, (s1, v1) in enumerate(entries):
+        schemes += [{s1: v1, s2: v2} for s2, v2 in entries[k + 1:] if s2 != s1]
+    return [from_subsidy_scheme(game, kappa) for kappa in schemes]
+
+
 def exact_extreme(solver: NashLassoSolver, maximize: bool) -> tuple | None:
     """The least (or greatest) signature of the full sorted list, or None."""
     sigs = solver.signatures()
@@ -124,7 +139,7 @@ def exact_extremes(game: Game, q: design.ImprovementQuery) -> tuple[Fraction, li
         aux = build_auxiliary(game, q.budget)
         if aux.game.n_states <= design.AUX_CANDIDATE_STATE_LIMIT:
             candidates += full_candidates(aux, NashLassoSolver(aux.game, 0, q.bound))
-    candidates += design._subsidy_candidates(game, q)
+    candidates += subsidy_schemes(game, q.budget)
     memo = SolverMemo()
     solved = []
     for rm in candidates:

@@ -194,7 +194,11 @@ class TestStrategyToRm:
         rm = strategy_to_rm(aux, sigma0)
         product = implement(game, rm)
         assert exact_worst_ne(product).global_payoff == Fraction(2, 3)
-        assert implement(game, replay_machine(aux, lasso)).arena is product.arena
+        direct = implement(game, replay_machine(aux, lasso))
+        assert (direct.arena.protocol, direct.arena.transitions) == (
+            product.arena.protocol, product.arena.transitions)
+        assert (direct.weights, direct.global_weights) == (
+            product.weights, product.global_weights)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_path_equivalence_for_strategies(self, seed):

@@ -82,6 +82,16 @@ class TestCheckAndSynth:
         assert doc["decision"] is True
         assert Fraction(doc["improved_value"]) >= Fraction(2, 3) - Fraction(1, 10)
 
+    def test_budget_past_the_vector_limit_answers(self, fixture_dir):
+        """Certify builds no auxiliary game past 40 states, so it never lists
+        the 5,001 reward vectors of budget 5000: "no", as from budget 10."""
+        code, _, doc = run_cli([
+            "check", "--mode", "strong", "--budget", "5000", "--delta", "1/2",
+            "--epsilon", "1", str(fixture_dir / "example1.game"),
+        ])
+        assert code == 1
+        assert (doc["decision"], doc["improved_value"]) == (False, "0")
+
     def test_failed_certificate_exits_three(self, fixture_dir, monkeypatch):
         def failing(solver, lasso):
             raise SolverLimitError("grim profile failed its exact best-response certificate")

@@ -22,9 +22,9 @@ from eqdesign.design import (
     AUX_CANDIDATE_STATE_LIMIT,
     MAX_LASSO_CANDIDATES,
     ImprovementQuery,
+    _candidates,
     _lasso_candidates,
     _search,
-    _subsidy_candidates,
     algorithm_trace,
     decide_improvement,
     epsilon_best_ne,
@@ -55,6 +55,18 @@ from candidate_oracle import (
 )
 from memoryless_oracle import memoryless_equilibrium_values
 from sweep_oracle import bisect_search
+
+
+def one_state_paying(game, q) -> list:
+    """Certify's subsidy schemes, in order: its one-state paying machines."""
+    return [rm for rm in _candidates(game, q) if rm.n_states == 1 and rm.max_norm() > 0]
+
+
+def product_key(product) -> tuple:
+    """A product by the contents of its arena and its weight tables."""
+    arena = product.arena
+    return (arena.initial, arena.protocol, tuple(sorted(arena.transitions.items())),
+            product.weights, product.global_weights)
 
 
 def single_lasso_game(c: int):
@@ -404,7 +416,7 @@ class TestStructureReuse:
 
         memo = SolverMemo()
         first: dict = {}  # structure key -> the solver that built it
-        schemes = list(_subsidy_candidates(game, q))
+        schemes = one_state_paying(game, q)
         for rm in schemes:
             product = implement(game, rm)
             solver = NashLassoSolver(product, None, 6, memo)
@@ -427,7 +439,7 @@ class TestOneSolverPerGame:
     """A decision builds one solver per game it searches: the base game, the
     auxiliary game and each solved candidate product; the witness lasso
     comes from the solver that found the value.  A skipped product gets no
-    solver."""
+    solver.  Certify builds the auxiliary game once candidate 0 has lost."""
 
     @staticmethod
     def count(monkeypatch):
@@ -446,6 +458,17 @@ class TestOneSolverPerGame:
         monkeypatch.setattr(eqdesign.design, "NashLassoSolver", Counting)
         monkeypatch.setattr(eqdesign.design, "implement", counting_implement)
         return built, tried
+
+    @staticmethod
+    def split(built, tried):
+        """The one auxiliary game among the games ``built`` after the base
+        game, and the solved products: the auxiliary game comes right after
+        candidate 0's solver, or with none right after the base game's."""
+        k = next(k for k, g in enumerate(built) if g.player_names[0] == "agent0")
+        assert built[1:k] in ([], tried[:1])
+        solved = built[1:k] + built[k + 1:]
+        assert all(g.player_names[0] != "agent0" for g in solved)
+        return built[k], solved
 
     @pytest.mark.parametrize("seed,mode,delta,decision,n_tried,n_skipped", [
         # Nothing skipped: every tried product gets a solver.
@@ -466,8 +489,8 @@ class TestOneSolverPerGame:
         ans = decide_improvement(game, q)
         assert ans.decision == decision and len(tried) == n_tried
         assert built[0] is game
-        assert built[1].n_states == build_auxiliary(game, 1).game.n_states
-        solved = built[2:]
+        aux, solved = self.split(built, tried)
+        assert aux.n_states == build_auxiliary(game, 1).game.n_states
         assert subsequence(solved, tried) and len(tried) - len(solved) == n_skipped
         if not n_skipped:
             assert solved == tried
@@ -541,21 +564,23 @@ class TestArenaSharing:
             built.append(arena)
             return _arena_tables(arena)
 
-        monkeypatch.setattr(eqdesign.games, "_arena_tables", counting_tables)
-        solved, tried = TestOneSolverPerGame.count(monkeypatch)
         # Fresh, so no tables come from other tests.
         game = gen_example1()[0] if seed is None else gen_random_game(seed, 2, 2)
         q = ImprovementQuery(budget=1, delta=delta, epsilon=Fraction(1, 10),
                              mode=mode, method="certify")
+        # Listed before counting: this builds an auxiliary game and its solver.
+        n_subsidy = len(one_state_paying(game, q))
+        monkeypatch.setattr(eqdesign.games, "_arena_tables", counting_tables)
+        searched, tried = TestOneSolverPerGame.count(monkeypatch)
         assert not decide_improvement(game, q).decision
-        n_subsidy = len(list(_subsidy_candidates(game, q)))
+        aux, solved = TestOneSolverPerGame.split(searched, tried)
         subsidy = [product.arena for product in (tried[0], *tried[-n_subsidy:])]
         assert all(a is subsidy[0] for a in subsidy)
         arenas = {id(product.arena): product.arena for product in tried}
         assert len(tried) == n_tried and len(arenas) == n_arenas
-        assert len(tried) - len(solved[2:]) == n_skipped
+        assert len(tried) - len(solved) == n_skipped
         # Base game, auxiliary game, and each solved product's arena: once each.
-        want = {id(game.arena), id(solved[1].arena), *(id(p.arena) for p in solved[2:])}
+        want = {id(game.arena), id(aux.arena), *(id(p.arena) for p in solved)}
         assert len(built) == len({id(a) for a in built}) and {id(a) for a in built} == want
         if not n_skipped:
             assert len(built) == 2 + n_arenas
@@ -778,22 +803,26 @@ class TestFlooredCandidates:
 
 
 class TestDistinctCandidates:
-    """Certify solves each candidate once, without a dedupe: the replay
+    """Certify solves each product once, without a dedupe: the replay
     machines are distinct among themselves, the subsidy schemes too, the
     two families never meet, and the machine paying nothing is none of
-    them.  A new family that overlaps an old one fails here.  Distinct (value, length) pairs of an auxiliary game's top
-    sweep replay as distinct machines, all listed pairs and not only those
-    certify reads, since ``_lasso_candidates`` drops no repeat."""
+    them; nor do any two of them give one product (arena and weight
+    tables), since subsidy schemes pay at reachable states only.  A new
+    family that overlaps an old one fails here.  Distinct (value, length)
+    pairs of an auxiliary game's top sweep replay as distinct machines, all
+    listed pairs and not only those certify reads, since
+    ``_lasso_candidates`` drops no repeat."""
 
     @staticmethod
     def candidates(game):
-        """The certify loop's candidates at budget 1 and bound 12, in order."""
-        aux = build_auxiliary(game, 1)
-        found = [zero_rm(game)]
-        if aux.game.n_states <= AUX_CANDIDATE_STATE_LIMIT:
-            found += _lasso_candidates(aux, NashLassoSolver(aux.game, 0, 12))
+        """The certify loop's candidates at budget 1 and bound 12, in order,
+        each checked apart from the others by machine and by product."""
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1))
-        return [*found, *_subsidy_candidates(game, q)]
+        found = list(_candidates(game, q))
+        assert len(set(keys(found))) == len(found)
+        products = [product_key(implement(game, rm)) for rm in found]
+        assert len(set(products)) == len(products)
+        return found
 
     @staticmethod
     def assert_pairs_replay_apart(game, budget, bound):
@@ -809,16 +838,13 @@ class TestDistinctCandidates:
     @pytest.mark.parametrize("graph", ["WITH", "WITHOUT"])
     def test_criterion_5_games(self, make, graph):
         game = make(getattr(TestFlooredCandidates, graph))
-        found = self.candidates(game)
-        assert len(found) > MAX_LASSO_CANDIDATES
-        assert len(set(keys(found))) == len(found)
+        assert len(self.candidates(game)) > MAX_LASSO_CANDIDATES
         self.assert_pairs_replay_apart(game, 1, 12)
 
     @pytest.mark.parametrize("seed", [None, *range(10)])
     def test_example1_and_seeded_games(self, seed):
         game = gen_example1()[0] if seed is None else gen_random_game(seed, 2, 3, 2)
-        found = self.candidates(game)
-        assert len(set(keys(found))) == len(found)
+        self.candidates(game)
         # The replays alone, at budgets 1-2, with 2-4 states and bounds 4-8.
         if seed is None:
             for budget, bound in ((1, 4), (2, 8)):
@@ -829,12 +855,33 @@ class TestDistinctCandidates:
                 self.assert_pairs_replay_apart(
                     gen_random_game(seed, n_players, 2 + seed % 3), budget, 4 + seed % 5)
 
+    @pytest.mark.parametrize("n_players,seeds,n_unreachable", [(2, range(40), 18),
+                                                               (3, range(20), 4)])
+    def test_solved_products_are_distinct(self, n_players, seeds, n_unreachable,
+                                          monkeypatch):
+        """No decision solves one product twice, in either mode, at delta 1/2,
+        0 and -1.  Subsidy schemes paying at an unreachable state once
+        repeated 112 of the 2,055 products these decisions solved."""
+        built, _ = TestOneSolverPerGame.count(monkeypatch)
+        games = [gen_random_game(seed, n_players, 3, 2) for seed in seeds]
+        assert sum(len(g.arena.reachable_states()) < g.n_states
+                   for g in games) == n_unreachable
+        for game in games:
+            for mode in ("strong", "weak"):
+                for delta in (Fraction(1, 2), Fraction(0), Fraction(-1)):
+                    built.clear()
+                    decide_improvement(game, ImprovementQuery(1, delta, Fraction(1), mode))
+                    # After the base game: the products and the auxiliary game.
+                    products = [product_key(g) for g in built[1:]
+                                if g.player_names[0] != "agent0"]
+                    assert len(set(products)) == len(products), (game.meta, mode, delta)
+
 
 class TestReplayMachine:
     """A replay machine has one state per lasso position and one absorbing
     state, tracks reward vectors, and gives the product of the paper's
     route, the agent-0 replay strategy through ``strategy_to_rm``: the same
-    arena object with the same weight tables."""
+    protocols, transitions and weight tables."""
 
     @staticmethod
     def auxiliary_games():
@@ -863,7 +910,8 @@ class TestReplayMachine:
                 machine_state_vectors(aux, rm)
                 product = implement(game, rm)
                 paper = implement(game, strategy_to_rm(aux, replay_strategy(aux, lasso)))
-                assert product.arena is paper.arena
+                assert (product.arena.protocol, product.arena.transitions) == (
+                    paper.arena.protocol, paper.arena.transitions)
                 assert (product.weights, product.global_weights) == (
                     paper.weights, paper.global_weights)
                 checked += 1
@@ -942,6 +990,35 @@ class TestMachinePayingNothing:
         game = example1[0]
         assert not decide_improvement(game, ImprovementQuery(0, delta, Fraction(1, 8))).decision
         assert len(tried) == 1 and built == [game, *tried]
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_negative_delta_builds_no_auxiliary_game(self, example1, mode, monkeypatch):
+        """Candidate 0 wins every delta < 0, so the auxiliary game, built
+        only once it has lost, is not built: example1 at budget 1 and delta
+        -1 once built one per mode."""
+        self.no_auxiliary(monkeypatch)
+        ans = decide_improvement(example1[0],
+                                 ImprovementQuery(1, Fraction(-1), Fraction(1, 8), mode))
+        assert ans.decision and ans.witness_rm.max_norm() == 0
+
+
+class TestBudgetPastTheVectorLimit:
+    """Certify sizes the auxiliary game, ``C(budget + n, n)`` reward vectors
+    per reachable state, without listing the vectors.  A budget whose
+    alphabet passes ``REWARD_VECTOR_LIMIT`` leaves certify to the subsidy
+    schemes, as any auxiliary game over ``AUX_CANDIDATE_STATE_LIMIT``
+    states does; only paper mode, which builds that game, refuses."""
+
+    def test_example1_at_budget_5000(self, example1):
+        """example1 (strong, delta 1/2) answers "no" from budget 10, where
+        its auxiliary game passes 40 states, and budget 5000 once refused."""
+        game = example1[0]
+        q = ImprovementQuery(5000, Fraction(1, 2), Fraction(1))
+        no = (False, Fraction(0), Fraction(0), None, None, None, "certify", "strong")
+        assert answer_key(decide_improvement(game, q)) == no
+        assert answer_key(decide_improvement(game, dataclasses.replace(q, budget=10))) == no
+        with pytest.raises(SolverLimitError, match="alphabet exceeds the size limit"):
+            decide_improvement(game, dataclasses.replace(q, method="paper"))
 
 
 class TestSynthesizeRm:
