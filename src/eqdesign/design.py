@@ -20,8 +20,8 @@ or two reachable states.  Against
 the base game's exact, certified extreme ``b``, each candidate's sweep
 stops at the first signature that decides whether its extreme clears
 ``b + delta``, and a winner is certified on its product before it may
-witness the answer.  A candidate whose product's largest reachable cycle
-mean is at most ``b + delta`` is skipped.
+witness the answer.  When the base game's largest reachable cycle mean is
+at most ``b + delta``, no machine can win, and no candidate is built.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .equilibria import (
     SolverMemo,
     ThresholdQuery,
 )
-from .games import Arena, Game, Lasso, tabulate
+from .games import Game, Lasso, tabulate
 from .rewards import RewardMachine, from_subsidy_scheme, implement, zero_rm
 from .zerosum import SolverLimitError, max_mean_value_function
 
@@ -341,22 +341,28 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     A product with no equilibrium is worth its least global weight, as the
     base game: play can visit every product state.  Every reported witness
     lasso passes the exact best-response certificate on its game, else
-    :class:`SolverLimitError` is raised, so a "yes" is self-certifying; a
-    "no" means no candidate improved, not that no machine does, and its
-    losers' signatures are not certified.
+    :class:`SolverLimitError` is raised, so a "yes" is self-certifying.
 
-    A candidate is skipped, with no solver and no arena tables, when its
-    product's largest reachable cycle mean ``ub`` is at most ``b + delta``:
-    every equilibrium value is a reachable cycle's mean, so its extreme
-    cannot clear the threshold.  What an arena derives (deviation moves,
-    response classes, products) it keeps for its lifetime, across calls:
-    all subsidy-scheme products of ``game`` share one arena.  Within one
-    call, and never across, the candidate products' solvers also share one
-    :class:`SolverMemo`: most candidates are subsidy schemes, which raise
-    one player's weights at one or two states, so most punishment solves
-    and most structures of a call are found there.  The base and auxiliary
-    games' solvers each build a memo of their own, since no other game of
-    the call has their arena; the products' memo goes when the call ends.
+    Before any candidate is built, ``b + delta`` is compared with ``ub``,
+    the base game's largest reachable cycle mean.  A product state
+    ``(s, m)`` moves as ``s`` does and weighs ``s``'s global weight less a
+    nonnegative payment, so a product cycle projects onto a reachable
+    closed walk of the base game, of mean at most ``ub``, and no product of
+    any machine has an equilibrium value or least global weight above
+    ``ub``.  When ``ub <= b + delta`` the answer is "no" for every machine
+    of every budget, against the reported baseline; never at ``delta < 0``,
+    since ``b <= ub``.  Any other "no" means only that no candidate
+    improved, and its losers' signatures are not certified.
+
+    What an arena derives (deviation moves, response classes, products) it
+    keeps for its lifetime, across calls: all subsidy-scheme products of
+    ``game`` share one arena.  Within one call, and never across, the
+    candidate products' solvers also share one :class:`SolverMemo`: most
+    candidates are subsidy schemes, which raise one player's weights at one
+    or two states, so most punishment solves and most structures of a call
+    are found there.  The base and auxiliary games' solvers each build a
+    memo of their own, since no other game of the call has their arena; the
+    products' memo goes when the call ends.
     """
     maximize = q.mode == "weak"
     if q.method == "paper":
@@ -375,22 +381,14 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
 
     baseline = _value(game, _extreme_witness(NashLassoSolver(game, None, q.bound), maximize))
     threshold = baseline + q.delta
+    arena = game.arena
+    succs = [list({t for _, t in arena.moves(s)}) for s in range(arena.n_states)]
+    if max_mean_value_function(succs, game.global_weights)[arena.initial] <= threshold:
+        return ImprovementAnswer(False, baseline, baseline, None, None, None,
+                                 "certify", q.mode)
     memo = SolverMemo()
-    # Per (arena, global row), the largest reachable cycle mean, which bounds
-    # every equilibrium value of such a product.  Successor lists are kept by
-    # arena.
-    most: dict[tuple, Fraction] = {}
-    succs: dict[Arena, list[list[int]]] = {}
     for rm in _candidates(game, q):
         product = implement(game, rm)
-        arena, row = product.arena, product.global_weights
-        if (arena, row) not in most:
-            if arena not in succs:
-                succs[arena] = [list({t for _, t in arena.moves(s)})
-                                for s in range(arena.n_states)]
-            most[arena, row] = max_mean_value_function(succs[arena], row)[arena.initial]
-        if most[arena, row] <= threshold:
-            continue
         solver = NashLassoSolver(product, None, q.bound, memo)
         found = solver.threshold_signature(threshold, maximize)
         if maximize:
@@ -399,7 +397,7 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
             # No signature at or below the threshold: the worst lies above it.
             witness = None if found is not None else _extreme_witness(solver, False)
         # With no equilibrium, the product is worth its least global weight.
-        if witness is not None or (found is None and min(row) > threshold):
+        if witness is not None or (found is None and min(product.global_weights) > threshold):
             lasso, owner = (None, None) if witness is None else (witness.lasso, product)
             return ImprovementAnswer(True, baseline, _value(product, witness), rm,
                                      lasso, owner, "certify", q.mode)

@@ -13,7 +13,7 @@ same products from one state per lasso position.
 ``subsidy_schemes`` lists the unit subsidy schemes on one reachable
 state, then on two, in certify's order.
 
-``unbounded_decision`` is the certify decision with no candidate skipped
+``unbounded_decision`` is the certify decision with no cycle-mean bound
 and no early exit: the base game and every candidate product, from the
 machine paying nothing on, are solved through the full ``signatures()``
 list, their exact extremes read off its ends and compared with

@@ -17,6 +17,7 @@ from eqdesign.benchmarks import (
     gen_hamiltonian_complement_game,
     gen_hamiltonian_game,
     gen_random_game,
+    gen_random_rm,
 )
 from eqdesign.design import (
     AUX_CANDIDATE_STATE_LIMIT,
@@ -53,6 +54,7 @@ from candidate_oracle import (
     replay_strategy,
     unbounded_decision,
 )
+from max_mean_oracle import brute_force_max_mean
 from memoryless_oracle import memoryless_equilibrium_values
 from sweep_oracle import bisect_search
 
@@ -429,17 +431,12 @@ class TestStructureReuse:
         assert 2 * len(first) < len(schemes)
 
 
-def subsequence(part, whole) -> bool:
-    """Whether ``part`` is ``whole`` with some items left out, by identity."""
-    rest = iter(whole)
-    return all(any(x is y for y in rest) for x in part)
-
-
 class TestOneSolverPerGame:
     """A decision builds one solver per game it searches: the base game, the
-    auxiliary game and each solved candidate product; the witness lasso
-    comes from the solver that found the value.  A skipped product gets no
-    solver.  Certify builds the auxiliary game once candidate 0 has lost."""
+    auxiliary game and each candidate product; the witness lasso comes from
+    the solver that found the value.  Certify builds the auxiliary game once
+    candidate 0 has lost, and nothing but the base game's solver when the
+    base game's largest reachable cycle mean is at most the threshold."""
 
     @staticmethod
     def count(monkeypatch):
@@ -461,27 +458,28 @@ class TestOneSolverPerGame:
 
     @staticmethod
     def split(built, tried):
-        """The one auxiliary game among the games ``built`` after the base
-        game, and the solved products: the auxiliary game comes right after
-        candidate 0's solver, or with none right after the base game's."""
-        k = next(k for k, g in enumerate(built) if g.player_names[0] == "agent0")
-        assert built[1:k] in ([], tried[:1])
+        """The auxiliary game among the games ``built`` after the base game,
+        or None when none was built, and the products given a solver.  The
+        auxiliary game comes right after candidate 0's solver."""
+        k = next((k for k, g in enumerate(built) if g.player_names[0] == "agent0"), None)
+        if k is None:
+            return None, built[1:]
+        assert built[1:k] == tried[:1]
         solved = built[1:k] + built[k + 1:]
         assert all(g.player_names[0] != "agent0" for g in solved)
         return built[k], solved
 
-    @pytest.mark.parametrize("seed,mode,delta,decision,n_tried,n_skipped", [
-        # Nothing skipped: every tried product gets a solver.
-        pytest.param(None, "strong", Fraction(1, 2), True, 2, 0, id="strong"),
-        pytest.param(3, "strong", Fraction(0), False, 19, 0, id="seed3-strong"),
-        pytest.param(3, "weak", Fraction(0), False, 19, 0, id="seed3-weak"),
-        # Some or all skipped.
-        pytest.param(3, "strong", Fraction(1, 2), False, 19, 4, id="seed3-strong-half"),
-        pytest.param(None, "strong", Fraction(2), False, 16, 16, id="strong-delta2"),
-        pytest.param(None, "weak", Fraction(1, 2), False, 16, 16, id="weak"),
+    @pytest.mark.parametrize("seed,mode,delta,decision,n_tried", [
+        pytest.param(None, "strong", Fraction(1, 2), True, 2, id="strong"),
+        pytest.param(3, "strong", Fraction(0), False, 19, id="seed3-strong"),
+        pytest.param(3, "weak", Fraction(0), False, 19, id="seed3-weak"),
+        pytest.param(3, "strong", Fraction(1, 2), False, 19, id="seed3-strong-half"),
+        # example1's largest reachable cycle mean is 1, at most the threshold:
+        # 0 + 2 in strong mode, 1 + 1/2 in weak mode.  Nothing is tried.
+        pytest.param(None, "strong", Fraction(2), False, 0, id="strong-delta2"),
+        pytest.param(None, "weak", Fraction(1, 2), False, 0, id="weak"),
     ])
-    def test_certify(self, example1, seed, mode, delta, decision, n_tried, n_skipped,
-                     monkeypatch):
+    def test_certify(self, example1, seed, mode, delta, decision, n_tried, monkeypatch):
         built, tried = self.count(monkeypatch)
         game = example1[0] if seed is None else gen_random_game(seed, 2, 2)
         q = ImprovementQuery(budget=1, delta=delta, epsilon=Fraction(1, 10),
@@ -490,10 +488,12 @@ class TestOneSolverPerGame:
         assert ans.decision == decision and len(tried) == n_tried
         assert built[0] is game
         aux, solved = self.split(built, tried)
+        if not n_tried:
+            assert aux is None and built == [game]
+            return
+        # Every product tried gets a solver.
         assert aux.n_states == build_auxiliary(game, 1).game.n_states
-        assert subsequence(solved, tried) and len(tried) - len(solved) == n_skipped
-        if not n_skipped:
-            assert solved == tried
+        assert solved == tried
 
     @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-2)])
     def test_paper(self, example1, delta, monkeypatch):
@@ -545,20 +545,24 @@ class TestArenaSharing:
     of a game are on one arena object, and
     each arena's tables (its deviation moves and every player's response
     classes, from one pass) are built at most once, however many games share
-    it: for the base and auxiliary games and each solved product, never for
-    a product that was skipped."""
+    it: for the base and auxiliary games and each product tried.  When the
+    base game's largest reachable cycle mean decides, only the base game's
+    tables are built."""
 
-    @pytest.mark.parametrize("seed,mode,delta,n_tried,n_arenas,n_skipped", [
-        # Example 1: 16 products on 5 arenas, the machine paying nothing and
-        # 10 subsidy schemes on one, 5 paying replays on the other 4.
-        pytest.param(None, "strong", Fraction(10), 16, 5, 16, id="strong"),
-        pytest.param(None, "weak", Fraction(10), 16, 5, 16, id="weak"),
-        # Nothing skipped: every product arena gets its tables.
-        pytest.param(3, "strong", Fraction(0), 19, 11, 0, id="seed3-strong"),
-        pytest.param(3, "weak", Fraction(0), 19, 11, 0, id="seed3-weak"),
+    @pytest.mark.parametrize("seed,mode,delta,n_tried,n_arenas", [
+        # Example 1's largest reachable cycle mean, 1, is at most 0 + 10 and
+        # 1 + 10: no auxiliary game and no product is built.
+        pytest.param(None, "strong", Fraction(10), 0, 0, id="strong"),
+        pytest.param(None, "weak", Fraction(10), 0, 0, id="weak"),
+        # 16 products on 5 arenas, the machine paying nothing and 10 subsidy
+        # schemes on one, 5 paying replays on the other 4; none wins, the
+        # best, 11/12, lying on the threshold.
+        pytest.param(None, "strong", Fraction(11, 12), 16, 5, id="strong-all"),
+        pytest.param(3, "strong", Fraction(0), 19, 11, id="seed3-strong"),
+        pytest.param(3, "weak", Fraction(0), 19, 11, id="seed3-weak"),
     ])
-    def test_certify(self, seed, mode, delta, n_tried, n_arenas, n_skipped, monkeypatch):
-        built, products = [], []
+    def test_certify(self, seed, mode, delta, n_tried, n_arenas, monkeypatch):
+        built = []
 
         def counting_tables(arena):
             built.append(arena)
@@ -574,16 +578,16 @@ class TestArenaSharing:
         searched, tried = TestOneSolverPerGame.count(monkeypatch)
         assert not decide_improvement(game, q).decision
         aux, solved = TestOneSolverPerGame.split(searched, tried)
+        arenas = {id(product.arena): product.arena for product in tried}
+        assert len(tried) == n_tried and len(arenas) == n_arenas and solved == tried
+        if not n_tried:
+            assert aux is None and built == [game.arena]
+            return
         subsidy = [product.arena for product in (tried[0], *tried[-n_subsidy:])]
         assert all(a is subsidy[0] for a in subsidy)
-        arenas = {id(product.arena): product.arena for product in tried}
-        assert len(tried) == n_tried and len(arenas) == n_arenas
-        assert len(tried) - len(solved) == n_skipped
-        # Base game, auxiliary game, and each solved product's arena: once each.
-        want = {id(game.arena), id(aux.arena), *(id(p.arena) for p in solved)}
-        assert len(built) == len({id(a) for a in built}) and {id(a) for a in built} == want
-        if not n_skipped:
-            assert len(built) == 2 + n_arenas
+        # Base game, auxiliary game, and each product's arena: once each.
+        want = {id(game.arena), id(aux.arena), *arenas}
+        assert len(built) == len(want) == 2 + n_arenas and {id(a) for a in built} == want
 
 
 def answer_key(ans) -> tuple:
@@ -616,10 +620,11 @@ def assert_answers_as_reference(ans, ref, q: ImprovementQuery) -> None:
 
 class TestCandidateBound:
     """Certify's early-exit decision is that of the exhaustive reference,
-    which solves every candidate to its exact extreme: skipping candidates
-    whose largest reachable cycle mean is at most the threshold, and
-    stopping each sweep at its first deciding signature, changes no
-    answer.  Certify's answer does not depend on ``epsilon``."""
+    which solves every candidate to its exact extreme: answering "no" with
+    no candidate tried when the base game's largest reachable cycle mean is
+    at most the threshold, and stopping each sweep at its first deciding
+    signature, changes no answer.  Certify's answer does not depend on
+    ``epsilon``."""
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     @pytest.mark.parametrize("seed,n_players,n_states",
@@ -676,10 +681,71 @@ class TestCandidateBound:
         ans = decide_improvement(game, q)
         assert (ans.decision, ans.baseline_value, ans.improved_value) == (
             False, Fraction(4), Fraction(4))
-        # The 105-state auxiliary game is past AUX_CANDIDATE_STATE_LIMIT, so
-        # only the machine paying nothing and the 3,870 subsidy schemes are
-        # tried, and every one is skipped.
-        assert len(tried) == 3871 and built == [game]
+        # The base game's largest reachable cycle mean is at most 4 + 1/2:
+        # none of the machine paying nothing and the 3,870 subsidy schemes
+        # is tried.
+        assert not tried and built == [game]
+
+
+class TestBaseGameBound:
+    """No product of any machine has an equilibrium worth more than the base
+    game's largest reachable cycle mean, so certify answers "no" from it
+    alone when it is at most the threshold."""
+
+    @staticmethod
+    def base_bound(game) -> Fraction:
+        """The largest mean of a simple cycle reachable from the initial
+        state, by brute force over the transition table."""
+        succs = [set() for _ in range(game.n_states)]
+        for (s, _), t in game.transitions.items():
+            succs[s].add(t)
+        return brute_force_max_mean([sorted(ts) for ts in succs],
+                                    game.global_weights)[game.initial]
+
+    @pytest.mark.parametrize("make,graph,mode", [
+        (gen_hamiltonian_game, "WITHOUT", "strong"),
+        (gen_hamiltonian_complement_game, "WITH", "weak"),
+        (gen_hamiltonian_complement_game, "K4", "weak"),
+    ])
+    def test_no_from_the_bound_builds_nothing(self, make, graph, mode, monkeypatch):
+        """The criterion-5 "no" answers, and K4's weak one, whose auxiliary
+        game has 105 states and is never built."""
+        auxiliary = []
+        monkeypatch.setattr(eqdesign.design, "build_auxiliary",
+                            lambda *args: auxiliary.append(args) or build_auxiliary(*args))
+        built, tried = TestOneSolverPerGame.count(monkeypatch)
+        game = make(complete_digraph(4) if graph == "K4"
+                    else getattr(TestFlooredCandidates, graph))
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1), mode=mode)
+        ans = decide_improvement(game, q)
+        assert not ans.decision and ans.improved_value == ans.baseline_value
+        assert self.base_bound(game) <= ans.baseline_value + q.delta
+        assert not auxiliary and not tried and built == [game]
+
+    def test_bound_holds_for_random_machines(self):
+        """Independent of certify: on seeded games, every product of a seeded
+        machine of 1-3 states and budget 1 or 2 has its least global weight
+        and its best equilibrium (when one is found) at most the bound, and
+        some product's best equilibrium attains it."""
+        refused = attained = checked = 0
+        games = [gen_random_game(seed, 2, 3, 2) for seed in range(30)]
+        games += [gen_random_game(seed, 3, 3, 2) for seed in range(10)]
+        for seed, game in enumerate(games):
+            bound = self.base_bound(game)
+            for k in (1, 2, 3):
+                for budget in (1, 2):
+                    product = implement(game, gen_random_rm(game, seed, k, budget))
+                    assert min(product.global_weights) <= bound
+                    try:
+                        best = exact_best_ne(product, bound=8)
+                    except SolverLimitError:
+                        refused += 1
+                        continue
+                    checked += 1
+                    if best is not None:
+                        assert best.global_payoff <= bound
+                        attained += best.global_payoff == bound
+        assert (checked, refused) == (240, 0) and attained > 0
 
 
 class TestExactThreshold:

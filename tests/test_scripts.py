@@ -117,3 +117,19 @@ def test_answer_digest_is_pinned():
              for k, (want, got) in enumerate(zip(pinned, fresh), 1) if got != want]
     assert not moved, f"{len(moved)} lines moved\n" + "\n".join(moved)
     assert len(fresh) == len(pinned), f"digest has {len(fresh)} lines, pinned {len(pinned)}"
+
+
+def test_decision_corpus_is_pinned():
+    """Every 7th game of the decision corpus answers as the committed file
+    says, and a failure names every moved line.  The file is the whole
+    output of ``PYTHONHASHSEED=0 PYTHONPATH=src python
+    scripts/decision_corpus.py``: 12 decisions for each of 65 games."""
+    pinned = (ROOT / "tests" / "decision_corpus.txt").read_text().splitlines()
+    assert len(pinned) == 65 * 12
+    want = [line for k in range(0, 65, 7) for line in pinned[12 * k:12 * (k + 1)]]
+    proc = run_script("decision_corpus.py", "--games", "::7", PYTHONHASHSEED="0")
+    assert proc.returncode == 0, proc.stderr
+    fresh = proc.stdout.splitlines()
+    moved = [f"pinned: {a}\n  fresh:  {b}" for a, b in zip(want, fresh) if a != b]
+    assert not moved, f"{len(moved)} lines moved\n" + "\n".join(moved)
+    assert len(fresh) == len(want)
