@@ -12,16 +12,16 @@ uses.
 The improvement decision comes in two flavours.  ``paper`` compares the
 approximated designer-fixed extreme of the auxiliary game against the base
 game verbatim.  ``certify`` (the default, and sound for a "yes" in both
-modes) asks exact threshold questions of concrete budget-respecting
-machines: first the machine paying nothing, then, once it has lost, the
-paying replays of the most valuable designer lassos of the auxiliary game
-(one machine state per lasso position), then unit subsidy schemes on one
-or two reachable states.  Against
-the base game's exact, certified extreme ``b``, each candidate's sweep
-stops at the first signature that decides whether its extreme clears
-``b + delta``, and a winner is certified on its product before it may
-witness the answer.  When the base game's largest reachable cycle mean is
-at most ``b + delta``, no machine can win, and no candidate is built.
+modes) solves once the product of the machine paying nothing, the base
+game on its reachable states: its exact, certified extreme is the
+baseline ``b``, and it answers every ``delta < 0``.  When its largest
+reachable cycle mean is at most ``b + delta``, no machine can win.
+Otherwise certify asks exact threshold questions of machines that pay
+within the budget: replays of the auxiliary game's most valuable designer
+lassos (one machine state per lasso position), then unit subsidy schemes
+on one or two reachable states.  Each sweep stops at the first signature
+that decides whether its extreme clears ``b + delta``, and a winner is
+certified on its product before it may witness the answer.
 """
 
 from __future__ import annotations
@@ -262,8 +262,8 @@ def _lasso_candidates(aux: AuxiliaryGame,
     prunes the walks that cannot reach it: the top of the full sorted list,
     in the same order.  Read most valuable first, the first signature of
     each pair is replayed, up to ``MAX_LASSO_CANDIDATES`` machines, and the
-    replays that pay nothing are dropped: such a machine is the base game,
-    which the machine paying nothing already is.
+    replays that pay nothing are dropped: such a machine gives the base
+    game again, whose extreme is the baseline.
 
     No two pairs give one machine, so no machine is dropped as a repeat.
     A replay machine has one state per lasso position, and at each position
@@ -283,23 +283,22 @@ def _lasso_candidates(aux: AuxiliaryGame,
 
 
 def _candidates(game: Game, q: ImprovementQuery) -> Iterator[RewardMachine]:
-    """Certify's candidate machines, in order, each built when it is read.
+    """Certify's paying candidate machines, in order, each built when read.
 
-    First :func:`zero_rm`, whose product is the base game.  Then, at a
-    positive budget and when the auxiliary game (one state per reachable
-    state and reward vector) has at most ``AUX_CANDIDATE_STATE_LIMIT``
-    states, the paying replays of :func:`_lasso_candidates`: that game is
-    built only once candidate 0 has lost, and freed before any replay is
-    tried.  Last, unit subsidy schemes on one reachable state, then on two.
+    At a positive budget and when the auxiliary game (one state per
+    reachable state and reward vector) has at most
+    ``AUX_CANDIDATE_STATE_LIMIT`` states, first the paying replays of
+    :func:`_lasso_candidates`: that game is built when the family is first
+    read, and freed before any replay is tried.  Then unit subsidy schemes
+    on one reachable state, then on two.
 
     No two candidates are one machine: replays are distinct machines of two
     or more states (:func:`_lasso_candidates`), the others have one.  Nor do
     two one-state candidates give one product: they share the arena over
     the reachable states, and their rows differ where they pay.  A scheme
-    paying at an unreachable state would repeat the product of candidate 0,
-    or of the earlier scheme on its other state, so none is listed.
+    paying at an unreachable state would repeat the baseline's product, or
+    that of the earlier scheme on its other state, so none is listed.
     """
-    yield zero_rm(game)
     if q.budget < 1:
         return
     reachable = game.arena.reachable_states()
@@ -325,12 +324,14 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     (quantifying over every designer strategy, frugal or not), between two
     ``epsilon`` binary searches.  ``certify`` mode asks exact threshold
     questions, and ``epsilon`` plays no part in it.  Its baseline ``b`` is
-    the base game's exact extreme (the worst in strong mode, the best in
-    weak mode), read from the extreme signature and certified; with no
-    equilibrium it is the least global weight play can visit.  It then
-    tries the candidates of :func:`_candidates` in order, and answers yes
-    with the first whose product's extreme exceeds ``b + delta``; candidate
-    0, the base game, answers every ``delta < 0``, budget 0 included.
+    the exact, certified extreme (the worst in strong mode, the best in weak
+    mode) of the product of :func:`zero_rm`, the base game on its reachable
+    states, solved once; with no equilibrium, its least global weight.
+    Paying nothing keeps ``b``, so every ``delta < 0`` is a yes with that
+    machine, witnessed by the extreme in strong mode and by the first
+    signature above ``b + delta`` in weak mode.  At ``delta >= 0`` the paying
+    machines of :func:`_candidates` are tried in order; the first whose
+    product's extreme exceeds ``b + delta`` wins:
 
     * strong mode: a candidate loses at the first equilibrium signature
       worth at most ``b + delta`` (:meth:`NashLassoSolver.threshold_signature`);
@@ -338,31 +339,29 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
     * weak mode: a candidate wins at the first signature worth strictly
       more than ``b + delta``, which is certified.
 
-    A product with no equilibrium is worth its least global weight, as the
-    base game: play can visit every product state.  Every reported witness
-    lasso passes the exact best-response certificate on its game, else
-    :class:`SolverLimitError` is raised, so a "yes" is self-certifying.
+    A winner needs a certified witness: a product with no equilibrium is
+    worth at most ``b``, since every reachable base state occurs in it at
+    its global weight less a payment.  Every witness lasso passes the exact
+    best-response certificate on its game, else :class:`SolverLimitError`.
 
     Before any candidate is built, ``b + delta`` is compared with ``ub``,
     the base game's largest reachable cycle mean.  A product state
-    ``(s, m)`` moves as ``s`` does and weighs ``s``'s global weight less a
-    nonnegative payment, so a product cycle projects onto a reachable
-    closed walk of the base game, of mean at most ``ub``, and no product of
-    any machine has an equilibrium value or least global weight above
-    ``ub``.  When ``ub <= b + delta`` the answer is "no" for every machine
-    of every budget, against the reported baseline; never at ``delta < 0``,
-    since ``b <= ub``.  Any other "no" means only that no candidate
-    improved, and its losers' signatures are not certified.
+    ``(s, m)`` moves as ``s`` does and weighs no more than ``s``, so a
+    product cycle projects onto a reachable closed walk of the base game,
+    of mean at most ``ub``, and no product of any machine has an
+    equilibrium value or least global weight above ``ub``.  When
+    ``ub <= b + delta`` the answer is "no" for every machine of every
+    budget, against the reported baseline.  Any other "no" means only that
+    no candidate improved, and its losers' signatures are not certified.
 
     What an arena derives (deviation moves, response classes, products) it
-    keeps for its lifetime, across calls: all subsidy-scheme products of
-    ``game`` share one arena.  Within one call, and never across, the
-    candidate products' solvers also share one :class:`SolverMemo`: most
-    candidates are subsidy schemes, which raise one player's weights at one
-    or two states, so most punishment solves and most structures of a call
-    are found there.  The base and auxiliary games' solvers each build a
-    memo of their own, since no other game of the call has their arena; the
-    products' memo goes when the call ends.
+    keeps for its lifetime, across calls: the baseline's and all subsidy
+    schemes' products share one arena.  Within one call, and never across,
+    all products' solvers share one :class:`SolverMemo`: most candidates
+    are subsidy schemes, which raise one player's weights at one or two
+    states, so most punishment solves and structures are found there.  The
+    auxiliary game's solver has a memo of its own; no other game shares
+    its arena.  Certify gives each game one solver, none to ``game`` itself.
     """
     maximize = q.mode == "weak"
     if q.method == "paper":
@@ -379,15 +378,28 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         return ImprovementAnswer(decision, base.value, aux_search.value, rm, lasso,
                                  owner, "paper", q.mode)
 
-    baseline = _value(game, _extreme_witness(NashLassoSolver(game, None, q.bound), maximize))
-    threshold = baseline + q.delta
-    arena = game.arena
-    succs = [list({t for _, t in arena.moves(s)}) for s in range(arena.n_states)]
-    if max_mean_value_function(succs, game.global_weights)[arena.initial] <= threshold:
-        return ImprovementAnswer(False, baseline, baseline, None, None, None,
-                                 "certify", q.mode)
     memo = SolverMemo()
+    nothing = zero_rm(game)
+    base = implement(game, nothing)
+    solver = NashLassoSolver(base, None, q.bound, memo)
+    extreme = _extreme_witness(solver, maximize)
+    baseline = _value(base, extreme)
+    threshold = baseline + q.delta
+    if q.delta < 0:  # paying nothing keeps b, above b + delta
+        witness = (solver.witness(solver.threshold_signature(threshold, True))
+                   if maximize and extreme is not None else extreme)
+        lasso, owner = (None, None) if witness is None else (witness.lasso, base)
+        return ImprovementAnswer(True, baseline, _value(base, witness), nothing,
+                                 lasso, owner, "certify", q.mode)
+    no = ImprovementAnswer(False, baseline, baseline, None, None, None, "certify", q.mode)
+    arena = base.arena
+    succs = [list({t for _, t in arena.moves(s)}) for s in range(arena.n_states)]
+    if max_mean_value_function(succs, base.global_weights)[arena.initial] <= threshold:
+        return no
     for rm in _candidates(game, q):
+        # Freed before the next product is built, which then reuses its
+        # memory: kept alive, the criterion-5 decisions ran ~2% slower.
+        del solver
         product = implement(game, rm)
         solver = NashLassoSolver(product, None, q.bound, memo)
         found = solver.threshold_signature(threshold, maximize)
@@ -396,16 +408,10 @@ def decide_improvement(game: Game, q: ImprovementQuery) -> ImprovementAnswer:
         else:
             # No signature at or below the threshold: the worst lies above it.
             witness = None if found is not None else _extreme_witness(solver, False)
-        # With no equilibrium, the product is worth its least global weight.
-        if witness is not None or (found is None and min(product.global_weights) > threshold):
-            lasso, owner = (None, None) if witness is None else (witness.lasso, product)
-            return ImprovementAnswer(True, baseline, _value(product, witness), rm,
-                                     lasso, owner, "certify", q.mode)
-        # Freed before the next product is built, which then reuses its
-        # memory: kept alive, the criterion-5 decisions ran ~2% slower.
-        del solver
-    return ImprovementAnswer(False, baseline, baseline, None, None, None,
-                             "certify", q.mode)
+        if witness is not None:
+            return ImprovementAnswer(True, baseline, witness.global_payoff, rm,
+                                     witness.lasso, product, "certify", q.mode)
+    return no
 
 
 def synthesize_rm(game: Game, q: ImprovementQuery) -> RewardMachine:

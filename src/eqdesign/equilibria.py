@@ -43,11 +43,11 @@ Two backends answer threshold queries:
   lift it to the floor, and a ceiling (the worst extreme's sweep and a
   threshold question from below) drops one when even the least return
   cannot bring it down to the ceiling.  A threshold question
-  (``threshold_signature``) fixes its row from the first layer and stops
-  at the first signature that meets it.  Rows filter whole cycles and
-  pruning drops no state from a layer, so the records kept, their first
-  ceiling, prefix length and order, and every realized lasso, are those of
-  the exhaustive sweep.
+  (``threshold_signature``) tests closed cycles by its row from the first
+  layer, prunes by it past the same gate, and stops at the first signature
+  that meets it.  Rows filter whole cycles and pruning drops no state from
+  a layer, so the records kept, their first ceiling, prefix length and
+  order, and every realized lasso, are those of the exhaustive sweep.
 * ``lp`` - unbounded cycle-frequency feasibility: for every deviation
   ceiling and every strongly connected sub-arena, an exact LP over move
   frequencies decides whether a cycle with the requested payoffs exists.
@@ -528,10 +528,10 @@ class NashLassoSolver:
         ``sign`` -1, a ceiling that falls, and the walk drops every partial
         cycle that can no longer meet it.
 
-        ``designer``, in place of ``top``, is a designer row fixed by the
-        caller: the walk prunes by it as by ``top``'s, from the first layer
-        on.  With ``first`` the sweep stops at the first signature that
-        passes, in walk order, and lists it alone, unsorted.
+        ``designer``, in place of ``top``, is a caller's row that tests
+        closed cycles from the first layer; the walk prunes by it as by
+        ``top``'s, past the ``PRUNE_LAYER_SUMS`` gate.  With ``first`` the
+        sweep stops at the first passing signature and lists it alone.
 
         When a cycle closes, its packed sums are tested against the
         ceiling's floor rows, ``rows`` and the designer row, each as
@@ -729,10 +729,10 @@ class NashLassoSolver:
         """The first signature the sweep meets worth at most ``threshold``
         (or, ``maximize``, strictly more), or None when there is none.
 
-        The threshold is the sweep's designer row from the first layer, so
-        the walk drops what cannot meet it, and the sweep stops at the first
-        signature that does.  Every designer value is a multiple of
-        ``1/scale``, ``scale`` the lcm of the lengths up to the bound, so
+        The threshold is the designer row from the first layer; past the
+        ``PRUNE_LAYER_SUMS`` gate the walk drops what cannot meet it.  The
+        sweep stops at the first signature that does.  Values are multiples
+        of ``1/scale``, ``scale`` the lcm of the lengths up to the bound, so
         "strictly more" is "at least the next multiple above ``threshold``".
         """
         # bool is an int subclass; it and floats are refused, not converted.

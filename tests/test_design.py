@@ -44,7 +44,7 @@ from eqdesign.equilibria import (
     is_ne_outcome,
 )
 from eqdesign.games import _arena_tables, make_game
-from eqdesign.rewards import implement, is_beta_rm, zero_rm
+from eqdesign.rewards import RewardMachine, implement, is_beta_rm, zero_rm
 from eqdesign.zerosum import SolverLimitError, punishment_values
 
 from candidate_oracle import (
@@ -60,8 +60,8 @@ from sweep_oracle import bisect_search
 
 
 def one_state_paying(game, q) -> list:
-    """Certify's subsidy schemes, in order: its one-state paying machines."""
-    return [rm for rm in _candidates(game, q) if rm.n_states == 1 and rm.max_norm() > 0]
+    """Certify's subsidy schemes, in order: its one-state machines, all paying."""
+    return [rm for rm in _candidates(game, q) if rm.n_states == 1]
 
 
 def product_key(product) -> tuple:
@@ -432,11 +432,13 @@ class TestStructureReuse:
 
 
 class TestOneSolverPerGame:
-    """A decision builds one solver per game it searches: the base game, the
-    auxiliary game and each candidate product; the witness lasso comes from
-    the solver that found the value.  Certify builds the auxiliary game once
-    candidate 0 has lost, and nothing but the base game's solver when the
-    base game's largest reachable cycle mean is at most the threshold."""
+    """A decision builds one solver per game it searches; the witness lasso
+    comes from the solver that found the value.  Paper mode searches the
+    base and auxiliary games.  Certify's first solver is the baseline's, on
+    the product of the machine paying nothing, never on the base game
+    itself; then come the auxiliary game's and each candidate product's.
+    When the base game's largest reachable cycle mean is at most the
+    threshold, the baseline's solver is the only one."""
 
     @staticmethod
     def count(monkeypatch):
@@ -458,26 +460,29 @@ class TestOneSolverPerGame:
 
     @staticmethod
     def split(built, tried):
-        """The auxiliary game among the games ``built`` after the base game,
-        or None when none was built, and the products given a solver.  The
-        auxiliary game comes right after candidate 0's solver."""
+        """The auxiliary game among the games ``built`` after the baseline's
+        product, or None when none was built, and the candidate products
+        given a solver.  The baseline's product is the first product tried
+        and the first game solved; the auxiliary game comes right after."""
+        assert built[0] is tried[0]
         k = next((k for k, g in enumerate(built) if g.player_names[0] == "agent0"), None)
         if k is None:
             return None, built[1:]
-        assert built[1:k] == tried[:1]
-        solved = built[1:k] + built[k + 1:]
+        assert k == 1
+        solved = built[2:]
         assert all(g.player_names[0] != "agent0" for g in solved)
-        return built[k], solved
+        return built[1], solved
 
+    # n_tried counts the baseline's product and the candidate products.
     @pytest.mark.parametrize("seed,mode,delta,decision,n_tried", [
         pytest.param(None, "strong", Fraction(1, 2), True, 2, id="strong"),
         pytest.param(3, "strong", Fraction(0), False, 19, id="seed3-strong"),
         pytest.param(3, "weak", Fraction(0), False, 19, id="seed3-weak"),
         pytest.param(3, "strong", Fraction(1, 2), False, 19, id="seed3-strong-half"),
         # example1's largest reachable cycle mean is 1, at most the threshold:
-        # 0 + 2 in strong mode, 1 + 1/2 in weak mode.  Nothing is tried.
-        pytest.param(None, "strong", Fraction(2), False, 0, id="strong-delta2"),
-        pytest.param(None, "weak", Fraction(1, 2), False, 0, id="weak"),
+        # 0 + 2 in strong mode, 1 + 1/2 in weak mode.  No candidate is tried.
+        pytest.param(None, "strong", Fraction(2), False, 1, id="strong-delta2"),
+        pytest.param(None, "weak", Fraction(1, 2), False, 1, id="weak"),
     ])
     def test_certify(self, example1, seed, mode, delta, decision, n_tried, monkeypatch):
         built, tried = self.count(monkeypatch)
@@ -486,14 +491,15 @@ class TestOneSolverPerGame:
                              mode=mode, method="certify")
         ans = decide_improvement(game, q)
         assert ans.decision == decision and len(tried) == n_tried
-        assert built[0] is game
+        # The first solver is on the product of the machine paying nothing.
+        assert built[0].arena is implement(game, zero_rm(game)).arena is not game.arena
         aux, solved = self.split(built, tried)
-        if not n_tried:
-            assert aux is None and built == [game]
+        if n_tried == 1:
+            assert aux is None and built == tried
             return
         # Every product tried gets a solver.
         assert aux.n_states == build_auxiliary(game, 1).game.n_states
-        assert solved == tried
+        assert solved == tried[1:]
 
     @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-2)])
     def test_paper(self, example1, delta, monkeypatch):
@@ -545,15 +551,16 @@ class TestArenaSharing:
     of a game are on one arena object, and
     each arena's tables (its deviation moves and every player's response
     classes, from one pass) are built at most once, however many games share
-    it: for the base and auxiliary games and each product tried.  When the
-    base game's largest reachable cycle mean decides, only the base game's
-    tables are built."""
+    it: for the baseline's product, whose arena every subsidy scheme shares,
+    the auxiliary game and each replay product tried.  The base game's own
+    arena is never tabled.  When the base game's largest reachable cycle
+    mean decides, only the baseline's product's tables are built."""
 
     @pytest.mark.parametrize("seed,mode,delta,n_tried,n_arenas", [
         # Example 1's largest reachable cycle mean, 1, is at most 0 + 10 and
-        # 1 + 10: no auxiliary game and no product is built.
-        pytest.param(None, "strong", Fraction(10), 0, 0, id="strong"),
-        pytest.param(None, "weak", Fraction(10), 0, 0, id="weak"),
+        # 1 + 10: no auxiliary game and no candidate product is built.
+        pytest.param(None, "strong", Fraction(10), 1, 1, id="strong"),
+        pytest.param(None, "weak", Fraction(10), 1, 1, id="weak"),
         # 16 products on 5 arenas, the machine paying nothing and 10 subsidy
         # schemes on one, 5 paying replays on the other 4; none wins, the
         # best, 11/12, lying on the threshold.
@@ -579,15 +586,16 @@ class TestArenaSharing:
         assert not decide_improvement(game, q).decision
         aux, solved = TestOneSolverPerGame.split(searched, tried)
         arenas = {id(product.arena): product.arena for product in tried}
-        assert len(tried) == n_tried and len(arenas) == n_arenas and solved == tried
-        if not n_tried:
-            assert aux is None and built == [game.arena]
+        assert len(tried) == n_tried and len(arenas) == n_arenas and solved == tried[1:]
+        assert all(a is not game.arena for a in built)
+        if n_tried == 1:
+            assert aux is None and built == [tried[0].arena]
             return
         subsidy = [product.arena for product in (tried[0], *tried[-n_subsidy:])]
         assert all(a is subsidy[0] for a in subsidy)
-        # Base game, auxiliary game, and each product's arena: once each.
-        want = {id(game.arena), id(aux.arena), *arenas}
-        assert len(built) == len(want) == 2 + n_arenas and {id(a) for a in built} == want
+        # The auxiliary game and each product's arena: once each.
+        want = {id(aux.arena), *arenas}
+        assert len(built) == len(want) == 1 + n_arenas and {id(a) for a in built} == want
 
 
 def answer_key(ans) -> tuple:
@@ -682,9 +690,9 @@ class TestCandidateBound:
         assert (ans.decision, ans.baseline_value, ans.improved_value) == (
             False, Fraction(4), Fraction(4))
         # The base game's largest reachable cycle mean is at most 4 + 1/2:
-        # none of the machine paying nothing and the 3,870 subsidy schemes
-        # is tried.
-        assert not tried and built == [game]
+        # none of the 3,870 subsidy schemes is tried, and the one product
+        # solved is the baseline's.
+        assert len(tried) == 1 and built == tried
 
 
 class TestBaseGameBound:
@@ -720,22 +728,26 @@ class TestBaseGameBound:
         ans = decide_improvement(game, q)
         assert not ans.decision and ans.improved_value == ans.baseline_value
         assert self.base_bound(game) <= ans.baseline_value + q.delta
-        assert not auxiliary and not tried and built == [game]
+        assert not auxiliary and len(tried) == 1 and built == tried
 
     def test_bound_holds_for_random_machines(self):
         """Independent of certify: on seeded games, every product of a seeded
         machine of 1-3 states and budget 1 or 2 has its least global weight
         and its best equilibrium (when one is found) at most the bound, and
-        some product's best equilibrium attains it."""
+        some product's best equilibrium attains it.  Its least global weight
+        is also at most the base game's least reachable one, so a product
+        with no equilibrium never clears a baseline plus ``delta >= 0``."""
         refused = attained = checked = 0
         games = [gen_random_game(seed, 2, 3, 2) for seed in range(30)]
         games += [gen_random_game(seed, 3, 3, 2) for seed in range(10)]
         for seed, game in enumerate(games):
             bound = self.base_bound(game)
+            least = min(game.global_weights[s] for s in game.arena.reachable_states())
             for k in (1, 2, 3):
                 for budget in (1, 2):
                     product = implement(game, gen_random_rm(game, seed, k, budget))
                     assert min(product.global_weights) <= bound
+                    assert min(product.global_weights) <= least
                     try:
                         best = exact_best_ne(product, bound=8)
                     except SolverLimitError:
@@ -746,6 +758,25 @@ class TestBaseGameBound:
                         assert best.global_payoff <= bound
                         attained += best.global_payoff == bound
         assert (checked, refused) == (240, 0) and attained > 0
+
+    def test_seed_17_machine_beats_the_strong_baseline(self):
+        """A two-state machine of budget 1 on ``gen_random_game(17, 2, 3, 2)``
+        whose product's worst equilibrium is 1, against certify's strong
+        baseline 1/3.  The base game's bound, 1, lies above 1/3 + 1/2, so it
+        proves nothing here, and certify's strong "no" at delta 1/2 (and 0)
+        is the unproved kind: its family holds no such machine, and that
+        "no" is wrong."""
+        game = gen_random_game(17, 2, 3, 2)
+        rm = RewardMachine(("q0", "q1"), 0, ((0, 1, 1), (0, 0, 0)),
+                           (((0, 0), (0, 0), (0, 1)), ((0, 0), (0, 1), (1, 0))))
+        assert is_beta_rm(rm, 1)
+        product = implement(game, rm)
+        for bound in (8, 12):
+            assert exact_worst_ne(product, bound=bound).global_payoff == 1
+        q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1))
+        baseline = decide_improvement(game, q).baseline_value
+        assert baseline == Fraction(1, 3)
+        assert self.base_bound(game) == 1 > baseline + q.delta
 
 
 class TestExactThreshold:
@@ -786,18 +817,18 @@ class TestExactThreshold:
 
     def test_k4_strong_yes(self, monkeypatch):
         """On the complete digraph of four vertices (15 states, 6 players)
-        no candidate is skipped, and the 3,865th, the last, wins with worst
-        value 4: one solver for the base game and one per candidate (the
-        machine paying nothing, then subsidy schemes), since the 105-state
-        auxiliary game is past AUX_CANDIDATE_STATE_LIMIT."""
+        no candidate is skipped, and the 3,864th, the last, wins with worst
+        value 4: one solver for the baseline's product and one per
+        candidate, all subsidy schemes, since the 105-state auxiliary game
+        is past AUX_CANDIDATE_STATE_LIMIT."""
         built, tried = TestOneSolverPerGame.count(monkeypatch)
         game = gen_hamiltonian_game(complete_digraph(4))
         q = ImprovementQuery(budget=1, delta=Fraction(1, 2), epsilon=Fraction(1))
         ans = decide_improvement(game, q)
         assert (ans.decision, ans.baseline_value, ans.improved_value) == (
             True, Fraction(0), Fraction(4))
-        assert len(tried) == 3865 and ans.witness_game is tried[-1]
-        assert built[0] is game and built[1:] == tried
+        assert len(tried) == 1 + 3864 and ans.witness_game is tried[-1]
+        assert built == tried
         assert exact_worst_ne(ans.witness_game).global_payoff == 4
 
 
@@ -871,8 +902,7 @@ class TestFlooredCandidates:
 class TestDistinctCandidates:
     """Certify solves each product once, without a dedupe: the replay
     machines are distinct among themselves, the subsidy schemes too, the
-    two families never meet, and the machine paying nothing is none of
-    them; nor do any two of them give one product (arena and weight
+    two families never meet, and each candidate pays; nor do any two of them give one product (arena and weight
     tables), since subsidy schemes pay at reachable states only.  A new
     family that overlaps an old one fails here.  Distinct (value, length)
     pairs of an auxiliary game's top sweep replay as distinct machines, all
@@ -937,8 +967,8 @@ class TestDistinctCandidates:
                 for delta in (Fraction(1, 2), Fraction(0), Fraction(-1)):
                     built.clear()
                     decide_improvement(game, ImprovementQuery(1, delta, Fraction(1), mode))
-                    # After the base game: the products and the auxiliary game.
-                    products = [product_key(g) for g in built[1:]
+                    # The baseline's product, the candidates' and the auxiliary game.
+                    products = [product_key(g) for g in built
                                 if g.player_names[0] != "agent0"]
                     assert len(set(products)) == len(products), (game.meta, mode, delta)
 
@@ -1009,9 +1039,10 @@ class TestEmptyEquilibriumSet:
 
 
 class TestMachinePayingNothing:
-    """Candidate 0 is the machine paying nothing, whose product is the base
-    game; no other candidate pays nothing, and budget 0 builds no
-    auxiliary game, since all its replays would pay nothing."""
+    """The machine paying nothing, whose product is the base game, is
+    certify's baseline and no candidate: no candidate pays nothing, and
+    budget 0 builds no auxiliary game, since all its replays would pay
+    nothing."""
 
     @staticmethod
     def no_auxiliary(monkeypatch):
@@ -1049,23 +1080,84 @@ class TestMachinePayingNothing:
     @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 4)])
     def test_budget_0_builds_no_auxiliary_game(self, example1, delta, monkeypatch):
         """Example1 at budget 0 once built 14 solvers: the base game, the
-        auxiliary game and 12 replay products.  Now: the base game and the
-        machine paying nothing."""
+        auxiliary game and 12 replay products.  Now one: the baseline's, on
+        the product of the machine paying nothing."""
         self.no_auxiliary(monkeypatch)
         built, tried = TestOneSolverPerGame.count(monkeypatch)
         game = example1[0]
         assert not decide_improvement(game, ImprovementQuery(0, delta, Fraction(1, 8))).decision
-        assert len(tried) == 1 and built == [game, *tried]
+        assert len(tried) == 1 and built == tried
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_negative_delta_builds_no_auxiliary_game(self, example1, mode, monkeypatch):
-        """Candidate 0 wins every delta < 0, so the auxiliary game, built
-        only once it has lost, is not built: example1 at budget 1 and delta
-        -1 once built one per mode."""
+        """The machine paying nothing wins every delta < 0 from the
+        baseline's solve, so the auxiliary game, built only at delta >= 0,
+        is not built: example1 at budget 1 and delta -1 once built one per
+        mode."""
         self.no_auxiliary(monkeypatch)
         ans = decide_improvement(example1[0],
                                  ImprovementQuery(1, Fraction(-1), Fraction(1, 8), mode))
         assert ans.decision and ans.witness_rm.max_norm() == 0
+
+
+class TestBaselineSolve:
+    """Certify solves the product of the machine paying nothing once, for
+    the baseline, the base game's bound and every ``delta < 0``: it never
+    tables the base game's own arena, answers ``delta < 0`` from that one
+    solver without reading the candidate family, and the family holds only
+    machines that pay."""
+
+    GAMES = {
+        "example1": lambda: gen_example1()[0],
+        "seed3": lambda: gen_random_game(3, 2, 2),
+        **{f"{make.__name__}-{graph}": (lambda make=make, graph=graph:
+                                         make(getattr(TestFlooredCandidates, graph)))
+           for make in (gen_hamiltonian_game, gen_hamiltonian_complement_game)
+           for graph in ("WITH", "WITHOUT")},
+    }
+
+    @pytest.mark.parametrize("name", list(GAMES))
+    def test_base_arena_is_never_tabled(self, name, monkeypatch):
+        tabled = []
+
+        def counting_tables(arena):
+            tabled.append(arena)
+            return _arena_tables(arena)
+
+        monkeypatch.setattr(eqdesign.games, "_arena_tables", counting_tables)
+        game = self.GAMES[name]()  # fresh: no tables from other tests
+        for mode in ("strong", "weak"):
+            for delta in (Fraction(1, 2), Fraction(0), Fraction(-1)):
+                decide_improvement(game, ImprovementQuery(1, delta, Fraction(1), mode))
+                assert tabled and all(a is not game.arena for a in tabled), (mode, delta)
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("budget", [0, 1])
+    @pytest.mark.parametrize("seed", [None, 3, 16, 26])
+    def test_negative_delta_is_one_solve(self, seed, budget, mode, monkeypatch):
+        """Seed 26 has no equilibrium: the answer has no lasso."""
+        def refused(*args):
+            raise AssertionError("candidate family read")
+
+        monkeypatch.setattr(eqdesign.design, "build_auxiliary", refused)
+        monkeypatch.setattr(eqdesign.design, "_candidates", refused)
+        built, tried = TestOneSolverPerGame.count(monkeypatch)
+        game = gen_example1()[0] if seed is None else gen_random_game(seed, 2, 3, 2)
+        ans = decide_improvement(game, ImprovementQuery(budget, Fraction(-1), Fraction(1), mode))
+        assert ans.decision and ans.witness_rm.canonical_key() == zero_rm(game).canonical_key()
+        assert len(built) == 1 and built == tried
+        assert (ans.witness_lasso is None) == (seed == 26)
+        assert ans.witness_game is (None if seed == 26 else tried[0])
+
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    @pytest.mark.parametrize("seed,n_players", [(None, 1), *((s, 2) for s in range(6)),
+                                                (0, 3), (1, 3)])
+    def test_every_candidate_pays(self, seed, n_players, budget):
+        game = (gen_example1()[0] if seed is None
+                else gen_random_game(seed, n_players, 2 + seed % 2, 2))
+        found = list(_candidates(game, ImprovementQuery(budget, Fraction(0), Fraction(1))))
+        assert all(rm.max_norm() > 0 for rm in found)
+        assert bool(found) == (budget > 0)
 
 
 class TestBudgetPastTheVectorLimit:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,3 +134,57 @@ def test_decision_corpus_is_pinned():
     moved = [f"pinned: {a}\n  fresh:  {b}" for a, b in zip(want, fresh) if a != b]
     assert not moved, f"{len(moved)} lines moved\n" + "\n".join(moved)
     assert len(fresh) == len(want)
+
+
+def test_paper_and_certify_ledger():
+    """Every decision of the pinned corpus where ``paper`` and ``certify``
+    disagree, with its cause; parsed from the file, nothing is solved.
+
+    * 64 strong, certify yes and paper no.  Paper's strong comparison
+      quantifies over every agent-0 strategy, wasteful ones included, and
+      in 63 its auxiliary worst lies below its base worst.  The other is
+      ``random 9 3`` at delta 1/2: paper reads -31/32 against -1, while
+      certify's winner has worst value 1/3.
+    * 13 weak at delta 0, certify no and paper yes: paper's auxiliary value
+      lies 1/32 or 1/16 above its base value, both under its epsilon 1/8,
+      from two epsilon searches; certify's baseline is its improved value.
+    * ``random 26 2`` weak at delta -1: paper values the auxiliary game's
+      empty equilibrium set at a state where agent 0 has just paid.
+    """
+    answers = {}
+    for line in (ROOT / "tests" / "decision_corpus.txt").read_text().splitlines():
+        head, tail = line.split(": ", 1)
+        *name, method, mode, delta = head.split(" ")
+        answers[" ".join(name), method, mode, delta] = tail.split(" ")
+    ledger: dict = {}
+    for (name, method, mode, delta), got in answers.items():
+        paper = answers[name, "paper", mode, delta]
+        if method == "certify" and got[0] != paper[0]:
+            base, aux = Fraction(paper[1]), Fraction(paper[2])
+            ledger.setdefault((mode, delta, got[0]), []).append(
+                (name, Fraction(got[1]), Fraction(got[2]), base, aux))
+    assert {key: len(rows) for key, rows in ledger.items()} == {
+        ("strong", "1/2", "yes"): 7, ("strong", "0", "yes"): 12,
+        ("strong", "-1", "yes"): 45, ("weak", "0", "no"): 13, ("weak", "-1", "yes"): 1}
+    strong = [row for delta in ("1/2", "0", "-1") for row in ledger["strong", delta, "yes"]]
+    assert [row[0] for row in ledger["strong", "1/2", "yes"]] == [
+        "example1", "gen_hamiltonian_game with", "gen_hamiltonian_complement_game without",
+        "random 16 2", "random 37 2", "random 9 3", "random 13 3"]
+    assert [row[0] for row in ledger["strong", "0", "yes"]] == [
+        "example1", "gen_hamiltonian_game with", "gen_hamiltonian_complement_game without",
+        "random 16 2", "random 20 2", "random 22 2", "random 37 2", "random 2 3",
+        "random 13 3", "random 14 3", "random 16 3", "random 17 3"]
+    wasteful = [row for row in strong if row[4] < row[3]]
+    assert len(wasteful) == 63
+    (odd,) = [row for row in strong if row[4] >= row[3]]
+    assert odd == ("random 9 3", Fraction(-1), Fraction(1, 3), Fraction(-1), Fraction(-31, 32))
+    gaps = {}
+    for name, baseline, improved, base, aux in ledger["weak", "0", "no"]:
+        assert baseline == improved
+        gaps.setdefault(aux - base, []).append(name)
+    assert gaps == {Fraction(1, 32): [
+        "gen_hamiltonian_game with", "gen_hamiltonian_complement_game with", "random 10 2",
+        "random 11 2", "random 21 2", "random 23 2", "random 37 2", "random 0 3",
+        "random 3 3", "random 7 3", "random 14 3"],
+        Fraction(1, 16): ["random 3 2", "random 9 2"]}
+    assert ledger["weak", "-1", "yes"] == [("random 26 2", 1, 1, 1, 0)]
