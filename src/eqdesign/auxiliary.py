@@ -64,12 +64,6 @@ class AuxiliaryGame:
     pair_id: Mapping[tuple[int, int], int] = field(repr=False)
     vec_index: Mapping[tuple[int, ...], int] = field(repr=False)
 
-    def state_id(self, source_state: int, vector_index: int) -> int:
-        return self.pair_id[(source_state, vector_index)]
-
-    def vector_index(self, vec: tuple[int, ...]) -> int:
-        return self.vec_index[vec]
-
 
 def vector_action_name(vec: Sequence[int]) -> str:
     return "pay_" + "_".join(str(v) for v in vec)
@@ -180,7 +174,7 @@ def strategy_to_rm(aux: AuxiliaryGame, sigma0: MealyStrategy) -> RewardMachine:
         # Machine state k stands for the pair (strategy memory t, vector vi).
         t, vi = divmod(k, n_vec)
         try:
-            aux_state = aux.state_id(s, vi)
+            aux_state = aux.pair_id[(s, vi)]
         except KeyError:
             # Source state unreachable: pay nothing and move to the
             # zero-vector twin (vector 0) so states keep tracking vectors.
@@ -271,7 +265,7 @@ def lower_strategy(aux: AuxiliaryGame, rm: RewardMachine, product: Game,
     pairs, _ = product_arena(aux.source, rm)
     if len(pairs) != product.n_states:
         raise RewardMachineError("product is not the implementation of this machine")
-    aux_states = [aux.state_id(s, vec_of[q]) for s, q in pairs]
+    aux_states = [aux.pair_id[(s, vec_of[q])] for s, q in pairs]
 
     def cell(t: int, ps: int) -> tuple[int, int]:
         return sigma_hat.step[t][aux_states[ps]], sigma_hat.act[t][aux_states[ps]]

@@ -508,8 +508,7 @@ class NashLassoSolver:
     # -- oracle sweep ---------------------------------------------------------
 
     def _sweep(self, rows: Sequence[Row] = (), top: int | None = None,
-               sign: int = 1, designer: Row | None = None,
-               first: bool = False) -> list[tuple]:
+               sign: int = 1, designer: Row | None = None) -> list[tuple]:
         """Equilibrium cycle signatures within the length bound that pass the
         payoff ``rows``, least first.
 
@@ -530,8 +529,8 @@ class NashLassoSolver:
 
         ``designer``, in place of ``top``, is a caller's row that tests
         closed cycles from the first layer; the walk prunes by it as by
-        ``top``'s, past the ``PRUNE_LAYER_SUMS`` gate.  With ``first`` the
-        sweep stops at the first passing signature and lists it alone.
+        ``top``'s, past the ``PRUNE_LAYER_SUMS`` gate, and the sweep stops at
+        the first passing signature and lists it alone.
 
         When a cycle closes, its packed sums are tested against the
         ceiling's floor rows, ``rows`` and the designer row, each as
@@ -539,6 +538,7 @@ class NashLassoSolver:
         is decoded.
         """
         game = self.game
+        first = designer is not None  # a caller's row, not one ``top`` sets
         # Designer values sums/length are exact ints in units of 1/scale.
         scale = math.lcm(*range(1, self.bound + 1))
         width, n_sums = self._width, game.n_players + 1
@@ -744,7 +744,7 @@ class NashLassoSolver:
             row = _row(n, 1, Fraction(math.floor(threshold * scale) + 1, scale))
         else:
             row = _row(n, -1, threshold)
-        return next(iter(self._sweep(designer=row, first=True)), None)
+        return next(iter(self._sweep(designer=row)), None)
 
     def signatures(self, top: int | None = None) -> list[tuple]:
         """Equilibrium signatures, least designer value first.

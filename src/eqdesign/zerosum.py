@@ -35,50 +35,45 @@ class SolverLimitError(RuntimeError):
 
 
 def strongly_connected_components(succs: Sequence[Iterable[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
+    """Kosaraju's two passes, iterative: the components, sinks first, so
+    every edge goes to its own component or an earlier one.  A depth-first
+    search lists nodes as they finish and reverses each edge it reads.  Each
+    walk of the reversed edges from an unplaced node, last finished first,
+    collects one component; they come sources first and are returned reversed."""
     n = len(succs)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    preds: list[list[int]] = [[] for _ in range(n)]
+    seen = [False] * n
+    finished: list[int] = []
     for root in range(n):
-        if index[root] != -1:
+        if seen[root]:
             continue
+        seen[root] = True
         work = [(root, iter(succs[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
         while work:
             v, it = work[-1]
-            advanced = False
             for u in it:
-                if index[u] == -1:
-                    index[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    on_stack[u] = True
+                preds[u].append(v)
+                if not seen[u]:
+                    seen[u] = True
                     work.append((u, iter(succs[u])))
-                    advanced = True
                     break
-                elif on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
+            else:
+                work.pop()
+                finished.append(v)
+    placed = [False] * n
+    comps: list[list[int]] = []
+    for root in reversed(finished):
+        if placed[root]:
+            continue
+        placed[root] = True
+        comp = [root]
+        for v in comp:
+            for u in preds[v]:
+                if not placed[u]:
+                    placed[u] = True
                     comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
+        comps.append(comp)
+    comps.reverse()
     return comps
 
 
@@ -128,8 +123,8 @@ def max_mean_value_function(succs: Sequence[Sequence[int]],
         for v in comp:
             comp_of[v] = ci
     values: list[Fraction] = []
-    # Tarjan emits components in reverse topological order, so successors
-    # of a component are already resolved when we reach it.
+    # Components come sinks first, so the successors of a component are
+    # already resolved when we reach it.
     for ci, comp in enumerate(comps):
         pos = {v: k for k, v in enumerate(comp)}
         preds: list[list[int]] = [[] for _ in comp]

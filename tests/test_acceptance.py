@@ -257,7 +257,7 @@ def test_criterion_7_translation_suite():
         sigma_m = rm_to_strategy(aux, rm)
         mem = sigma_m.initial
         for k in range(horizon - 1):
-            aux_state = aux.state_id(src[k], aux.vector_index(vecs[k]))
+            aux_state = aux.pair_id[(src[k], aux.vec_index[vecs[k]])]
             assert mem == mach[k]
             played = sigma_m.act[mem][aux_state] - aux.vector_action[0]
             assert aux.vectors[played] == rewards[k]

@@ -113,9 +113,9 @@ class TestBuildAuxiliary:
 
     def test_indexes_invert_pairs_and_vectors(self):
         aux = build_auxiliary(gen_random_game(2, n_players=2, n_states=3), 2)
-        assert [aux.state_id(s, vi) for s, vi in aux.pair_of_state] == list(
+        assert [aux.pair_id[(s, vi)] for s, vi in aux.pair_of_state] == list(
             range(aux.game.n_states))
-        assert [aux.vector_index(v) for v in aux.vectors] == list(range(len(aux.vectors)))
+        assert [aux.vec_index[v] for v in aux.vectors] == list(range(len(aux.vectors)))
 
 
 class TestRmToStrategy:
@@ -123,7 +123,7 @@ class TestRmToStrategy:
         game, _, _ = example1
         aux = build_auxiliary(game, 1)
         sigma0 = rm_to_strategy(aux, zero_rm(game))
-        zero_act = aux.vector_action[aux.vector_index((0,))]
+        zero_act = aux.vector_action[aux.vec_index[(0,)]]
         assert all(a == zero_act for row in sigma0.act for a in row)
 
     def test_over_budget_machine_rejected(self, example1):
@@ -168,7 +168,7 @@ class TestStrategyToRm:
     def test_constant_zero_strategy_gives_silent_machine(self, example1):
         game, _, _ = example1
         aux = build_auxiliary(game, 1)
-        zero_act = aux.vector_action[aux.vector_index((0,))]
+        zero_act = aux.vector_action[aux.vec_index[(0,)]]
         sigma0 = MealyStrategy(
             1, 0, ((0,) * aux.game.n_states,), ((zero_act,) * aux.game.n_states,))
         rm = strategy_to_rm(aux, sigma0)
@@ -185,10 +185,10 @@ class TestStrategyToRm:
         game, _, _ = example1
         aux = build_auxiliary(game, 1)
         t, l, m = (game.state_names.index(x) for x in ("t", "l", "m"))
-        zero_vi = aux.vector_index((0,))
-        one_vi = aux.vector_index((1,))
-        cycle = [aux.state_id(t, zero_vi), aux.state_id(l, zero_vi),
-                 aux.state_id(m, one_vi)]
+        zero_vi = aux.vec_index[(0,)]
+        one_vi = aux.vec_index[(1,)]
+        cycle = [aux.pair_id[(t, zero_vi)], aux.pair_id[(l, zero_vi)],
+                 aux.pair_id[(m, one_vi)]]
         lasso = lasso_from_states(aux.game, cycle, 0)
         sigma0 = replay_strategy(aux, lasso)
         rm = strategy_to_rm(aux, sigma0)
@@ -233,7 +233,7 @@ class TestLiftLower:
             left, _, right = name.rpartition("|")
             s = game.state_names.index(left)
             q = m1.state_names.index(right)
-            aux_state = aux.state_id(s, 0)
+            aux_state = aux.pair_id[(s, 0)]
             mem = lifted.initial
             # memory (t0, q): locate the pair id used by the lift
             mem = q  # single source memory: pair ids are (0, q) in order
@@ -314,13 +314,13 @@ class TestLiftLower:
         for ps, (s, q) in pairs.items():
             for vi in range(len(aux.vectors)):
                 mem = sigma.initial * rm.n_states + q
-                assert lifted.act[mem][aux.state_id(s, vi)] == sigma.act[sigma.initial][ps]
+                assert lifted.act[mem][aux.pair_id[(s, vi)]] == sigma.act[sigma.initial][ps]
         hat = gen_random_strategy(aux.game, 1, 9)
         lowered = lower_strategy(bar_aux, bar_rm, bar_product, hat, 0)
         assert lowered == lower_strategy(aux, rm, product, hat, 0)
         vec_of = machine_state_vectors(aux, rm)
         for ps, (s, q) in pairs.items():
-            assert lowered.act[0][ps] == hat.act[0][aux.state_id(s, vec_of[q])]
+            assert lowered.act[0][ps] == hat.act[0][aux.pair_id[(s, vec_of[q])]]
 
     def test_product_of_another_machine_rejected(self, example1):
         game, m1, m2 = example1
@@ -371,7 +371,7 @@ class TestPathCorrespondence:
         sigma_m = rm_to_strategy(aux, rm)
         mem = sigma_m.initial
         for k in range(horizon - 1):
-            aux_state = aux.state_id(src[k], aux.vector_index(vecs[k]))
+            aux_state = aux.pair_id[(src[k], aux.vec_index[vecs[k]])]
             assert mem == mach[k]
             played = sigma_m.act[mem][aux_state]
             assert aux.vectors[played - aux.vector_action[0]] == rewards[k]

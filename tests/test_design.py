@@ -1200,9 +1200,9 @@ class TestSynthesizeRm:
 
         game, _, _ = example1
         aux = build_auxiliary(game, 1)
-        zero_vi = aux.vector_index((0,))
+        zero_vi = aux.vec_index[(0,)]
         t, r = game.state_names.index("t"), game.state_names.index("r")
-        cycle = [aux.state_id(t, zero_vi), aux.state_id(r, zero_vi)]
+        cycle = [aux.pair_id[(t, zero_vi)], aux.pair_id[(r, zero_vi)]]
         rm = replay_machine(aux, lasso_from_states(aux.game, cycle, 0))
         assert rm.max_norm() == 0
         product = implement(game, rm)
@@ -1216,12 +1216,12 @@ class TestSynthesizeRm:
 
         game, _, _ = example1
         aux = build_auxiliary(game, 1)
-        zero_vi, one_vi = aux.vector_index((0,)), aux.vector_index((1,))
+        zero_vi, one_vi = aux.vec_index[(0,)], aux.vec_index[(1,)]
         t, l, m = (game.state_names.index(x) for x in ("t", "l", "m"))
         cycle = [
-            aux.state_id(t, zero_vi), aux.state_id(l, zero_vi),
-            aux.state_id(m, zero_vi), aux.state_id(t, zero_vi),
-            aux.state_id(l, zero_vi), aux.state_id(m, one_vi),
+            aux.pair_id[(t, zero_vi)], aux.pair_id[(l, zero_vi)],
+            aux.pair_id[(m, zero_vi)], aux.pair_id[(t, zero_vi)],
+            aux.pair_id[(l, zero_vi)], aux.pair_id[(m, one_vi)],
         ]
         # The duplicate (t, zero) entry would fold the cycle early; unroll
         # by hand instead of through lasso_from_states.

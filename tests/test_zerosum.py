@@ -27,6 +27,7 @@ from eqdesign.zerosum import (
     best_response_value,
     max_mean_value_function,
     punishment_values,
+    strongly_connected_components,
 )
 import eqdesign.zerosum as zerosum
 
@@ -50,6 +51,50 @@ def witness_values(game, pun: PunishmentResult) -> tuple[Fraction, ...]:
     ))
     return tuple(best_response_value(rooted_at(game, s), others, pun.player)
                  for s in range(game.n_states))
+
+
+# Digraphs of 0-12 nodes: rows may be empty, loop on their node or repeat an edge.
+digraphs = st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, max(n - 1, 0)), max_size=5), min_size=n, max_size=n))
+
+
+class TestStronglyConnectedComponents:
+    """The contract the callers read: a partition into mutually reaching
+    nodes, each edge going to its own component or an earlier one."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(digraphs)
+    def test_partition_by_mutual_reach_sinks_first(self, succs):
+        n = len(succs)
+        comps = strongly_connected_components(succs)
+        assert sorted(v for comp in comps for v in comp) == list(range(n))
+        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        reach = []
+        for v in range(n):
+            seen = {v}
+            frontier = [v]
+            for u in frontier:
+                for t in succs[u]:
+                    if t not in seen:
+                        seen.add(t)
+                        frontier.append(t)
+            reach.append(seen)
+        for u in range(n):
+            for v in range(n):
+                assert (comp_of[u] == comp_of[v]) == (v in reach[u] and u in reach[v])
+        for v, ts in enumerate(succs):
+            for t in ts:
+                assert comp_of[t] <= comp_of[v]
+
+    def test_long_path_stays_iterative(self):
+        n = 50_000
+        succs = [[v + 1] for v in range(n - 1)] + [[]]
+        assert strongly_connected_components(succs) == [[v] for v in reversed(range(n))]
+
+    def test_long_cycle_stays_iterative(self):
+        n = 50_000
+        comps = strongly_connected_components([[(v + 1) % n] for v in range(n)])
+        assert len(comps) == 1 and sorted(comps[0]) == list(range(n))
 
 
 class TestMaxMeanCycle:
