@@ -23,7 +23,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 class GameStructureError(ValueError):
@@ -89,14 +89,7 @@ class Arena:
 
     def reachable_states(self) -> list[int]:
         """States reachable from the initial state."""
-        seen = {self.initial}
-        frontier = list(seen)
-        while frontier:
-            for _, succ in self.moves(frontier.pop()):
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        return sorted(seen)
+        return sorted(explore(self.initial, self.moves)[0])
 
     @cached_property
     def _tables(self):
@@ -127,26 +120,19 @@ class Arena:
                 ) -> tuple[tuple[tuple[int, int], ...], "Arena"]:
         """Reachable (state, machine state) pairs and their arena, for a
         machine moving from ``q`` to ``step[q][s]`` when play leaves ``s``.
-        Pair ``k`` is product state ``k``, numbered in the order a depth-first
-        walk from ``(initial, start)`` (product state 0) first meets it.  Kept
+        Pair ``k`` is product state ``k``, numbered by :func:`explore` from
+        ``(initial, start)`` (product state 0) over :meth:`moves`.  Kept
         by ``(step, start)``, so machines with one transition table, such as
         every single-state machine, share one arena object.
         """
         products = self._products
         if (step, start) not in products:
-            pairs = [(self.initial, start)]
-            index = {pairs[0]: 0}
-            frontier = [0]
-            transitions: dict[tuple[int, tuple[int, ...]], int] = {}
-            while frontier:
-                ps = frontier.pop()
-                s, q = pairs[ps]
-                for joint, succ in self.moves(s):
-                    pt = index.setdefault((succ, step[q][s]), len(pairs))
-                    if pt == len(pairs):
-                        pairs.append((succ, step[q][s]))
-                        frontier.append(pt)
-                    transitions[ps, joint] = pt
+            def successors(pair):
+                s, q = pair
+                return [(joint, (succ, step[q][s])) for joint, succ in self.moves(s)]
+
+            pairs, edges = explore((self.initial, start), successors)
+            transitions = {(k, joint): t for k, out in enumerate(edges) for joint, t in out}
             protocol = tuple(tuple(row[s] for s, _ in pairs) for row in self.protocol)
             products[step, start] = tuple(pairs), Arena(0, protocol, transitions)
         return products[step, start]
@@ -154,6 +140,27 @@ class Arena:
     @cached_property
     def _products(self) -> dict:
         return {}
+
+
+def explore(root: Hashable, successors: Callable[[Any], Iterable[tuple[Any, Hashable]]]
+            ) -> tuple[list, list[list[tuple[Any, int]]]]:
+    """The nodes reachable from ``root`` and, per node, its ``(label, index)``
+    edges, for ``successors`` yielding a node's ``(label, successor)`` pairs.
+    Node ``k`` is the ``k``-th first met by a depth-first walk that expands
+    the latest-found node first and reads successors in the order they come;
+    repeated successors give repeated edges."""
+    nodes, edges, index, frontier = [root], [[]], {root: 0}, [0]
+    while frontier:
+        k = frontier.pop()
+        out = edges[k]
+        for label, node in successors(nodes[k]):
+            t = index.setdefault(node, len(nodes))
+            if t == len(nodes):
+                nodes.append(node)
+                edges.append([])
+                frontier.append(t)
+            out.append((label, t))
+    return nodes, edges
 
 
 def _arena_tables(arena: Arena):
@@ -518,28 +525,25 @@ def payoffs(game: Game, lasso: Lasso) -> tuple[tuple[Fraction, ...], Fraction]:
 def run_profile(game: Game, profile: StrategyProfile) -> Lasso:
     """Unique lasso induced by a complete deterministic profile.
 
-    Simulates the joint (state, memory vector) evolution until the first
-    repeated configuration; determinism guarantees a lasso within
-    |St| * prod |T_i| steps.
+    :func:`explore` walks the (state, memory vector) configurations; each has
+    one successor, so the walk is the play, of at most |St| * prod |T_i|
+    steps, and the last configuration's one edge leads to the cycle's start.
     """
     if tuple(sorted(profile.players)) != tuple(range(game.n_players)):
         raise InvalidStrategyError("profile must cover exactly the game's players")
     profile.validate(game)
     strats = [profile.strategy_for(i) for i in range(game.n_players)]
-    state = game.initial
-    mems = tuple(st.initial for st in strats)
-    seen: dict[tuple[int, tuple[int, ...]], int] = {}
-    states: list[int] = []
-    moves: list[tuple[int, ...]] = []
-    while (state, mems) not in seen:
-        seen[(state, mems)] = len(states)
-        joint = tuple(st.act[mems[i]][state] for i, st in enumerate(strats))
-        states.append(state)
-        moves.append(joint)
-        nxt = game.transitions[(state, joint)]
-        mems = tuple(st.step[mems[i]][state] for i, st in enumerate(strats))
-        state = nxt
-    k = seen[(state, mems)]
+
+    def successor(config):
+        state, mems = config
+        joint = tuple(st.act[m][state] for st, m in zip(strats, mems))
+        return [(joint, (game.transitions[state, joint],
+                         tuple(st.step[m][state] for st, m in zip(strats, mems))))]
+
+    configs, edges = explore((game.initial, tuple(st.initial for st in strats)), successor)
+    states = [s for s, _ in configs]
+    moves = [out[0][0] for out in edges]
+    k = edges[-1][0][1]
     return Lasso(
         prefix_states=tuple(states[:k]),
         cycle_states=tuple(states[k:]),

@@ -95,7 +95,8 @@ def product_arena(game: Game, rm: RewardMachine,
                   ) -> tuple[tuple[tuple[int, int], ...], Arena]:
     """Reachable (game state, machine state) pairs and the product's arena.
 
-    Pair ``k`` is product state ``k`` (see :meth:`Arena.product`).  This is
+    Pair ``k`` is product state ``k``, numbered by the walk of
+    :func:`~eqdesign.games.explore` (see :meth:`Arena.product`).  This is
     the one place that numbers product states, so code that needs the pair
     behind a product state asks here instead of reading state names.  All
     single-state machines on one game share the pairs and the arena object.

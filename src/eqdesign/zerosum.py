@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .games import Game, StrategyProfile, check_player
+from .games import Game, StrategyProfile, check_player, explore
 
 
 class SolverLimitError(RuntimeError):
@@ -109,7 +109,8 @@ def max_mean_value_function(succs: Sequence[Sequence[int]],
                             weight: Sequence[int]) -> list[Fraction]:
     """Per node, the largest mean of any cycle reachable from it.
 
-    Every node must have out-degree >= 1 so a cycle is always reachable.
+    Every node must have out-degree >= 1 so a cycle is always reachable;
+    a successor may be listed more than once.
     A component takes the best value of its successors outside it and, if
     it holds a cycle (two or more nodes, or a self-loop), its Karp mean.
     """
@@ -145,9 +146,11 @@ def max_mean_value_function(succs: Sequence[Sequence[int]],
 def best_response_value(game: Game, others: StrategyProfile, player: int) -> Fraction:
     """Exact supremum of ``player``'s mean payoff against a committed profile.
 
-    Builds the one-player arena over (state, coalition memory) pairs; since
-    single-player mean-payoff optima are positional, the supremum over all
-    responses (finite or infinite memory) is the best reachable cycle mean.
+    Walks, with :func:`~eqdesign.games.explore`, the one-player graph of
+    (state, coalition memory vector) configurations reachable from the
+    initial one, with one edge per action of ``player``; since single-player
+    mean-payoff optima are positional, the supremum over all responses
+    (finite or infinite memory) is the best cycle mean reachable from it.
     """
     check_player(game, player)
     if player in others.players:
@@ -164,31 +167,20 @@ def best_response_unchecked(game: Game, others: StrategyProfile, player: int) ->
     """:func:`best_response_value` without its checks, for a profile this
     library built for ``game``: a certificate's grim profile."""
     coalition = sorted(others.players)
-    strat = {p: others.strategy_for(p) for p in coalition}
-    root = (game.initial, tuple(strat[p].initial for p in coalition))
-    index = {root: 0}
-    nodes = [root]
-    succs: list[list[int]] = [[]]
-    frontier = [0]
-    while frontier:
-        vi = frontier.pop()
-        s, mems = nodes[vi]
-        next_mems = tuple(strat[p].step[m][s] for p, m in zip(coalition, mems))
-        outs = set()
+    strats = [others.strategy_for(p) for p in coalition]
+
+    def successors(config):
+        s, mems = config
+        joint = [0] * game.n_players
+        for p, st, m in zip(coalition, strats, mems):
+            joint[p] = st.act[m][s]
+        next_mems = tuple(st.step[m][s] for st, m in zip(strats, mems))
         for a in game.protocol[player][s]:
-            joint = [0] * game.n_players
             joint[player] = a
-            for p, m in zip(coalition, mems):
-                joint[p] = strat[p].act[m][s]
-            succ = game.transitions[(s, tuple(joint))]
-            outs.add((succ, next_mems))
-        for node in sorted(outs):
-            if node not in index:
-                index[node] = len(nodes)
-                nodes.append(node)
-                succs.append([])
-                frontier.append(index[node])
-            succs[vi].append(index[node])
+            yield a, (game.transitions[s, tuple(joint)], next_mems)
+
+    nodes, edges = explore((game.initial, tuple(st.initial for st in strats)), successors)
+    succs = [[t for _, t in out] for out in edges]
     weights = [game.weights[player][s] for s, _ in nodes]
     return max_mean_value_function(succs, weights)[0]
 

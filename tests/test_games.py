@@ -123,19 +123,21 @@ class TestRunProfile:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_step_by_step_simulation(self, seed):
-        game = gen_random_game(seed, n_players=2, n_states=3)
-        profile = StrategyProfile(
-            (0, 1),
-            (gen_random_strategy(game, 0, seed), gen_random_strategy(game, 1, ~seed)),
-        )
-        lasso = run_profile(game, profile)
-        lasso.validate(game)
-        horizon = len(lasso) + 10 * len(lasso.cycle_states)
-        transcript = simulate_states(game, profile, horizon)
-        expected = list(lasso.prefix_states)
-        while len(expected) < horizon:
-            expected.extend(lasso.cycle_states)
-        assert transcript == expected[:horizon]
+        """Two and three players, strategies of 1-3 memory states."""
+        for n_players in (2, 3):
+            game = gen_random_game(seed, n_players=n_players, n_states=3)
+            for n_memory in (1, 2, 3):
+                seeds = (seed, ~seed, seed + 5)
+                profile = StrategyProfile(tuple(range(n_players)), tuple(
+                    gen_random_strategy(game, i, seeds[i], n_memory) for i in range(n_players)))
+                lasso = run_profile(game, profile)
+                lasso.validate(game)
+                horizon = len(lasso) + 10 * len(lasso.cycle_states)
+                transcript = simulate_states(game, profile, horizon)
+                expected = list(lasso.prefix_states)
+                while len(expected) < horizon:
+                    expected.extend(lasso.cycle_states)
+                assert transcript == expected[:horizon]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_payoffs_equal_long_window_average(self, seed):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from eqdesign.rewards import (
     implement,
     is_beta_rm,
     k_cycle_delivery_rm,
+    product_arena,
     zero_rm,
 )
 
@@ -80,6 +82,53 @@ class TestImplement:
             assert per[i] == source_part + reward_part
         projected = Fraction(sum(game.global_weights[s] for s, _ in pairs), length)
         assert glob <= projected
+
+
+def _random_game_and_rm(seed):
+    rng = random.Random(seed)
+    game = gen_random_game(seed, n_players=rng.randint(2, 3), n_states=rng.randint(2, 5))
+    return game, gen_random_rm(game, seed, n_states=rng.randint(1, 3))
+
+
+class TestProductNumbering:
+    """The numbering contract of product states: pair ``k`` is the ``k``-th
+    first met by a depth-first walk from ``(initial, start)`` that expands
+    the latest-found pair first and reads joint actions in order."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_pairs_and_transitions_follow_the_walk(self, seed):
+        game, rm = _random_game_and_rm(seed)
+        expected = [(game.initial, rm.initial)]
+        stack = [0]
+        while stack:
+            s, q = expected[stack.pop()]
+            for joint in game.arena.joint_actions(s):
+                pair = (game.transitions[s, joint], rm.step[q][s])
+                if pair not in expected:
+                    expected.append(pair)
+                    stack.append(len(expected) - 1)
+        pairs, arena = product_arena(game, rm)
+        assert list(pairs) == expected
+        assert arena.initial == 0
+        n_joints = 0
+        for k, (s, q) in enumerate(pairs):
+            for joint in game.arena.joint_actions(s):
+                n_joints += 1
+                target = (game.transitions[s, joint], rm.step[q][s])
+                assert arena.transitions[k, joint] == expected.index(target)
+        assert len(arena.transitions) == n_joints
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_reachable_states_are_the_closure(self, seed):
+        game, _ = _random_game_and_rm(seed)
+        reach = {game.initial}
+        while True:
+            more = reach | {game.transitions[s, joint] for s in reach
+                            for joint in game.arena.joint_actions(s)}
+            if more == reach:
+                break
+            reach = more
+        assert game.arena.reachable_states() == sorted(reach)
 
 
 class TestSubsidySchemes:

@@ -132,16 +132,17 @@ class TestMaxMeanCycle:
     def test_matches_simple_cycle_brute_force(self, seed):
         """Node by node against the simple-cycle reference, on graphs of 1-8
         nodes whose edges mostly lead to lower nodes: layers of components,
-        self-loops, acyclic states feeding cycles, negative weights."""
+        self-loops, acyclic states feeding cycles, negative weights, and
+        repeated successors, as best-response graphs have."""
         rng = random.Random(seed)
         for _ in range(25):
             n = rng.randint(1, 8)
             succs = []
             for v in range(n):
                 down = v > 0 and rng.random() < 0.7
-                succs.append(sorted({rng.randrange(v) if down and rng.random() < 0.8
-                                     else rng.randrange(n)
-                                     for _ in range(rng.randint(1, 3))}))
+                succs.append([rng.randrange(v) if down and rng.random() < 0.8
+                              else rng.randrange(n)
+                              for _ in range(rng.randint(1, 3))])
             weight = [rng.randint(-4, 4) for _ in range(n)]
             assert max_mean_value_function(succs, weight) == \
                 brute_force_max_mean(succs, weight)
@@ -190,6 +191,40 @@ class TestBestResponse:
         for i in range(2):
             br = best_response_value(game, profile.without(i), i)
             assert br >= mean_payoff(game.weights[i], lasso)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force_on_configurations(self, seed):
+        """Each player against the others' random strategies of 1-3 memory
+        states, on 2-3 player games of 2-4 states: the value is the best
+        simple cycle reachable in a (state, coalition memories) graph built
+        here, numbered in sorted order."""
+        rng = random.Random(seed)
+        game = gen_random_game(seed, n_players=rng.randint(2, 3), n_states=rng.randint(2, 4))
+        for player in range(game.n_players):
+            coalition = [p for p in range(game.n_players) if p != player]
+            strats = [gen_random_strategy(game, p, seed, rng.randint(1, 3)) for p in coalition]
+            root = (game.initial, tuple(st.initial for st in strats))
+            graph = {root: []}
+            todo = [root]
+            while todo:
+                s, mems = config = todo.pop()
+                next_mems = tuple(st.step[m][s] for st, m in zip(strats, mems))
+                for a in game.protocol[player][s]:
+                    acts = dict(zip(coalition, (st.act[m][s] for st, m in zip(strats, mems))))
+                    acts[player] = a
+                    joint = tuple(acts[i] for i in range(game.n_players))
+                    succ = (game.transitions[s, joint], next_mems)
+                    graph[config].append(succ)
+                    if succ not in graph:
+                        graph[succ] = []
+                        todo.append(succ)
+            order = sorted(graph)
+            index = {config: k for k, config in enumerate(order)}
+            succs = [[index[c] for c in graph[config]] for config in order]
+            weight = [game.weights[player][s] for s, _ in order]
+            expected = brute_force_max_mean(succs, weight)[index[root]]
+            others = StrategyProfile(tuple(coalition), tuple(strats))
+            assert best_response_value(game, others, player) == expected
 
 
 class TestPunishment:
